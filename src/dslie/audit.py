@@ -59,9 +59,8 @@ def load_expected() -> dict:
 
 
 class Auditor:
-    def __init__(self, cache_dir: Optional[str] = None, seed: int = 0):
+    def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
-        self.seed = seed
         self._builds: Dict[Tuple[str, int], BuildResult] = {}
         self._subs: Dict[Tuple[str, int], Superalgebra] = {}
         self._refs: Dict[int, ReferenceBank] = {}
@@ -294,9 +293,9 @@ class Auditor:
         return out
 
 
-def run_audit(rows: List[dict], cache_dir: Optional[str] = None,
-              seed: int = 0) -> Tuple[List[AuditOutcome], int]:
-    auditor = Auditor(cache_dir=cache_dir, seed=seed)
+def run_audit(rows: List[dict],
+              cache_dir: Optional[str] = None) -> Tuple[List[AuditOutcome], int]:
+    auditor = Auditor(cache_dir=cache_dir)
     outcomes = []
     for row in rows:
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanSpec
-from .fields import Field
+from .fields import Field, UsageError
 from .linalg import Echelon
 from .superalgebra import Element, Superalgebra, el_add, el_addmul, el_neg, el_scale
 
@@ -270,7 +270,7 @@ class BuildResult:
         """Global basis index of the k-th positive root vector, 1-based (x_k)."""
         h = self.n + self.n_grading
         if not (1 <= k <= len(self.pos_roots)):
-            raise ValueError(f"x{k} out of range (1..{len(self.pos_roots)})")
+            raise UsageError(f"x{k} out of range (1..{len(self.pos_roots)})")
         return h + k - 1
 
     def index_of_root(self, root: Sequence[int]) -> List[int]:
@@ -283,8 +283,8 @@ class BuildResult:
         f = self.field
         out: Element = {}
         for part in expr.replace(" ", "").split("+"):
-            if not part.startswith("x"):
-                raise ValueError(f"bad root-vector expression {expr!r}")
+            if not (part.startswith("x") and part[1:].isdecimal()):
+                raise UsageError(f"bad root-vector expression {expr!r}: use x<k>+x<l>+...")
             k = int(part[1:])
             out = el_add(f, out, {self.positive_index(k): f.one})
         return out
@@ -300,6 +300,15 @@ def parse_sdim(s: str) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     return (int(left), odd), None
 
 
+def grading_rows(spec: CartanSpec, fld: Field) -> List[int]:
+    """Unit rows completing the row space of A over the field; grading
+    element d_t acts on a root by its coordinate at the t-th of them."""
+    ech = Echelon(fld, spec.n)
+    for i in range(spec.n):
+        ech.add([spec.entry_scalar(fld, i, j) for j in range(spec.n)])
+    return ech.complete_with_units()
+
+
 def build_g_of_A(spec: CartanSpec, degree_cap: int = 40,
                  check_expected: bool = True,
                  dim_cap: Optional[int] = None) -> BuildResult:
@@ -309,17 +318,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40,
         want, _ = parse_sdim(spec.expected_sdim)
         dim_cap = (want[0] + want[1]) // 2 + n + 8  # bound on one side's node count
     A = [[spec.entry_scalar(fld, i, j) for j in range(n)] for i in range(n)]
-
-    # grading elements: unit rows completing the row space of A over the field
-    row_ech = Echelon(fld, n)
-    for i in range(n):
-        row_ech.add(list(A[i]))
-    d_rows: List[int] = []
-    for m in range(n):
-        unit = [fld.zero] * n
-        unit[m] = fld.one
-        if row_ech.add(unit) is not None:
-            d_rows.append(m)
+    d_rows = grading_rows(spec, fld)
     k = len(d_rows)
 
     def weight_of(i: int, root: Tuple[int, ...]):

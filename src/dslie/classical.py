@@ -1,4 +1,4 @@
-"""Matrix-realized reference superalgebras: gl, sl, psl, osp, hei, abelian.
+"""Matrix-realized reference superalgebras: gl, sl, psl, osp, hei(0|2), abelian.
 
 gl(a|b) uses the alternating parity format, so that the elementary
 matrices E_{i,i+1} are simple root vectors of alternating parity; this
@@ -102,7 +102,7 @@ def sl(a: int, b: int, p: int) -> Superalgebra:
         vec[diag[i]] = fld.one
         vec[diag[i + 1]] = fld.one if pos[i] != pos[i + 1] else fld.neg(fld.one)
         rows.append(vec)
-    return g.subalgebra_from_rows(rows, label_prefix="sl")
+    return g.subalgebra_from_rows(rows)
 
 
 def psl(a: int, b: int, p: int) -> Superalgebra:
@@ -118,13 +118,6 @@ def hei_odd(p: int) -> Superalgebra:
     """hei(0|2) = sl(1|1): one even center, two odd generators pairing onto it."""
     fld = field_for(p)
     return Superalgebra(fld, ["c", "o1", "o2"], [0, 1, 1], {(1, 2): {0: fld.one}},
-                        {} if p == 2 else None, None)
-
-
-def hei_even(p: int) -> Superalgebra:
-    """hei(2): even Heisenberg algebra on x, y with [x, y] = c."""
-    fld = field_for(p)
-    return Superalgebra(fld, ["c", "x", "y"], [0, 0, 0], {(1, 2): {0: fld.one}},
                         {} if p == 2 else None, None)
 
 
@@ -173,7 +166,7 @@ def osp(m: int, two_n: int, p: int) -> Superalgebra:
             if nz:
                 eqs.append(row)
     sol = mat_nullspace(Matrix(fld, eqs, ncols=big.dim))
-    return big.subalgebra_from_rows(sol, label_prefix="osp")
+    return big.subalgebra_from_rows(sol)
 
 
 def classical(family: str, a: int, b: int, p: int) -> Superalgebra:
@@ -186,8 +179,8 @@ def classical(family: str, a: int, b: int, p: int) -> Superalgebra:
         return psl(a, b, p)
     if family == "osp":
         return osp(a, b, p)
-    if family == "hei":
-        return hei_odd(p) if a == 0 else hei_even(p)
+    if family == "hei" and a == 0:
+        return hei_odd(p)
     if family == "abelian":
         return abelian(a, b, p)
     raise ValueError(f"unknown family {family!r}")

@@ -22,9 +22,11 @@ from .cartan import analyze_diagram, symmetrize
 from .catalog import CatalogError, all_entries, build_catalog_algebra, catalog_get
 from .ds import (DSError, adjoint_rank, defect_report, ds_homology, identify,
                  is_homological)
+from .fields import UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import serialize_build
+from .superalgebra import el_add
 from .tables import chain_element, chain_reference_names, chain_table, family_algebra
 
 CACHE_ENV = "DSLIE_CACHE_DIR"
@@ -89,19 +91,27 @@ def _get_algebra(key: str, p: int, cache_dir):
 
 
 def _resolve_x(key: str, b, g, expr: str):
+    """h<k> and x<k> terms: Cartan and positive root vectors of a catalog
+    algebra, E_{k,k} and E_{k,k+1} of gl/sl/psl."""
     f = g.field
     out = {}
     for part in expr.replace(" ", "").split("+"):
-        if part.startswith("h") or part == "h":
-            k = int(part[1:]) if len(part) > 1 else 1
-            idx = k - 1 if b is not None else g.labels.index(f"E{k},{k}")
-        elif b is not None:
-            return b.x_element(expr)
+        m = re.fullmatch(r"h(\d*)|x(\d+)", part)
+        if m is None:
+            raise UsageError(f"bad element expression {expr!r}: use h<k> and x<k> terms")
+        k = int(m.group(1) or m.group(2) or 1)
+        if b is None:
+            label = f"E{k},{k}" if part[0] == "h" else f"E{k},{k+1}"
+            if label not in g.labels:
+                raise UsageError(f"{part} ({label}) is not a basis element of {key}")
+            idx = g.labels.index(label)
+        elif part[0] == "x":
+            idx = b.positive_index(k)
+        elif 1 <= k <= b.n:
+            idx = k - 1
         else:
-            k = int(part.lstrip("x"))
-            idx = g.labels.index(f"E{k},{k+1}")
-        c = out.get(idx, f.zero)
-        out[idx] = f.add(c, f.one)
+            raise UsageError(f"h{k} out of range (1..{b.n})")
+        out = el_add(f, out, {idx: f.one})
     return out
 
 
@@ -252,7 +262,7 @@ def cmd_audit(args) -> int:
             return 1
         keys = set(args.keys)
         rows = [r for r in rows if r["key"] in keys or r["table"] in keys]
-    outcomes, code = run_audit(rows, cache_dir=_cache_dir(args), seed=args.seed)
+    outcomes, code = run_audit(rows, cache_dir=_cache_dir(args))
     table = []
     for o in outcomes:
         table.append({
@@ -335,7 +345,6 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--keys", nargs="*", help="restrict to these algebra keys or tables")
     a.add_argument("--format", choices=["text", "csv", "records"], default="text")
     a.add_argument("--cache-dir", default=None)
-    a.add_argument("--seed", type=int, default=0)
     a.set_defaults(func=cmd_audit)
 
     c = sub.add_parser("catalog", help="list catalog entries")
@@ -353,6 +362,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (DSError, BuildError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2

@@ -6,15 +6,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
 from .fields import Field
-from .linalg import Echelon, Matrix, mat_nullspace, mat_rank
-from .superalgebra import (Element, Fingerprint, Superalgebra, el_add, el_from_dense,
-                           el_neg, el_scale, el_to_dense)
+from .linalg import Matrix, kernel_mod_image, mat_rank
+from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
 
 
 @dataclass
@@ -103,82 +101,26 @@ def ds_homology(g: Superalgebra, x, check: bool = True) -> DSResult:
             else hx.kind
 
     n = g.dim
-    ad_cols = [el_to_dense(f, g.bracket(el, {j: f.one}), n) for j in range(n)]
-    adM = Matrix(f, [[ad_cols[j][m] for j in range(n)] for m in range(n)], ncols=n)
-    # image echelon, frozen after construction (deterministic column order)
-    im_ech = Echelon(f, n)
-    for j in range(n):
-        im_ech.add(ad_cols[j])
+    im_ech, ker, comp_rows = kernel_mod_image(g.ad_matrix(el))
     rank = len(im_ech)
-    for row in list(im_ech.rows):
-        if any(not f.is_zero(c) for c in _apply_ad(g, el, row)):
+    for row in im_ech.rows:
+        if g.bracket(el, el_from_dense(f, row)):
             raise DSError("(ad_x)^2 != 0: image not contained in kernel")
-    ker = mat_nullspace(adM)
     if len(ker) != n - rank:
         raise AssertionError("rank-nullity violated")
-    # complement: kernel vectors reduced mod the image, then echelonized among
-    # themselves; их pivots are disjoint from the image pivots by construction
-    comp_ech = Echelon(f, n)
-    for vec in ker:
-        res, _ = im_ech.reduce(vec)
-        comp_ech.add(res)
-    comp_rows = [list(r) for r in comp_ech.rows]
     if len(comp_rows) != n - 2 * rank:
         raise AssertionError("dim g_x != dim g - 2 rank ad_x")
-
-    parities = []
-    for r in comp_rows:
-        ps = {g.parities[k] for k in range(n) if not f.is_zero(r[k])}
-        if len(ps) != 1:
-            raise DSError("kernel complement is not parity-graded (inhomogeneous x "
-                          "with non-graded homology)")
-        parities.append(ps.pop())
     # weight bookkeeping survives only when ad_x is weight-homogeneous
     x_weight_homog = (g.weights is not None and
                       len({g.weights[k] for k in el}) == 1)
-    weights = None
-    if x_weight_homog:
-        weights = []
-        for r in comp_rows:
-            ws = {g.weights[k] for k in range(n) if not f.is_zero(r[k])}
-            weights.append(ws.pop() if len(ws) == 1 else None)
-
-    def project(vec_el: Element) -> Element:
-        """Coordinates of (vec mod Im) in the complement basis."""
-        dense = el_to_dense(f, vec_el, n)
-        w, _ = im_ech.reduce(dense)
-        out: Element = {}
-        for t, pc in enumerate(comp_ech.pivots):
-            c = w[pc]
-            if not f.is_zero(c):
-                out[t] = c
-                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, comp_ech.rows[t])]
-        if any(not f.is_zero(x) for x in w):
-            raise DSError("induced bracket leaves Ker ad_x (internal error)")
-        return out
-
-    m = len(comp_rows)
-    brackets: Dict[Tuple[int, int], Element] = {}
-    squares: Dict[int, Element] = {}
-    comp_els = [el_from_dense(f, r) for r in comp_rows]
-    for a in range(m):
-        lo = a if (f.p != 2 and parities[a] == 1) else a + 1
-        for b in range(lo, m):
-            w = g.bracket(comp_els[a], comp_els[b])
-            if w:
-                pr = project(w)
-                if pr:
-                    brackets[(a, b)] = pr
-    if f.p == 2:
-        for a in range(m):
-            if parities[a] == 1:
-                w = g.square(comp_els[a])
-                if w:
-                    pr = project(w)
-                    if pr:
-                        squares[a] = pr
-    hom = Superalgebra(f, [f"z{t+1}" for t in range(m)], parities, brackets,
-                       squares or None, weights)
+    try:
+        hom = g.subquotient(comp_rows, im_ech,
+                            labels=[f"z{t+1}" for t in range(len(comp_rows))],
+                            weights=x_weight_homog)
+    except ValueError as exc:
+        # a non-graded complement (inhomogeneous x), or an induced bracket
+        # leaving Ker ad_x (an internal error: ad_x is a derivation)
+        raise DSError(f"Ker ad_x / Im ad_x: {exc}") from exc
     if check:
         bad = hom.check_axioms()
         if bad:
@@ -192,18 +134,8 @@ def ds_homology(g: Superalgebra, x, check: bool = True) -> DSResult:
     return DSResult(x=hx, rank_ad=rank, homology=hom, fingerprint=hom.fingerprint())
 
 
-def _apply_ad(g: Superalgebra, el: Element, dense_vec: list) -> list:
-    f = g.field
-    out = g.bracket(el, el_from_dense(f, dense_vec))
-    return el_to_dense(f, out, g.dim)
-
-
 def adjoint_rank(g: Superalgebra, el: Element) -> int:
-    f = g.field
-    n = g.dim
-    ad_cols = [el_to_dense(f, g.bracket(el, {j: f.one}), n) for j in range(n)]
-    return mat_rank(Matrix(f, [[ad_cols[j][m] for j in range(n)] for m in range(n)],
-                           ncols=n))
+    return mat_rank(g.ad_matrix(el))
 
 
 def module_rank(action_of, el: Element, dim_M: int, fld: Field) -> int:

@@ -11,6 +11,9 @@ structural equality (==) is field equality:
 
 All operations go through a Field object.  Division by zero raises
 ZeroDivisionError; structurally incompatible scalars raise TypeError.
+Malformed user input raises UsageError, defined here as the lowest layer:
+a characteristic that is not 0 or a prime here, an element expression
+naming no basis vector in build.py and cli.py.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 MAX_PRIME = 2**31
+
+
+class UsageError(ValueError):
+    """Malformed user input; the CLI reports it in one line with exit code 1."""
 
 
 def _is_prime(p: int) -> bool:
@@ -42,7 +49,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.p != 0 and (self.p > MAX_PRIME or not _is_prime(self.p)):
-            raise ValueError(f"characteristic must be 0 or a prime <= 2^31, got {self.p}")
+            raise UsageError(f"characteristic must be 0 or a prime <= 2^31, got {self.p}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +201,6 @@ class Field:
 
     def to_str(self, a) -> str:
         return str(a)
-
-    def prime_subfield_elements(self, limit: int = 64):
-        """Small deterministic sample of the prime subfield (for random sweeps)."""
-        n = self.p if self.p else limit
-        return [self.from_int(k) for k in range(min(n, limit))]
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec

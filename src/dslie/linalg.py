@@ -9,6 +9,10 @@ Three elimination backends behind one interface:
 Pivoting is deterministic everywhere: columns left to right, first row
 with a nonzero entry wins.  Nullspace bases assign 1 to each free column
 in increasing order, so repeated runs are byte-identical.
+
+The incremental Echelon keeps a growing RREF basis with optional
+provenance; kernel_mod_image builds on it the Ker M / Im M complement
+that every homology (of ad_x on g, of rho_x on a module) is read from.
 """
 
 from __future__ import annotations
@@ -264,7 +268,6 @@ class Echelon:
         self.rows: List[list] = []
         self.pivots: List[int] = []
         self.combos: List[dict] = []  # combo over inserted-vector ids
-        self._ids: List = []
 
     def __len__(self):
         return len(self.rows)
@@ -295,6 +298,14 @@ class Echelon:
         res, _ = self._reduce_vec(vec)
         return all(self.field.is_zero(x) for x in res)
 
+    def complete_with_units(self) -> List[int]:
+        """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
+        of those that were independent (a complement of the start span)."""
+        f = self.field
+        n = self.ncols
+        return [m for m in range(n)
+                if self.add([f.one if k == m else f.zero for k in range(n)]) is not None]
+
     def add(self, vec: list, vid=None) -> Optional[int]:
         """Insert vec; returns its pivot column if independent, else None."""
         f = self.field
@@ -306,8 +317,10 @@ class Echelon:
                 break
         if piv is None:
             return None
-        inv = f.inv(res[piv])
-        res = [f.mul(inv, x) for x in res]
+        inv = f.one
+        if res[piv] != f.one:  # already-normalised rows are common (always at p = 2)
+            inv = f.inv(res[piv])
+            res = [f.mul(inv, x) for x in res]
         mycombo = {}
         if self.track:
             mycombo = {k: f.mul(inv, f.neg(v)) for k, v in combo.items()}
@@ -328,5 +341,22 @@ class Echelon:
         self.rows.insert(pos, res)
         self.pivots.insert(pos, piv)
         self.combos.insert(pos, mycombo)
-        self._ids.insert(pos, vid)
         return piv
+
+
+def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
+    """Ker M / Im M for a square M (the caller checks M^2 = 0).
+
+    Returns the echelon of the column space, the nullspace basis, and the
+    complement rows: the kernel vectors reduced modulo the image and
+    echelonized among themselves, so they vanish on the image pivots.
+    """
+    f = M.field
+    im = Echelon(f, M.nrows)
+    for j in range(M.ncols):
+        im.add([row[j] for row in M.rows])
+    ker = mat_nullspace(M)
+    comp = Echelon(f, M.ncols)
+    for vec in ker:
+        comp.add(im.reduce(vec)[0])
+    return im, ker, [list(r) for r in comp.rows]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .build import BuildError, BuildResult
-from .linalg import Echelon, Matrix, mat_nullspace, mat_rank
+from .build import BuildError, BuildResult, grading_rows
+from .linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace
 from .superalgebra import Element, el_add, el_addmul, el_scale, el_to_dense
 
 
@@ -60,7 +60,7 @@ class ModuleRep:
             return _diag([self.h_value(global_idx, m) for m in range(dm)], fld)
         if global_idx < nh:
             # grading element d_t with lambda(d_t) = 0
-            drow = _grading_rows(b)[global_idx - b.n]
+            drow = grading_rows(b.spec, fld)[global_idx - b.n]
             vals = []
             for m in range(dm):
                 t = self.degrees[m]
@@ -136,22 +136,6 @@ def _mat_mul(a: List[list], b: List[list], fld) -> List[list]:
                 if not fld.is_zero(bk[j]):
                     oi[j] = fld.add(oi[j], fld.mul(c, bk[j]))
     return out
-
-
-def _grading_rows(b: BuildResult) -> List[int]:
-    fld = b.field
-    n = b.n
-    A = [[b.spec.entry_scalar(fld, i, j) for j in range(n)] for i in range(n)]
-    ech = Echelon(fld, n)
-    for i in range(n):
-        ech.add(list(A[i]))
-    rows = []
-    for m in range(n):
-        unit = [fld.zero] * n
-        unit[m] = fld.one
-        if ech.add(unit) is not None:
-            rows.append(m)
-    return rows
 
 
 def central_h_combinations(b: BuildResult) -> List[list]:
@@ -290,17 +274,9 @@ def module_homology(rep: ModuleRep, el: Element) -> ModuleHomology:
     R2 = _mat_mul(R, R, fld)
     if any(not fld.is_zero(R2[i][j]) for i in range(dm) for j in range(dm)):
         raise ValueError("rho_x squared is nonzero on the module")
-    M = Matrix(fld, R, ncols=dm)
-    rank = mat_rank(M)
-    im = Echelon(fld, dm)
-    for j in range(dm):
-        im.add([R[i][j] for i in range(dm)])
-    comp = Echelon(fld, dm)
-    for vec in mat_nullspace(M):
-        res, _ = im.reduce(vec)
-        comp.add(res)
+    im, _ker, comp_rows = kernel_mod_image(Matrix(fld, R, ncols=dm))
     ev = od = 0
-    for r in comp.rows:
+    for r in comp_rows:
         ps = {rep.parities[k] for k in range(dm) if not fld.is_zero(r[k])}
         if ps == {0}:
             ev += 1
@@ -308,4 +284,4 @@ def module_homology(rep: ModuleRep, el: Element) -> ModuleHomology:
             od += 1
         else:
             raise ValueError("module homology not parity-graded")
-    return ModuleHomology(rank=rank, sdim_mx=(ev, od), basis_rows=[list(r) for r in comp.rows])
+    return ModuleHomology(rank=len(im), sdim_mx=(ev, od), basis_rows=comp_rows)

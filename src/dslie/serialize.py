@@ -2,7 +2,8 @@
 
 Everything is canonical JSON (sorted keys, fixed separators), so repeated
 runs produce identical bytes; the cache is keyed by a content digest of
-the Cartan data plus the degree cap.
+the Cartan data plus the degree cap.  A cache file that cannot be decoded
+is treated as a miss.
 """
 
 from __future__ import annotations
@@ -173,11 +174,11 @@ def cache_load(cache_dir: Optional[str], spec: CartanSpec,
                degree_cap: int) -> Optional[BuildResult]:
     if not cache_dir:
         return None
-    path = cache_path(cache_dir, spec, degree_cap)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return build_result_from_dict(json.load(fh))
+    try:
+        with open(cache_path(cache_dir, spec, degree_cap)) as fh:
+            return build_result_from_dict(json.load(fh))
+    except (FileNotFoundError, ValueError, KeyError, IndexError, TypeError, AttributeError):
+        return None  # missing, truncated or malformed: a miss, rebuilt and overwritten
 
 
 def cache_store(cache_dir: Optional[str], spec: CartanSpec, degree_cap: int,

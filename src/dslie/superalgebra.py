@@ -13,6 +13,14 @@ map on the odd part.  Storage convention:
 
 Elements are sparse dicts {basis index: scalar}.  Everything is
 immutable by convention: operations return new values.
+
+Every subquotient goes through Superalgebra.subquotient, the only code that
+computes brackets and squares on a new basis: subalgebras and the sl/osp
+realizations, quotients by ideals (psl, g^(1)/c), basis changes, and the
+Duflo-Serganova homology g_x = Ker ad_x / Im ad_x in ds.py.  Callers choose
+the basis rows and, for a quotient, pass the echelon of the zero part;
+coordinates are read from one tracked echelon over the basis rows taken
+modulo that zero part, and a bracket that leaves the span is a ValueError.
 """
 
 from __future__ import annotations
@@ -299,15 +307,6 @@ class Superalgebra:
 
     # -- subspaces ------------------------------------------------------------
 
-    def _graded_echelons(self) -> Tuple[Echelon, Echelon]:
-        return Echelon(self.field, self.dim), Echelon(self.field, self.dim)
-
-    def _span_rows(self, rows: List[list]) -> "GradedSpan":
-        sp = GradedSpan(self)
-        for r in rows:
-            sp.add_dense(r)
-        return sp
-
     def derived_subalgebra_span(self, span: "GradedSpan") -> "GradedSpan":
         """Span of brackets (and squares at p = 2) of a graded subspace."""
         f = self.field
@@ -537,63 +536,83 @@ class Superalgebra:
 
     # -- subquotients ---------------------------------------------------------
 
-    def subalgebra_from_rows(self, rows: List[list], label_prefix: str = "s") -> "Superalgebra":
-        """Induced structure on a bracket/square-closed graded subspace."""
+    def subquotient(self, basis_rows: List[list], zero: Optional[Echelon] = None, *,
+                    labels: List[str], weights: bool = True,
+                    chevalley: bool = False) -> "Superalgebra":
+        """Induced structure on span(basis_rows) modulo the span of ``zero``.
+
+        The rows must be parity-homogeneous and independent modulo ``zero``,
+        and the brackets and squares of the rows must stay in
+        span(basis_rows) + span(zero); otherwise ValueError.  Basis element t
+        gets labels[t] and, when ``weights`` is set and this algebra carries
+        weights, the weight common to the support of row t (None if mixed).
+        With ``chevalley`` the Chevalley generators are carried over when all
+        of them lie in the subquotient.
+        """
         f = self.field
-        sp = GradedSpan(self)
-        for r in rows:
-            sp.add_dense(r)
-        basis_rows = sp.all_rows()
-        pivots = sp.all_pivots()
-        parities = [self.parities[p] for p in pivots]
-        weights = None
-        if self.weights is not None:
-            weights = []
-            for r in basis_rows:
-                ws = {self.weights[k] for k in range(self.dim) if not f.is_zero(r[k])}
-                weights.append(ws.pop() if len(ws) == 1 else None)
+        n = self.dim
+        span = Echelon(f, n, track=True)
+        for t, r in enumerate(basis_rows):
+            if span.add(zero.reduce(r)[0] if zero is not None else r, vid=t) is None:
+                raise ValueError("subquotient basis rows are linearly dependent")
 
-        def coords(vec_el: Element) -> Element:
-            dense = el_to_dense(f, vec_el, self.dim)
-            out: Element = {}
-            for t, pv in enumerate(pivots):
-                c = dense[pv]
-                if not f.is_zero(c):
-                    out[t] = c
-                    dense = [f.sub(x, f.mul(c, y)) for x, y in zip(dense, basis_rows[t])]
-            if any(not f.is_zero(x) for x in dense):
-                raise ValueError("vector not in subalgebra span")
-            return out
+        def coords(u: Element) -> Element:
+            vec = el_to_dense(f, u, n)
+            if zero is not None:
+                vec = zero.reduce(vec)[0]
+            res, combo = span.reduce(vec)
+            if any(not f.is_zero(x) for x in res):
+                raise ValueError("bracket leaves the subquotient span")
+            return {t: combo[t] for t in sorted(combo)}
 
-        m = len(basis_rows)
+        els = [el_from_dense(f, r) for r in basis_rows]
+        parities = [self.parity_of(u) for u in els]
+        if None in parities:
+            raise ValueError("subquotient basis is not parity-graded")
+        wts = None
+        if weights and self.weights is not None:
+            wts = []
+            for u in els:
+                ws = {self.weights[k] for k in u}
+                wts.append(ws.pop() if len(ws) == 1 else None)
+        m = len(els)
         brackets: Dict[Tuple[int, int], Element] = {}
         squares: Dict[int, Element] = {}
         for a in range(m):
-            ua = el_from_dense(f, basis_rows[a])
             lo = a if (f.p != 2 and parities[a] == 1) else a + 1
             for b in range(lo, m):
-                w = self.bracket(ua, el_from_dense(f, basis_rows[b]))
+                w = self.bracket(els[a], els[b])
                 if w:
                     brackets[(a, b)] = coords(w)
-        if f.p == 2:
-            for a in range(m):
-                if parities[a] == 1:
-                    w = self.square(el_from_dense(f, basis_rows[a]))
-                    if w:
-                        squares[a] = coords(w)
-        # label each row by its pivot coordinate (rows are in RREF)
-        labels = [self.labels[p] for p in pivots]
+            if f.p == 2 and parities[a] == 1:
+                w = self.square(els[a])
+                if w:
+                    squares[a] = coords(w)
         chev = None
-        if self.chevalley is not None:
+        if chevalley and self.chevalley is not None:
             try:
-                chev = {key: [coords(e) for e in els] for key, els in self.chevalley.items()}
+                chev = {key: [coords(e) for e in es] for key, es in self.chevalley.items()}
             except ValueError:
                 chev = None
-        return Superalgebra(f, labels, parities, brackets, squares or None,
-                            weights, chevalley=chev)
+        return Superalgebra(f, labels, parities, brackets, squares or None, wts,
+                            chevalley=chev)
+
+    def subalgebra_from_rows(self, rows: List[list]) -> "Superalgebra":
+        """Induced structure on a bracket/square-closed graded subspace."""
+        sp = GradedSpan(self)
+        for r in rows:
+            sp.add_dense(r)
+        # label each row by its pivot coordinate (rows are in RREF)
+        return self.subquotient(sp.all_rows(),
+                                labels=[self.labels[p] for p in sp.all_pivots()],
+                                chevalley=True)
 
     def quotient_by_ideal(self, ideal_rows: List[list]) -> "Superalgebra":
-        """Induced structure on a complement of an ideal (verified)."""
+        """Induced structure on a complement of an ideal (verified).
+
+        The complement is spanned by the first basis vectors, in index
+        order, that are independent of the ideal and of each other.
+        """
         f = self.field
         n = self.dim
         isp = GradedSpan(self)
@@ -612,54 +631,13 @@ class Superalgebra:
                 if w and not isp.contains_element(w):
                     raise ValueError("not an ideal: squaring leaves the span")
 
-        ech = Echelon(f, n, track=True)
-        for t, r in enumerate(isp.all_rows()):
-            ech.add(r, vid=("i", t))
-        comp: List[int] = []
-        for m in range(n):
-            vec = el_to_dense(f, {m: f.one}, n)
-            if ech.add(vec, vid=("c", m)) is not None:
-                comp.append(m)
-
-        def project(u: Element) -> Element:
-            res, combo = ech.reduce(el_to_dense(f, u, n))
-            if any(not f.is_zero(x) for x in res):
-                raise AssertionError("projection failed")
-            out: Element = {}
-            for vid, c in combo.items():
-                if vid[0] == "c":
-                    out[comp.index(vid[1])] = c
-            return {k: v for k, v in out.items() if not f.is_zero(v)}
-
-        parities = [self.parities[m] for m in comp]
-        weights = [self.weights[m] for m in comp] if self.weights is not None else None
-        brackets: Dict[Tuple[int, int], Element] = {}
-        squares: Dict[int, Element] = {}
-        for a, ma in enumerate(comp):
-            lo_same = a if (f.p != 2 and parities[a] == 1) else a + 1
-            for b in range(lo_same, len(comp)):
-                w = self.bracket_basis(ma, comp[b])
-                if w:
-                    pr = project(w)
-                    if pr:
-                        brackets[(a, b)] = pr
-        if f.p == 2:
-            for a, ma in enumerate(comp):
-                if parities[a] == 1:
-                    w = (self.squares or {}).get(ma, {})
-                    if w:
-                        pr = project(w)
-                        if pr:
-                            squares[a] = pr
-        labels = [self.labels[m] for m in comp]
-        chev = None
-        if self.chevalley is not None:
-            try:
-                chev = {key: [project(e) for e in els] for key, els in self.chevalley.items()}
-            except AssertionError:
-                chev = None
-        return Superalgebra(f, labels, parities, brackets, squares or None,
-                            weights, chevalley=chev)
+        ideal, spanned = Echelon(f, n), Echelon(f, n)
+        for r in isp.all_rows():
+            ideal.add(r)
+            spanned.add(r)
+        comp = spanned.complete_with_units()
+        return self.subquotient([el_to_dense(f, {m: f.one}, n) for m in comp], ideal,
+                                labels=[self.labels[m] for m in comp], chevalley=True)
 
     def first_derived_mod_center(self) -> "Superalgebra":
         """The subquotient g^(1) / (center of g^(1))."""
@@ -668,7 +646,7 @@ class Superalgebra:
         for i in range(self.dim):
             full.add_element({i: f.one})
         d1 = self.derived_subalgebra_span(full)
-        sub = self.subalgebra_from_rows(d1.all_rows(), label_prefix="d")
+        sub = self.subalgebra_from_rows(d1.all_rows())
         center = sub.center_rows()
         if not center:
             return sub
@@ -686,34 +664,8 @@ class Superalgebra:
             for a in range(n):
                 if not f.is_zero(T[i][a]) and self.parities[i] != self.parities[a]:
                     raise ValueError("basis change must preserve parity")
-        cols = [el_from_dense(f, [T[i][a] for i in range(n)]) for a in range(n)]
-        ech = Echelon(f, n, track=True)
-        for a in range(n):
-            if ech.add(el_to_dense(f, cols[a], n), vid=a) is None:
-                raise ValueError("basis change not invertible")
-
-        def coords(u: Element) -> Element:
-            res, combo = ech.reduce(el_to_dense(f, u, n))
-            if any(not f.is_zero(x) for x in res):
-                raise AssertionError("coords failed")
-            return {k: v for k, v in combo.items() if not f.is_zero(v)}
-
-        brackets: Dict[Tuple[int, int], Element] = {}
-        squares: Dict[int, Element] = {}
-        for a in range(n):
-            lo = a if (f.p != 2 and self.parities[a] == 1) else a + 1
-            for b in range(lo, n):
-                w = self.bracket(cols[a], cols[b])
-                if w:
-                    brackets[(a, b)] = coords(w)
-        if f.p == 2:
-            for a in range(n):
-                if self.parities[a] == 1:
-                    w = self.square(cols[a])
-                    if w:
-                        squares[a] = coords(w)
-        return Superalgebra(f, [f"t{a}" for a in range(n)], list(self.parities),
-                            brackets, squares or None, None)
+        cols = [[T[i][a] for i in range(n)] for a in range(n)]
+        return self.subquotient(cols, labels=[f"t{a}" for a in range(n)], weights=False)
 
 
 class GradedSpan:

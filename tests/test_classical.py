@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dslie.classical import abelian, alternating_parities, gl, hei_even, hei_odd, osp, psl, sl
+from dslie.classical import abelian, alternating_parities, gl, hei_odd, osp, psl, sl
 from dslie.superalgebra import el_addmul
 
 
@@ -15,7 +15,6 @@ def test_dimensions():
     assert psl(5, 0, 5).sdim == (23, 0)
     assert osp(4, 2, 5).sdim == (9, 8)
     assert hei_odd(2).sdim == (1, 2)
-    assert hei_even(3).sdim == (3, 0)
     assert abelian(3, 4, 2).sdim == (3, 4)
 
 

@@ -103,3 +103,16 @@ def test_audit_subset_exit_codes(capsys, cache_dir):
 def test_audit_usage(capsys):
     code, _out, err = run(capsys, ["audit"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ds", "brj(2;3)", "-p", "3", "--x", "x999"],
+    ["ds", "brj(2;3)", "-p", "3", "--x", "y1"],
+    ["ds", "gl(2|2)", "-p", "3", "--x", "x9"],
+    ["ds", "gl(2|2)", "-p", "4", "--x", "x1"],
+])
+def test_bad_input_is_one_line_usage_error(capsys, cache_dir, argv):
+    code, out, err = run(capsys, argv, cache_dir)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")

@@ -79,3 +79,16 @@ def test_cached_build_supports_modules(tmp_path):
     f = b.field
     m = build_irreducible(b, [f.one, f.zero, f.zero])
     assert sorted(m.sdim) == [4, 4]
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path):
+    cd = str(tmp_path)
+    cold = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    (path,) = [os.path.join(cd, name) for name in os.listdir(cd)]
+    with open(path, "r+") as fh:
+        fh.truncate(100)
+    spec = cold.spec
+    assert cache_load(cd, spec, 40) is None
+    rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
