@@ -21,9 +21,10 @@ from typing import Dict, List, Optional, Tuple
 import re
 
 from .build import BuildResult
-from .catalog import build_catalog_algebra, catalog_get
+from .catalog import _parse_entry, build_catalog_algebra, catalog_get
 from .ds import (DSResult, adjoint_rank, ds_homology, identify, is_homological,
                  single_root_candidates)
+from .fields import UsageError
 from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add
@@ -313,19 +314,17 @@ def run_audit(rows: List[dict],
 
 
 def _parse_weight_entry(fld, s):
-    s = str(s).strip()
-    if set(s) <= set("0123456789-"):
-        return fld.from_int(int(s))
-    # linear expressions in the transcendental: "a", "a+1", "2a+1"
-    total = fld.zero
-    for term in s.replace("-", "+-").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if term.endswith("a"):
-            coeff = term[:-1].rstrip("*")
-            c = 1 if coeff in ("", "+") else (-1 if coeff == "-" else int(coeff))
-            total = fld.add(total, fld.param(c))
-        else:
-            total = fld.add(total, fld.from_int(int(term)))
+    """A highest-weight entry: an integer or a linear expression in the
+    transcendental a ("a", "a+1", "2a-1")."""
+    terms = [t for t in str(s).replace(" ", "").replace("-", "+-").split("+") if t]
+    try:
+        if not terms:
+            raise ValueError
+        total = fld.zero
+        for e in map(_parse_entry, terms):
+            if isinstance(e, tuple) and not fld.spec.parametric:
+                raise ValueError
+            total = fld.add(total, fld.param(e[1]) if isinstance(e, tuple) else fld.from_int(e))
+    except ValueError:
+        raise UsageError(f"bad highest-weight entry {s!r}: use an integer or k*a+m") from None
     return total

@@ -106,9 +106,6 @@ class CartanSpec:
                     stack.append(k)
         return len(seen) == n
 
-    def root_parity(self, coords: Tuple[int, ...]) -> int:
-        return sum(c * p for c, p in zip(coords, self.parities)) % 2
-
 
 @dataclass
 class SymmetrizedForm:

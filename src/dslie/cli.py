@@ -147,7 +147,10 @@ def cmd_ds(args) -> int:
         if b is None:
             print("--module requires a catalog algebra", file=sys.stderr)
             return 1
-        lam = [s.strip() for s in args.module.split(",")]
+        lam = args.module.split(",")
+        if len(lam) != b.n:
+            raise UsageError(f"--module needs {b.n} comma-separated highest-weight entries, "
+                             f"got {len(lam)}")
         from .audit import _parse_weight_entry
         rep = build_irreducible(b, [_parse_weight_entry(b.field, s) for s in lam])
         print(f"module dim {_sdim_str(rep.sdim)}")

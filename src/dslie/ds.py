@@ -10,7 +10,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
-from .fields import Field
 from .linalg import Matrix, kernel_mod_image, mat_rank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
 
@@ -136,22 +135,6 @@ def ds_homology(g: Superalgebra, x, check: bool = True) -> DSResult:
 
 def adjoint_rank(g: Superalgebra, el: Element) -> int:
     return mat_rank(g.ad_matrix(el))
-
-
-def module_rank(action_of, el: Element, dim_M: int, fld: Field) -> int:
-    """Rank of rho_x on a module given a per-basis-index action map."""
-    cols = None
-    for k, c in el.items():
-        mat = action_of(k)
-        if cols is None:
-            cols = [[fld.mul(c, mat[i][j]) for j in range(dim_M)] for i in range(dim_M)]
-        else:
-            for i in range(dim_M):
-                row = mat[i]
-                cols[i] = [fld.add(x, fld.mul(c, y)) for x, y in zip(cols[i], row)]
-    if cols is None:
-        return 0
-    return mat_rank(Matrix(fld, cols, ncols=dim_M))
 
 
 # ---------------------------------------------------------------------------

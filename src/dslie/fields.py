@@ -199,9 +199,6 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
 
@@ -235,9 +232,6 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def from_str(self, s: str):
-        return Fraction(s)
-
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -261,9 +255,6 @@ class PrimeField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def from_str(self, s: str):
-        return int(s) % self.p
 
 
 class FunctionField(Field):
@@ -325,9 +316,6 @@ class FunctionField(Field):
     def poly(self, coeffs) -> RatFunc:
         cs = [c % self.p if self.p else Fraction(c) for c in coeffs]
         return self._make(_ptrim(cs), (1,))
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 _FIELD_CACHE: dict = {}

@@ -1,18 +1,25 @@
 """Exact linear algebra over the fields in fields.py.
 
-Three elimination backends behind one interface:
+One elimination engine, the incremental Echelon: a growing basis kept in
+reduced row echelon form, with optional provenance of every row.  Its
+rows are plain lists of canonical scalars and its row updates use one of
+two kernels, chosen by the field:
 
-  * GF(2)            -- rows packed into Python ints (bit j = column j)
-  * GF(p), p odd     -- dense numpy int64 with vectorized row operations
-  * QQ, K(a)         -- generic dense rows of canonical scalars
+  * GF(p), p = 2 included -- inline integer arithmetic mod p
+  * QQ, K(a)              -- the Field's own add/mul/inv
 
-Pivoting is deterministic everywhere: columns left to right, first row
-with a nonzero entry wins.  Nullspace bases assign 1 to each free column
-in increasing order, so repeated runs are byte-identical.
+extend() inserts a batch of untracked rows.  Over a prime field it runs
+one vectorized numpy elimination over the whole batch (the tall systems
+of invariant_forms need it), in int16 when p^2 fits and int64 otherwise;
+over QQ and K(a) it inserts the rows one by one.  rref, mat_rank and mat_nullspace are thin wrappers over it.
 
-The incremental Echelon keeps a growing RREF basis with optional
-provenance; kernel_mod_image builds on it the Ker M / Im M complement
-that every homology (of ad_x on g, of rho_x on a module) is read from.
+Pivoting is deterministic everywhere: columns left to right, and the
+RREF of a span is unique, so every insertion order gives the same rows.
+Nullspace bases assign 1 to each free column in increasing order, so
+repeated runs are byte-identical.
+
+kernel_mod_image builds on Echelon the Ker M / Im M complement that
+every homology (of ad_x on g, of rho_x on a module) is read from.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, FunctionField, PrimeField
+from .fields import Field, PrimeField
 
 
 class Matrix:
@@ -51,214 +58,71 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-# ---------------------------------------------------------------------------
-# GF(2) bit-packed backend
-# ---------------------------------------------------------------------------
-
-
-def pack_gf2(row: Sequence[int]) -> int:
-    m = 0
-    for j, a in enumerate(row):
-        if a & 1:
-            m |= 1 << j
-    return m
-
-
-def unpack_gf2(mask: int, n: int) -> List[int]:
-    return [(mask >> j) & 1 for j in range(n)]
-
-
-def _rref_gf2(masks: List[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """In-place style RREF on bit rows; returns (nonzero rows, pivot columns)."""
-    rows = list(masks)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] & bit):
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-# ---------------------------------------------------------------------------
-# GF(p) numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _rref_gfp(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    a = np.array(a % p, dtype=np.int64)
-    m, n = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col_all = a[:, c].copy()
-        col_all[r] = 0
-        mask = np.nonzero(col_all)[0]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(col_all[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a[:r], pivots
-
-
-# ---------------------------------------------------------------------------
-# generic backend
-# ---------------------------------------------------------------------------
-
-
-def _rref_generic(rows: List[list], field: Field) -> Tuple[List[list], List[int]]:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    n = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _is_gf2(field: Field) -> bool:
-    return isinstance(field, PrimeField) and field.p == 2
-
-
-def _is_gfp(field: Field) -> bool:
-    return isinstance(field, PrimeField) and field.p != 2
-
-
 def rref(M: Matrix) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form: (nonzero rows as scalar lists, pivot columns)."""
-    f = M.field
-    if M.nrows == 0 or M.ncols == 0:
-        return [], []
-    if _is_gf2(f):
-        rows, piv = _rref_gf2([pack_gf2(r) for r in M.rows], M.ncols)
-        return [unpack_gf2(m, M.ncols) for m in rows], piv
-    if _is_gfp(f):
-        arr, piv = _rref_gfp(np.array(M.rows, dtype=np.int64), f.p)
-        return [[int(x) for x in row] for row in arr], piv
-    return _rref_generic(M.rows, f)
+    ech = Echelon(M.field, M.ncols).extend(M.rows)
+    return ech.rows, ech.pivots
 
 
 def mat_rank(M: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    f = M.field
-    if M.nrows == 0 or M.ncols == 0:
-        return 0
-    if _is_gf2(f):
-        return len(_rref_gf2([pack_gf2(r) for r in M.rows], M.ncols)[1])
-    if _is_gfp(f):
-        return len(_rref_gfp(np.array(M.rows, dtype=np.int64), f.p)[1])
-    return len(_rref_generic(M.rows, f)[1])
+    return len(Echelon(M.field, M.ncols).extend(M.rows))
 
 
 def mat_nullspace(M: Matrix) -> List[list]:
     """Basis of the right kernel {x : M x = 0}; deterministic free-column order."""
     f = M.field
     n = M.ncols
-    if n == 0:
-        return []
-    if M.nrows == 0:
-        rowsr, piv = [], []
-    else:
-        rowsr, piv = rref(M)
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
+    ech = Echelon(f, n).extend(M.rows)
+    pivset = set(ech.pivots)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivset:
+            continue
         vec = [f.zero] * n
         vec[fc] = f.one
-        for r, pc in enumerate(piv):
-            vec[pc] = f.neg(rowsr[r][fc])
+        for row, pc in zip(ech.rows, ech.pivots):
+            vec[pc] = f.neg(row[fc])
         basis.append(vec)
     return basis
 
 
-def mat_mul_vec(M: Matrix, v: Sequence) -> list:
-    f = M.field
-    out = []
-    for row in M.rows:
-        acc = f.zero
-        for a, x in zip(row, v):
-            if not f.is_zero(a) and not f.is_zero(x):
-                acc = f.add(acc, f.mul(a, x))
-        out.append(acc)
-    return out
-
-
-def mat_solve(M: Matrix, b: Sequence) -> Optional[list]:
-    """One particular solution of M x = b (free variables 0), or None."""
-    f = M.field
-    aug = Matrix(f, [list(r) + [bb] for r, bb in zip(M.rows, b)], ncols=M.ncols + 1)
-    rowsr, piv = rref(aug)
-    n = M.ncols
-    x = [f.zero] * n
-    for r, pc in enumerate(piv):
-        if pc == n:
-            return None  # inconsistent
-        x[pc] = rowsr[r][n]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# incremental echelon with combination tracking
-# ---------------------------------------------------------------------------
+def _rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """In-place RREF of an integer array with entries in [0, p); returns
+    (nonzero rows, pivot columns).  The dtype must hold p^2."""
+    m, n = a.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        if a[r, c] != 1:
+            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = np.nonzero(col)[0]
+        if mask.size:
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
 
 
 class Echelon:
-    """Growing RREF basis of sparse/dense vectors with provenance tracking.
+    """Growing RREF basis of vectors with provenance tracking.
 
     Vectors are scalar lists.  reduce() returns the residual after
     elimination against the current basis together with the combination
     of previously *inserted* vectors that was subtracted; add() inserts
     the residual when it is nonzero.  Used for radical elimination,
-    span/ideal computations and ker/im complements.
+    span/ideal computations, ker/im complements and, through extend(),
+    for rank and nullspace.
     """
 
     def __init__(self, field: Field, ncols: int, track: bool = False):
@@ -268,35 +132,43 @@ class Echelon:
         self.rows: List[list] = []
         self.pivots: List[int] = []
         self.combos: List[dict] = []  # combo over inserted-vector ids
+        self._p = field.p if isinstance(field, PrimeField) else 0
 
     def __len__(self):
         return len(self.rows)
+
+    def _sub(self, xs: list, c, ys: list) -> list:
+        """xs - c*ys, entrywise."""
+        p = self._p
+        if p:
+            return [(x - c * y) % p for x, y in zip(xs, ys)]
+        f = self.field
+        return [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
 
     def _reduce_vec(self, vec: list) -> Tuple[list, dict]:
         # rows are kept in full RREF, so the elimination coefficient against
         # row r is simply vec[pivot_r] (other rows vanish at that column);
         # only rows whose pivot column is in the support of vec contribute.
         f = self.field
+        zero = f.zero
         vec = list(vec)
         combo: dict = {}
-        hits = [(r, vec[pc]) for r, pc in enumerate(self.pivots)
-                if not f.is_zero(vec[pc])]
+        hits = [(r, vec[pc]) for r, pc in enumerate(self.pivots) if vec[pc] != zero]
         for r, c in hits:
-            row = self.rows[r]
-            vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            vec = self._sub(vec, c, self.rows[r])
             if self.track:
                 for vid, coef in self.combos[r].items():
-                    combo[vid] = f.add(combo.get(vid, f.zero), f.mul(c, coef))
+                    combo[vid] = f.add(combo.get(vid, zero), f.mul(c, coef))
         if self.track:
-            combo = {k: v for k, v in combo.items() if not f.is_zero(v)}
+            combo = {k: v for k, v in combo.items() if v != zero}
         return vec, combo
 
     def reduce(self, vec: list) -> Tuple[list, dict]:
         return self._reduce_vec(vec)
 
     def contains(self, vec: list) -> bool:
-        res, _ = self._reduce_vec(vec)
-        return all(self.field.is_zero(x) for x in res)
+        zero = self.field.zero
+        return all(x == zero for x in self._reduce_vec(vec)[0])
 
     def complete_with_units(self) -> List[int]:
         """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
@@ -309,30 +181,28 @@ class Echelon:
     def add(self, vec: list, vid=None) -> Optional[int]:
         """Insert vec; returns its pivot column if independent, else None."""
         f = self.field
+        zero = f.zero
         res, combo = self._reduce_vec(vec)
-        piv = None
-        for j, x in enumerate(res):
-            if not f.is_zero(x):
-                piv = j
-                break
+        piv = next((j for j, x in enumerate(res) if x != zero), None)
         if piv is None:
             return None
         inv = f.one
         if res[piv] != f.one:  # already-normalised rows are common (always at p = 2)
             inv = f.inv(res[piv])
-            res = [f.mul(inv, x) for x in res]
+            p = self._p
+            res = [(inv * x) % p for x in res] if p else [f.mul(inv, x) for x in res]
         mycombo = {}
         if self.track:
             mycombo = {k: f.mul(inv, f.neg(v)) for k, v in combo.items()}
-            mycombo[vid] = f.add(mycombo.get(vid, f.zero), inv)
+            mycombo[vid] = f.add(mycombo.get(vid, zero), inv)
         # back-substitute into existing rows to keep full RREF
-        for r in range(len(self.rows)):
-            c = self.rows[r][piv]
-            if not f.is_zero(c):
-                self.rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(self.rows[r], res)]
+        for r, row in enumerate(self.rows):
+            c = row[piv]
+            if c != zero:
+                self.rows[r] = self._sub(row, c, res)
                 if self.track:
                     for vid2, coef in mycombo.items():
-                        self.combos[r][vid2] = f.sub(self.combos[r].get(vid2, f.zero),
+                        self.combos[r][vid2] = f.sub(self.combos[r].get(vid2, zero),
                                                      f.mul(c, coef))
         # keep rows sorted by pivot column
         pos = 0
@@ -342,6 +212,28 @@ class Echelon:
         self.pivots.insert(pos, piv)
         self.combos.insert(pos, mycombo)
         return piv
+
+    def extend(self, rows: Sequence[Sequence]) -> "Echelon":
+        """Insert a batch of untracked rows; stops once the rank is full."""
+        if self.track:
+            raise ValueError("extend inserts untracked rows; use add() to track them")
+        p = self._p
+        if not p:
+            for row in rows:
+                if len(self.rows) == self.ncols:
+                    break
+                self.add(row)
+            return self
+        if not rows or len(self.rows) == self.ncols:
+            return self
+        # int16 quarters the memory of tall systems; p <= 2^31 keeps p^2 in int64
+        dtype = np.int16 if p * p < 2**15 else np.int64
+        a = np.array(self.rows + list(rows) if self.rows else rows, dtype=dtype)
+        a %= p
+        out, self.pivots = _rref_mod_p(a, p)
+        self.rows = out.tolist()
+        self.combos = [{} for _ in self.rows]
+        return self
 
 
 def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:

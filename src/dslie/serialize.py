@@ -2,8 +2,9 @@
 
 Everything is canonical JSON (sorted keys, fixed separators), so repeated
 runs produce identical bytes; the cache is keyed by a content digest of
-the Cartan data plus the degree cap.  A cache file that cannot be decoded
-is treated as a miss.
+the Cartan data, the degree cap and the file format.  A cache file that
+cannot be decoded, or whose algebra disagrees with the spec's expected
+sdim, is treated as a miss.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import os
 from fractions import Fraction
 from typing import Optional
 
-from .build import BuildResult, _Node, _Side
+from .build import BuildResult, _Node, _Side, parse_sdim
 from .cartan import CartanSpec
 from .fields import Field, RatFunc, field_for
 from .superalgebra import Superalgebra
+
+CACHE_FORMAT = 1  # bump when the stored layout or the builder's output changes
 
 
 def scalar_to_obj(fld: Field, x):
@@ -114,7 +117,8 @@ def spec_from_dict(o: dict) -> CartanSpec:
 
 
 def spec_digest(spec: CartanSpec, degree_cap: int) -> str:
-    payload = canonical_json({"spec": spec_to_dict(spec), "cap": degree_cap})
+    payload = canonical_json({"spec": spec_to_dict(spec), "cap": degree_cap,
+                              "format": CACHE_FORMAT})
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
@@ -176,9 +180,12 @@ def cache_load(cache_dir: Optional[str], spec: CartanSpec,
         return None
     try:
         with open(cache_path(cache_dir, spec, degree_cap)) as fh:
-            return build_result_from_dict(json.load(fh))
+            b = build_result_from_dict(json.load(fh))
     except (FileNotFoundError, ValueError, KeyError, IndexError, TypeError, AttributeError):
         return None  # missing, truncated or malformed: a miss, rebuilt and overwritten
+    if spec.expected_sdim and b.sdim != parse_sdim(spec.expected_sdim)[0]:
+        return None  # stale: the same check build_g_of_A makes
+    return b
 
 
 def cache_store(cache_dir: Optional[str], spec: CartanSpec, degree_cap: int,

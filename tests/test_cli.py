@@ -110,6 +110,8 @@ def test_audit_usage(capsys):
     ["ds", "brj(2;3)", "-p", "3", "--x", "y1"],
     ["ds", "gl(2|2)", "-p", "3", "--x", "x9"],
     ["ds", "gl(2|2)", "-p", "4", "--x", "x1"],
+    ["ds", "brj(2;3)", "-p", "3", "--x", "x1", "--module", "1,q"],
+    ["ds", "brj(2;3)", "-p", "3", "--x", "x1", "--module", "1"],
 ])
 def test_bad_input_is_one_line_usage_error(capsys, cache_dir, argv):
     code, out, err = run(capsys, argv, cache_dir)

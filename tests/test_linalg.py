@@ -1,4 +1,5 @@
-"""Rank / nullspace over every backend, rank-nullity, QQ vs GF(p) ranks."""
+"""Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
+and the batch (numpy) against the incremental (list) elimination."""
 
 import random
 
@@ -7,11 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dslie.fields import field_for
-from dslie.linalg import Echelon, Matrix, mat_mul_vec, mat_nullspace, mat_rank, mat_solve
+from dslie.linalg import Echelon, Matrix, mat_nullspace, mat_rank, rref
 
 
 def _mat(field, int_rows, ncols=None):
     return Matrix(field, [[field.from_int(a) for a in row] for row in int_rows], ncols=ncols)
+
+
+def _dot(f, row, v):
+    acc = f.zero
+    for a, x in zip(row, v):
+        acc = f.add(acc, f.mul(a, x))
+    return acc
 
 
 def test_rank_identity_gf2():
@@ -60,7 +68,7 @@ def test_rank_nullity_random(p):
         M = _mat(f, rows)
         assert mat_rank(M) + len(mat_nullspace(M)) == n
         for v in mat_nullspace(M):
-            assert all(f.is_zero(x) for x in mat_mul_vec(M, v))
+            assert all(f.is_zero(_dot(f, row, v)) for row in M.rows)
 
 
 def test_rank_q_vs_gfp_when_pivots_are_units():
@@ -75,15 +83,6 @@ def test_rank_q_vs_gfp_when_pivots_are_units():
             assert rp <= rq
         # a prime large enough divides no nonzero minor of this size
         assert mat_rank(_mat(field_for(101), rows)) == rq
-
-
-def test_solve_particular():
-    f = field_for(5)
-    M = _mat(f, [[1, 2], [3, 4]])
-    x = mat_solve(M, [f.from_int(1), f.from_int(2)])
-    assert mat_mul_vec(M, x) == [f.from_int(1), f.from_int(2)]
-    M2 = _mat(f, [[1, 1], [2, 2]])
-    assert mat_solve(M2, [f.from_int(0), f.from_int(1)]) is None
 
 
 def test_parametric_rank():
@@ -114,3 +113,45 @@ def test_echelon_matches_rank(rows, p):
         for vid, c in combo.items():
             recon = [f.add(x, f.mul(c, y)) for x, y in zip(recon, M.rows[vid])]
         assert recon == row
+
+
+# the primes 181, 191 and 2147483629 put products of two residues next to
+# the bounds of the batch kernel's dtypes (int16 up to 181, then int64)
+ENGINE_FIELDS = [(2, False), (3, False), (5, False), (181, False), (191, False),
+                 (2147483629, False), (0, False), (2, True)]
+
+
+def _entry(f, c0, c1):
+    """c0 + c1*a over GF(2)(a); c0 alone over the other fields."""
+    if f.spec.parametric:
+        return f.add(f.from_int(c0), f.param(c1))
+    return f.from_int(c0)
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("p,parametric", ENGINE_FIELDS)
+@given(data=st.data())
+def test_batch_rref_matches_incremental(p, parametric, data):
+    f = field_for(p, parametric)
+    big = 2**40 if p > 5 else 3
+    n = data.draw(st.integers(1, 6), label="ncols")
+    cells = st.tuples(st.integers(-big, big), st.integers(-1, 1))
+    grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), max_size=7), label="M")
+    M = Matrix(f, [[_entry(f, c0, c1) for c0, c1 in row] for row in grid], ncols=n)
+    rows, pivots = rref(M)
+    order = data.draw(st.permutations(range(M.nrows)), label="order")
+    for seq in (M.rows, [M.rows[i] for i in order]):
+        ech = Echelon(f, n)
+        for row in seq:
+            ech.add(row)
+        assert (ech.rows, ech.pivots) == (rows, pivots)  # the RREF is unique
+    # a batch on top of rows inserted one by one
+    cut = data.draw(st.integers(0, M.nrows), label="cut")
+    ech = Echelon(f, n)
+    for row in M.rows[:cut]:
+        ech.add(row)
+    assert (ech.extend(M.rows[cut:]).rows, ech.pivots) == (rows, pivots)
+    null = mat_nullspace(M)
+    assert len(pivots) + len(null) == n == mat_rank(M) + len(null)
+    for v in null:
+        assert all(f.is_zero(_dot(f, row, v)) for row in M.rows)

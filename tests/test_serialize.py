@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 from dslie.build import build_g_of_A
 from dslie.cartan import CartanSpec
@@ -88,6 +89,19 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path):
     with open(path, "r+") as fh:
         fh.truncate(100)
     spec = cold.spec
+    assert cache_load(cd, spec, 40) is None
+    rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
+
+
+def test_stale_cache_entry_is_rebuilt(tmp_path):
+    cd = str(tmp_path)
+    other = build_catalog_algebra("brj(2;3)", 3, cache_dir=cd)
+    cold = build_catalog_algebra("brj(2;5)", 5)
+    spec = cold.spec
+    # a readable file of the wrong algebra sits at the brj(2;5) path
+    shutil.copy(cache_path(cd, other.spec, 40), cache_path(cd, spec, 40))
     assert cache_load(cd, spec, 40) is None
     rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
     assert serialize_build(rebuilt) == serialize_build(cold)
