@@ -1,11 +1,11 @@
 """Regression audit of the bundled expected-value tables against recomputation.
 
 Every table row of the reference dataset is recomputed from scratch:
-the algebra is rebuilt, the element is resolved (explicit expression,
-root data, or class representative), the adjoint rank / homology
-superdimension / identification label (and module rank, when the row
-carries one) are recomputed and compared.  Rows whose printed values are
-provably inconsistent with the forced identity
+the algebra is rebuilt, the element is resolved (an expression or chain
+read by Superalgebra.element, or a class representative), the adjoint
+rank / homology superdimension / identification label (and module rank,
+when the row carries one) are recomputed and compared.  Rows whose
+printed values are provably inconsistent with the forced identity
 dim g_x = dim g - 2 rank ad_x are whitelisted in the dataset with
 commentary; any other disagreement is an audit failure (exit code 3).
 """
@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import re
-
+from . import classical
 from .build import BuildResult
 from .catalog import _parse_entry, build_catalog_algebra, catalog_get
 from .ds import (DSResult, adjoint_rank, ds_homology, identify, is_homological,
@@ -29,8 +28,6 @@ from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add
 from .tables import chain_element, family_algebra
-
-_CLASSICAL_KEY = re.compile(r"(gl|sl|psl)\((\d+)\|(\d+)\)")
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -110,21 +107,12 @@ class Auditor:
     # -- element resolution ----------------------------------------------------
 
     def algebra_of(self, row: dict) -> Superalgebra:
-        m = _CLASSICAL_KEY.fullmatch(row["key"])
-        if m:
-            return family_algebra(m.group(1), int(m.group(2)), int(m.group(3)),
-                                  row["p"])
+        fam = classical.parse_key(row["key"])
+        if fam:
+            return family_algebra(*fam, row["p"])
         if row.get("algebra") == "sub":
             return self.subquotient(row["key"], row["p"])
         return self.build(row["key"], row["p"]).algebra
-
-    def _label_element(self, h: Superalgebra, expr: str) -> Element:
-        f = h.field
-        out: Element = {}
-        for part in expr.replace(" ", "").split("+"):
-            idx = h.labels.index(part)
-            out = el_add(f, out, {idx: f.one})
-        return out
 
     def resolve_x(self, row: dict) -> Tuple[Element, str]:
         g = self.algebra_of(row)
@@ -133,35 +121,15 @@ class Auditor:
             k = x["chain"]
             return chain_element(g, k), f"chain{k}"
         if "chain_mixed" in x:
-            f = g.field
-            el: Element = {}
-            for i in x["chain_mixed"]:
-                el = el_add(f, el, {g.labels.index(f"E{i},{i+1}"): f.one})
-            return el, "chain_mixed" + "-".join(map(str, x["chain_mixed"]))
-        b = self.build(row["key"], row["p"])
-        sub = row.get("algebra") == "sub"
+            return (g.element("+".join(f"x{i}" for i in x["chain_mixed"])),
+                    "chain_mixed" + "-".join(map(str, x["chain_mixed"])))
         if "expr" in x:
-            if sub:
-                return self._label_element(g, x["expr"]), x["expr"]
-            return b.x_element(x["expr"]), x["expr"]
-        if "roots" in x:
-            f = b.field
-            el = {}
-            names = []
-            for root in x["roots"]:
-                idxs = b.index_of_root(root)
-                if not idxs:
-                    raise RuntimeError(f"{row['key']}: no root {root}")
-                el = el_add(f, el, {idxs[0]: f.one})
-                names.append(b.algebra.labels[idxs[0]])
-            if sub:
-                return self._label_element(g, "+".join(names)), "+".join(names)
-            return el, "+".join(names)
+            return g.element(x["expr"]), x["expr"]
         # class mode: find a candidate with the true rank (or homology dim);
         # frozen recomputed values take precedence for resolution since the
         # printed ones may be the documented-inconsistent part
         frozen = row.get("computed", {})
-        pool = self.candidate_pool(row["key"], row["p"], "sub" if sub else "g")
+        pool = self.candidate_pool(row["key"], row["p"], row.get("algebra", "g"))
         want_rank = x.get("class_rank")
         if "class_rank" in x and "rank" in frozen:
             want_rank = frozen["rank"]
@@ -194,13 +162,9 @@ class Auditor:
                 pool.append(el)
         if which == "sub":
             h = self.subquotient(key, p)
-            mapped: List[Element] = []
-            for el in pool:
-                try:
-                    labels = "+".join(g.labels[i] for i in sorted(el))
-                    mapped.append(self._label_element(h, labels))
-                except ValueError:
-                    continue
+            index = {lab: i for i, lab in enumerate(h.labels)}
+            mapped = [{index[g.labels[i]]: f.one for i in sorted(el)} for el in pool
+                      if all(g.labels[i] in index for i in el)]
             pool = [el for el in mapped if el and is_homological(h, el) == "odd"]
         self._pool[k] = pool
         return pool

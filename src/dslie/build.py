@@ -14,12 +14,12 @@ field, grading elements are adjoined to h so that weights separate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cartan import CartanSpec
-from .fields import Field, UsageError
+from .fields import Field
 from .linalg import Echelon
-from .superalgebra import Element, Superalgebra, el_add, el_addmul, el_neg, el_scale
+from .superalgebra import Element, Superalgebra, el_add, el_addmul, el_scale
 
 
 class BuildError(RuntimeError):
@@ -266,28 +266,9 @@ class BuildResult:
     def sdim(self) -> Tuple[int, int]:
         return self.algebra.sdim
 
-    def positive_index(self, k: int) -> int:
-        """Global basis index of the k-th positive root vector, 1-based (x_k)."""
-        h = self.n + self.n_grading
-        if not (1 <= k <= len(self.pos_roots)):
-            raise UsageError(f"x{k} out of range (1..{len(self.pos_roots)})")
-        return h + k - 1
-
-    def index_of_root(self, root: Sequence[int]) -> List[int]:
-        root = tuple(root)
-        h = self.n + self.n_grading
-        return [h + t for t, (r, _p) in enumerate(self.pos_roots) if r == root]
-
     def x_element(self, expr: str) -> Element:
-        """Parse 'x1+x3+x5' into the sum of those positive root vectors."""
-        f = self.field
-        out: Element = {}
-        for part in expr.replace(" ", "").split("+"):
-            if not (part.startswith("x") and part[1:].isdecimal()):
-                raise UsageError(f"bad root-vector expression {expr!r}: use x<k>+x<l>+...")
-            k = int(part[1:])
-            out = el_add(f, out, {self.positive_index(k): f.one})
-        return out
+        """Superalgebra.element on the built algebra; perfbench calls this name."""
+        return self.algebra.element(expr)
 
 
 def parse_sdim(s: str) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:

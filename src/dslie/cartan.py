@@ -10,8 +10,8 @@ the lifts over QQ (or QQ(a)) and never reduced mod p.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from .fields import Field, field_for
 

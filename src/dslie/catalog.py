@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .build import BuildResult, build_g_of_A
 from .cartan import CartanSpec
+from .fields import UsageError
 from .serialize import cache_load, cache_store
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -53,8 +54,8 @@ class CatalogEntry:
                           source_row=self.source_row, notes=self.notes)
 
 
-class CatalogError(KeyError):
-    pass
+class CatalogError(UsageError):
+    """No catalog entry for the key at this characteristic."""
 
 
 _CATALOG: Optional[Dict[Tuple[str, int], CatalogEntry]] = None

@@ -8,9 +8,10 @@ summary tables live.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import re
+from typing import Dict, List, Optional, Tuple
 
-from .fields import field_for
+from .fields import UsageError, field_for
 from .linalg import Matrix, mat_nullspace
 from .superalgebra import Element, Superalgebra
 
@@ -110,7 +111,7 @@ def psl(a: int, b: int, p: int) -> Superalgebra:
     s = sl(a, b, p)
     center = s.center_rows()
     if not center:
-        raise ValueError(f"psl({a}|{b}) undefined at p={p}: sl has trivial center")
+        raise UsageError(f"psl({a}|{b}) undefined at p={p}: sl has trivial center")
     return s.quotient_by_ideal(center)
 
 
@@ -167,6 +168,13 @@ def osp(m: int, two_n: int, p: int) -> Superalgebra:
                 eqs.append(row)
     sol = mat_nullspace(Matrix(fld, eqs, ncols=big.dim))
     return big.subalgebra_from_rows(sol)
+
+
+def parse_key(key: str) -> Optional[Tuple[str, int, int]]:
+    """("gl", 2, 4) for "gl(2|4)" and ("sl", 3, 0) for "sl(3)"; None for any
+    key outside gl/sl/psl."""
+    m = re.fullmatch(r"(gl|sl|psl)\((\d+)(?:\|(\d+))?\)", key)
+    return (m.group(1), int(m.group(2)), int(m.group(3) or 0)) if m else None
 
 
 def classical(family: str, a: int, b: int, p: int) -> Superalgebra:

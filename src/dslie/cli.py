@@ -9,28 +9,26 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import io
 import json
 import os
-import re
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .audit import DISCREPANCY, DOCUMENTED, MATCH, Auditor, load_expected, run_audit
-from .build import BuildError, build_g_of_A
-from .cartan import analyze_diagram, symmetrize
-from .catalog import CatalogError, all_entries, build_catalog_algebra, catalog_get
-from .ds import (DSError, adjoint_rank, defect_report, ds_homology, identify,
-                 is_homological)
+from .audit import (DISCREPANCY, DOCUMENTED, MATCH, Auditor, _parse_weight_entry,
+                    load_expected, run_audit)
+from .build import BuildError
+from .cartan import symmetrize
+from .catalog import all_entries, build_catalog_algebra
+from .classical import parse_key
+from .ds import DSError, defect_report, ds_homology, identify
 from .fields import UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import serialize_build
-from .superalgebra import el_add
-from .tables import chain_element, chain_reference_names, chain_table, family_algebra
+from .tables import chain_table, family_algebra
 
 CACHE_ENV = "DSLIE_CACHE_DIR"
-_CLASSICAL = re.compile(r"(gl|sl|psl)\((\d+)(?:\|(\d+))?\)")
+TABLE_MAX_N, TABLE_MAX_B = 4, 12  # the range of the shipped square and shifted tables
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -81,49 +79,26 @@ def _default_refs(bank: ReferenceBank):
 
 
 def _get_algebra(key: str, p: int, cache_dir):
-    m = _CLASSICAL.fullmatch(key)
-    if m:
-        a = int(m.group(2))
-        b = int(m.group(3)) if m.group(3) is not None else 0
-        return None, family_algebra(m.group(1), a, b, p)
+    fam = parse_key(key)
+    if fam:
+        return None, family_algebra(*fam, p)
     b = build_catalog_algebra(key, p, cache_dir=cache_dir)
     return b, b.algebra
 
 
-def _resolve_x(key: str, b, g, expr: str):
-    """h<k> and x<k> terms: Cartan and positive root vectors of a catalog
-    algebra, E_{k,k} and E_{k,k+1} of gl/sl/psl."""
-    f = g.field
-    out = {}
-    for part in expr.replace(" ", "").split("+"):
-        m = re.fullmatch(r"h(\d*)|x(\d+)", part)
-        if m is None:
-            raise UsageError(f"bad element expression {expr!r}: use h<k> and x<k> terms")
-        k = int(m.group(1) or m.group(2) or 1)
-        if b is None:
-            label = f"E{k},{k}" if part[0] == "h" else f"E{k},{k+1}"
-            if label not in g.labels:
-                raise UsageError(f"{part} ({label}) is not a basis element of {key}")
-            idx = g.labels.index(label)
-        elif part[0] == "x":
-            idx = b.positive_index(k)
-        elif 1 <= k <= b.n:
-            idx = k - 1
-        else:
-            raise UsageError(f"h{k} out of range (1..{b.n})")
-        out = el_add(f, out, {idx: f.one})
-    return out
+def table_shape(family: str, n: int, k: int, p: int) -> Tuple[int, int]:
+    """(a, b) of the psl-square (b = n) or psl-shifted (b = n + p k) table."""
+    if family == "psl-shifted" and p == 0:
+        raise UsageError("psl-shifted requires p > 0")
+    b = n if family == "psl-square" else n + p * k
+    if not (1 <= n <= TABLE_MAX_N and k >= 1 and b <= TABLE_MAX_B):
+        raise UsageError(f"table needs 1 <= n <= {TABLE_MAX_N}, k >= 1 and "
+                         f"b <= {TABLE_MAX_B}; got n={n}, k={k}, b={b}")
+    return n, b
 
 
 def cmd_build(args) -> int:
-    try:
-        b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
-    except CatalogError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except BuildError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return 2
+    b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
     npos = len(b.pos_roots)
     print(f"{args.key} p={args.p}: sdim {_sdim_str(b.sdim)}, {npos} positive roots")
     if args.dump:
@@ -132,48 +107,29 @@ def cmd_build(args) -> int:
 
 
 def cmd_ds(args) -> int:
+    if not (args.x or args.sweep):
+        raise UsageError("either --x or --sweep is required")
     cache = _cache_dir(args)
-    try:
-        b, g = _get_algebra(args.key, args.p, cache)
-    except CatalogError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except BuildError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return 2
+    b, g = _get_algebra(args.key, args.p, cache)
+    if b is None and (args.module or args.sweep):
+        raise UsageError(f"{'--module' if args.module else '--sweep'} requires a catalog algebra")
+    el = None if args.sweep else g.element(args.x)
     refs = ReferenceBank(args.p, cache_dir=cache)
     rep = None
     if args.module:
-        if b is None:
-            print("--module requires a catalog algebra", file=sys.stderr)
-            return 1
         lam = args.module.split(",")
         if len(lam) != b.n:
             raise UsageError(f"--module needs {b.n} comma-separated highest-weight entries, "
                              f"got {len(lam)}")
-        from .audit import _parse_weight_entry
         rep = build_irreducible(b, [_parse_weight_entry(b.field, s) for s in lam])
         print(f"module dim {_sdim_str(rep.sdim)}")
     rows = []
     if args.sweep:
-        if b is None:
-            print("--sweep requires a catalog algebra", file=sys.stderr)
-            return 1
         form = symmetrize(b.spec)
         report = defect_report(b, form, seed=args.seed, samples=args.samples,
                                include_inhomogeneous=args.inhomogeneous)
         results = report.classes
     else:
-        if not args.x:
-            print("either --x or --sweep is required", file=sys.stderr)
-            return 1
-        el = _resolve_x(args.key, b, g, args.x)
-        kind = is_homological(g, el)
-        if kind == "no":
-            sq = g.square(el) if (g.field.p == 2 and g.parity_of(el) == 1) else \
-                (g.bracket(el, el) if g.parity_of(el) == 1 else None)
-            print(f"{args.x} is not homological; square = {sq}", file=sys.stderr)
-            return 2
         results = [ds_homology(g, el)]
     ref_pairs = _default_refs(refs)
     for res in results:
@@ -184,8 +140,7 @@ def cmd_ds(args) -> int:
             "label": label,
         })
         if rep is not None:
-            el = res.x.element
-            mh = module_homology(rep, el)
+            mh = module_homology(rep, res.x.element)
             rows[-1]["rank_M"] = mh.rank
             rows[-1]["sdim_Mx"] = _sdim_str(mh.sdim_mx)
     _emit(rows, args.format)
@@ -193,15 +148,7 @@ def cmd_ds(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    cache = _cache_dir(args)
-    try:
-        b = build_catalog_algebra(args.key, args.p, cache_dir=cache)
-    except CatalogError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except BuildError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return 2
+    b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
     form = symmetrize(b.spec)
     report = defect_report(b, form, seed=args.seed, samples=args.samples,
                            include_inhomogeneous=args.inhomogeneous)
@@ -217,28 +164,11 @@ def cmd_defect(args) -> int:
 
 
 def cmd_table(args) -> int:
-    refs = ReferenceBank(args.p, cache_dir=_cache_dir(args))
     rows = []
-    def add_chain_rows(fam, a, b):
-        for r in chain_table(fam, a, b, args.p, refs):
-            r["algebra"] = f"{fam}({a}|{b})"
-            r["sdim_gx"] = _sdim_str(r["sdim_gx"])
-            rows.append(r)
-
-    if args.family == "psl-square":
-        for fam in ("gl", "sl", "psl"):
-            add_chain_rows(fam, args.n, args.n)
-    elif args.family == "psl-shifted":
-        if args.p == 0:
-            print("psl-shifted requires p > 0", file=sys.stderr)
-            return 1
-        for fam in ("gl", "psl"):
-            add_chain_rows(fam, args.n, args.n + args.p * args.k)
-    else:  # exceptional
-        data = load_expected()
+    if args.family == "exceptional":
         auditor = Auditor(cache_dir=_cache_dir(args))
-        for row in data["rows"]:
-            if row["p"] != args.p or _CLASSICAL.fullmatch(row["key"]):
+        for row in load_expected()["rows"]:
+            if row["p"] != args.p or parse_key(row["key"]):
                 continue
             oc = auditor.evaluate(row)
             rows.append({"id": row["id"], "algebra": row["key"],
@@ -246,13 +176,15 @@ def cmd_table(args) -> int:
                          "sdim_gx": _sdim_str(oc.computed_sdim)
                          if oc.computed_sdim else "?",
                          "label": oc.computed_label, "status": oc.status})
-    out_rows = []
-    for r in rows:
-        rr = dict(r)
-        if isinstance(rr.get("sdim_gx"), tuple):
-            rr["sdim_gx"] = _sdim_str(rr["sdim_gx"])
-        out_rows.append(rr)
-    _emit(out_rows, args.format)
+    else:
+        a, b = table_shape(args.family, args.n, args.k, args.p)
+        refs = ReferenceBank(args.p, cache_dir=_cache_dir(args))
+        for fam in ("gl", "sl", "psl") if args.family == "psl-square" else ("gl", "psl"):
+            for r in chain_table(fam, a, b, args.p, refs):
+                r["algebra"] = f"{fam}({a}|{b})"
+                r["sdim_gx"] = _sdim_str(r["sdim_gx"])
+                rows.append(r)
+    _emit(rows, args.format)
     return 0
 
 
@@ -261,8 +193,7 @@ def cmd_audit(args) -> int:
     rows = data["rows"]
     if not args.all:
         if not args.keys:
-            print("specify --all or --keys", file=sys.stderr)
-            return 1
+            raise UsageError("specify --all or --keys")
         keys = set(args.keys)
         rows = [r for r in rows if r["key"] in keys or r["table"] in keys]
     outcomes, code = run_audit(rows, cache_dir=_cache_dir(args))

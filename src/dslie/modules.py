@@ -11,11 +11,11 @@ weight to kill the central combinations of the h_i, which is checked).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .build import BuildError, BuildResult, grading_rows
 from .linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace
-from .superalgebra import Element, el_add, el_addmul, el_scale, el_to_dense
+from .superalgebra import Element, el_add, el_addmul, el_scale
 
 
 @dataclass

@@ -34,15 +34,12 @@ class ReferenceBank:
 
     def _construct(self, name: str) -> Superalgebra:
         p = self.p
-        m = re.fullmatch(r"(gl|sl|psl)\((\d+)\|(\d+)\)", name)
-        if m:
-            return classical.classical(m.group(1), int(m.group(2)), int(m.group(3)), p)
-        m = re.fullmatch(r"(gl|sl|psl)\((\d+)\)", name)
-        if m:
-            return classical.classical(m.group(1), int(m.group(2)), 0, p)
+        fam = classical.parse_key(name)
+        if fam:
+            return classical.classical(*fam, p)
         m = re.fullmatch(r"osp\((\d+)\|(\d+)\)", name)
         if m:
-            return classical.osp(int(m.group(2)), int(m.group(3)), p)
+            return classical.osp(int(m.group(1)), int(m.group(2)), p)
         if name == "hei(0|2)" or name == "sl(1|1)":
             return classical.hei_odd(p)
         m = re.fullmatch(r"K\^\{(\d+)\|(\d+)\}", name)

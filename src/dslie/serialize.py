@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 from typing import Optional
 
-from .build import BuildResult, _Node, _Side, parse_sdim
+from .build import BuildResult, _Node, parse_sdim
 from .cartan import CartanSpec
 from .fields import Field, RatFunc, field_for
 from .superalgebra import Superalgebra

@@ -25,12 +25,11 @@ modulo that zero part, and a bracket that leaves the span is a ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import re
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .fields import Field, PrimeField
+from .fields import Field, UsageError
 from .linalg import Echelon, Matrix, mat_nullspace, mat_rank
 
 Element = Dict[int, object]
@@ -159,6 +158,25 @@ class Superalgebra:
         if len(ps) > 1:
             return None
         return ps.pop() if ps else 0
+
+    def element(self, expr: str) -> Element:
+        """The sum of the basis elements named by x<k> and h<k> terms joined
+        by "+" (a bare h is h1).  A term names the basis element with that
+        label; in a matrix realization x<k> and h<k> name E<k>,<k+1> and
+        E<k>,<k>."""
+        f = self.field
+        out: Element = {}
+        for term in expr.replace(" ", "").split("+"):
+            m = re.fullmatch(r"h(\d*)|x(\d+)", term)
+            if m is None:
+                raise UsageError(f"bad element expression {expr!r}: use h<k> and x<k> terms")
+            k = int(m.group(1) or m.group(2) or 1)
+            names = (f"{term[0]}{k}", f"E{k},{k}" if term[0] == "h" else f"E{k},{k + 1}")
+            label = next((s for s in names if s in self.labels), None)
+            if label is None:
+                raise UsageError(f"{term} names no basis element (no label {' or '.join(names)})")
+            out = el_add(f, out, {self.labels.index(label): f.one})
+        return out
 
     # -- bracket and squaring ----------------------------------------------
 
@@ -322,39 +340,17 @@ class Superalgebra:
         return out
 
     def center_rows(self) -> List[list]:
-        """Kernel of the joint adjoint action, as dense vectors."""
+        """Kernel of the joint adjoint action, as dense vectors: one equation
+        sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
+        brackets."""
         f = self.field
         n = self.dim
-        if n == 0:
-            return []
-        if isinstance(f, PrimeField):
-            p = f.p
-            cols = []
-            for i in range(n):
-                block = np.zeros((n, n), dtype=np.int64)  # block[k, m] = C[i,k][m]
-                for k in range(n):
-                    for m, c in self.bracket_basis(i, k).items():
-                        block[k, m] = c
-                cols.append(block.reshape(-1))
-            A = np.stack(cols, axis=1) % p
-            M = Matrix(f, [[int(x) for x in row] for row in A], ncols=n)
-        else:
-            rows = []
-            for k in range(n):
-                for m in range(n):
-                    row = [f.zero] * n
-                    nz = False
-                    for i in range(n):
-                        c = self.bracket_basis(i, k).get(m)
-                        if c is not None and not f.is_zero(c):
-                            row[i] = c
-                            nz = True
-                    if nz:
-                        rows.append(row)
-            if not rows:
-                return [el_to_dense(f, {i: f.one}, n) for i in range(n)]
-            M = Matrix(f, rows, ncols=n)
-        return mat_nullspace(M)
+        rows: Dict[Tuple[int, int], list] = {}
+        for (i, j) in self.brackets:
+            for a, b in {(i, j), (j, i)}:
+                for m, c in self.bracket_basis(a, b).items():
+                    rows.setdefault((b, m), [f.zero] * n)[a] = c
+        return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
 
     # -- series, flags, fingerprint -------------------------------------------
 

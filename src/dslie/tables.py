@@ -6,9 +6,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import classical
-from .ds import DSResult, ds_homology, identify
+from .ds import ds_homology, identify
 from .references import ReferenceBank
-from .superalgebra import Element, Superalgebra, el_add
+from .superalgebra import Element, Superalgebra
 
 _FAMILY_CACHE: Dict[Tuple[str, int, int, int], Superalgebra] = {}
 
@@ -22,16 +22,11 @@ def family_algebra(family: str, a: int, b: int, p: int) -> Superalgebra:
 
 def chain_element(g: Superalgebra, k: int) -> Element:
     """x_1 + x_3 + ... with k summands: sums of E_{2i-1,2i}."""
-    f = g.field
-    el: Element = {}
-    for i in range(k):
-        lab = f"E{2*i+1},{2*i+2}"
-        try:
-            idx = g.labels.index(lab)
-        except ValueError:
-            raise ValueError(f"chain element {lab} not in the basis")
-        el = el_add(f, el, {idx: f.one})
-    return el
+    return g.element(_chain_expr(k))
+
+
+def _chain_expr(k: int) -> str:
+    return "+".join(f"x{2 * i + 1}" for i in range(k))
 
 
 def chain_reference_names(family: str, a: int, b: int, k: int, p: int) -> List[str]:
@@ -77,7 +72,7 @@ def chain_table(family: str, a: int, b: int, p: int,
         label = identify(res, names)
         rows.append({
             "family": family, "a": a, "b": b, "p": p, "k": k,
-            "x": "+".join(f"x{2*i+1}" for i in range(k)),
+            "x": _chain_expr(k),
             "rank_ad": res.rank_ad,
             "sdim_gx": res.sdim_gx,
             "label": label,

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from dslie.cli import main
+from dslie.audit import load_expected
+from dslie.classical import parse_key
+from dslie.cli import main, table_shape
 
 
 def run(capsys, argv, cache_dir=None):
@@ -112,9 +114,32 @@ def test_audit_usage(capsys):
     ["ds", "gl(2|2)", "-p", "4", "--x", "x1"],
     ["ds", "brj(2;3)", "-p", "3", "--x", "x1", "--module", "1,q"],
     ["ds", "brj(2;3)", "-p", "3", "--x", "x1", "--module", "1"],
+    ["build", "nosuch", "-p", "3"],
+    ["ds", "gl(2|2)", "-p", "3", "--sweep"],
+    ["ds", "psl(2|3)", "-p", "3", "--x", "x1"],
+    ["table", "psl-square", "-p", "3", "-n", "0"],
+    ["table", "psl-square", "-p", "3", "-n", "9"],
+    ["table", "psl-shifted", "-p", "3", "-n", "1", "-k", "-1"],
 ])
 def test_bad_input_is_one_line_usage_error(capsys, cache_dir, argv):
     code, out, err = run(capsys, argv, cache_dir)
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_table_range_covers_shipped_tables():
+    shapes = set()
+    for row in load_expected()["rows"]:
+        fam = parse_key(row["key"])
+        if fam is None or not row["table"].startswith(("square-", "shifted-")):
+            continue
+        _f, a, b = fam
+        p = row["p"]
+        if row["table"].startswith("square-"):
+            shapes.add(("psl-square", a, 1, p, a, b))
+        else:
+            shapes.add(("psl-shifted", a, (b - a) // p, p, a, b))
+    assert len(shapes) > 20
+    for family, n, k, p, a, b in sorted(shapes):
+        assert table_shape(family, n, k, p) == (a, b)

@@ -15,6 +15,8 @@ def test_reference_bank_names(cache_dir):
     assert bank.algebra("K^{2|0}").sdim == (2, 0)
     assert bank.algebra("psl(3) (+) psl(3)").sdim == (14, 0)
     assert bank.algebra("hei(0|2)").sdim == (1, 2)
+    assert bank.algebra("osp(1|2)").sdim == (3, 2)
+    assert bank.algebra("gl(2)").sdim == (4, 0)
     with pytest.raises(ValueError):
         bank.algebra("nosuch(9)")
 
