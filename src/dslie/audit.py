@@ -196,7 +196,7 @@ class Auditor:
         if expect_label and expect_label not in ("0",):
             try:
                 names.append((expect_label, self.refs(p).fingerprint(expect_label)))
-            except Exception as exc:
+            except UsageError as exc:
                 out.detail += f"[reference {expect_label} unavailable: {exc}]"
         label = identify(res, names)
         if label == "K^{0|0}":
@@ -239,7 +239,7 @@ class Auditor:
             try:
                 frozen_names = [(frozen["label"],
                                  self.refs(p).fingerprint(frozen["label"]))]
-            except Exception:
+            except UsageError:
                 pass
             flabel = identify(res, frozen_names)
             if flabel == "K^{0|0}":

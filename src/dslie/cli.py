@@ -68,12 +68,16 @@ _DEFAULT_REF_NAMES = (
 )
 
 
-def _default_refs(bank: ReferenceBank):
+def _default_refs(bank: ReferenceBank, sdims) -> list:
+    """(name, fingerprint) of the default references whose sdim is in sdims:
+    a fingerprint carries the sdim, so no other reference can match.  A
+    name the field cannot build (psl(k) when sl(k) has no center) is skipped."""
     pairs = []
     for name in _DEFAULT_REF_NAMES:
         try:
-            pairs.append((name, bank.fingerprint(name)))
-        except Exception:
+            if bank.algebra(name).sdim in sdims:
+                pairs.append((name, bank.fingerprint(name)))
+        except UsageError:
             continue
     return pairs
 
@@ -131,7 +135,7 @@ def cmd_ds(args) -> int:
         results = report.classes
     else:
         results = [ds_homology(g, el)]
-    ref_pairs = _default_refs(refs)
+    ref_pairs = _default_refs(refs, {res.sdim_gx for res in results})
     for res in results:
         label = identify(res, ref_pairs)
         rows.append({

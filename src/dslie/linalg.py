@@ -10,8 +10,11 @@ two kernels, chosen by the field:
 
 extend() inserts a batch of untracked rows.  Over a prime field it runs
 one vectorized numpy elimination over the whole batch (the tall systems
-of invariant_forms need it), in int16 when p^2 fits and int64 otherwise;
-over QQ and K(a) it inserts the rows one by one.  rref, mat_rank and mat_nullspace are thin wrappers over it.
+of invariant_forms need it), in int16 when p^2 fits and int64 otherwise
+(mod_p_dtype); over QQ and K(a) it inserts the rows one by one.  rref,
+mat_rank and mat_nullspace are thin wrappers over it.  Over a prime field
+a Matrix may hold its rows as an integer ndarray, which reaches the
+elimination without a round trip through Python lists.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -31,11 +34,26 @@ import numpy as np
 from .fields import Field, PrimeField
 
 
+def mod_p_dtype(p: int):
+    """Integer dtype of the mod-p elimination: int16 when p^2 fits (it
+    quarters the memory of tall systems), int64 otherwise (p <= 2^31 keeps
+    p^2 in range)."""
+    return np.int16 if p * p < 2**15 else np.int64
+
+
 class Matrix:
-    """Dense matrix over one Field; entries stored row-major in canonical form."""
+    """Dense matrix over one Field; entries stored row-major in canonical form.
+
+    Over a prime field the rows may also be a 2-D integer ndarray with
+    entries in [0, p); it is kept as is, not copied, and read only by rref,
+    mat_rank and mat_nullspace."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
         self.field = field
+        if isinstance(rows, np.ndarray):
+            self.rows = rows
+            self.nrows, self.ncols = rows.shape
+            return
         self.rows = [list(r) for r in rows]
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -214,7 +232,8 @@ class Echelon:
         return piv
 
     def extend(self, rows: Sequence[Sequence]) -> "Echelon":
-        """Insert a batch of untracked rows; stops once the rank is full."""
+        """Insert a batch of untracked rows (lists, or over a prime field an
+        integer ndarray); stops once the rank is full."""
         if self.track:
             raise ValueError("extend inserts untracked rows; use add() to track them")
         p = self._p
@@ -224,11 +243,12 @@ class Echelon:
                     break
                 self.add(row)
             return self
-        if not rows or len(self.rows) == self.ncols:
+        if len(rows) == 0 or len(self.rows) == self.ncols:
             return self
-        # int16 quarters the memory of tall systems; p <= 2^31 keeps p^2 in int64
-        dtype = np.int16 if p * p < 2**15 else np.int64
-        a = np.array(self.rows + list(rows) if self.rows else rows, dtype=dtype)
+        dtype = mod_p_dtype(p)
+        a = np.array(rows, dtype=dtype)  # a copy: the elimination works in place
+        if self.rows:
+            a = np.vstack([np.array(self.rows, dtype=dtype), a])
         a %= p
         out, self.pivots = _rref_mod_p(a, p)
         self.rows = out.tolist()

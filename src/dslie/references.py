@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import classical
 from .catalog import build_catalog_algebra
+from .fields import UsageError
 from .superalgebra import Fingerprint, Superalgebra, direct_sum
 
 
@@ -53,4 +54,4 @@ class ReferenceBank:
             inner = m.group(1)
             b = build_catalog_algebra(inner, p, cache_dir=self.cache_dir)
             return b.algebra.first_derived_mod_center()
-        raise ValueError(f"unknown reference algebra {name!r}")
+        raise UsageError(f"unknown reference algebra {name!r}")

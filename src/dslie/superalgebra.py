@@ -21,6 +21,12 @@ Duflo-Serganova homology g_x = Ker ad_x / Im ad_x in ds.py.  Callers choose
 the basis rows and, for a quotient, pass the echelon of the zero part;
 coordinates are read from one tracked echelon over the basis rows taken
 modulo that zero part, and a bracket that leaves the span is a ValueError.
+
+invariant_forms solves the invariance equations of an even supersymmetric
+form.  Over GF(p) they are assembled from the nonzero structure constants
+as one integer numpy array (summed mod p, rows scaled to leading entry 1,
+repeated rows dropped) and handed to linalg's elimination as an array;
+over QQ and K(a) the generic triple-by-triple assembly stays.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, UsageError
-from .linalg import Echelon, Matrix, mat_nullspace, mat_rank
+import numpy as np
+
+from .fields import Field, PrimeField, UsageError
+from .linalg import Echelon, Matrix, mat_nullspace, mat_rank, mod_p_dtype
 
 Element = Dict[int, object]
 
@@ -429,16 +437,57 @@ class Superalgebra:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z])."""
         f = self.field
         n = self.dim
-        pairs: List[Tuple[int, int]] = []
-        pair_idx: Dict[Tuple[int, int], int] = {}
-        for i in range(n):
-            for j in range(i, n):
-                if self.parities[i] != self.parities[j]:
-                    continue  # even form: no even-odd pairing
-                if i == j and self.parities[i] == 1 and f.p != 2:
-                    continue  # B(x,x) = -B(x,x) forces 0
-                pair_idx[(i, j)] = len(pairs)
-                pairs.append((i, j))
+        pairs = self._form_pairs()
+        if isinstance(f, PrimeField):
+            eqs = self._form_equations_mod_p(pairs)
+        else:
+            # QQ and K(a) keep the generic assembly.  Fast exact elimination
+            # there needs its own certification (a modular solve checked
+            # exactly), and speeding up only these rows would let the slowest
+            # QQ row of the classical-tables benchmark (0.78 s) repeat often
+            # enough per measured window to set its latency tail alone;
+            # K(a) carries the same risk (bgl(4;a) on defect-sweep).
+            eqs = self._form_equations_generic(pairs)
+        sols = mat_nullspace(eqs)
+
+        def to_matrix(sol):
+            B = [[f.zero] * n for _ in range(n)]
+            for idx, (i, j) in enumerate(pairs):
+                c = sol[idx]
+                if f.is_zero(c):
+                    continue
+                B[i][j] = c
+                if i != j:
+                    sgn = f.neg(f.one) if (self.parities[i] and self.parities[j] and f.p != 2) else f.one
+                    B[j][i] = f.mul(sgn, c)
+            return B
+
+        mats = [to_matrix(s) for s in sols]
+        nondeg = [mat_rank(Matrix(f, B, ncols=n)) == n for B in mats]
+        if not any(nondeg) and len(mats) > 1:
+            acc = [[f.zero] * n for _ in range(n)]
+            for t, B in enumerate(mats):
+                c = f.from_int(t + 1)
+                acc = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(acc, B)]
+            if mat_rank(Matrix(f, acc, ncols=n)) == n:
+                nondeg.append(True)
+        return {"dim": len(sols), "forms": mats, "nondegenerate": any(nondeg)}
+
+    def _form_pairs(self) -> List[Tuple[int, int]]:
+        """The variables of an even supersymmetric form: the entries B_ij,
+        i <= j, that may be nonzero, in row-major order."""
+        odd_zero = self.field.p != 2  # B(x,x) = -B(x,x) forces 0 on odd x
+        return [(i, j) for i in range(self.dim) for j in range(i, self.dim)
+                if self.parities[i] == self.parities[j]
+                and not (i == j and self.parities[i] == 1 and odd_zero)]
+
+    def _form_equations_generic(self, pairs: List[Tuple[int, int]]) -> Matrix:
+        """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
+        (i, j, k), and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]]) = 0
+        per odd b_i; dense rows over any field, zero rows dropped."""
+        f = self.field
+        n = self.dim
+        pair_idx = {ij: t for t, ij in enumerate(pairs)}
 
         def b_coeff(row, i, j, c):
             # B_ji = (-1)^{p_i p_j} B_ij
@@ -483,36 +532,78 @@ class Superalgebra:
                     row = {a: b for a, b in row.items() if not f.is_zero(b)}
                     if row:
                         eq_rows.append(row)
+        return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in eq_rows], ncols=len(pairs))
 
-        nvars = len(pairs)
-        if not eq_rows:
-            sols = [[f.one if t == s else f.zero for t in range(nvars)] for s in range(nvars)]
-        else:
-            dense = [el_to_dense(f, r, nvars) for r in eq_rows]
-            sols = mat_nullspace(Matrix(f, dense, ncols=nvars))
+    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]]) -> Matrix:
+        """The equations of _form_equations_generic over GF(p), as one integer
+        array with one row per distinct equation.
 
-        def to_matrix(sol):
-            B = [[f.zero] * n for _ in range(n)]
-            for idx, (i, j) in enumerate(pairs):
-                c = sol[idx]
-                if f.is_zero(c):
-                    continue
-                B[i][j] = c
-                if i != j:
-                    sgn = f.neg(f.one) if (self.parities[i] and self.parities[j] and f.p != 2) else f.one
-                    B[j][i] = f.mul(sgn, c)
-            return B
-
-        mats = [to_matrix(s) for s in sols]
-        nondeg = [mat_rank(Matrix(f, B, ncols=n)) == n for B in mats]
-        if not any(nondeg) and len(mats) > 1:
-            acc = [[f.zero] * n for _ in range(n)]
-            for t, B in enumerate(mats):
-                c = f.from_int(t + 1)
-                acc = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(acc, B)]
-            if mat_rank(Matrix(f, acc, ncols=n)) == n:
-                nondeg.append(True)
-        return {"dim": len(sols), "forms": mats, "nondegenerate": any(nondeg)}
+        Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
+        B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
+        equation (l, i, j), for every k and l.  Entries of one (equation,
+        variable) are summed mod p and zero equations dropped.  Every
+        equation is scaled to leading entry 1, and duplicates are removed on
+        the bytes of the sparse row, so only distinct rows are made dense."""
+        f = self.field
+        p, n, nv = f.p, self.dim, len(pairs)
+        if not self.brackets and not self.squares:  # abelian: no equation
+            return Matrix(f, np.zeros((0, nv), dtype=mod_p_dtype(p)))
+        var = np.full((n, n), -1, dtype=np.int64)  # B_ab = sgn[a, b] * x[var[a, b]]
+        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        var[lo, hi] = var[hi, lo] = np.arange(nv)
+        sgn = np.ones((n, n), dtype=np.int64)
+        if p != 2:  # B_ji = -B_ij for odd i < j
+            odd = np.array(self.parities)[lo] == 1
+            sgn[hi[odd], lo[odd]] = -1
+        consts = [(a, b, m, c) for (i, j) in self.brackets for a, b in {(i, j), (j, i)}
+                  for m, c in self.bracket_basis(a, b).items()]
+        I, J, M, C = np.array(consts, dtype=np.int64).reshape(-1, 4).T
+        ks = np.arange(n)
+        # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
+        # equation (i, k) is row n^3 + i n + k
+        rows = [((I * n + J) * n)[:, None] + ks, ks * n * n + (I * n + J)[:, None]]
+        cols = [var[M], var[:, M].T]
+        vals = [C[:, None] * sgn[M], -C[:, None] * sgn[:, M].T]
+        if p == 2:
+            sq = np.array([(i, m, c) for i, v in self.squares.items() for m, c in v.items()],
+                          dtype=np.int64).reshape(-1, 3)
+            rows.append((n ** 3 + sq[:, 0] * n)[:, None] + ks)
+            cols.append(var[sq[:, 1]])
+            vals.append(np.repeat(sq[:, 2:], n, axis=1))
+            for i in (i for i in range(n) if self.parities[i]):
+                ad = np.zeros((n, n), dtype=np.int64)  # ad[k, m]: b_m in [b_i, b_k]
+                own = I == i
+                ad[J[own], M[own]] = C[own]
+                adad = ad @ ad  # adad[k, m]: b_m in [b_i, [b_i, b_k]]
+                k, m = np.nonzero(adad)
+                rows.append(n ** 3 + i * n + k)
+                cols.append(var[i, m])
+                vals.append(-adad[k, m])
+        r, v, c = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols, vals))
+        keep = v >= 0
+        key = r[keep] * nv + v[keep]
+        order = np.argsort(key)
+        key, c = key[order], c[keep][order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, c = key[first], np.add.reduceat(c, first) % p
+        r, v = np.divmod(key[c != 0], nv)
+        c = c[c != 0]
+        new_eq = np.diff(r, prepend=-1) != 0
+        eq = np.cumsum(new_eq) - 1  # equation of every entry; entries sorted by variable
+        start = np.flatnonzero(new_eq)
+        lead, which = np.unique(c[start], return_inverse=True)
+        inv = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
+        c = c * inv[which][eq] % p
+        buf = (v * p + c).tobytes()
+        at = (np.append(start, len(c)) * 8).tolist()  # byte offsets of the int64 rows
+        keys = [buf[a:b] for a, b in zip(at, at[1:])]
+        distinct = np.zeros(len(start), dtype=bool)
+        distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
+        row_of = np.cumsum(distinct) - 1
+        on = distinct[eq]
+        dense = np.zeros((int(distinct.sum()), nv), dtype=mod_p_dtype(p))
+        dense[row_of[eq[on]], v[on]] = c[on]
+        return Matrix(f, dense)
 
     def fingerprint(self) -> Fingerprint:
         ss = self.structure_series()

@@ -2,8 +2,11 @@
 
 import pytest
 
+from dslie.audit import MATCH, load_expected, run_audit
 from dslie.catalog import build_catalog_algebra
+from dslie.cli import _default_refs, main
 from dslie.ds import describe_fingerprint, ds_homology, identify
+from dslie.fields import UsageError
 from dslie.references import ReferenceBank
 from dslie.superalgebra import Fingerprint
 
@@ -17,7 +20,7 @@ def test_reference_bank_names(cache_dir):
     assert bank.algebra("hei(0|2)").sdim == (1, 2)
     assert bank.algebra("osp(1|2)").sdim == (3, 2)
     assert bank.algebra("gl(2)").sdim == (4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="unknown reference algebra 'nosuch\\(9\\)'"):
         bank.algebra("nosuch(9)")
 
 
@@ -49,3 +52,38 @@ def test_descriptor_format():
                      forms_dim=1, solvable=True, nilpotent=False, abelian=False)
     assert describe_fingerprint(fp) == \
         "solvable; dim c = 1|2; derived sdims [7|0, 1|0, 0|0]"
+
+
+def test_reference_errors_are_not_swallowed(monkeypatch, cache_dir):
+    """Only a UsageError (a name the field cannot build) drops a reference;
+    any other error surfaces."""
+    row = next(r for r in load_expected()["rows"] if r["id"] == "g16/x3")
+    outcomes, _code = run_audit([row], cache_dir=cache_dir)
+    assert outcomes[0].status == MATCH
+
+    def broken(self, name):
+        raise IndexError("broken reference")
+    monkeypatch.setattr(ReferenceBank, "_construct", broken)
+    with pytest.raises(IndexError):
+        _default_refs(ReferenceBank(3, cache_dir=cache_dir), {(7, 0)})
+    outcomes, code = run_audit([row], cache_dir=cache_dir)
+    assert outcomes[0].detail == "computation failed: broken reference" and code == 3
+
+
+def test_ds_fingerprints_only_references_of_matching_sdim(monkeypatch, capsys, cache_dir):
+    seen = []
+    fingerprint = ReferenceBank.fingerprint
+
+    def spy(self, name):
+        seen.append(self.algebra(name).sdim)
+        return fingerprint(self, name)
+    monkeypatch.setattr(ReferenceBank, "fingerprint", spy)
+    for argv, sdim, last in [
+            (["ds", "gl(2|2)", "-p", "0", "--x", "x1"], (2, 2),
+             "gl(2|2)  x1  6        2|2      gl(1|1)"),
+            (["ds", "g(1,6)", "-p", "3", "--sweep", "--samples", "10"], (7, 0),
+             "g(1,6)   x3  14       7|0      psl(3)")]:
+        seen.clear()
+        assert main(argv + ["--cache-dir", cache_dir]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last  # as before the filter
+        assert seen and set(seen) == {sdim}

@@ -3,11 +3,12 @@ and the batch (numpy) against the incremental (list) elimination."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslie.fields import field_for
+from dslie.fields import PrimeField, field_for
 from dslie.linalg import Echelon, Matrix, mat_nullspace, mat_rank, rref
 
 
@@ -145,12 +146,19 @@ def test_batch_rref_matches_incremental(p, parametric, data):
         for row in seq:
             ech.add(row)
         assert (ech.rows, ech.pivots) == (rows, pivots)  # the RREF is unique
-    # a batch on top of rows inserted one by one
+    # a batch on top of rows inserted one by one; over a prime field the
+    # batch may also be an integer array, which gives the same echelon
     cut = data.draw(st.integers(0, M.nrows), label="cut")
-    ech = Echelon(f, n)
-    for row in M.rows[:cut]:
-        ech.add(row)
-    assert (ech.extend(M.rows[cut:]).rows, ech.pivots) == (rows, pivots)
+    batches = [M.rows[cut:]]
+    if isinstance(f, PrimeField):
+        arr = np.array(M.rows, dtype=np.int64).reshape(-1, n)
+        assert rref(Matrix(f, arr)) == (rows, pivots)
+        batches.append(arr[cut:])
+    for batch in batches:
+        ech = Echelon(f, n)
+        for row in M.rows[:cut]:
+            ech.add(row)
+        assert (ech.extend(batch).rows, ech.pivots) == (rows, pivots)
     null = mat_nullspace(M)
     assert len(pivots) + len(null) == n == mat_rank(M) + len(null)
     for v in null:
