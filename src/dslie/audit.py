@@ -7,7 +7,8 @@ rank / homology superdimension / identification label (and module rank,
 when the row carries one) are recomputed and compared.  Rows whose
 printed values are provably inconsistent with the forced identity
 dim g_x = dim g - 2 rank ad_x are whitelisted in the dataset with
-commentary; any other disagreement is an audit failure (exit code 3).
+commentary; any other disagreement, and any computation that fails, is
+an audit failure (exit code 3).
 """
 
 from __future__ import annotations
@@ -172,11 +173,21 @@ class Auditor:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, row: dict) -> AuditOutcome:
+        """The row's outcome.  A computation failure is a discrepancy even on
+        a whitelisted row: the whitelist excuses printed values, never a
+        value that was not computed."""
+        try:
+            return self._evaluate(row)
+        except Exception as exc:  # reported as the row's outcome, not raised
+            return AuditOutcome(row=row, status=DISCREPANCY,
+                                detail=f"computation failed: {exc}")
+
+    def _evaluate(self, row: dict) -> AuditOutcome:
         out = AuditOutcome(row=row)
         g = self.algebra_of(row)
         try:
             el, desc = self.resolve_x(row)
-        except Exception as exc:
+        except UsageError as exc:
             out.status = DOCUMENTED if row.get("whitelist") else DISCREPANCY
             out.detail = f"element resolution failed: {exc}"
             return out
@@ -261,20 +272,8 @@ class Auditor:
 def run_audit(rows: List[dict],
               cache_dir: Optional[str] = None) -> Tuple[List[AuditOutcome], int]:
     auditor = Auditor(cache_dir=cache_dir)
-    outcomes = []
-    for row in rows:
-        try:
-            outcomes.append(auditor.evaluate(row))
-        except Exception as exc:  # computation failure is reported, not raised
-            oc = AuditOutcome(row=row, status=DISCREPANCY,
-                              detail=f"computation failed: {exc}")
-            if row.get("whitelist"):
-                oc.status = DOCUMENTED
-            outcomes.append(oc)
-    exit_code = 0
-    if any(o.status == DISCREPANCY for o in outcomes):
-        exit_code = 3
-    return outcomes, exit_code
+    outcomes = [auditor.evaluate(row) for row in rows]
+    return outcomes, 3 if any(o.status == DISCREPANCY for o in outcomes) else 0
 
 
 def _parse_weight_entry(fld, s):

@@ -290,14 +290,11 @@ def grading_rows(spec: CartanSpec, fld: Field) -> List[int]:
     return ech.complete_with_units()
 
 
-def build_g_of_A(spec: CartanSpec, degree_cap: int = 40,
-                 check_expected: bool = True,
-                 dim_cap: Optional[int] = None) -> BuildResult:
+def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     fld = spec.field()
     n = spec.n
-    if dim_cap is None and spec.expected_sdim:
-        want, _ = parse_sdim(spec.expected_sdim)
-        dim_cap = (want[0] + want[1]) // 2 + n + 8  # bound on one side's node count
+    want = parse_sdim(spec.expected_sdim)[0] if spec.expected_sdim else None
+    dim_cap = None if want is None else sum(want) // 2 + n + 8  # bound on one side's node count
     A = [[spec.entry_scalar(fld, i, j) for j in range(n)] for i in range(n)]
     d_rows = grading_rows(spec, fld)
     k = len(d_rows)
@@ -501,12 +498,10 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40,
                       pos_side=pos, neg_side=neg, pos_order=pos_order,
                       neg_order=neg_order)
 
-    if check_expected and spec.expected_sdim:
-        want, _sub = parse_sdim(spec.expected_sdim)
-        if res.sdim != want:
-            raise BuildError(
-                f"{spec.key}: built sdim {res.sdim[0]}|{res.sdim[1]} but catalog "
-                f"expects {spec.expected_sdim}")
+    if want is not None and res.sdim != want:
+        raise BuildError(
+            f"{spec.key}: built sdim {res.sdim[0]}|{res.sdim[1]} but catalog "
+            f"expects {spec.expected_sdim}")
     # dim g_beta = dim g_{-beta} holds by the mirrored construction; assert anyway
     for root, _par in pos_roots:
         neg_count = sum(1 for m in neg_order if neg.nodes[m].root == root)

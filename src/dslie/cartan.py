@@ -23,15 +23,6 @@ def entry_is_param(e: Entry) -> bool:
     return isinstance(e, tuple)
 
 
-@dataclass(frozen=True)
-class RootVector:
-    coords: Tuple[int, ...]
-    parity: int  # 0 even, 1 odd
-
-    def height(self) -> int:
-        return sum(self.coords)
-
-
 @dataclass
 class CartanSpec:
     key: str
@@ -183,8 +174,7 @@ def _gcd(a, b):
 
 def root_ip(form: SymmetrizedForm, beta, gamma):
     """Bilinear extension of B on integer root coordinates; never reduced mod p."""
-    cb = beta.coords if isinstance(beta, RootVector) else tuple(beta)
-    cg = gamma.coords if isinstance(gamma, RootVector) else tuple(gamma)
+    cb, cg = tuple(beta), tuple(gamma)
     K0 = form.field
     n = form.spec.n
     if len(cb) != n or len(cg) != n:

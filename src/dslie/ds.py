@@ -81,7 +81,7 @@ class DSError(RuntimeError):
     pass
 
 
-def ds_homology(g: Superalgebra, x, check: bool = True) -> DSResult:
+def ds_homology(g: Superalgebra, x) -> DSResult:
     """Ker ad_x / Im ad_x with the induced bracket (and squaring at p = 2)."""
     if isinstance(x, HomologicalElement):
         hx, el = x, x.element
@@ -120,16 +120,15 @@ def ds_homology(g: Superalgebra, x, check: bool = True) -> DSResult:
         # a non-graded complement (inhomogeneous x), or an induced bracket
         # leaving Ker ad_x (an internal error: ad_x is a derivation)
         raise DSError(f"Ker ad_x / Im ad_x: {exc}") from exc
-    if check:
-        bad = hom.check_axioms()
-        if bad:
-            raise DSError(f"homology fails axioms: {bad[:3]}")
-        if g.parity_of(el) == 1:
-            # superdimension preservation holds for parity-homogeneous odd x
-            gs = g.sdim
-            hs = hom.sdim
-            if (gs[0] - gs[1]) != (hs[0] - hs[1]):
-                raise DSError("superdimension not preserved by DS homology")
+    bad = hom.check_axioms()
+    if bad:
+        raise DSError(f"homology fails axioms: {bad[:3]}")
+    if g.parity_of(el) == 1:
+        # superdimension preservation holds for parity-homogeneous odd x
+        gs = g.sdim
+        hs = hom.sdim
+        if (gs[0] - gs[1]) != (hs[0] - hs[1]):
+            raise DSError("superdimension not preserved by DS homology")
     return DSResult(x=hx, rank_ad=rank, homology=hom, fingerprint=hom.fingerprint())
 
 
@@ -265,18 +264,19 @@ def homological_candidates(b: BuildResult, form: Optional[SymmetrizedForm] = Non
 
 
 def defect_report(b: BuildResult, form: SymmetrizedForm, seed: int = 0,
-                  samples: int = 200, fingerprints_per_rank: Optional[int] = None,
+                  samples: int = 200,
                   include_inhomogeneous: bool = False) -> DefectReport:
     """g_max from the diagram, df from the orthogonal isotropic sets, ndf as
-    the number of fingerprint classes over the candidate sweep."""
+    the number of fingerprint classes over the candidate sweep.  On algebras
+    of dim > 80 only the first 3 candidates of each adjoint rank are
+    fingerprinted."""
     g = b.algebra
     diagram = analyze_diagram(b.spec)
     iso = isotropic_orthogonal_sets(b, form)
     cands = homological_candidates(b, form, seed=seed, samples=samples,
                                    include_inhomogeneous=include_inhomogeneous)
     cands = [c for c in cands if c.kind != "inhomogeneous-ad"]
-    if fingerprints_per_rank is None:
-        fingerprints_per_rank = 3 if g.dim > 80 else 10**9
+    per_rank = 3 if g.dim > 80 else None
     by_rank: Dict[int, List[HomologicalElement]] = {}
     order: List[int] = []
     for c in cands:
@@ -286,7 +286,7 @@ def defect_report(b: BuildResult, form: SymmetrizedForm, seed: int = 0,
         by_rank.setdefault(r, []).append(c)
     classes: List[DSResult] = []
     for r in order:
-        reps = by_rank[r][:fingerprints_per_rank]
+        reps = by_rank[r][:per_rank]
         fps = []
         for c in reps:
             res = ds_homology(g, c)

@@ -22,6 +22,12 @@ the basis rows and, for a quotient, pass the echelon of the zero part;
 coordinates are read from one tracked echelon over the basis rows taken
 modulo that zero part, and a bracket that leaves the span is a ValueError.
 
+The fingerprint's series start from [g, g], read once as the span of the
+stored brackets (and squares at p = 2); no pair of basis vectors is
+bracketed for it.  The center comes from one nullspace, and center ∩ [g, g]
+by a dimension count: both are graded, so per parity
+dim C ∩ D = dim C + dim D - dim (C + D).
+
 invariant_forms solves the invariance equations of an even supersymmetric
 form.  Over GF(p) they are assembled from the nonzero structure constants
 as one integer numpy array (summed mod p, rows scaled to leading entry 1,
@@ -38,11 +44,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import Field, PrimeField, UsageError
-from .linalg import Echelon, Matrix, mat_nullspace, mat_rank, mod_p_dtype
+from .linalg import Echelon, Matrix, mat_nullspace, mod_p_dtype
 
 Element = Dict[int, object]
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
+MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +261,15 @@ class Superalgebra:
 
     # -- axioms --------------------------------------------------------------
 
-    def check_axioms(self, max_violations: int = 10) -> List[str]:
-        """Exhaustive verification; returns violation descriptions (empty = pass)."""
+    def check_axioms(self) -> List[str]:
+        """Exhaustive verification; returns violation descriptions (empty =
+        pass), at most MAX_VIOLATIONS of them."""
         f = self.field
         n = self.dim
         bad: List[str] = []
 
         def note(msg):
-            if len(bad) < max_violations:
+            if len(bad) < MAX_VIOLATIONS:
                 bad.append(msg)
 
         # parity and weight additivity of stored constants
@@ -308,7 +316,7 @@ class Superalgebra:
                     if diff:
                         note(f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
                         break
-                if len(bad) >= max_violations:
+                if len(bad) >= MAX_VIOLATIONS:
                     return bad
 
         if f.p == 3:
@@ -362,26 +370,32 @@ class Superalgebra:
 
     # -- series, flags, fingerprint -------------------------------------------
 
-    def structure_series(self, max_steps: int = 60) -> dict:
+    def first_derived_span(self) -> "GradedSpan":
+        """[g, g] as the span of the stored brackets and, at p = 2, squares:
+        the bracket of two basis vectors is a stored one up to sign."""
+        out = GradedSpan(self)
+        for v in list(self.brackets.values()) + list((self.squares or {}).values()):
+            out.add_element(v)
+        return out
+
+    def structure_series(self) -> dict:
+        """The fingerprint's series fields (see the module docstring).  The
+        terms of each series are nested, so a step that does not stop lowers
+        the dimension and the loops end within dim steps."""
         f = self.field
-        full = GradedSpan(self)
-        for i in range(self.dim):
-            full.add_element({i: f.one})
-        derived: List[GradedSpan] = []
-        cur = full
-        sdims = []
-        while True:
-            nxt = self.derived_subalgebra_span(cur)
-            sdims.append(nxt.sdim())
-            derived.append(nxt)
-            if nxt.dim() == cur.dim() or nxt.dim() == 0 or len(sdims) >= max_steps:
-                break
-            cur = nxt
-        solvable = derived[-1].dim() == 0
-        # lower central series for nilpotency
-        lc = full
-        nilpotent = False
-        for _ in range(max_steps):
+        d1 = self.first_derived_span()
+        sdims = [d1.sdim()]
+        cur, prev = d1, self.dim
+        while cur.dim() not in (0, prev):
+            prev = cur.dim()
+            cur = self.derived_subalgebra_span(cur)
+            sdims.append(cur.sdim())
+        solvable = cur.dim() == 0
+        # lower central series g > [g, g] > [g, [g, g]] > ... for nilpotency;
+        # g^(k) lies in its k-th term, so only a solvable g can be nilpotent
+        lc, prev = d1, self.dim
+        while solvable and lc.dim() not in (0, prev):
+            prev = lc.dim()
             nxt = GradedSpan(self)
             for r in lc.all_rows():
                 u = el_from_dense(f, r)
@@ -390,51 +404,25 @@ class Superalgebra:
             if f.p == 2:
                 for r in lc.odd.rows:
                     nxt.add_element(self.square(el_from_dense(f, r)))
-            if nxt.dim() == 0:
-                nilpotent = True
-                break
-            if nxt.dim() == lc.dim():
-                break
             lc = nxt
-        center = self.center_rows()
-        csd = self._sdim_of_rows(center)
-        # center ∩ derived
-        inter = self._intersect_rows(center, derived[0].all_rows())
+        nilpotent = lc.dim() == 0
+        center = GradedSpan(self)
+        for r in self.center_rows():
+            center.add_dense(r)
+            d1.add_dense(r)  # d1 becomes C + [g, g]; the series are done with it
         return {
             "derived_sdims": tuple(sdims),
-            "derived_spans": derived,
-            "center_rows": center,
-            "center_sdim": csd,
-            "center_in_derived_sdim": self._sdim_of_rows(inter),
+            "center_sdim": center.sdim(),
+            "center_in_derived_sdim": tuple(c + d - s for c, d, s
+                                            in zip(center.sdim(), sdims[0], d1.sdim())),
             "solvable": solvable,
             "nilpotent": nilpotent,
             "abelian": sdims[0] == (0, 0),
         }
 
-    def _sdim_of_rows(self, rows: List[list]) -> Tuple[int, int]:
-        sp = GradedSpan(self)
-        for r in rows:
-            sp.add_dense(r)
-        return sp.sdim()
-
-    def _intersect_rows(self, rows_a: List[list], rows_b: List[list]) -> List[list]:
-        """Basis of span(rows_a) ∩ span(rows_b) via the kernel trick."""
-        f = self.field
-        if not rows_a or not rows_b:
-            return []
-        cols = [list(r) for r in rows_a] + [list(r) for r in rows_b]
-        M = Matrix(f, cols, ncols=self.dim).transpose()
-        out = []
-        for v in mat_nullspace(M):
-            comb = [f.zero] * self.dim
-            for idx in range(len(rows_a)):
-                comb = [f.add(x, f.mul(v[idx], y)) for x, y in zip(comb, rows_a[idx])]
-            if any(not f.is_zero(x) for x in comb):
-                out.append(comb)
-        return out
-
     def invariant_forms(self) -> dict:
-        """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z])."""
+        """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
+        {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         f = self.field
         n = self.dim
         pairs = self._form_pairs()
@@ -462,16 +450,7 @@ class Superalgebra:
                     B[j][i] = f.mul(sgn, c)
             return B
 
-        mats = [to_matrix(s) for s in sols]
-        nondeg = [mat_rank(Matrix(f, B, ncols=n)) == n for B in mats]
-        if not any(nondeg) and len(mats) > 1:
-            acc = [[f.zero] * n for _ in range(n)]
-            for t, B in enumerate(mats):
-                c = f.from_int(t + 1)
-                acc = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(acc, B)]
-            if mat_rank(Matrix(f, acc, ncols=n)) == n:
-                nondeg.append(True)
-        return {"dim": len(sols), "forms": mats, "nondegenerate": any(nondeg)}
+        return {"dim": len(sols), "forms": [to_matrix(s) for s in sols]}
 
     def _form_pairs(self) -> List[Tuple[int, int]]:
         """The variables of an even supersymmetric form: the entries B_ij,
@@ -728,12 +707,7 @@ class Superalgebra:
 
     def first_derived_mod_center(self) -> "Superalgebra":
         """The subquotient g^(1) / (center of g^(1))."""
-        f = self.field
-        full = GradedSpan(self)
-        for i in range(self.dim):
-            full.add_element({i: f.one})
-        d1 = self.derived_subalgebra_span(full)
-        sub = self.subalgebra_from_rows(d1.all_rows())
+        sub = self.subalgebra_from_rows(self.first_derived_span().all_rows())
         center = sub.center_rows()
         if not center:
             return sub

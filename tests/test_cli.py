@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from dslie.audit import load_expected
+from dslie import audit
+from dslie.audit import DISCREPANCY, load_expected, run_audit
 from dslie.classical import parse_key
 from dslie.cli import main, table_shape
 
@@ -100,6 +101,25 @@ def test_audit_subset_exit_codes(capsys, cache_dir):
     code2, out2, _ = run(capsys, ["audit", "--keys", "el55"], cache_dir)
     assert code2 == 0
     assert "documented" in out2
+
+
+def test_computation_failure_on_whitelisted_row_is_exit_3(monkeypatch, capsys, cache_dir):
+    """The whitelist excuses printed values, never a value that was not
+    computed: a failing computation is a discrepancy on any row."""
+    def fail(g, x):
+        raise RuntimeError("injected failure")
+    monkeypatch.setattr(audit, "ds_homology", fail)
+    row = next(r for r in load_expected()["rows"] if r["id"] == "el55/class32")
+    assert row.get("whitelist")
+    outcomes, code = run_audit([row], cache_dir=cache_dir)
+    assert (outcomes[0].status, outcomes[0].detail, code) == \
+        (DISCREPANCY, "computation failed: injected failure", 3)
+    code, out, err = run(capsys, ["audit", "--keys", "el55"], cache_dir)
+    assert code == 3 and "computation failed: injected failure" in out and err == ""
+    # the exceptional table reports the row's status on its one line
+    code, out, err = run(capsys, ["table", "exceptional", "-p", "5"], cache_dir)
+    line = next(ln for ln in out.splitlines() if ln.startswith("el55/class32"))
+    assert code == 0 and line.split()[-1] == DISCREPANCY and err == ""
 
 
 def test_audit_usage(capsys):

@@ -1,16 +1,21 @@
-"""Static checks on the library sources: every import in src/dslie is used.
+"""Static checks on the library sources: every import in src/dslie is used,
+and every function, method and class it defines is named somewhere.
 
-A name counts as used when the module reads it, lists it in ``__all__``
-or mentions it in a string annotation (``-> "GradedSpan"``).
+An import counts as used when the module reads it, lists it in ``__all__``
+or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
+counts as named when a name, attribute, import or identifier inside a
+string (the benchmark's hook table names methods as "Class.method") in
+src/, tests/ or perfbench/ spells it; dunder methods are called implicitly.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "dslie")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "dslie")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -60,3 +65,56 @@ def test_checker_sees_annotations_and_all():
     src = ("from typing import List, Optional\nimport re\nfrom x import A, B, C\n"
            "__all__ = ['C']\ndef f(a: 'Optional[A]') -> List[int]:\n    pass\n")
     assert unused_imports(src) == [(2, "re"), (3, "B")]
+
+
+def defined_names(source: str):
+    """(line, name) of every function, method and class, nested ones too."""
+    return sorted((n.lineno, n.name) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (n.name.startswith("__") and n.name.endswith("__")))
+
+
+def named(source: str):
+    """Every identifier the source reads, imports or spells inside a string;
+    the name on a def or class line does not count."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out |= set(n.name.split(".")) | {n.asname}
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out |= set(re.findall(r"[A-Za-z_]\w*", n.value))
+    return out
+
+
+def _sources():
+    for top in ("src", "tests", "perfbench"):
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name)) as fh:
+                        yield fh.read()
+
+
+def test_no_dead_definitions():
+    everywhere = set().union(*map(named, _sources()))
+    dead = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            dead += [(module, line, name) for line, name in defined_names(fh.read())
+                     if name not in everywhere]
+    assert dead == []
+
+
+def test_checker_sees_calls_attributes_and_strings():
+    lib = ("class Kept:\n    def by_attr(self):\n        pass\n"
+           "    def by_hook(self):\n        pass\n    def __len__(self):\n        return 0\n"
+           "def by_call():\n    def inner():\n        pass\n    return Kept().by_attr()\n"
+           "def orphan():\n    pass\n")
+    hooks = "HOOKS = ['Kept.by_hook']\nby_call()\n"
+    used = named(lib) | named(hooks)
+    assert [(line, name) for line, name in defined_names(lib) if name not in used] == \
+        [(9, "inner"), (12, "orphan")]
