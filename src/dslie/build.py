@@ -6,9 +6,11 @@ is spanned by [e_i, b] over the degree-(d-1) basis b (plus, for p = 2
 and d even, formal squares s(z) of odd degree-(d/2) basis z); a
 combination is radical iff all its lowerings by f_j vanish in the
 already-reduced degree-(d-1) space, so the quotient basis falls out of
-one deterministic elimination per root.  The negative side runs the same
-recursion with e and f exchanged.  When A is singular over the ground
-field, grading elements are adjoined to h so that weights separate.
+one deterministic elimination per root, `radical_step`.  The negative side
+runs the same recursion with e and f exchanged, and `modules` runs it on
+highest-weight modules with raisings in place of lowerings.  When A is
+singular over the ground field, grading elements are adjoined to h so
+that weights separate.
 """
 
 from __future__ import annotations
@@ -34,37 +36,51 @@ class _Node:
     degree: int
 
 
-class _Side:
-    """One triangular half of g(A), built degree by degree."""
+def radical_step(fld: Field, n: int, vecs: List[List[Element]]) -> List[Optional[Element]]:
+    """The elimination of one weight space of the radical recursion.
 
-    def __init__(self, fld: Field, n: int, parities: List[int],
-                 weight_of, cross_coeff, gen_weight, p2: bool, cap: int,
-                 dim_cap: Optional[int] = None):
+    Candidate ci is given by its n lowering (or raising) vectors vecs[ci][j]
+    over the reduced basis of the previous degree.  A candidate whose vectors
+    are independent of those of the earlier new candidates is a new basis
+    vector (None); otherwise it equals, modulo the radical, the combination
+    {earlier new candidate: coeff} returned for it.
+    """
+    cols = sorted({(j, b) for v in vecs for j in range(n) for b in v[j]})
+    colpos = {c: t for t, c in enumerate(cols)}
+    ech = Echelon(fld, len(cols), track=True)
+    out: List[Optional[Element]] = []
+    for ci, v in enumerate(vecs):
+        dense = [fld.zero] * len(cols)
+        for j in range(n):
+            for b, c in v[j].items():
+                dense[colpos[(j, b)]] = c
+        out.append(None if ech.add(dense, vid=ci) is not None else ech.reduce(dense)[1])
+    return out
+
+
+class _Side:
+    """One triangular half of g(A), built degree by degree.  Node i is the
+    generator X_i; its root is the i-th unit vector."""
+
+    def __init__(self, fld: Field, n: int, parities: List[int], weight_of,
+                 cross_coeff: list, cap: int, dim_cap: Optional[int] = None):
         self.f = fld
         self.n = n
         self.parities = parities
         self.weight_of = weight_of      # (i, root) -> scalar action of h_i
-        self.cross_coeff = cross_coeff  # i -> coefficient of h_i in [Y_i, X_i]
-        self.gen_weight = gen_weight    # i -> root tuple of X_i
-        self.p2 = p2
+        self.cross_coeff = cross_coeff  # [i] -> coefficient of h_i in [Y_i, X_i]
+        self.gen_root = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        self.p2 = fld.p == 2
         self.cap = cap
         self.dim_cap = dim_cap
-        self.nodes: List[_Node] = []
-        self.deg_basis: Dict[int, List[int]] = {}
+        self.nodes: List[_Node] = [_Node(("g", i), self.gen_root[i], parities[i], 1)
+                                   for i in range(n)]
+        self.deg_basis: Dict[int, List[int]] = {1: list(range(n))}
         self.lower: Dict[int, List[Element]] = {}   # flat -> per-j element over flats (deg-1)
         self.raise_tab: Dict[Tuple[int, int], Element] = {}  # (i, flat) -> element (deg+1)
         self.sq_tab: Dict[int, Element] = {}        # flat -> element at doubled degree
         self._br_memo: Dict[Tuple[int, int], Element] = {}
-        self.profile: List[int] = []
-
-    # -- degree 1 -----------------------------------------------------------
-
-    def init_degree_one(self):
-        idxs = []
-        for i in range(self.n):
-            self.nodes.append(_Node(("g", i), self.gen_weight(i), self.parities[i], 1))
-            idxs.append(i)
-        self.deg_basis[1] = idxs
+        self.profile: List[int] = [n]
 
     # -- brackets of already-built elements -----------------------------------
 
@@ -113,13 +129,13 @@ class _Side:
         """[Y_j, node_m] split as (part over flats of deg-1, coefficient of h_j).
 
         For degree >= 2 the h-part is empty; for a generator X_k it is
-        delta_jk * cross_coeff(k) * h_k.
+        delta_jk * cross_coeff[k] * h_k.
         """
         node = self.nodes[m]
         if node.degree == 1:
             k = node.word[1]
             if j == k:
-                return {}, {k: self.cross_coeff(k)}
+                return {}, {k: self.cross_coeff[k]}
             return {}, {}
         return self.lower[m][j], {}
 
@@ -131,25 +147,18 @@ class _Side:
         if kind == "br":
             pi = self.parities[i]
             for j in range(self.n):
+                sgn = f.neg(f.one) if (f.p != 2 and pi and self.parities[j]) else f.one
                 acc: Element = {}
                 if j == i:
-                    c = f.mul(self.cross_coeff(i), self.weight_of(i, node.root))
+                    c = f.mul(self.cross_coeff[i], self.weight_of(i, node.root))
                     if not f.is_zero(c):
                         acc = {m: c}
                 flats, hpart = self._lower_of_basis(m, j)
                 if flats:
-                    t = self.raise_elem(i, flats)
-                    sgn = f.one
-                    if f.p != 2 and pi and self.parities[j]:
-                        sgn = f.neg(f.one)
-                    acc = el_add(f, acc, el_scale(f, sgn, t))
+                    acc = el_add(f, acc, el_scale(f, sgn, self.raise_elem(i, flats)))
                 for k, c in hpart.items():
                     # [X_i, h_k] = -w_k(eps_i) X_i  (same side)
-                    w = self.weight_of(k, self.gen_weight(i))
-                    coef = f.mul(c, f.neg(w))
-                    sgn = f.one
-                    if f.p != 2 and pi and self.parities[j]:
-                        sgn = f.neg(f.one)
+                    coef = f.mul(c, f.neg(self.weight_of(k, self.gen_root[i])))
                     acc = el_addmul(f, acc, f.mul(sgn, coef), {i: f.one})
                 out.append(acc)
         else:  # square candidate s(node_m); p = 2, signs trivial
@@ -166,8 +175,6 @@ class _Side:
 
     def build(self):
         f = self.f
-        self.init_degree_one()
-        self.profile.append(self.n)
         d = 2
         while True:
             max_deg = max((dd for dd, lst in self.deg_basis.items() if lst), default=0)
@@ -184,7 +191,7 @@ class _Side:
             cands: List[Tuple[str, int, int, Tuple[int, ...], int]] = []
             for m in self.deg_basis.get(d - 1, []):
                 for i in range(self.n):
-                    root = tuple(a + b for a, b in zip(self.nodes[m].root, self.gen_weight(i)))
+                    root = tuple(a + b for a, b in zip(self.nodes[m].root, self.gen_root[i]))
                     par = (self.nodes[m].parity + self.parities[i]) % 2
                     cands.append(("br", i, m, root, par))
             if self.p2 and d % 2 == 0:
@@ -192,11 +199,6 @@ class _Side:
                     if self.nodes[m].parity == 1:
                         root = tuple(2 * a for a in self.nodes[m].root)
                         cands.append(("sq", -1, m, root, 0))
-            if not cands:
-                self.deg_basis[d] = []
-                self.profile.append(0)
-                d += 1
-                continue
             by_root: Dict[Tuple[int, ...], list] = {}
             for c in cands:
                 by_root.setdefault(c[3], []).append(c)
@@ -204,37 +206,22 @@ class _Side:
             for root in sorted(by_root.keys(), reverse=True):
                 group = by_root[root]
                 lows = [self._cand_lowering(k, i, m) for (k, i, m, _r, _p) in group]
-                cols: List[Tuple[int, int]] = sorted(
-                    {(j, fl) for lv in lows for j in range(self.n) for fl in lv[j]})
-                colpos = {c: t for t, c in enumerate(cols)}
-                ech = Echelon(f, len(cols), track=True)
-                sel_flat: Dict[int, int] = {}  # candidate id -> flat index
-                for ci, (kind, i, m, _r, par) in enumerate(group):
-                    dense = [f.zero] * len(cols)
-                    for j in range(self.n):
-                        for fl, c in lows[ci][j].items():
-                            dense[colpos[(j, fl)]] = c
-                    piv = ech.add(dense, vid=ci)
-                    if piv is not None:
-                        flat = len(self.nodes)
+                flat_of: Dict[int, int] = {}  # candidate id -> flat index
+                for ci, combo in enumerate(radical_step(f, self.n, lows)):
+                    kind, i, m, _r, par = group[ci]
+                    if combo is None:
+                        flat = flat_of[ci] = len(self.nodes)
                         word = ("br", i, m) if kind == "br" else ("sq", m)
                         self.nodes.append(_Node(word, root, par, d))
                         new_idxs.append(flat)
-                        sel_flat[ci] = flat
-                        self.lower[flat] = list(lows[ci])
-                        if kind == "br":
-                            self.raise_tab[(i, m)] = {flat: f.one}
-                        else:
-                            self.sq_tab[m] = {flat: f.one}
+                        self.lower[flat] = lows[ci]
+                        expansion: Element = {flat: f.one}
                     else:
-                        # dependent: express over the selected candidates
-                        _res, combo = ech.reduce(dense)
-                        expansion: Element = {
-                            sel_flat[vid]: c for vid, c in combo.items()}
-                        if kind == "br":
-                            self.raise_tab[(i, m)] = expansion
-                        else:
-                            self.sq_tab[m] = expansion
+                        expansion = {flat_of[vid]: c for vid, c in combo.items()}
+                    if kind == "br":
+                        self.raise_tab[(i, m)] = expansion
+                    else:
+                        self.sq_tab[m] = expansion
             if new_idxs and d > self.cap:
                 raise BuildError(
                     f"degree cap {self.cap} exceeded at degree {d}; "
@@ -257,10 +244,10 @@ class BuildResult:
     pos_roots: List[Tuple[Tuple[int, ...], int]]  # (root, parity) per positive basis elt
     chevalley: Dict[str, List[int]]               # 'e','f','h' -> basis indices
     profile: List[int]
-    pos_side: Optional["_Side"] = None            # word data for module actions
-    neg_side: Optional["_Side"] = None
-    pos_order: Optional[List[int]] = None
-    neg_order: Optional[List[int]] = None
+    pos_nodes: List[_Node]   # word data for module actions, in build order
+    neg_nodes: List[_Node]
+    pos_order: List[int]     # basis position -> node index
+    neg_order: List[int]
 
     @property
     def sdim(self) -> Tuple[int, int]:
@@ -307,35 +294,23 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
                 acc = fld.add(acc, fld.mul(fld.from_int(c), row[j]))
         return acc
 
-    def gen_weight(i: int) -> Tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(n))
-
     p2 = fld.p == 2
     minus_one = fld.neg(fld.one)
-
-    def cross_pos(i: int):
-        # [f_i, e_i] = -(-1)^{p_i} h_i
-        if p2:
-            return fld.one
-        return fld.one if spec.parities[i] else minus_one
-
-    def cross_neg(i: int):
-        return fld.one  # [e_i, f_i] = h_i
-
-    pos = _Side(fld, n, spec.parities, weight_of, cross_pos, gen_weight, p2,
-                degree_cap, dim_cap)
+    # [f_i, e_i] = -(-1)^{p_i} h_i on the positive side, [e_i, f_i] = h_i on the negative
+    cross_pos = [fld.one if (p2 or spec.parities[i]) else minus_one for i in range(n)]
+    pos = _Side(fld, n, spec.parities, weight_of, cross_pos, degree_cap, dim_cap)
     pos.build()
-    neg = _Side(fld, n, spec.parities,
-                lambda i, root: fld.neg(weight_of(i, root)),
-                cross_neg, gen_weight, p2, degree_cap, dim_cap)
+    neg = _Side(fld, n, spec.parities, lambda i, root: fld.neg(weight_of(i, root)),
+                [fld.one] * n, degree_cap, dim_cap)
     neg.build()
 
-    pos_order = sorted(range(len(pos.nodes)),
-                       key=lambda m: (pos.nodes[m].degree,
-                                      tuple(-c for c in pos.nodes[m].root), m))
-    neg_order = sorted(range(len(neg.nodes)),
-                       key=lambda m: (neg.nodes[m].degree,
-                                      tuple(-c for c in neg.nodes[m].root), m))
+    def order(side: _Side) -> List[int]:
+        return sorted(range(len(side.nodes)),
+                      key=lambda m: (side.nodes[m].degree,
+                                     tuple(-c for c in side.nodes[m].root), m))
+
+    pos_order, neg_order = order(pos), order(neg)
+    # equal ordered root lists also make every root multiplicity symmetric
     if [pos.nodes[m].root for m in pos_order] != [neg.nodes[m].root for m in neg_order]:
         raise BuildError(f"{spec.key}: positive/negative root sets differ")
 
@@ -365,11 +340,9 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         m = d_rows[a - n]
         return fld.from_int(root[m])
 
-    def pos_el(el: Element) -> Element:
-        return {pos_global[m]: c for m, c in el.items()}
-
-    def neg_el(el: Element) -> Element:
-        return {neg_global[m]: c for m, c in el.items()}
+    def lift(glob: Dict[int, int], el: Element) -> Element:
+        """An element over one side's nodes, over global indices."""
+        return {glob[m]: c for m, c in el.items()}
 
     memo_mixed: Dict[Tuple[int, int], Element] = {}
 
@@ -394,10 +367,10 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         # both are root vectors now
         if a < nh + npos and b < nh + npos:
             fa, fb = pos_order[a - nh], pos_order[b - nh]
-            return pos_el(pos.bracket_flat(fa, fb))
+            return lift(pos_global, pos.bracket_flat(fa, fb))
         if a >= nh + npos and b >= nh + npos:
             fa, fb = neg_order[a - nh - npos], neg_order[b - nh - npos]
-            return neg_el(neg.bracket_flat(fa, fb))
+            return lift(neg_global, neg.bracket_flat(fa, fb))
         # a positive, b negative
         return mixed(pos_order[a - nh], neg_order[b - nh - npos])
 
@@ -428,40 +401,23 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
                         out = {neg_global[bprime]: c}
                 inner = mixed(mp, bprime)
                 if inner:
-                    t = bracket_elem_glob(neg_global[mn_gen(j)], inner)
+                    t = bracket_elem_glob(neg_global[j], inner)
                     sgn = fld.one
                     if not p2 and spec.parities[i] and spec.parities[j]:
                         sgn = minus_one
                     out = el_add(fld, out, el_scale(fld, sgn, t))
         elif np_.word[0] == "sq":
             z = np_.word[1]
-            out = bracket_elem_glob_left(z, mixed(z, mn))
+            out = bracket_elem_glob(pos_global[z], mixed(z, mn))
         else:
             i, aprime = np_.word[1], np_.word[2]
-            t1 = bracket_elem_glob(pos_global[mp_gen(i)], mixed(aprime, mn))
-            t2 = bracket_elem_glob_left(aprime, mixed(mp_gen(i), mn))
+            t1 = bracket_elem_glob(pos_global[i], mixed(aprime, mn))
+            t2 = bracket_elem_glob(pos_global[aprime], mixed(i, mn))
             sgn = fld.one
             if not p2 and spec.parities[i] and pos.nodes[aprime].parity:
                 sgn = minus_one
             out = el_add(fld, t1, el_scale(fld, fld.neg(sgn), t2))
         memo_mixed[key] = out
-        return out
-
-    _pos_gen = {pos.nodes[m].word[1]: m for m in pos.deg_basis[1]}
-    _neg_gen = {neg.nodes[m].word[1]: m for m in neg.deg_basis[1]}
-
-    def mp_gen(i: int) -> int:
-        return _pos_gen[i]
-
-    def mn_gen(j: int) -> int:
-        return _neg_gen[j]
-
-    def bracket_elem_glob_left(mp_flat: int, el: Element) -> Element:
-        """[pos node, global element]."""
-        a = pos_global[mp_flat]
-        out: Element = {}
-        for b, c in el.items():
-            out = el_addmul(fld, out, c, glob_bracket(a, b))
         return out
 
     brackets: Dict[Tuple[int, int], Element] = {}
@@ -473,20 +429,16 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             if w:
                 brackets[(a, b)] = w
     if p2:
-        for m in pos_order:
-            if pos.nodes[m].parity == 1:
-                s = pos.sq_tab.get(m, {})
+        for side, side_order, glob in ((pos, pos_order, pos_global),
+                                       (neg, neg_order, neg_global)):
+            for m in side_order:
+                s = side.sq_tab.get(m) if side.nodes[m].parity else None
                 if s:
-                    squares[pos_global[m]] = pos_el(s)
-        for m in neg_order:
-            if neg.nodes[m].parity == 1:
-                s = neg.sq_tab.get(m, {})
-                if s:
-                    squares[neg_global[m]] = neg_el(s)
+                    squares[glob[m]] = lift(glob, s)
 
     chevalley = {
-        "e": [pos_global[mp_gen(i)] for i in range(n)],
-        "f": [neg_global[mn_gen(i)] for i in range(n)],
+        "e": [pos_global[i] for i in range(n)],
+        "f": [neg_global[i] for i in range(n)],
         "h": list(range(n)),
     }
     alg = Superalgebra(fld, labels, parities, brackets, squares or None, weights,
@@ -495,17 +447,11 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     pos_roots = [(pos.nodes[m].root, pos.nodes[m].parity) for m in pos_order]
     res = BuildResult(spec=spec, field=fld, algebra=alg, n=n, n_grading=k,
                       pos_roots=pos_roots, chevalley=chevalley, profile=pos.profile,
-                      pos_side=pos, neg_side=neg, pos_order=pos_order,
+                      pos_nodes=pos.nodes, neg_nodes=neg.nodes, pos_order=pos_order,
                       neg_order=neg_order)
 
     if want is not None and res.sdim != want:
         raise BuildError(
             f"{spec.key}: built sdim {res.sdim[0]}|{res.sdim[1]} but catalog "
             f"expects {spec.expected_sdim}")
-    # dim g_beta = dim g_{-beta} holds by the mirrored construction; assert anyway
-    for root, _par in pos_roots:
-        neg_count = sum(1 for m in neg_order if neg.nodes[m].root == root)
-        pos_count = sum(1 for r, _ in pos_roots if r == root)
-        if neg_count != pos_count:
-            raise BuildError(f"{spec.key}: root multiplicity asymmetry at {root}")
     return res

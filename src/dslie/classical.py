@@ -178,17 +178,5 @@ def parse_key(key: str) -> Optional[Tuple[str, int, int]]:
 
 
 def classical(family: str, a: int, b: int, p: int) -> Superalgebra:
-    """Dispatcher used by the reference catalog."""
-    if family == "gl":
-        return gl(a, b, p)
-    if family == "sl":
-        return sl(a, b, p)
-    if family == "psl":
-        return psl(a, b, p)
-    if family == "osp":
-        return osp(a, b, p)
-    if family == "hei" and a == 0:
-        return hei_odd(p)
-    if family == "abelian":
-        return abelian(a, b, p)
-    raise ValueError(f"unknown family {family!r}")
+    """gl, sl or psl(a|b) by the family name parse_key returns."""
+    return {"gl": gl, "sl": sl, "psl": psl}[family](a, b, p)

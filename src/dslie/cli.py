@@ -130,8 +130,7 @@ def cmd_ds(args) -> int:
     rows = []
     if args.sweep:
         form = symmetrize(b.spec)
-        report = defect_report(b, form, seed=args.seed, samples=args.samples,
-                               include_inhomogeneous=args.inhomogeneous)
+        report = defect_report(b, form, seed=args.seed, samples=args.samples)
         results = report.classes
     else:
         results = [ds_homology(g, el)]
@@ -154,8 +153,7 @@ def cmd_ds(args) -> int:
 def cmd_defect(args) -> int:
     b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
     form = symmetrize(b.spec)
-    report = defect_report(b, form, seed=args.seed, samples=args.samples,
-                           include_inhomogeneous=args.inhomogeneous)
+    report = defect_report(b, form, seed=args.seed, samples=args.samples)
     print(f"{args.key} p={args.p}: g_max {report.g_max}, df {report.df}, "
           f"ndf {report.ndf}  (sweep {report.sweep_size}, seed {report.seed})")
     rows = [{
@@ -238,42 +236,49 @@ def make_parser() -> argparse.ArgumentParser:
                     "with respect to homological odd elements")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def field(p):
         p.add_argument("-p", dest="p", type=int, required=True,
                        help="field characteristic")
+
+    def fmt(p):
         p.add_argument("--format", choices=["text", "csv", "records"],
                        default="text")
+
+    def cache(p):
         p.add_argument("--cache-dir", default=None,
                        help=f"build cache directory (or ${CACHE_ENV})")
+
+    def sweep(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=200,
                        help="random odd samples per sweep")
 
     b = sub.add_parser("build", help="construct a catalog algebra")
     b.add_argument("key")
-    common(b)
+    field(b)
+    cache(b)
     b.add_argument("--dump", action="store_true", help="print the serialized algebra")
     b.set_defaults(func=cmd_build)
 
     d = sub.add_parser("ds", help="homology of one element or a sweep")
     d.add_argument("key")
-    common(d)
+    for opt in (field, fmt, cache, sweep):
+        opt(d)
     d.add_argument("--x", help="root-vector expression, e.g. x1+x3")
     d.add_argument("--sweep", action="store_true")
     d.add_argument("--module", help="highest weight (comma list) for module ranks")
-    d.add_argument("--inhomogeneous", action="store_true",
-                   help="include inhomogeneous ad-homological candidates (p=2)")
     d.set_defaults(func=cmd_ds)
 
     f = sub.add_parser("defect", help="g_max, df and ndf report")
     f.add_argument("key")
-    common(f)
-    f.add_argument("--inhomogeneous", action="store_true")
+    for opt in (field, fmt, cache, sweep):
+        opt(f)
     f.set_defaults(func=cmd_defect)
 
     t = sub.add_parser("table", help="summary tables over a family")
     t.add_argument("family", choices=["psl-square", "psl-shifted", "exceptional"])
-    common(t)
+    for opt in (field, fmt, cache):
+        opt(t)
     t.add_argument("-n", type=int, default=2)
     t.add_argument("-k", type=int, default=1, help="shift multiplier (b = n + p k)")
     t.set_defaults(func=cmd_table)
@@ -281,13 +286,13 @@ def make_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="recompute and compare the expected tables")
     a.add_argument("--all", action="store_true")
     a.add_argument("--keys", nargs="*", help="restrict to these algebra keys or tables")
-    a.add_argument("--format", choices=["text", "csv", "records"], default="text")
-    a.add_argument("--cache-dir", default=None)
+    fmt(a)
+    cache(a)
     a.set_defaults(func=cmd_audit)
 
     c = sub.add_parser("catalog", help="list catalog entries")
     c.add_argument("-p", dest="p", type=int, default=None)
-    c.add_argument("--format", choices=["text", "csv", "records"], default="text")
+    fmt(c)
     c.set_defaults(func=cmd_catalog)
     return ap
 

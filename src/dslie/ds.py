@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .build import BuildResult
@@ -29,7 +29,6 @@ class DSResult:
     homology: Superalgebra
     fingerprint: Fingerprint
     label: Optional[str] = None
-    module_ranks: Dict[str, int] = dc_field(default_factory=dict)
 
     @property
     def sdim_gx(self) -> Tuple[int, int]:
@@ -203,12 +202,11 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
     return {"isotropic_roots": roots, "max_sets": sets, "df": df}
 
 
-def homological_candidates(b: BuildResult, form: Optional[SymmetrizedForm] = None,
-                           seed: int = 0, samples: int = 200,
-                           include_inhomogeneous: bool = False) -> List[HomologicalElement]:
-    """Deterministic candidate sweep: single isotropic roots, sums over
-    orthogonal isotropic sets, seeded random odd elements, and (p = 2,
-    optional) inhomogeneous ad-homological sums of simple root vectors."""
+def homological_candidates(b: BuildResult, max_sets: Sequence = (), seed: int = 0,
+                           samples: int = 200) -> List[HomologicalElement]:
+    """Deterministic candidate sweep: single isotropic roots, sums over the
+    orthogonal isotropic sets max_sets (the "max_sets" of
+    isotropic_orthogonal_sets) and seeded random odd elements."""
     g = b.algebra
     f = g.field
     out: List[HomologicalElement] = []
@@ -226,19 +224,17 @@ def homological_candidates(b: BuildResult, form: Optional[SymmetrizedForm] = Non
     by_root = {}
     for h in singles:
         by_root.setdefault(h.constituents[0], h)
-    if form is not None:
-        iso = isotropic_orthogonal_sets(b, form)
-        for mset in iso["max_sets"]:
-            for size in range(2, len(mset) + 1):
-                for sub in itertools.combinations(mset, size):
-                    if not all(r in by_root for r in sub):
-                        continue
-                    el: Element = {}
-                    for r in sub:
-                        el = el_add(f, el, by_root[r].element)
-                    if is_homological(g, el) == "odd":
-                        desc = "+".join(by_root[r].description for r in sub)
-                        push(HomologicalElement(el, "orthogonal-root-sum", sub, desc))
+    for mset in max_sets:
+        for size in range(2, len(mset) + 1):
+            for sub in itertools.combinations(mset, size):
+                if not all(r in by_root for r in sub):
+                    continue
+                el: Element = {}
+                for r in sub:
+                    el = el_add(f, el, by_root[r].element)
+                if is_homological(g, el) == "odd":
+                    desc = "+".join(by_root[r].description for r in sub)
+                    push(HomologicalElement(el, "orthogonal-root-sum", sub, desc))
     # seeded random odd elements over the prime subfield
     rng = random.Random(seed)
     odd_idx = [i for i in range(g.dim) if g.parities[i] == 1]
@@ -251,21 +247,11 @@ def homological_candidates(b: BuildResult, form: Optional[SymmetrizedForm] = Non
                 el[i] = f.from_int(c)
         if el and is_homological(g, el) == "odd":
             push(HomologicalElement(dict(el), "random-odd", None, f"rand{t}"))
-    if include_inhomogeneous and f.p == 2:
-        nh = b.n + b.n_grading
-        simples = list(range(nh, nh + b.n))
-        for size in range(2, b.n + 1):
-            for sub in itertools.combinations(range(b.n), size):
-                el = {simples[i]: f.one for i in sub}
-                if g.parity_of(el) is None and is_homological(g, el) == "ad":
-                    desc = "+".join(f"x{i+1}" for i in sub)
-                    push(HomologicalElement(dict(el), "inhomogeneous-ad", None, desc))
     return out
 
 
 def defect_report(b: BuildResult, form: SymmetrizedForm, seed: int = 0,
-                  samples: int = 200,
-                  include_inhomogeneous: bool = False) -> DefectReport:
+                  samples: int = 200) -> DefectReport:
     """g_max from the diagram, df from the orthogonal isotropic sets, ndf as
     the number of fingerprint classes over the candidate sweep.  On algebras
     of dim > 80 only the first 3 candidates of each adjoint rank are
@@ -273,9 +259,7 @@ def defect_report(b: BuildResult, form: SymmetrizedForm, seed: int = 0,
     g = b.algebra
     diagram = analyze_diagram(b.spec)
     iso = isotropic_orthogonal_sets(b, form)
-    cands = homological_candidates(b, form, seed=seed, samples=samples,
-                                   include_inhomogeneous=include_inhomogeneous)
-    cands = [c for c in cands if c.kind != "inhomogeneous-ad"]
+    cands = homological_candidates(b, iso["max_sets"], seed=seed, samples=samples)
     per_rank = 3 if g.dim > 80 else None
     by_rank: Dict[int, List[HomologicalElement]] = {}
     order: List[int] = []
@@ -317,11 +301,7 @@ def rank_equivalence_check(results: Sequence[DSResult]) -> dict:
                 violations.append(
                     f"fingerprint shared between ranks {fp_to_rank[fp]} and {rank}")
             fp_to_rank[fp] = rank
-    module_table = {}
-    for r in results:
-        for name, mr in r.module_ranks.items():
-            module_table.setdefault(name, {}).setdefault(r.rank_ad, set()).add(mr)
-    return {"ok": not violations, "violations": violations, "module_ranks": module_table}
+    return {"ok": not violations, "violations": violations}
 
 
 def identify(result: DSResult, references: Sequence[Tuple[str, Fingerprint]]) -> str:
@@ -340,8 +320,6 @@ def describe_fingerprint(fp: Fingerprint) -> str:
     parts = []
     if fp.solvable:
         parts.append("solvable")
-    elif fp.nilpotent:
-        parts.append("nilpotent")
     parts.append(f"dim c = {fp.center_sdim[0]}|{fp.center_sdim[1]}")
     ds = ", ".join(f"{a}|{b}" for a, b in fp.derived_sdims)
     parts.append(f"derived sdims [{ds}]")

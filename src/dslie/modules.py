@@ -3,6 +3,8 @@
 The module is spanned by f-words applied to a highest-weight vector v
 (e_i v = 0, h_i v = lambda_i v); a degree-d combination u is radical iff
 all raisings e_j u vanish in the already-reduced degree-(d-1) space.
+Each weight space is reduced by `build.radical_step`, the step that also
+builds g(A) with lowerings in place of raisings.
 The construction only uses the Chevalley triple actions, so it serves
 both g(A) and its first-derived subquotient (the latter requires the
 weight to kill the central combinations of the h_i, which is checked).
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .build import BuildError, BuildResult, grading_rows
-from .linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace
+from .build import BuildError, BuildResult, grading_rows, radical_step
+from .linalg import Matrix, kernel_mod_image, mat_nullspace
 from .superalgebra import Element, el_add, el_addmul, el_scale
 
 
@@ -38,18 +40,6 @@ class ModuleRep:
         ev = sum(1 for p in self.parities if p == 0)
         return ev, len(self.parities) - ev
 
-    def h_value(self, a: int, m: int):
-        """Action eigenvalue of h_a on basis_m (weight of the vector)."""
-        b = self.build
-        fld = b.field
-        t = self.degrees[m]
-        acc = self.lam[a]
-        spec = b.spec
-        for j, tj in enumerate(t):
-            if tj:
-                acc = fld.sub(acc, fld.mul(fld.from_int(tj), spec.entry_scalar(fld, a, j)))
-        return acc
-
     def action_matrix(self, global_idx: int) -> List[list]:
         """Matrix (rows) of the algebra basis element on the module."""
         b = self.build
@@ -57,7 +47,7 @@ class ModuleRep:
         nh = b.n + b.n_grading
         dm = self.dim
         if global_idx < b.n:
-            return _diag([self.h_value(global_idx, m) for m in range(dm)], fld)
+            return _diag([_h_value(b, self.lam, global_idx, t) for t in self.degrees], fld)
         if global_idx < nh:
             # grading element d_t with lambda(d_t) = 0
             drow = grading_rows(b.spec, fld)[global_idx - b.n]
@@ -69,9 +59,9 @@ class ModuleRep:
         npos = len(b.pos_roots)
         if global_idx < nh + npos:
             flat = b.pos_order[global_idx - nh]
-            return self._word_matrix(b.pos_side.nodes[flat].word, positive=True)
+            return self._word_matrix(b.pos_nodes[flat].word, positive=True)
         flat = b.neg_order[global_idx - nh - npos]
-        return self._word_matrix(b.neg_side.nodes[flat].word, positive=False)
+        return self._word_matrix(b.neg_nodes[flat].word, positive=False)
 
     def _gen_matrix(self, i: int, positive: bool) -> List[list]:
         fld = self.build.field
@@ -85,19 +75,19 @@ class ModuleRep:
 
     def _word_matrix(self, word, positive: bool) -> List[list]:
         fld = self.build.field
-        side = self.build.pos_side if positive else self.build.neg_side
+        nodes = self.build.pos_nodes if positive else self.build.neg_nodes
         if word[0] == "g":
             return self._gen_matrix(word[1], positive)
         if word[0] == "sq":
-            z = self._word_matrix(side.nodes[word[1]].word, positive)
+            z = self._word_matrix(nodes[word[1]].word, positive)
             return _mat_mul(z, z, fld)
         _, i, parent = word
         a = self._gen_matrix(i, positive)
-        bmat = self._word_matrix(side.nodes[parent].word, positive)
+        bmat = self._word_matrix(nodes[parent].word, positive)
         ab = _mat_mul(a, bmat, fld)
         ba = _mat_mul(bmat, a, fld)
         pi = self.build.spec.parities[i]
-        pb = side.nodes[parent].parity
+        pb = nodes[parent].parity
         sgn = fld.neg(fld.one) if (fld.p != 2 and pi and pb) else fld.one
         return [[fld.sub(x, fld.mul(sgn, y)) for x, y in zip(r1, r2)]
                 for r1, r2 in zip(ab, ba)]
@@ -111,6 +101,17 @@ class ModuleRep:
             out = [[fld.add(x, fld.mul(c, y)) for x, y in zip(r1, r2)]
                    for r1, r2 in zip(out, mk)]
         return out
+
+
+def _h_value(b: BuildResult, lam: Sequence, a: int, t: Tuple[int, ...]):
+    """Eigenvalue lambda(h_a) - sum_j t_j A_aj of h_a on a vector of lowering
+    multidegree t."""
+    fld = b.field
+    acc = lam[a]
+    for j, tj in enumerate(t):
+        if tj:
+            acc = fld.sub(acc, fld.mul(fld.from_int(tj), b.spec.entry_scalar(fld, a, j)))
+    return acc
 
 
 def _diag(vals, fld) -> List[list]:
@@ -164,30 +165,19 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
             if not fld.is_zero(acc):
                 raise BuildError(
                     f"weight does not vanish on the central combination {combo}")
-    spec = b.spec
-    pars = spec.parities
+    pars = b.spec.parities
     # node bookkeeping
     degrees: List[Tuple[int, ...]] = [tuple(0 for _ in range(n))]
     parities: List[int] = [hw_parity % 2]
-    deg_basis: Dict[int, List[int]] = {0: [0]}
     e_act: List[Dict[int, Element]] = [dict() for _ in range(n)]  # per j: m -> element
     f_act: List[Dict[int, Element]] = [dict() for _ in range(n)]
     for j in range(n):
         e_act[j][0] = {}
 
-    def h_val(a: int, t: Tuple[int, ...]):
-        acc = lam[a]
-        for j, tj in enumerate(t):
-            if tj:
-                acc = fld.sub(acc, fld.mul(fld.from_int(tj), spec.entry_scalar(fld, a, j)))
-        return acc
-
     d = 1
     profile = [1]
-    while True:
-        prev = deg_basis.get(d - 1, [])
-        if not prev:
-            break
+    prev = [0]  # basis vectors of degree d - 1
+    while prev:
         if d > degree_cap or len(degrees) > dim_cap:
             raise BuildError(f"module cap exceeded; growth profile {profile}")
         cands = []
@@ -209,7 +199,7 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
                     # e_j . (f_i . m) = delta_ij h_i . m + (-1)^{p_j p_i} f_i . (e_j . m)
                     acc: Element = {}
                     if j == i:
-                        c = h_val(i, degrees[m])
+                        c = _h_value(b, lam, i, degrees[m])
                         if not fld.is_zero(c):
                             acc = {m: c}
                     up = e_act[j].get(m, {})
@@ -223,31 +213,20 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
                         acc = el_add(fld, acc, el_scale(fld, sgn, moved))
                     per_j.append(acc)
                 raises.append(per_j)
-            cols = sorted({(j, mm) for per in raises for j in range(n) for mm in per[j]})
-            colpos = {c2: t2 for t2, c2 in enumerate(cols)}
-            ech = Echelon(fld, len(cols), track=True)
-            sel_flat: Dict[int, int] = {}
-            for ci, (i, m, _t) in enumerate(group):
-                dense = [fld.zero] * len(cols)
-                for j in range(n):
-                    for mm, c in raises[ci][j].items():
-                        dense[colpos[(j, mm)]] = c
-                piv = ech.add(dense, vid=ci)
-                if piv is not None:
-                    flat = len(degrees)
+            flat_of: Dict[int, int] = {}  # candidate id -> basis index
+            for ci, combo in enumerate(radical_step(fld, n, raises)):
+                i, m, _t = group[ci]
+                if combo is None:
+                    flat = flat_of[ci] = len(degrees)
                     degrees.append(_t)
                     parities.append((parities[m] + pars[i]) % 2)
                     new_idxs.append(flat)
-                    sel_flat[ci] = flat
                     f_act[i][m] = {flat: fld.one}
                     for j in range(n):
-                        ej = e_act[j].setdefault(flat, {})
-                        for mm, c in raises[ci][j].items():
-                            ej[mm] = c
+                        e_act[j][flat] = raises[ci][j]
                 else:
-                    _res, combo = ech.reduce(dense)
-                    f_act[i][m] = {sel_flat[vid]: c for vid, c in combo.items()}
-        deg_basis[d] = new_idxs
+                    f_act[i][m] = {flat_of[vid]: c for vid, c in combo.items()}
+        prev = new_idxs
         profile.append(len(new_idxs))
         d += 1
 

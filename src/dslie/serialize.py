@@ -139,18 +139,11 @@ def build_result_to_dict(b: BuildResult) -> dict:
         "pos_roots": [[list(r), p] for r, p in b.pos_roots],
         "chevalley": b.chevalley,
         "profile": b.profile,
-        "pos_nodes": [_node_to_obj(nd) for nd in b.pos_side.nodes],
-        "neg_nodes": [_node_to_obj(nd) for nd in b.neg_side.nodes],
+        "pos_nodes": [_node_to_obj(nd) for nd in b.pos_nodes],
+        "neg_nodes": [_node_to_obj(nd) for nd in b.neg_nodes],
         "pos_order": b.pos_order,
         "neg_order": b.neg_order,
     }
-
-
-class _LoadedSide:
-    """Read-only stand-in for _Side after a cache reload: only node words."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
 
 
 def build_result_from_dict(o: dict) -> BuildResult:
@@ -161,8 +154,8 @@ def build_result_from_dict(o: dict) -> BuildResult:
         pos_roots=[(tuple(r), p) for r, p in o["pos_roots"]],
         chevalley={k: list(v) for k, v in o["chevalley"].items()},
         profile=o["profile"],
-        pos_side=_LoadedSide([_node_from_obj(x) for x in o["pos_nodes"]]),
-        neg_side=_LoadedSide([_node_from_obj(x) for x in o["neg_nodes"]]),
+        pos_nodes=[_node_from_obj(x) for x in o["pos_nodes"]],
+        neg_nodes=[_node_from_obj(x) for x in o["neg_nodes"]],
         pos_order=o["pos_order"], neg_order=o["neg_order"])
 
 

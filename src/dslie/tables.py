@@ -53,14 +53,12 @@ def chain_reference_names(family: str, a: int, b: int, k: int, p: int) -> List[s
 
 
 def chain_table(family: str, a: int, b: int, p: int,
-                refs: Optional[ReferenceBank] = None,
-                kmax: Optional[int] = None) -> List[dict]:
+                refs: Optional[ReferenceBank] = None) -> List[dict]:
     """Rows (k, rank_ad, sdim g_x, label) for the chain elements."""
     g = family_algebra(family, a, b, p)
     refs = refs or ReferenceBank(p)
-    kmax = kmax or min(a, b)
     rows = []
-    for k in range(1, kmax + 1):
+    for k in range(1, min(a, b) + 1):
         el = chain_element(g, k)
         res = ds_homology(g, el)
         names = []

@@ -1,11 +1,14 @@
 """The radical-recursion builder against the worked cases."""
 
+import hashlib
+
 import pytest
 
 from dslie.build import BuildError, build_g_of_A, parse_sdim
 from dslie.cartan import CartanSpec
-from dslie.catalog import build_catalog_algebra
+from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import gl
+from dslie.serialize import serialize_build
 
 BRJ = [[0, -1], [-2, 1]]
 
@@ -120,3 +123,49 @@ def test_x_element_parsing():
         b.x_element("x11")
     with pytest.raises(ValueError):
         b.x_element("y1")
+
+
+# sha256 (first 16 hex digits) of serialize_build for each catalog entry, built
+# cold; recorded before the builder and the module recursion shared one step
+BUILD_PINS = {
+    "ab(3)@p5": "9a4a282f8eda1435",
+    "ab(3)@p7": "06b025ff9e8b52c7",
+    "ab(3)@p11": "3e3266c9ce95e965",
+    "ag(2)@p5": "6425c1605e34419b",
+    "ag(2)@p7": "f7e7101164bb0c21",
+    "ag(2)@p11": "b4e550defbf5463b",
+    "bgl(3;alpha)@p2": "a5dde9101a07eaa7",
+    "bgl(4;alpha)@p2": "19403786ed1d11e2",
+    "brj(2;3)@p3": "1fd0f2a5d1cb7a2e",
+    "brj(2;5)@p5": "4d1d9c686d39ecd8",
+    "e(6)@p3": "54da188cc65489cd",
+    "e(6,1)@p2": "5f55d25b411f379f",
+    "e(6,6)@p2": "c936cd5549b475bc",
+    "e(7,1)@p2": "2873223f8ad49c2f",
+    "e(7,6)@p2": "b4c73bac05cdafb9",
+    "e(7,7)@p2": "0b12c855ff9157d1",
+    "e(8,1)@p2": "a90a5d29003a135f",
+    "e(8,8)@p2": "e5410fd9b7e0c678",
+    "el(5;3)@p3": "16d225af7ce4e341",
+    "el(5;5)@p5": "0ac342f1b4c8bd94",
+    "g(1,6)@p3": "437a2a29477fd3a0",
+    "g(2,3)@p3": "bd50afa36d049398",
+    "g(2,6)@p3": "1082fda56872f13f",
+    "g(3,3)@p3": "cad2d7ce30cb8e14",
+    "g(3,6)@p3": "af7d81ef756caa87",
+    "g(4,3)@p3": "582b42a150213645",
+    "g(4,6)@p3": "b769f99b5b03f1de",
+    "g(6,6)@p3": "5c5b28c33efeb5f5",
+    "g(8,3)@p3": "a55c81088e5b44c2",
+    "g(8,6)@p3": "584f24163dc58d10",
+    "osp(4|2;a)@p5": "eb8785b03a898a94",
+    "osp(4|2;a)@p7": "bd65dc97e48433e2",
+    "osp(4|2;a)@p11": "23ce7445ad2671c0",
+}
+
+
+def test_catalog_builds_are_pinned():
+    got = {f"{e.key}@p{e.p}": hashlib.sha256(
+        serialize_build(build_g_of_A(e.spec())).encode()).hexdigest()[:16]
+        for e in all_entries()}
+    assert got == BUILD_PINS

@@ -87,7 +87,8 @@ def test_isotropic_orthogonal_sets_gl22_from_cartan():
 
 def test_candidates_brj25(brj25):
     form = symmetrize(brj25.spec)
-    cands = homological_candidates(brj25, form, samples=20)
+    iso = isotropic_orthogonal_sets(brj25, form)
+    cands = homological_candidates(brj25, iso["max_sets"], samples=20)
     descs = [c.description for c in cands if c.kind == "single-root"]
     assert descs == ["x1", "x7", "x8", "x10"]
 

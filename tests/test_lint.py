@@ -1,5 +1,6 @@
 """Static checks on the library sources: every import in src/dslie is used,
-and every function, method and class it defines is named somewhere.
+every function, method and class it defines is named somewhere, and every
+CLI option is read by its command's handler.
 
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
@@ -8,11 +9,16 @@ string (the benchmark's hook table names methods as "Class.method") in
 src/, tests/ or perfbench/ spells it; dunder methods are called implicitly.
 """
 
+import argparse
 import ast
+import inspect
 import os
 import re
+import textwrap
 
 import pytest
+
+from dslie import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "dslie")
@@ -118,3 +124,38 @@ def test_checker_sees_calls_attributes_and_strings():
     used = named(lib) | named(hooks)
     assert [(line, name) for line, name in defined_names(lib) if name not in used] == \
         [(9, "inner"), (12, "orphan")]
+
+
+def unread_options(parser: argparse.ArgumentParser):
+    """(command, dest) of every subcommand option its handler never reads
+    as ``args.<dest>``; ``_cache_dir(args)`` reads ``cache_dir``."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    out = []
+    for command, sub in subs.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(sub.get_default("func"))))
+        read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "_cache_dir" for n in ast.walk(tree)):
+            read.add("cache_dir")
+        out += [(command, a.dest) for a in sub._actions
+                if a.dest != "help" and a.dest not in read]
+    return out
+
+
+def test_every_cli_option_is_read():
+    assert unread_options(cli.make_parser()) == []
+
+
+def _toy_handler(args):
+    return args.used
+
+
+def test_checker_sees_unread_option():
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers(dest="command")
+    go = sub.add_parser("go")
+    go.add_argument("--used")
+    go.add_argument("--unread")
+    go.set_defaults(func=_toy_handler)
+    assert unread_options(ap) == [("go", "unread")]

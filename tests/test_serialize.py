@@ -1,12 +1,15 @@
 """Byte-stable serialization and the content-addressed build cache."""
 
+import hashlib
 import json
 import os
 import shutil
 
 from dslie.build import build_g_of_A
 from dslie.cartan import CartanSpec
-from dslie.catalog import build_catalog_algebra
+from dslie.audit import _parse_weight_entry
+from dslie.catalog import all_entries, build_catalog_algebra
+from dslie.modules import build_irreducible
 from dslie.serialize import (build_result_from_dict, build_result_to_dict,
                              cache_load, cache_path, cache_store, serialize_build,
                              spec_digest, superalgebra_from_dict,
@@ -72,14 +75,42 @@ def test_digest_distinguishes_specs():
     assert spec_digest(s1, 40) != spec_digest(s1, 41)
 
 
+# sha256 (first 16 hex digits) of each catalog module's basis data and of the
+# action matrix of every algebra basis element on it; recorded before the
+# builder and the module recursion shared one step
+MODULE_PINS = {
+    "bgl(3;alpha)@p2/M": "099967e7296c3d3d",
+    "bgl(3;alpha)@p2/Msub": "7c63432d33c40c9f",
+    "bgl(4;alpha)@p2/M": "3d97198f649d437a",
+    "e(6,1)@p2/M": "4bad560271f77dba",
+    "e(6,6)@p2/M": "6357fbe764099acf",
+    "el(5;3)@p3/M": "19787de4e64eb202",
+}
+
+
+def _module_digest(b, m) -> str:
+    lam = [_parse_weight_entry(b.field, s) for s in m["weight"]]
+    rep = build_irreducible(b, lam, hw_parity=m.get("hw_parity", 0), name=m["name"])
+    h = hashlib.sha256(repr((rep.labels, rep.parities, rep.degrees,
+                             rep.f_act, rep.e_act)).encode())
+    for k in range(b.algebra.dim):
+        h.update(repr(rep.action_matrix(k)).encode())
+    return h.hexdigest()[:16]
+
+
 def test_cached_build_supports_modules(tmp_path):
-    from dslie.modules import build_irreducible
     cd = str(tmp_path)
-    build_catalog_algebra("bgl(3;alpha)", 2, cache_dir=cd)
-    b = build_catalog_algebra("bgl(3;alpha)", 2, cache_dir=cd)  # from cache
-    f = b.field
-    m = build_irreducible(b, [f.one, f.zero, f.zero])
-    assert sorted(m.sdim) == [4, 4]
+    fresh, loaded = {}, {}
+    for e in all_entries():
+        if not e.modules:
+            continue
+        b = build_catalog_algebra(e.key, e.p, cache_dir=cd)
+        b2 = build_catalog_algebra(e.key, e.p, cache_dir=cd)  # from cache
+        for m in e.modules:
+            name = f"{e.key}@p{e.p}/{m['name']}"
+            fresh[name] = _module_digest(b, m)
+            loaded[name] = _module_digest(b2, m)
+    assert fresh == loaded == MODULE_PINS
 
 
 def test_truncated_cache_entry_is_rebuilt(tmp_path):
