@@ -10,8 +10,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
+from .fields import field_for
 from .linalg import Matrix, kernel_mod_image, mat_rank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
+
+MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
 
 
 @dataclass
@@ -165,7 +168,8 @@ def isotropic_odd_roots(b: BuildResult) -> List[Tuple[Tuple[int, ...], int]]:
 
 def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
     """Maximal sets of QQ-linearly-independent, pairwise QQ-orthogonal
-    isotropic roots; orthogonality uses integer lifts, never mod p."""
+    isotropic roots; orthogonality uses integer lifts, never mod p.  More
+    than MAX_ORTHOGONAL_SETS sets found is a DSError, not a partial answer."""
     roots = sorted(isotropic_odd_roots(b), reverse=True)
     K0 = form.field
     nr = len(roots)
@@ -174,17 +178,18 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
         for j in range(i + 1, nr):
             orth[i][j] = orth[j][i] = K0.is_zero(root_ip(form, roots[i], roots[j]))
 
+    QQ = field_for(0)
+
     def independent(idxs: Tuple[int, ...]) -> bool:
-        from .fields import field_for
-        QQ = field_for(0)
         rows = [[QQ.from_int(c) for c in roots[i]] for i in idxs]
         return mat_rank(Matrix(QQ, rows, ncols=b.n)) == len(idxs)
 
     maximal: List[Tuple[int, ...]] = []
 
     def extend(cur: Tuple[int, ...], cand: List[int]):
-        if len(maximal) > 5000:
-            return
+        if len(maximal) > MAX_ORTHOGONAL_SETS:
+            raise DSError(f"{b.spec.key}: more than MAX_ORTHOGONAL_SETS = "
+                          f"{MAX_ORTHOGONAL_SETS} maximal orthogonal isotropic sets")
         ext = [c for c in cand if all(orth[c][x] for x in cur)]
         ext = [c for c in ext if independent(cur + (c,))]
         if not ext:

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, RationalField
 
 
 def mod_p_dtype(p: int):
@@ -151,6 +151,10 @@ class Echelon:
         self.pivots: List[int] = []
         self.combos: List[dict] = []  # combo over inserted-vector ids
         self._p = field.p if isinstance(field, PrimeField) else 0
+        self._qq = isinstance(field, RationalField)
+        # scalars are compared with zero as the int 0 over QQ: Fraction's
+        # equality has a fast path for an int and a slow one for a Fraction
+        self._zero = 0 if self._qq else field.zero
 
     def __len__(self):
         return len(self.rows)
@@ -160,6 +164,8 @@ class Echelon:
         p = self._p
         if p:
             return [(x - c * y) % p for x, y in zip(xs, ys)]
+        if self._qq:
+            return [x - c * y if y else x for x, y in zip(xs, ys)]
         f = self.field
         return [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
 
@@ -168,7 +174,7 @@ class Echelon:
         # row r is simply vec[pivot_r] (other rows vanish at that column);
         # only rows whose pivot column is in the support of vec contribute.
         f = self.field
-        zero = f.zero
+        zero = self._zero
         vec = list(vec)
         combo: dict = {}
         hits = [(r, vec[pc]) for r, pc in enumerate(self.pivots) if vec[pc] != zero]
@@ -185,7 +191,7 @@ class Echelon:
         return self._reduce_vec(vec)
 
     def contains(self, vec: list) -> bool:
-        zero = self.field.zero
+        zero = self._zero
         return all(x == zero for x in self._reduce_vec(vec)[0])
 
     def complete_with_units(self) -> List[int]:
@@ -199,7 +205,7 @@ class Echelon:
     def add(self, vec: list, vid=None) -> Optional[int]:
         """Insert vec; returns its pivot column if independent, else None."""
         f = self.field
-        zero = f.zero
+        zero = self._zero
         res, combo = self._reduce_vec(vec)
         piv = next((j for j, x in enumerate(res) if x != zero), None)
         if piv is None:

@@ -28,28 +28,39 @@ bracketed for it.  The center comes from one nullspace, and center ∩ [g, g]
 by a dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
+check_axioms verifies super Jacobi as ad_{[b_i,b_j]} = ad_i ad_j -
+s_ij ad_j ad_i for all pairs i <= j, every column at once, by contracting
+the stored structure constants: only nonzero paths are summed.
+
 invariant_forms solves the invariance equations of an even supersymmetric
 form.  Over GF(p) they are assembled from the nonzero structure constants
 as one integer numpy array (summed mod p, rows scaled to leading entry 1,
-repeated rows dropped) and handed to linalg's elimination as an array;
-over QQ and K(a) the generic triple-by-triple assembly stays.
+repeated rows dropped) and handed to linalg's elimination as an array.
+Over QQ the same array is built modulo a 31-bit prime, and the nullspace
+is lifted by rational reconstruction and certified exactly (see
+_forms_modular); the exact path answers when no prime certifies.  K(a)
+keeps the generic triple-by-triple assembly (see invariant_forms).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField, UsageError
+from .fields import Field, PrimeField, RationalField, UsageError, field_for
 from .linalg import Echelon, Matrix, mat_nullspace, mod_p_dtype
 
 Element = Dict[int, object]
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
+FORMS_PRIMES = (2147483629, 2147483587)  # 31-bit moduli of the QQ invariant forms
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +98,6 @@ def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
     return out
 
 
-def el_neg(f: Field, u: Element) -> Element:
-    return {k: f.neg(x) for k, x in u.items()}
-
-
 def el_from_dense(f: Field, vec: Sequence) -> Element:
     return {i: x for i, x in enumerate(vec) if not f.is_zero(x)}
 
@@ -100,6 +107,19 @@ def el_to_dense(f: Field, u: Element, n: int) -> list:
     for k, c in u.items():
         out[k] = c
     return out
+
+
+def _rational_lift(a: int, q: int) -> Optional[Fraction]:
+    """The r/s with |r|, s <= sqrt(q/2) and r = s a mod q (rational
+    reconstruction, Wang 1981), or None when there is none."""
+    bound = math.isqrt(q // 2)
+    r0, r1, s0, s1 = q, a, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 @dataclass(frozen=True)
@@ -252,12 +272,9 @@ class Superalgebra:
         rows = [[cols[j][m] for j in range(n)] for m in range(n)]
         return Matrix(f, rows, ncols=n)
 
-    def ad_support(self, i: int) -> List[int]:
-        out = []
-        for j in range(self.dim):
-            if self.bracket_basis(i, j):
-                out.append(j)
-        return out
+    def _denominator_lcm(self) -> int:
+        """Over QQ, the lcm of the denominators of the structure constants."""
+        return math.lcm(1, *(c.denominator for v in self.brackets.values() for c in v.values()))
 
     # -- axioms --------------------------------------------------------------
 
@@ -296,26 +313,49 @@ class Superalgebra:
                         if self.weights[k] is not None and self.weights[k] != w2:
                             note(f"weight of s({self.labels[i]})")
 
-        # super Jacobi: ad_{b_i} is a superderivation, checked on all pairs i <= j
+        # super Jacobi: ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for all
+        # pairs i <= j, on every column at once, and at p = 2 the square rule
+        # ad_{s(b_i)} = ad_i^2 for odd b_i.  The sums run over the nonzero
+        # paths of the stored constants: ad[i][k] = [b_i, b_k].  Over GF(p)
+        # and QQ they run in Python integers, reduced mod p once; over QQ
+        # every constant is scaled by the lcm of the denominators, which
+        # keeps the identity since each of its terms is a product of two.
+        qq = isinstance(f, RationalField)
+        native = qq or isinstance(f, PrimeField)
+        den = self._denominator_lcm() if qq else 1
+        ad: List[Dict[int, Element]] = [{} for _ in range(n)]
+        for (i, j) in self.brackets:
+            for a, b in {(i, j), (j, i)}:
+                w = self.bracket_basis(a, b)
+                ad[a][b] = {m: int(c * den) for m, c in w.items()} if qq else w
+        add, mul = (operator.add, operator.mul) if native else (f.add, f.mul)
+        zero, one, minus = (0, 1, -1) if native else (f.zero, f.one, f.neg(f.one))
+        p = f.p if native else 0
+
+        def first_failure(lhs: Element, terms) -> Optional[int]:
+            """Least column k where ad_lhs - sum c ad_x ad_y is nonzero, over
+            the terms (x, y, c)."""
+            acc: Dict[Tuple[int, int], object] = {}
+            for m, c in lhs.items():
+                for k, w in ad[m].items():
+                    for t, e in w.items():
+                        acc[k, t] = add(acc.get((k, t), zero), mul(c, e))
+            for x, y, c in terms:
+                for k, w in ad[y].items():
+                    for l, d in w.items():
+                        for t, e in ad[x].get(l, {}).items():
+                            acc[k, t] = add(acc.get((k, t), zero), mul(c, mul(d, e)))
+            return min((k for (k, _), v in acc.items() if (v % p if p else v != zero)),
+                       default=None)
+
         for i in range(n):
-            supp_i = self.ad_support(i)
             for j in range(i, n):
-                vij = self.bracket_basis(i, j)
-                ks = set(supp_i) | set(self.ad_support(j))
-                if vij:
-                    ks |= set(range(n))
-                sign = f.neg(f.one) if (self.parities[i] and self.parities[j] and f.p != 2) \
-                    else f.one
-                for k in sorted(ks):
-                    lhs = self.bracket(vij, {k: f.one})
-                    t1 = self.bracket({i: f.one}, self.bracket_basis(j, k))
-                    t2 = self.bracket({j: f.one}, self.bracket_basis(i, k))
-                    rhs = el_add(f, t1, el_scale(f, f.neg(sign), t2))
-                    # identity: [[i,j],k] = [i,[j,k]] - (-1)^{p_i p_j} [j,[i,k]]
-                    diff = el_add(f, lhs, el_neg(f, rhs))
-                    if diff:
-                        note(f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
-                        break
+                if not ad[i] or not ad[j]:
+                    continue  # ad_i or ad_j is 0, and so is [b_i, b_j]
+                s_ij = minus if (self.parities[i] and self.parities[j] and f.p != 2) else one
+                k = first_failure(ad[i].get(j, {}), [(i, j, minus), (j, i, s_ij)])
+                if k is not None:
+                    note(f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
                 if len(bad) >= MAX_VIOLATIONS:
                     return bad
 
@@ -330,13 +370,9 @@ class Superalgebra:
             for i in range(n):
                 if self.parities[i] != 1:
                     continue
-                si = (self.squares or {}).get(i, {})
-                for k in range(n):
-                    lhs = self.bracket(si, {k: f.one})
-                    rhs = self.bracket({i: f.one}, self.bracket_basis(i, k))
-                    if el_add(f, lhs, el_neg(f, rhs)):
-                        note(f"[s(x),z] != [x,[x,z]] for x={self.labels[i]}, z={self.labels[k]}")
-                        break
+                k = first_failure((self.squares or {}).get(i, {}), [(i, i, minus)])
+                if k is not None:
+                    note(f"[s(x),z] != [x,[x,z]] for x={self.labels[i]}, z={self.labels[k]}")
         return bad
 
     # -- subspaces ------------------------------------------------------------
@@ -424,19 +460,22 @@ class Superalgebra:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
         {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         f = self.field
-        n = self.dim
         pairs = self._form_pairs()
         if isinstance(f, PrimeField):
-            eqs = self._form_equations_mod_p(pairs)
-        else:
-            # QQ and K(a) keep the generic assembly.  Fast exact elimination
-            # there needs its own certification (a modular solve checked
-            # exactly), and speeding up only these rows would let the slowest
-            # QQ row of the classical-tables benchmark (0.78 s) repeat often
-            # enough per measured window to set its latency tail alone;
-            # K(a) carries the same risk (bgl(4;a) on defect-sweep).
-            eqs = self._form_equations_generic(pairs)
-        sols = mat_nullspace(eqs)
+            return self._forms_of(pairs, mat_nullspace(self._form_equations_mod_p(pairs)))
+        # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
+        # K(a) keeps the generic assembly and Field elimination: made faster
+        # alone, the bgl(4;a) defect op (about 0.3 s) would repeat often
+        # enough per measured window to set the defect-sweep latency tail.
+        forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
+        if forms is None:
+            forms = self._forms_of(pairs, mat_nullspace(self._form_equations_generic(pairs)))
+        return forms
+
+    def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[list]) -> dict:
+        """invariant_forms' answer from nullspace vectors over the pairs."""
+        f = self.field
+        n = self.dim
 
         def to_matrix(sol):
             B = [[f.zero] * n for _ in range(n)]
@@ -451,6 +490,46 @@ class Superalgebra:
             return B
 
         return {"dim": len(sols), "forms": [to_matrix(s) for s in sols]}
+
+    def _forms_modular(self, pairs: List[Tuple[int, int]]) -> Optional[dict]:
+        """The QQ forms from the nullspace mod q, q in FORMS_PRIMES, lifted by
+        rational reconstruction and checked exactly; None when no prime
+        gives a lift that passes.
+
+        The answer equals the exact nullspace: the mod-q nullity is at least
+        the QQ nullity, and each lift keeps the mod-q RREF shape (1 at its
+        own free column, its last nonzero entry; 0 at the other free
+        columns).  Invariant lifts of that shape, as many as the mod-q
+        nullity, are the unique such basis of the QQ nullspace."""
+        den = self._denominator_lcm()
+        for q in FORMS_PRIMES:
+            if den % q == 0:
+                continue
+            lifts = [[_rational_lift(int(a), q) for a in v]
+                     for v in mat_nullspace(self._form_equations_mod_p(pairs, q))]
+            if any(None in v for v in lifts):
+                continue
+            forms = self._forms_of(pairs, lifts)
+            if all(self._is_invariant(B) for B in forms["forms"]):
+                return forms
+        return None
+
+    def _is_invariant(self, B: List[list]) -> bool:
+        """B([b_i,b_j], b_k) = B(b_i, [b_j,b_k]) for all i, j, k, summed over
+        the nonzero structure constants and the nonzero entries of B."""
+        f = self.field
+        n = self.dim
+        rows = [{k: c for k, c in enumerate(r) if not f.is_zero(c)} for r in B]
+        cols = [{i: B[i][m] for i in range(n) if not f.is_zero(B[i][m])} for m in range(n)]
+        acc: Dict[Tuple[int, int, int], object] = {}
+        for (i, j) in self.brackets:
+            for a, b in {(i, j), (j, i)}:
+                for m, c in self.bracket_basis(a, b).items():
+                    for k, e in rows[m].items():  # B([b_a,b_b], b_k) in equation (a, b, k)
+                        acc[a, b, k] = f.add(acc.get((a, b, k), f.zero), f.mul(c, e))
+                    for l, e in cols[m].items():  # B(b_l, [b_a,b_b]) in equation (l, a, b)
+                        acc[l, a, b] = f.sub(acc.get((l, a, b), f.zero), f.mul(c, e))
+        return all(f.is_zero(v) for v in acc.values())
 
     def _form_pairs(self) -> List[Tuple[int, int]]:
         """The variables of an even supersymmetric form: the entries B_ij,
@@ -513,9 +592,11 @@ class Superalgebra:
                         eq_rows.append(row)
         return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in eq_rows], ncols=len(pairs))
 
-    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]]) -> Matrix:
-        """The equations of _form_equations_generic over GF(p), as one integer
-        array with one row per distinct equation.
+    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]],
+                              q: Optional[int] = None) -> Matrix:
+        """The equations of _form_equations_generic modulo q (default: the
+        characteristic p of GF(p); over QQ a prime dividing no denominator),
+        as one integer array with one row per distinct equation.
 
         Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
         B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
@@ -524,17 +605,18 @@ class Superalgebra:
         equation is scaled to leading entry 1, and duplicates are removed on
         the bytes of the sparse row, so only distinct rows are made dense."""
         f = self.field
-        p, n, nv = f.p, self.dim, len(pairs)
+        p, n, nv = q or f.p, self.dim, len(pairs)
         if not self.brackets and not self.squares:  # abelian: no equation
-            return Matrix(f, np.zeros((0, nv), dtype=mod_p_dtype(p)))
+            return Matrix(field_for(p), np.zeros((0, nv), dtype=mod_p_dtype(p)))
         var = np.full((n, n), -1, dtype=np.int64)  # B_ab = sgn[a, b] * x[var[a, b]]
         lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         var[lo, hi] = var[hi, lo] = np.arange(nv)
         sgn = np.ones((n, n), dtype=np.int64)
-        if p != 2:  # B_ji = -B_ij for odd i < j
+        if f.p != 2:  # B_ji = -B_ij for odd i < j
             odd = np.array(self.parities)[lo] == 1
             sgn[hi[odd], lo[odd]] = -1
-        consts = [(a, b, m, c) for (i, j) in self.brackets for a, b in {(i, j), (j, i)}
+        consts = [(a, b, m, c if f.p else c.numerator * pow(c.denominator, -1, p) % p)
+                  for (i, j) in self.brackets for a, b in {(i, j), (j, i)}
                   for m, c in self.bracket_basis(a, b).items()]
         I, J, M, C = np.array(consts, dtype=np.int64).reshape(-1, 4).T
         ks = np.arange(n)
@@ -543,7 +625,7 @@ class Superalgebra:
         rows = [((I * n + J) * n)[:, None] + ks, ks * n * n + (I * n + J)[:, None]]
         cols = [var[M], var[:, M].T]
         vals = [C[:, None] * sgn[M], -C[:, None] * sgn[:, M].T]
-        if p == 2:
+        if f.p == 2:
             sq = np.array([(i, m, c) for i, v in self.squares.items() for m, c in v.items()],
                           dtype=np.int64).reshape(-1, 3)
             rows.append((n ** 3 + sq[:, 0] * n)[:, None] + ks)
@@ -582,7 +664,7 @@ class Superalgebra:
         on = distinct[eq]
         dense = np.zeros((int(distinct.sum()), nv), dtype=mod_p_dtype(p))
         dense[row_of[eq[on]], v[on]] = c[on]
-        return Matrix(f, dense)
+        return Matrix(field_for(p), dense)
 
     def fingerprint(self) -> Fingerprint:
         ss = self.structure_series()

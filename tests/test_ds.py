@@ -2,6 +2,7 @@
 
 import pytest
 
+from dslie import ds
 from dslie.cartan import symmetrize
 from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, psl
@@ -70,6 +71,18 @@ def test_isotropic_orthogonal_sets_brj25(brj25):
     iso = isotropic_orthogonal_sets(brj25, form)
     assert iso["df"] == 1  # no QQ-orthogonal pair among the four
     assert all(len(s) == 1 for s in iso["max_sets"])
+
+
+def test_isotropic_orthogonal_sets_past_the_cap_is_an_error(brj25, monkeypatch):
+    # brj(2;5) has four maximal sets; with room for one the search must
+    # fail, not report df and max_sets from the first one
+    form = symmetrize(brj25.spec)
+    assert len(isotropic_orthogonal_sets(brj25, form)["max_sets"]) == 4
+    monkeypatch.setattr(ds, "MAX_ORTHOGONAL_SETS", 1)
+    with pytest.raises(DSError, match="MAX_ORTHOGONAL_SETS = 1"):
+        isotropic_orthogonal_sets(brj25, form)
+    with pytest.raises(DSError, match="MAX_ORTHOGONAL_SETS"):
+        defect_report(brj25, form, samples=1)
 
 
 def test_isotropic_orthogonal_sets_gl22_from_cartan():

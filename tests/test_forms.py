@@ -1,4 +1,4 @@
-"""Invariant forms over prime fields.
+"""Invariant forms over prime fields and over QQ.
 
 Over GF(p) the invariance equations B([b_i,b_j], b_k) = B(b_i, [b_j,b_k])
 (and, at p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled
@@ -7,19 +7,30 @@ The differential test checks that this system has the same row space as
 the generic assembly, which builds every equation triple by triple; the
 pinned test fixes the invariant_forms() output byte for byte by the sha256
 of (dim, forms).
+
+Over QQ the same array is built modulo a 31-bit prime, its nullspace is
+lifted by rational reconstruction, and every lifted form is checked
+exactly; the exact path (generic assembly, Fraction elimination) answers
+when no prime gives a lift that passes.  The QQ pins were recorded on the
+exact path.
 """
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dslie import superalgebra
 from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
-from dslie.linalg import rref
-from dslie.superalgebra import FORMS_DIM_CUTOFF, Superalgebra, direct_sum
+from dslie.linalg import Matrix, mat_nullspace, mat_rank, rref
+from dslie.superalgebra import FORMS_DIM_CUTOFF, FORMS_PRIMES, Superalgebra, direct_sum
+from dslie.tables import chain_element, family_algebra
 from test_subquotient import _p2_heisenberg
 
 P31 = 2147483629  # a 31-bit prime: p^2 needs the int64 elimination
@@ -134,3 +145,107 @@ def test_edge_inputs():
     assert g.squares
     squares_free = Superalgebra(g.field, g.labels, g.parities, g.brackets, {}, None)
     assert (g.invariant_forms()["dim"], squares_free.invariant_forms()["dim"]) == (6, 7)
+
+
+QQ = field_for(0)
+
+
+def _sq3_gl_k1(cache_dir):
+    g = family_algebra("gl", 3, 3, 0)
+    return ds_homology(g, chain_element(g, 1)).homology
+
+
+ALGEBRAS_QQ = {
+    "gl(2|1)/p0": lambda c: gl(2, 1, 0),
+    "sl(2|2)/p0": lambda c: sl(2, 2, 0),
+    "psl(2|2)/p0": lambda c: psl(2, 2, 0),
+    "osp(3|2)/p0": lambda c: osp(3, 2, 0),
+    "sq3/gl/p0/k1": _sq3_gl_k1,
+}
+
+# sha256 of repr((dim, forms)), recorded on the exact path (generic
+# assembly and Fraction elimination) before the modular solve existed
+PINNED_QQ = {
+    "gl(2|1)/p0": "fc35daed9f92df5013d08f5f18194ad81311525c2a5fb44c6bb16deaab8cc80c",
+    "sl(2|2)/p0": "58030347bf444be74b052cf0c705ac6a78d23beb6b85ecdc220b46a85f300f05",
+    "psl(2|2)/p0": "e2811fe66c94c7a3e95a63d281d0aeeafc3179e430107cbb3f61252381268a84",
+    "osp(3|2)/p0": "cde3b49cbafbb82dc48e1ec4e68e13155103bc14f8e0fb8dd77eb57baf94f2b4",
+    "sq3/gl/p0/k1": "75a3d7133269085f9b49a17c8f6d6e30932b3a951a77d77222ba99ecc1f0a370",
+}
+
+
+def _exact(g: Superalgebra) -> dict:
+    pairs = g._form_pairs()
+    return g._forms_of(pairs, mat_nullspace(g._form_equations_generic(pairs)))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS_QQ))
+def test_qq_forms_pinned_and_certified(cache_dir, name):
+    g = ALGEBRAS_QQ[name](cache_dir)
+    assert _digest(g.invariant_forms()) == PINNED_QQ[name]
+    # the modular path answered, not the fallback
+    assert _digest(g._forms_modular(g._form_pairs())) == PINNED_QQ[name]
+
+
+SMALL_QQ = [lambda: gl(1, 1, 0), lambda: osp(1, 2, 0), lambda: sl(2, 1, 0), lambda: gl(2, 1, 0)]
+ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(which=st.integers(0, len(SMALL_QQ) - 1), data=st.data())
+def test_qq_forms_match_exact_after_rational_basis_change(which, data):
+    """Random invertible parity-preserving rational basis changes give
+    non-integral constants; the modular answer equals the exact one."""
+    g = SMALL_QQ[which]()
+    n = g.dim
+    T = [[data.draw(ENTRIES) if g.parities[i] == g.parities[a] else QQ.zero
+          for a in range(n)] for i in range(n)]
+    assume(mat_rank(Matrix(QQ, T)) == n)
+    h = g.transform_basis(T)
+    assert repr(h.invariant_forms()) == repr(_exact(h))
+
+
+def _one_constant(c) -> Superalgebra:
+    """[x, y] = c y over QQ: the forms are the multiples of B(x, x) = 1 when
+    c != 0, but modulo a prime dividing c the bracket vanishes and all
+    three entries are free."""
+    return Superalgebra(QQ, ["x", "y"], [0, 0], {(0, 1): {1: QQ.from_int(c)}})
+
+
+def _count_exact_assemblies(monkeypatch) -> list:
+    calls = []
+    generic = Superalgebra._form_equations_generic
+
+    def spy(self, pairs):
+        calls.append(self.dim)
+        return generic(self, pairs)
+
+    monkeypatch.setattr(Superalgebra, "_form_equations_generic", spy)
+    return calls
+
+
+def test_a_prime_that_loses_rank_is_rejected(monkeypatch):
+    calls = _count_exact_assemblies(monkeypatch)
+    q1, q2 = FORMS_PRIMES
+    one_form = {"dim": 1, "forms": [[[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]]}
+    # mod q1 the lifts B(x, y) = 1 and B(y, y) = 1 are not invariant over QQ;
+    # the next prime certifies the answer
+    assert _one_constant(q1).invariant_forms() == one_form and calls == []
+    # both primes divide the constant: the exact path answers
+    assert _one_constant(q1 * q2).invariant_forms() == one_form and calls == [2]
+    assert _one_constant(1).invariant_forms() == one_form
+
+
+def test_small_prime_forces_the_exact_path(monkeypatch):
+    monkeypatch.setattr(superalgebra, "FORMS_PRIMES", (3,))
+    calls = _count_exact_assemblies(monkeypatch)
+    # a constant divisible by 3: the mod-3 lifts fail the exact check
+    assert _one_constant(3).invariant_forms()["dim"] == 1
+    # a denominator divisible by 3: the prime is skipped
+    g = gl(2, 1, 0)
+    third = [[Fraction(1, 3) if i == a else QQ.zero for a in range(g.dim)] for i in range(g.dim)]
+    h = g.transform_basis(third)
+    assert any(c.denominator == 3 for v in h.brackets.values() for c in v.values())
+    forms = h.invariant_forms()
+    assert calls == [2, 9]
+    assert repr(forms) == repr(_exact(h))
