@@ -10,7 +10,9 @@ the lifts over QQ (or QQ(a)) and never reduced mod p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .fields import Field, field_for
@@ -147,17 +149,9 @@ def symmetrize(spec: CartanSpec) -> SymmetrizedForm:
                     f"d_{i}*A[{i}][{j}] != d_{j}*A[{j}][{i}]")
     if not spec.parametric:
         # minimal positive integer scaling
-        from fractions import Fraction
-        dens = [Fraction(x).denominator for x in d]
-        lcm = 1
-        for q in dens:
-            g = _gcd(lcm, q)
-            lcm = lcm // g * q
-        d = [Fraction(x) * lcm for x in d]
-        from math import gcd as _g
-        cont = 0
-        for x in d:
-            cont = _g(cont, abs(x.numerator))
+        scale = math.lcm(*(Fraction(x).denominator for x in d))
+        d = [Fraction(x) * scale for x in d]
+        cont = math.gcd(*(x.numerator for x in d))
         if cont:
             d = [x / cont for x in d]
         if all(x < 0 for x in d):
@@ -165,11 +159,6 @@ def symmetrize(spec: CartanSpec) -> SymmetrizedForm:
         d = [K0.from_int(int(x)) if x.denominator == 1 else x for x in d]
     B = [[K0.mul(d[i], A[i][j]) for j in range(n)] for i in range(n)]
     return SymmetrizedForm(spec=spec, d=d, B=B, field=K0)
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(int(a), int(b))
 
 
 def root_ip(form: SymmetrizedForm, beta, gamma):

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
 from .fields import field_for
-from .linalg import Matrix, kernel_mod_image, mat_rank
+from .linalg import Echelon, kernel_mod_image, mat_rank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
 
 MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
@@ -179,27 +179,24 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
             orth[i][j] = orth[j][i] = K0.is_zero(root_ip(form, roots[i], roots[j]))
 
     QQ = field_for(0)
-
-    def independent(idxs: Tuple[int, ...]) -> bool:
-        rows = [[QQ.from_int(c) for c in roots[i]] for i in idxs]
-        return mat_rank(Matrix(QQ, rows, ncols=b.n)) == len(idxs)
-
+    vecs = [[QQ.from_int(c) for c in r] for r in roots]
     maximal: List[Tuple[int, ...]] = []
 
-    def extend(cur: Tuple[int, ...], cand: List[int]):
+    def extend(cur: Tuple[int, ...], span: Echelon, cand: List[int]):
+        """Grow cur, whose QQ span is span, by the candidates orthogonal to
+        it and independent of it."""
         if len(maximal) > MAX_ORTHOGONAL_SETS:
             raise DSError(f"{b.spec.key}: more than MAX_ORTHOGONAL_SETS = "
                           f"{MAX_ORTHOGONAL_SETS} maximal orthogonal isotropic sets")
-        ext = [c for c in cand if all(orth[c][x] for x in cur)]
-        ext = [c for c in ext if independent(cur + (c,))]
+        ext = [c for c in cand if all(orth[c][x] for x in cur) and not span.contains(vecs[c])]
         if not ext:
             if cur and not any(set(cur) < set(mx) for mx in maximal):
                 maximal.append(cur)
             return
         for t, c in enumerate(ext):
-            extend(cur + (c,), ext[t + 1:])
+            extend(cur + (c,), Echelon(QQ, b.n).extend(span.rows + [vecs[c]]), ext[t + 1:])
 
-    extend(tuple(), list(range(nr)))
+    extend(tuple(), Echelon(QQ, b.n), list(range(nr)))
     # deduplicate non-maximal leftovers
     maximal = [m for m in maximal if not any(set(m) < set(m2) for m2 in maximal if m2 != m)]
     df = max((len(m) for m in maximal), default=0)

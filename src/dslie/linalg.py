@@ -41,6 +41,13 @@ def mod_p_dtype(p: int):
     return np.int16 if p * p < 2**15 else np.int64
 
 
+def zero_of(field: Field):
+    """The value a scalar is compared with (== or !=) to test it for zero:
+    the int 0 over QQ, since Fraction's equality has a fast path for an int
+    and a slow one for a Fraction; the field's zero otherwise."""
+    return 0 if isinstance(field, RationalField) else field.zero
+
+
 class Matrix:
     """Dense matrix over one Field; entries stored row-major in canonical form.
 
@@ -152,9 +159,7 @@ class Echelon:
         self.combos: List[dict] = []  # combo over inserted-vector ids
         self._p = field.p if isinstance(field, PrimeField) else 0
         self._qq = isinstance(field, RationalField)
-        # scalars are compared with zero as the int 0 over QQ: Fraction's
-        # equality has a fast path for an int and a slow one for a Fraction
-        self._zero = 0 if self._qq else field.zero
+        self._zero = zero_of(field)
 
     def __len__(self):
         return len(self.rows)

@@ -33,13 +33,14 @@ s_ij ad_j ad_i for all pairs i <= j, every column at once, by contracting
 the stored structure constants: only nonzero paths are summed.
 
 invariant_forms solves the invariance equations of an even supersymmetric
-form.  Over GF(p) they are assembled from the nonzero structure constants
-as one integer numpy array (summed mod p, rows scaled to leading entry 1,
-repeated rows dropped) and handed to linalg's elimination as an array.
-Over QQ the same array is built modulo a 31-bit prime, and the nullspace
-is lifted by rational reconstruction and certified exactly (see
-_forms_modular); the exact path answers when no prime certifies.  K(a)
-keeps the generic triple-by-triple assembly (see invariant_forms).
+form, assembled from the nonzero structure constants on every field.  Over
+GF(p) they form one integer numpy array (summed mod p, rows scaled to
+leading entry 1, repeated rows dropped) handed to linalg's elimination as
+an array.  Over QQ the same array is built modulo a 31-bit prime, and the
+nullspace is lifted by rational reconstruction and certified exactly (see
+_forms_modular).  Over K(a), and over QQ when no prime certifies, the
+equations are Field rows, one per nonzero equation in (i, j, k) order
+(see _form_equations).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import Field, PrimeField, RationalField, UsageError, field_for
-from .linalg import Echelon, Matrix, mat_nullspace, mod_p_dtype
+from .linalg import Echelon, Matrix, mat_nullspace, mod_p_dtype, zero_of
 
 Element = Dict[int, object]
 
@@ -99,7 +100,8 @@ def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
 
 
 def el_from_dense(f: Field, vec: Sequence) -> Element:
-    return {i: x for i, x in enumerate(vec) if not f.is_zero(x)}
+    zero = zero_of(f)
+    return {i: x for i, x in enumerate(vec) if x != zero}
 
 
 def el_to_dense(f: Field, u: Element, n: int) -> list:
@@ -232,6 +234,13 @@ class Superalgebra:
             return self.brackets.get((i, i), {})
         return {}
 
+    def ordered_brackets(self):
+        """(a, b, [b_a, b_b]) for every nonzero bracket of two basis vectors,
+        both orders of each stored pair, the sign applied."""
+        for (i, j) in self.brackets:
+            for a, b in {(i, j), (j, i)}:
+                yield a, b, self.bracket_basis(a, b)
+
     def bracket(self, u: Element, v: Element) -> Element:
         f = self.field
         out: Element = {}
@@ -324,10 +333,8 @@ class Superalgebra:
         native = qq or isinstance(f, PrimeField)
         den = self._denominator_lcm() if qq else 1
         ad: List[Dict[int, Element]] = [{} for _ in range(n)]
-        for (i, j) in self.brackets:
-            for a, b in {(i, j), (j, i)}:
-                w = self.bracket_basis(a, b)
-                ad[a][b] = {m: int(c * den) for m, c in w.items()} if qq else w
+        for a, b, w in self.ordered_brackets():
+            ad[a][b] = {m: int(c * den) for m, c in w.items()} if qq else w
         add, mul = (operator.add, operator.mul) if native else (f.add, f.mul)
         zero, one, minus = (0, 1, -1) if native else (f.zero, f.one, f.neg(f.one))
         p = f.p if native else 0
@@ -398,10 +405,9 @@ class Superalgebra:
         f = self.field
         n = self.dim
         rows: Dict[Tuple[int, int], list] = {}
-        for (i, j) in self.brackets:
-            for a, b in {(i, j), (j, i)}:
-                for m, c in self.bracket_basis(a, b).items():
-                    rows.setdefault((b, m), [f.zero] * n)[a] = c
+        for a, b, w in self.ordered_brackets():
+            for m, c in w.items():
+                rows.setdefault((b, m), [f.zero] * n)[a] = c
         return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
 
     # -- series, flags, fingerprint -------------------------------------------
@@ -464,29 +470,26 @@ class Superalgebra:
         if isinstance(f, PrimeField):
             return self._forms_of(pairs, mat_nullspace(self._form_equations_mod_p(pairs)))
         # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
-        # K(a) keeps the generic assembly and Field elimination: made faster
-        # alone, the bgl(4;a) defect op (about 0.3 s) would repeat often
-        # enough per measured window to set the defect-sweep latency tail.
+        # K(a) keeps every nonzero equation, repeats included, and Field
+        # elimination: made faster alone, the bgl(4;a) defect op (about 0.3 s)
+        # would repeat often enough per measured window to set the
+        # defect-sweep latency tail.
         forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
         if forms is None:
-            forms = self._forms_of(pairs, mat_nullspace(self._form_equations_generic(pairs)))
+            forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))
         return forms
 
     def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[list]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
         f = self.field
         n = self.dim
+        var = self._form_variables(pairs)
 
         def to_matrix(sol):
             B = [[f.zero] * n for _ in range(n)]
-            for idx, (i, j) in enumerate(pairs):
-                c = sol[idx]
-                if f.is_zero(c):
-                    continue
-                B[i][j] = c
-                if i != j:
-                    sgn = f.neg(f.one) if (self.parities[i] and self.parities[j] and f.p != 2) else f.one
-                    B[j][i] = f.mul(sgn, c)
+            for (a, b), (t, neg) in var.items():
+                if not f.is_zero(sol[t]):
+                    B[a][b] = f.neg(sol[t]) if neg else sol[t]
             return B
 
         return {"dim": len(sols), "forms": [to_matrix(s) for s in sols]}
@@ -522,13 +525,12 @@ class Superalgebra:
         rows = [{k: c for k, c in enumerate(r) if not f.is_zero(c)} for r in B]
         cols = [{i: B[i][m] for i in range(n) if not f.is_zero(B[i][m])} for m in range(n)]
         acc: Dict[Tuple[int, int, int], object] = {}
-        for (i, j) in self.brackets:
-            for a, b in {(i, j), (j, i)}:
-                for m, c in self.bracket_basis(a, b).items():
-                    for k, e in rows[m].items():  # B([b_a,b_b], b_k) in equation (a, b, k)
-                        acc[a, b, k] = f.add(acc.get((a, b, k), f.zero), f.mul(c, e))
-                    for l, e in cols[m].items():  # B(b_l, [b_a,b_b]) in equation (l, a, b)
-                        acc[l, a, b] = f.sub(acc.get((l, a, b), f.zero), f.mul(c, e))
+        for a, b, w in self.ordered_brackets():
+            for m, c in w.items():
+                for k, e in rows[m].items():  # B([b_a,b_b], b_k) in equation (a, b, k)
+                    acc[a, b, k] = f.add(acc.get((a, b, k), f.zero), f.mul(c, e))
+                for l, e in cols[m].items():  # B(b_l, [b_a,b_b]) in equation (l, a, b)
+                    acc[l, a, b] = f.sub(acc.get((l, a, b), f.zero), f.mul(c, e))
         return all(f.is_zero(v) for v in acc.values())
 
     def _form_pairs(self) -> List[Tuple[int, int]]:
@@ -539,62 +541,58 @@ class Superalgebra:
                 if self.parities[i] == self.parities[j]
                 and not (i == j and self.parities[i] == 1 and odd_zero)]
 
-    def _form_equations_generic(self, pairs: List[Tuple[int, int]]) -> Matrix:
+    def _form_variables(self, pairs: List[Tuple[int, int]]) -> Dict[Tuple[int, int], tuple]:
+        """(a, b) -> (t, neg) for every entry that may be nonzero: B_ab is
+        x_t, or -x_t when neg, where x_t is the variable of pairs[t].
+        Supersymmetry gives B_ba = -B_ab for odd a != b (p != 2)."""
+        var = {}
+        for t, (i, j) in enumerate(pairs):
+            var[i, j] = (t, False)
+            var[j, i] = (t, self.field.p != 2 and i != j and self.parities[i] == 1)
+        return var
+
+    def _form_equations(self, pairs: List[Tuple[int, int]]) -> Matrix:
         """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
         (i, j, k), and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]]) = 0
-        per odd b_i; dense rows over any field, zero rows dropped."""
+        per odd b_i and every k, as dense Field rows: zero equations dropped,
+        the rest sorted by (i, j, k) with the square equations (i, k) last.
+
+        Each nonzero structure constant C[a,b,m] adds C at B(b_m, b_k) to
+        equation (a, b, k) and -C at B(b_l, b_m) to equation (l, a, b), for
+        every k and l; entries of one (equation, variable) are summed."""
         f = self.field
         n = self.dim
-        pair_idx = {ij: t for t, ij in enumerate(pairs)}
+        var = self._form_variables(pairs)
+        right = [[(k,) + var[m, k] for k in range(n) if (m, k) in var] for m in range(n)]
+        left = [[(l,) + var[l, m] for l in range(n) if (l, m) in var] for m in range(n)]
+        eqs: Dict[int, Dict[int, object]] = {}  # (i, j, k) is i n^2 + j n + k
 
-        def b_coeff(row, i, j, c):
-            # B_ji = (-1)^{p_i p_j} B_ij
-            if i <= j:
-                key, sgn = (i, j), f.one
-            else:
-                sgn = f.neg(f.one) if (self.parities[i] and self.parities[j] and f.p != 2) else f.one
-                key = (j, i)
-            k = pair_idx.get(key)
-            if k is None:
-                return
-            row[k] = f.add(row.get(k, f.zero), f.mul(sgn, c))
+        def put(e: int, t: int, c):
+            row = eqs.setdefault(e, {})
+            row[t] = f.add(row[t], c) if t in row else c
 
-        eq_rows: List[Dict[int, object]] = []
-        for i in range(n):
-            for j in range(n):
-                vij = self.bracket_basis(i, j)
-                for k in range(n):
-                    vjk = self.bracket_basis(j, k)
-                    if not vij and not vjk:
-                        continue
-                    row: Dict[int, object] = {}
-                    for m, c in vij.items():
-                        b_coeff(row, m, k, c)
-                    for m, c in vjk.items():
-                        b_coeff(row, i, m, f.neg(c))
-                    row = {a: b for a, b in row.items() if not f.is_zero(b)}
-                    if row:
-                        eq_rows.append(row)
-        if f.p == 2 and self.squares is not None:
-            for i in range(n):
-                if self.parities[i] != 1:
-                    continue
-                si = (self.squares or {}).get(i, {})
-                for k in range(n):
-                    vik = self.bracket({i: f.one}, self.bracket_basis(i, k))
-                    row = {}
-                    for m, c in si.items():
-                        b_coeff(row, m, k, c)
-                    for m, c in vik.items():
-                        b_coeff(row, i, m, f.neg(c))
-                    row = {a: b for a, b in row.items() if not f.is_zero(b)}
-                    if row:
-                        eq_rows.append(row)
-        return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in eq_rows], ncols=len(pairs))
+        for a, b, w in self.ordered_brackets():
+            for m, c in w.items():
+                cs = (c, f.neg(c))  # cs[s] is (-1)^s c
+                for k, t, neg in right[m]:
+                    put((a * n + b) * n + k, t, cs[neg])
+                for l, t, neg in left[m]:
+                    put((l * n + a) * n + b, t, cs[not neg])
+        if f.p == 2:  # the square equation (i, k) is n^3 + i n + k; no sign
+            for i in (i for i in range(n) if self.parities[i]):
+                for m, c in self.squares.get(i, {}).items():
+                    for k, t, _ in right[m]:
+                        put(n ** 3 + i * n + k, t, c)
+                for k in range(n):  # b_m in [b_i, [b_i, b_k]]
+                    for m, c in self.bracket({i: f.one}, self.bracket_basis(i, k)).items():
+                        if (i, m) in var:
+                            put(n ** 3 + i * n + k, var[i, m][0], f.neg(c))
+        rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
+        return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in rows if r], ncols=len(pairs))
 
     def _form_equations_mod_p(self, pairs: List[Tuple[int, int]],
                               q: Optional[int] = None) -> Matrix:
-        """The equations of _form_equations_generic modulo q (default: the
+        """The equations of _form_equations modulo q (default: the
         characteristic p of GF(p); over QQ a prime dividing no denominator),
         as one integer array with one row per distinct equation.
 
@@ -616,8 +614,7 @@ class Superalgebra:
             odd = np.array(self.parities)[lo] == 1
             sgn[hi[odd], lo[odd]] = -1
         consts = [(a, b, m, c if f.p else c.numerator * pow(c.denominator, -1, p) % p)
-                  for (i, j) in self.brackets for a, b in {(i, j), (j, i)}
-                  for m, c in self.bracket_basis(a, b).items()]
+                  for a, b, w in self.ordered_brackets() for m, c in w.items()]
         I, J, M, C = np.array(consts, dtype=np.int64).reshape(-1, 4).T
         ks = np.arange(n)
         # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
@@ -699,6 +696,7 @@ class Superalgebra:
         """
         f = self.field
         n = self.dim
+        zero_scalar = zero_of(f)
         span = Echelon(f, n, track=True)
         for t, r in enumerate(basis_rows):
             if span.add(zero.reduce(r)[0] if zero is not None else r, vid=t) is None:
@@ -709,7 +707,7 @@ class Superalgebra:
             if zero is not None:
                 vec = zero.reduce(vec)[0]
             res, combo = span.reduce(vec)
-            if any(not f.is_zero(x) for x in res):
+            if any(x != zero_scalar for x in res):
                 raise ValueError("bracket leaves the subquotient span")
             return {t: combo[t] for t in sorted(combo)}
 

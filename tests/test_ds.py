@@ -3,15 +3,19 @@
 import pytest
 
 from dslie import ds
-from dslie.cartan import symmetrize
-from dslie.catalog import build_catalog_algebra
+from dslie.cartan import root_ip, symmetrize
+from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import abelian, gl, psl
 from dslie.ds import (DSError, adjoint_rank, defect_report, ds_homology,
                       homological_candidates, identify, is_homological,
                       isotropic_odd_roots, isotropic_orthogonal_sets,
                       rank_equivalence_check, single_root_candidates)
+from dslie.fields import field_for
+from dslie.linalg import Matrix, mat_rank
 from dslie.superalgebra import el_add
 from dslie.tables import chain_element, family_algebra
+
+QQ = field_for(0)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,44 @@ def test_isotropic_orthogonal_sets_past_the_cap_is_an_error(brj25, monkeypatch):
         isotropic_orthogonal_sets(brj25, form)
     with pytest.raises(DSError, match="MAX_ORTHOGONAL_SETS"):
         defect_report(brj25, form, samples=1)
+
+
+def _reference_orthogonal_sets(b, form) -> dict:
+    """The earlier search: the QQ rank of the whole candidate set at every
+    extension step."""
+    roots = sorted(isotropic_odd_roots(b), reverse=True)
+    K0 = form.field
+    orth = {(i, j): K0.is_zero(root_ip(form, r, s))
+            for i, r in enumerate(roots) for j, s in enumerate(roots)}
+
+    def independent(idxs):
+        rows = [[QQ.from_int(c) for c in roots[i]] for i in idxs]
+        return mat_rank(Matrix(QQ, rows, ncols=b.n)) == len(idxs)
+
+    maximal = []
+
+    def extend(cur, cand):
+        ext = [c for c in cand if all(orth[c, x] for x in cur)]
+        ext = [c for c in ext if independent(cur + (c,))]
+        if not ext:
+            if cur and not any(set(cur) < set(mx) for mx in maximal):
+                maximal.append(cur)
+            return
+        for t, c in enumerate(ext):
+            extend(cur + (c,), ext[t + 1:])
+
+    extend((), list(range(len(roots))))
+    maximal = [m for m in maximal if not any(set(m) < set(m2) for m2 in maximal if m2 != m)]
+    return {"isotropic_roots": roots, "max_sets": sorted({tuple(roots[i] for i in m)
+                                                          for m in maximal}),
+            "df": max((len(m) for m in maximal), default=0)}
+
+
+@pytest.mark.parametrize("ent", all_entries(), ids=lambda e: f"{e.key}@p{e.p}")
+def test_isotropic_orthogonal_sets_match_the_rank_reference(ent, cache_dir):
+    b = build_catalog_algebra(ent.key, ent.p, cache_dir=cache_dir)
+    form = symmetrize(b.spec)
+    assert isotropic_orthogonal_sets(b, form) == _reference_orthogonal_sets(b, form)
 
 
 def test_isotropic_orthogonal_sets_gl22_from_cartan():

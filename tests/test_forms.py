@@ -1,18 +1,20 @@
-"""Invariant forms over prime fields and over QQ.
+"""Invariant forms over prime fields, over QQ and over K(a).
 
-Over GF(p) the invariance equations B([b_i,b_j], b_k) = B(b_i, [b_j,b_k])
-(and, at p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled
-from the structure constants as one integer array without duplicate rows.
-The differential test checks that this system has the same row space as
-the generic assembly, which builds every equation triple by triple; the
-pinned test fixes the invariant_forms() output byte for byte by the sha256
-of (dim, forms).
+The invariance equations B([b_i,b_j], b_k) = B(b_i, [b_j,b_k]) (and, at
+p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled from the
+nonzero structure constants on every field.  _reference_equations below is
+the brute-force assembly over all n^3 basis triples; the library's Field
+assembly (used over K(a) and as the exact QQ path) must give its rows in
+its order, and the GF(p) integer array, deduplicated and scaled, its row
+space.  The pinned tests fix the invariant_forms() output byte for byte by
+the sha256 of (dim, forms).
 
-Over QQ the same array is built modulo a 31-bit prime, its nullspace is
+Over QQ the integer array is built modulo a 31-bit prime, its nullspace is
 lifted by rational reconstruction, and every lifted form is checked
-exactly; the exact path (generic assembly, Fraction elimination) answers
+exactly; the exact path (Field assembly, Fraction elimination) answers
 when no prime gives a lift that passes.  The QQ pins were recorded on the
-exact path.
+exact path, and the K(a) pins on the triple loop before the Field assembly
+replaced it.
 """
 
 import hashlib
@@ -77,7 +79,7 @@ ALGEBRAS = {
 }
 
 # sha256 of repr((dim, forms)).  The forms were first pinned, with a
-# nondegenerate flag since removed, on the generic triple-by-triple assembly
+# nondegenerate flag since removed, on the triple loop (_reference_equations)
 # over every field; these values were recorded from the code that passed
 # those pins, just before the flag was removed.
 PINNED = {
@@ -107,6 +109,61 @@ PINNED = {
 }
 
 
+def _reference_equations(g: Superalgebra, pairs) -> Matrix:
+    """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
+    (i, j, k) in order, and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]])
+    = 0 per odd b_i and k; dense rows over any field, zero rows dropped."""
+    f = g.field
+    n = g.dim
+    pair_idx = {ij: t for t, ij in enumerate(pairs)}
+
+    def b_coeff(row, i, j, c):
+        # B_ji = (-1)^{p_i p_j} B_ij
+        if i <= j:
+            key, sgn = (i, j), f.one
+        else:
+            sgn = f.neg(f.one) if (g.parities[i] and g.parities[j] and f.p != 2) else f.one
+            key = (j, i)
+        k = pair_idx.get(key)
+        if k is None:
+            return
+        row[k] = f.add(row.get(k, f.zero), f.mul(sgn, c))
+
+    eq_rows = []
+    for i in range(n):
+        for j in range(n):
+            vij = g.bracket_basis(i, j)
+            for k in range(n):
+                vjk = g.bracket_basis(j, k)
+                if not vij and not vjk:
+                    continue
+                row = {}
+                for m, c in vij.items():
+                    b_coeff(row, m, k, c)
+                for m, c in vjk.items():
+                    b_coeff(row, i, m, f.neg(c))
+                row = {a: b for a, b in row.items() if not f.is_zero(b)}
+                if row:
+                    eq_rows.append(row)
+    if f.p == 2:
+        for i in range(n):
+            if g.parities[i] != 1:
+                continue
+            si = g.squares.get(i, {})
+            for k in range(n):
+                vik = g.bracket({i: f.one}, g.bracket_basis(i, k))
+                row = {}
+                for m, c in si.items():
+                    b_coeff(row, m, k, c)
+                for m, c in vik.items():
+                    b_coeff(row, i, m, f.neg(c))
+                row = {a: b for a, b in row.items() if not f.is_zero(b)}
+                if row:
+                    eq_rows.append(row)
+    return Matrix(f, [[r.get(t, f.zero) for t in range(len(pairs))] for r in eq_rows],
+                  ncols=len(pairs))
+
+
 def _digest(res) -> str:
     return hashlib.sha256(repr((res["dim"], res["forms"])).encode()).hexdigest()
 
@@ -122,7 +179,7 @@ def test_array_assembly_matches_generic(cache_dir, name):
     p = g.field.p
     pairs = g._form_pairs()
     fast = g._form_equations_mod_p(pairs)
-    generic = g._form_equations_generic(pairs)
+    generic = _reference_equations(g, pairs)
     assert isinstance(fast.rows, np.ndarray) and fast.ncols == generic.ncols == len(pairs)
     assert rref(fast) == rref(generic)
     # reduced mod p, no zero row, leading entries 1, no repeated row
@@ -176,7 +233,7 @@ PINNED_QQ = {
 
 def _exact(g: Superalgebra) -> dict:
     pairs = g._form_pairs()
-    return g._forms_of(pairs, mat_nullspace(g._form_equations_generic(pairs)))
+    return g._forms_of(pairs, mat_nullspace(_reference_equations(g, pairs)))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS_QQ))
@@ -214,13 +271,13 @@ def _one_constant(c) -> Superalgebra:
 
 def _count_exact_assemblies(monkeypatch) -> list:
     calls = []
-    generic = Superalgebra._form_equations_generic
+    exact = Superalgebra._form_equations
 
     def spy(self, pairs):
         calls.append(self.dim)
-        return generic(self, pairs)
+        return exact(self, pairs)
 
-    monkeypatch.setattr(Superalgebra, "_form_equations_generic", spy)
+    monkeypatch.setattr(Superalgebra, "_form_equations", spy)
     return calls
 
 
@@ -249,3 +306,60 @@ def test_small_prime_forces_the_exact_path(monkeypatch):
     forms = h.invariant_forms()
     assert calls == [2, 9]
     assert repr(forms) == repr(_exact(h))
+
+
+KA2 = field_for(2, parametric=True)
+
+
+def _p2a_heisenberg() -> Superalgebra:
+    """dim 3|3 over GF(2)(a): [h, o1] = a o1, [h, o2] = a o2, [o1, o2] =
+    a c1 + c2, s(o1) = a c1, s(o2) = c2; c1, c2 central."""
+    f, a = KA2, KA2.param()
+    return Superalgebra(f, ["h", "c1", "c2", "o1", "o2", "o3"], [0, 0, 0, 1, 1, 1],
+                        {(0, 3): {3: a}, (0, 4): {4: a}, (3, 4): {1: a, 2: f.one}},
+                        {3: {1: a}, 4: {2: f.one}}, None)
+
+
+ALGEBRAS_KA = {
+    "bgl(4;alpha)/x1": lambda c: _homology(c, "bgl(4;alpha)", 2, "x1"),
+    "bgl(3;alpha)/p2": lambda c: build_catalog_algebra("bgl(3;alpha)", 2, cache_dir=c).algebra,
+    "osp(4|2;a)/p5": lambda c: build_catalog_algebra("osp(4|2;a)", 5, cache_dir=c).algebra,
+    "p2a-heisenberg": lambda c: _p2a_heisenberg(),
+}
+
+# sha256 of repr((dim, forms)), recorded on the triple loop
+# (_reference_equations) before the Field assembly replaced it
+PINNED_KA = {
+    "bgl(4;alpha)/x1": "1854a656b9528a82f8da0f8c86fd484ec03c06ddaf4aea2136f509f27678731d",
+    "bgl(3;alpha)/p2": "d61561eac76247d80e4322785ffa1ae335c7b0cc9959b7ee78b42e4eea43084f",
+    "osp(4|2;a)/p5": "4d986bca572bf06f07ae612bb052ca4db48893855b10197069f6b5114e002f40",
+    "p2a-heisenberg": "87030fd5d80beb1e11c1760fe4cf426f59a1f7b32f5f4142126d79b673505a81",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS_KA))
+def test_ka_forms_pinned(cache_dir, name):
+    g = ALGEBRAS_KA[name](cache_dir)
+    assert g.field.spec.parametric
+    assert _digest(g.invariant_forms()) == PINNED_KA[name]
+
+
+def test_ka_squares_add_equations():
+    g = _p2a_heisenberg()
+    assert g.check_axioms() == []
+    squares_free = Superalgebra(g.field, g.labels, g.parities, g.brackets, {}, None)
+    assert (g.invariant_forms()["dim"], squares_free.invariant_forms()["dim"]) == (2, 5)
+
+
+EVERY_FIELD = {**ALGEBRAS, **ALGEBRAS_QQ, **ALGEBRAS_KA}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FIELD))
+def test_field_assembly_gives_the_reference_rows(cache_dir, name):
+    """The assembly from the nonzero constants gives the triple loop's rows,
+    in its order, over GF(p), QQ and K(a)."""
+    g = EVERY_FIELD[name](cache_dir)
+    pairs = g._form_pairs()
+    got, want = g._form_equations(pairs), _reference_equations(g, pairs)
+    assert got.ncols == want.ncols == len(pairs)
+    assert got.rows == want.rows

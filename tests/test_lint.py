@@ -1,6 +1,6 @@
-"""Static checks on the library sources: every import in src/dslie is used,
-every function, method and class it defines is named somewhere, and every
-CLI option is read by its command's handler.
+"""Static checks on the library sources: every import in src/dslie is used
+and sits at module level, every function, method and class it defines is
+named somewhere, and every CLI option is read by its command's handler.
 
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
@@ -71,6 +71,32 @@ def test_checker_sees_annotations_and_all():
     src = ("from typing import List, Optional\nimport re\nfrom x import A, B, C\n"
            "__all__ = ['C']\ndef f(a: 'Optional[A]') -> List[int]:\n    pass\n")
     assert unused_imports(src) == [(2, "re"), (3, "B")]
+
+
+def local_imports(source: str):
+    """(line, module) of every import inside a function or class body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Import):
+                    out |= {(sub.lineno, a.name) for a in sub.names}
+                elif isinstance(sub, ast.ImportFrom):
+                    out.add((sub.lineno, "." * sub.level + (sub.module or "")))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_local_imports(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert local_imports(fh.read()) == []
+
+
+def test_checker_sees_local_imports():
+    src = ("import os\nclass K:\n    import re\n    def m(self):\n"
+           "        from math import gcd\n        def inner():\n            import json\n"
+           "        return gcd\ndef f():\n    from . import x\n    return x\n")
+    assert local_imports(src) == [(3, "re"), (5, "math"), (7, "json"), (10, ".")]
 
 
 def defined_names(source: str):
