@@ -6,11 +6,27 @@ is spanned by [e_i, b] over the degree-(d-1) basis b (plus, for p = 2
 and d even, formal squares s(z) of odd degree-(d/2) basis z); a
 combination is radical iff all its lowerings by f_j vanish in the
 already-reduced degree-(d-1) space, so the quotient basis falls out of
-one deterministic elimination per root, `radical_step`.  The negative side
-runs the same recursion with e and f exchanged, and `modules` runs it on
-highest-weight modules with raisings in place of lowerings.  When A is
-singular over the ground field, grading elements are adjoined to h so
+one deterministic elimination per root, `radical_step`.  `modules` runs
+it on highest-weight modules with raisings in place of lowerings.  When A
+is singular over the ground field, grading elements are adjoined to h so
 that weights separate.
+
+Only the positive side is built; two facts give the rest exactly.
+
+1. The negative side is the same build.  Its recursion (e and f
+   exchanged, weights negated, [e_i, f_i] = h_i) gives every lowering
+   vector [f_j, y_m] as the positive side's [e_j, x_m] times (-1)^{p(j)}:
+   for the weight term and the generator h-term this is the ratio of
+   -w to kappa_i w with kappa_i = -(-1)^{p(i)}, and induction through the
+   raisings carries it up.  Scaling a column block of `radical_step`'s
+   input by +-1 changes neither which candidates are new nor their
+   combinations, so the nodes, raisings and squares agree and
+   [y_a, y_b] has the constants of [x_a, x_b].
+2. The mixed brackets come in mirrored pairs.  The super Chevalley
+   automorphism theta(e_i) = f_i, theta(f_i) = (-1)^{p(i)} e_i,
+   theta(h) = -h (grading elements included) keeps the defining
+   relations, maps x_m to y_m and y_m to (-1)^{p(m)} x_m, so
+   [x_a, y_b] = -(-1)^{p(a) + p(a)p(b)} theta([x_b, y_a]).
 """
 
 from __future__ import annotations
@@ -245,7 +261,7 @@ class BuildResult:
     chevalley: Dict[str, List[int]]               # 'e','f','h' -> basis indices
     profile: List[int]
     pos_nodes: List[_Node]   # word data for module actions, in build order
-    neg_nodes: List[_Node]
+    neg_nodes: List[_Node]   # the same nodes: y_m has the word of x_m with f for e
     pos_order: List[int]     # basis position -> node index
     neg_order: List[int]
 
@@ -296,43 +312,27 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
 
     p2 = fld.p == 2
     minus_one = fld.neg(fld.one)
-    # [f_i, e_i] = -(-1)^{p_i} h_i on the positive side, [e_i, f_i] = h_i on the negative
+    # [f_i, e_i] = -(-1)^{p_i} h_i: the h-part of lowering the generator e_i
     cross_pos = [fld.one if (p2 or spec.parities[i]) else minus_one for i in range(n)]
     pos = _Side(fld, n, spec.parities, weight_of, cross_pos, degree_cap, dim_cap)
     pos.build()
-    neg = _Side(fld, n, spec.parities, lambda i, root: fld.neg(weight_of(i, root)),
-                [fld.one] * n, degree_cap, dim_cap)
-    neg.build()
-
-    def order(side: _Side) -> List[int]:
-        return sorted(range(len(side.nodes)),
-                      key=lambda m: (side.nodes[m].degree,
-                                     tuple(-c for c in side.nodes[m].root), m))
-
-    pos_order, neg_order = order(pos), order(neg)
-    # equal ordered root lists also make every root multiplicity symmetric
-    if [pos.nodes[m].root for m in pos_order] != [neg.nodes[m].root for m in neg_order]:
-        raise BuildError(f"{spec.key}: positive/negative root sets differ")
+    # fact 1 of the module docstring: these nodes are also the negative side's, y_m for x_m
+    nodes = pos.nodes
+    order = sorted(range(len(nodes)),
+                   key=lambda m: (nodes[m].degree, tuple(-c for c in nodes[m].root), m))
 
     nh = n + k
-    npos = len(pos_order)
+    npos = len(order)
     dim = nh + 2 * npos
-    pos_global = {m: nh + t for t, m in enumerate(pos_order)}
-    neg_global = {m: nh + npos + t for t, m in enumerate(neg_order)}
+    pos_global = {m: nh + t for t, m in enumerate(order)}
+    neg_global = {m: nh + npos + t for t, m in enumerate(order)}
 
     labels = [f"h{i+1}" for i in range(n)] + [f"d{t+1}" for t in range(k)]
-    parities = [0] * nh
+    labels += ["x%d" % (t + 1) for t in range(npos)] + ["y%d" % (t + 1) for t in range(npos)]
+    parities = [0] * nh + [nodes[m].parity for m in order] * 2
     weights: List[Tuple[int, ...]] = [tuple(0 for _ in range(n))] * nh
-    for m in pos_order:
-        nd = pos.nodes[m]
-        labels.append("x%d" % (pos_global[m] - nh + 1))
-        parities.append(nd.parity)
-        weights.append(nd.root)
-    for m in neg_order:
-        nd = neg.nodes[m]
-        labels.append("y%d" % (neg_global[m] - nh - npos + 1))
-        parities.append(nd.parity)
-        weights.append(tuple(-c for c in nd.root))
+    weights += [nodes[m].root for m in order]
+    weights += [tuple(-c for c in nodes[m].root) for m in order]
 
     def h_weight(a: int, root: Tuple[int, ...]):
         if a < n:
@@ -341,7 +341,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         return fld.from_int(root[m])
 
     def lift(glob: Dict[int, int], el: Element) -> Element:
-        """An element over one side's nodes, over global indices."""
+        """An element over the nodes, over global indices on one side."""
         return {glob[m]: c for m, c in el.items()}
 
     memo_mixed: Dict[Tuple[int, int], Element] = {}
@@ -365,14 +365,13 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             c = h_weight(a, weights[b])
             return {} if fld.is_zero(c) else {b: c}
         # both are root vectors now
-        if a < nh + npos and b < nh + npos:
-            fa, fb = pos_order[a - nh], pos_order[b - nh]
-            return lift(pos_global, pos.bracket_flat(fa, fb))
-        if a >= nh + npos and b >= nh + npos:
-            fa, fb = neg_order[a - nh - npos], neg_order[b - nh - npos]
-            return lift(neg_global, neg.bracket_flat(fa, fb))
+        if b < nh + npos:
+            return lift(pos_global, pos.bracket_flat(order[a - nh], order[b - nh]))
+        if a >= nh + npos:
+            return lift(neg_global, pos.bracket_flat(order[a - nh - npos],
+                                                     order[b - nh - npos]))
         # a positive, b negative
-        return mixed(pos_order[a - nh], neg_order[b - nh - npos])
+        return mixed(order[a - nh], order[b - nh - npos])
 
     def bracket_elem_glob(a: int, el: Element) -> Element:
         out: Element = {}
@@ -380,13 +379,30 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             out = el_addmul(fld, out, c, glob_bracket(a, b))
         return out
 
+    def mirrored(ma: int, mb: int, w: Element) -> Element:
+        """[x_ma, y_mb] from w = [x_mb, y_ma] by fact 2 of the module docstring."""
+        pa = nodes[ma].parity
+        s = (1 + pa + pa * nodes[mb].parity) % 2  # 1 when -(-1)^{p(a)+p(a)p(b)} is -1
+        out: Element = {}
+        for g, c in w.items():
+            if g < nh:
+                flip, g2 = 1 - s, g
+            elif g < nh + npos:
+                flip, g2 = s, g + npos
+            else:
+                flip, g2 = s ^ parities[g], g - npos
+            out[g2] = fld.neg(c) if flip else c
+        return out
+
     def mixed(mp: int, mn: int) -> Element:
-        """[pos node mp, neg node mn] as a global element."""
+        """[x_mp, y_mn] as a global element."""
         key = (mp, mn)
         if key in memo_mixed:
             return memo_mixed[key]
-        np_, nn = pos.nodes[mp], neg.nodes[mn]
-        if np_.degree == 1:
+        np_, nn = nodes[mp], nodes[mn]
+        if (mn, mp) in memo_mixed:
+            out = mirrored(mp, mn, memo_mixed[(mn, mp)])
+        elif np_.degree == 1:
             i = np_.word[1]
             if nn.degree == 1:
                 j = nn.word[1]
@@ -396,7 +412,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
                 j, bprime = nn.word[1], nn.word[2]
                 out = {}
                 if i == j:
-                    c = fld.neg(weight_of(i, neg.nodes[bprime].root))
+                    c = fld.neg(weight_of(i, nodes[bprime].root))
                     if not fld.is_zero(c):
                         out = {neg_global[bprime]: c}
                 inner = mixed(mp, bprime)
@@ -414,7 +430,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             t1 = bracket_elem_glob(pos_global[i], mixed(aprime, mn))
             t2 = bracket_elem_glob(pos_global[aprime], mixed(i, mn))
             sgn = fld.one
-            if not p2 and spec.parities[i] and pos.nodes[aprime].parity:
+            if not p2 and spec.parities[i] and nodes[aprime].parity:
                 sgn = minus_one
             out = el_add(fld, t1, el_scale(fld, fld.neg(sgn), t2))
         memo_mixed[key] = out
@@ -429,10 +445,9 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             if w:
                 brackets[(a, b)] = w
     if p2:
-        for side, side_order, glob in ((pos, pos_order, pos_global),
-                                       (neg, neg_order, neg_global)):
-            for m in side_order:
-                s = side.sq_tab.get(m) if side.nodes[m].parity else None
+        for glob in (pos_global, neg_global):
+            for m in order:
+                s = pos.sq_tab.get(m) if nodes[m].parity else None
                 if s:
                     squares[glob[m]] = lift(glob, s)
 
@@ -444,11 +459,10 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     alg = Superalgebra(fld, labels, parities, brackets, squares or None, weights,
                        chevalley={k2: [{i: fld.one} for i in v]
                                   for k2, v in chevalley.items()})
-    pos_roots = [(pos.nodes[m].root, pos.nodes[m].parity) for m in pos_order]
+    pos_roots = [(nodes[m].root, nodes[m].parity) for m in order]
     res = BuildResult(spec=spec, field=fld, algebra=alg, n=n, n_grading=k,
                       pos_roots=pos_roots, chevalley=chevalley, profile=pos.profile,
-                      pos_nodes=pos.nodes, neg_nodes=neg.nodes, pos_order=pos_order,
-                      neg_order=neg_order)
+                      pos_nodes=nodes, neg_nodes=nodes, pos_order=order, neg_order=order)
 
     if want is not None and res.sdim != want:
         raise BuildError(

@@ -184,11 +184,12 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
 
     def extend(cur: Tuple[int, ...], span: Echelon, cand: List[int]):
         """Grow cur, whose QQ span is span, by the candidates orthogonal to
-        it and independent of it."""
+        it and independent of it.  The candidates are already orthogonal to
+        all of cur but its newest member."""
         if len(maximal) > MAX_ORTHOGONAL_SETS:
             raise DSError(f"{b.spec.key}: more than MAX_ORTHOGONAL_SETS = "
                           f"{MAX_ORTHOGONAL_SETS} maximal orthogonal isotropic sets")
-        ext = [c for c in cand if all(orth[c][x] for x in cur) and not span.contains(vecs[c])]
+        ext = [c for c in cand if (not cur or orth[c][cur[-1]]) and not span.contains(vecs[c])]
         if not ext:
             if cur and not any(set(cur) < set(mx) for mx in maximal):
                 maximal.append(cur)

@@ -9,6 +9,7 @@ from . import classical
 from .catalog import build_catalog_algebra
 from .fields import UsageError
 from .superalgebra import Fingerprint, Superalgebra, direct_sum
+from .tables import family_algebra
 
 
 class ReferenceBank:
@@ -37,7 +38,7 @@ class ReferenceBank:
         p = self.p
         fam = classical.parse_key(name)
         if fam:
-            return classical.classical(*fam, p)
+            return family_algebra(*fam, p)
         m = re.fullmatch(r"osp\((\d+)\|(\d+)\)", name)
         if m:
             return classical.osp(int(m.group(1)), int(m.group(2)), p)

@@ -3,11 +3,10 @@ gl/sl/psl(a|b) realized on elementary matrices (alternating format)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import classical
 from .ds import ds_homology, identify
-from .references import ReferenceBank
 from .superalgebra import Element, Superalgebra
 
 _FAMILY_CACHE: Dict[Tuple[str, int, int, int], Superalgebra] = {}
@@ -52,11 +51,10 @@ def chain_reference_names(family: str, a: int, b: int, k: int, p: int) -> List[s
     return names
 
 
-def chain_table(family: str, a: int, b: int, p: int,
-                refs: Optional[ReferenceBank] = None) -> List[dict]:
-    """Rows (k, rank_ad, sdim g_x, label) for the chain elements."""
+def chain_table(family: str, a: int, b: int, p: int, refs) -> List[dict]:
+    """Rows (k, rank_ad, sdim g_x, label) for the chain elements; refs is the
+    references.ReferenceBank the labels are fingerprinted from."""
     g = family_algebra(family, a, b, p)
-    refs = refs or ReferenceBank(p)
     rows = []
     for k in range(1, min(a, b) + 1):
         el = chain_element(g, k)

@@ -4,9 +4,9 @@ import hashlib
 
 import pytest
 
-from dslie.build import BuildError, build_g_of_A, parse_sdim
+from dslie.build import BuildError, _Side, build_g_of_A, parse_sdim
 from dslie.cartan import CartanSpec
-from dslie.catalog import all_entries, build_catalog_algebra
+from dslie.catalog import all_entries, build_catalog_algebra, catalog_get
 from dslie.classical import gl
 from dslie.serialize import serialize_build
 
@@ -169,3 +169,156 @@ def test_catalog_builds_are_pinned():
         serialize_build(build_g_of_A(e.spec())).encode()).hexdigest()[:16]
         for e in all_entries()}
     assert got == BUILD_PINS
+
+
+# Cartan data built by hand, outside the catalog: over QQ, QQ(a) and small p
+HAND_SPECS = {
+    "G(3)": CartanSpec(key="G3", p=0, entries=[[0, 1, 0], [-1, 2, -3], [0, -1, 2]],
+                       parities=[1, 0, 0]),
+    "F(4)": CartanSpec(key="F4", p=0, entries=[[0, 1, 0, 0], [-1, 2, -2, 0],
+                                               [0, -1, 2, -1], [0, 0, -1, 2]],
+                       parities=[1, 0, 0, 0]),
+    "sl(2|1)": CartanSpec(key="sl21", p=0, entries=[[2, -1], [-1, 0]], parities=[0, 1]),
+    "sl(2|1) swapped": CartanSpec(key="sl21b", p=0, entries=[[0, -1], [-1, 2]],
+                                  parities=[1, 0]),
+    "osp(4|2;a)": CartanSpec(key="osp42a", p=0, entries=[[0, 1, ("a", 1)], [-1, 2, 0],
+                                                         [-1, 0, 2]], parities=[1, 0, 0]),
+    "gl(2|2)": CartanSpec(key="gl22", p=0, entries=[[0, 1, 0], [1, 0, -1], [0, -1, 0]],
+                          parities=[1, 1, 1]),
+    "osp(3|2)": CartanSpec(key="osp32", p=0, entries=[[0, 1], [-1, 1]], parities=[1, 1]),
+    "osp(1|2)": CartanSpec(key="osp12", p=0, entries=[[2]], parities=[1]),
+    "g2": CartanSpec(key="g2", p=0, entries=[[2, -1], [-3, 2]], parities=[0, 0]),
+    "g2@p7": CartanSpec(key="g2p7", p=7, entries=[[2, -1], [-3, 2]], parities=[0, 0]),
+    "osp(3|2)@p5": CartanSpec(key="osp32p5", p=5, entries=[[0, 1], [-1, 1]],
+                              parities=[1, 1]),
+    "gl(2|2)@p2": CartanSpec(key="gl22p2", p=2, entries=[[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                             parities=[1, 1, 1]),
+    "osp(4|2;a)@p3": CartanSpec(key="osp42a3", p=3, entries=[[0, 1, ("a", 1)], [-1, 2, 0],
+                                                             [-1, 0, 2]], parities=[1, 0, 0]),
+}
+
+# sha256 (first 16 hex digits) of serialize_build, recorded while g(A) was
+# still built from two triangular sides and every mixed bracket recursively
+HAND_PINS = {
+    "G(3)": ("6aefbb01254336ae", (17, 14)),
+    "F(4)": ("ca23450e8ab15583", (24, 16)),
+    "sl(2|1)": ("427b9a187268d422", (4, 4)),
+    "sl(2|1) swapped": ("c3b2abd6d13018c2", (4, 4)),
+    "osp(4|2;a)": ("56effc3a3f360451", (9, 8)),
+    "gl(2|2)": ("4f09126e07ca7d8a", (8, 8)),
+    "osp(3|2)": ("a6e70a4346569d15", (6, 6)),
+    "osp(1|2)": ("4f9bf5e26bfa9344", (3, 2)),
+    "g2": ("14b77f8df2521468", (14, 0)),
+    "g2@p7": ("cd57023ddc11d805", (14, 0)),
+    "osp(3|2)@p5": ("0c25e1af210f86e8", (6, 6)),
+    "gl(2|2)@p2": ("aae68e14fe13ef60", (8, 8)),
+    "osp(4|2;a)@p3": ("d04aafeb93a3545d", (9, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PINS))
+def test_hand_built_algebras_are_pinned(name):
+    b = build_g_of_A(HAND_SPECS[name])
+    got = hashlib.sha256(serialize_build(b).encode()).hexdigest()[:16]
+    assert (got, b.sdim) == HAND_PINS[name]
+    assert b.algebra.check_axioms() == []
+
+
+def test_degree_cap_message_is_unchanged():
+    with pytest.raises(BuildError) as err:
+        build_g_of_A(CartanSpec(key="affine", p=0,
+                                entries=[[2, -2], [-2, 2]], parities=[0, 0]),
+                     degree_cap=12)
+    assert str(err.value) == ("degree cap 12 exceeded; growth profile "
+                              "[2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1]")
+
+
+def _both_sides(spec):
+    """The positive side as build_g_of_A makes it, and the negative side with
+    the parameters it was built with before it was read off the positive
+    one: weights negated and [e_i, f_i] = h_i."""
+    fld, n = spec.field(), spec.n
+    A = [[spec.entry_scalar(fld, i, j) for j in range(n)] for i in range(n)]
+
+    def weight_of(i, root):
+        acc = fld.zero
+        for j, c in enumerate(root):
+            acc = fld.add(acc, fld.mul(fld.from_int(c), A[i][j]))
+        return acc
+
+    minus_one = fld.neg(fld.one)
+    cross = [fld.one if (fld.p == 2 or spec.parities[i]) else minus_one for i in range(n)]
+    pos = _Side(fld, n, spec.parities, weight_of, cross, 40)
+    neg = _Side(fld, n, spec.parities, lambda i, root: fld.neg(weight_of(i, root)),
+                [fld.one] * n, 40)
+    pos.build()
+    neg.build()
+    return fld, pos, neg
+
+
+SIDE_SPECS = [HAND_SPECS["G(3)"], HAND_SPECS["gl(2|2)"], HAND_SPECS["osp(4|2;a)"],
+              HAND_SPECS["gl(2|2)@p2"], catalog_get("bgl(3;alpha)", 2).spec(),
+              catalog_get("e(6,1)", 2).spec(), catalog_get("brj(2;3)", 3).spec(),
+              catalog_get("g(2,3)", 3).spec(), catalog_get("brj(2;5)", 5).spec(),
+              catalog_get("osp(4|2;a)", 5).spec()]
+
+
+@pytest.mark.parametrize("spec", SIDE_SPECS, ids=lambda s: f"{s.key}@p{s.p}")
+def test_negative_side_is_the_positive_side(spec):
+    fld, pos, neg = _both_sides(spec)
+    assert [(nd.word, nd.root, nd.parity, nd.degree) for nd in neg.nodes] == \
+        [(nd.word, nd.root, nd.parity, nd.degree) for nd in pos.nodes]
+    assert neg.raise_tab == pos.raise_tab
+    assert neg.sq_tab == pos.sq_tab
+    assert neg.profile == pos.profile
+    # the lowering vectors differ by (-1)^{p(j)} in the j-th lowering
+    for m, lows in pos.lower.items():
+        for j, v in enumerate(lows):
+            sgn = fld.neg(fld.one) if spec.parities[j] else fld.one
+            assert neg.lower[m][j] == {b: fld.mul(sgn, c) for b, c in v.items()}
+
+
+def _theta(b, el):
+    """The super Chevalley automorphism on an element of a built algebra:
+    h -> -h, x_t -> y_t, y_t -> (-1)^{p(y_t)} x_t."""
+    f, g = b.field, b.algebra
+    nh, npos = b.n + b.n_grading, len(b.pos_roots)
+    out = {}
+    for k, c in el.items():
+        if k < nh:
+            out[k] = f.neg(c)
+        elif k < nh + npos:
+            out[k + npos] = c
+        else:
+            out[k - npos] = f.neg(c) if g.parities[k] else c
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_g_of_A(HAND_SPECS["gl(2|2)"]),
+    lambda: build_g_of_A(HAND_SPECS["osp(4|2;a)"]),
+    lambda: build_g_of_A(catalog_get("brj(2;5)", 5).spec()),
+    lambda: build_g_of_A(catalog_get("bgl(3;alpha)", 2).spec()),
+], ids=["gl(2|2)@p0", "osp(4|2;a)@p0", "brj(2;5)@p5", "bgl(3;alpha)@p2"])
+def test_chevalley_automorphism_on_the_stored_constants(make):
+    b = make()
+    g, f = b.algebra, b.field
+    nh, npos = b.n + b.n_grading, len(b.pos_roots)
+    unit = [{k: f.one} for k in range(g.dim)]
+    for u in range(g.dim):
+        for v in range(g.dim):
+            assert _theta(b, g.bracket(unit[u], unit[v])) == \
+                g.bracket(_theta(b, unit[u]), _theta(b, unit[v]))
+    if f.p == 2:
+        for u in range(g.dim):
+            if g.parities[u]:
+                assert _theta(b, g.square(unit[u])) == g.square(_theta(b, unit[u]))
+    # the mirrored form the builder uses:
+    # [x_a, y_b] = -(-1)^{p(a) + p(a)p(b)} theta([x_b, y_a])
+    for a in range(npos):
+        for c in range(npos):
+            pa, pc = g.parities[nh + a], g.parities[nh + c]
+            sgn = f.one if (pa + pa * pc) % 2 else f.neg(f.one)
+            mirror = _theta(b, g.bracket(unit[nh + c], unit[nh + npos + a]))
+            assert g.bracket(unit[nh + a], unit[nh + npos + c]) == \
+                {k: f.mul(sgn, w) for k, w in mirror.items()}

@@ -9,6 +9,7 @@ from dslie.ds import describe_fingerprint, ds_homology, identify
 from dslie.fields import UsageError
 from dslie.references import ReferenceBank
 from dslie.superalgebra import Fingerprint
+from dslie.tables import family_algebra
 
 
 def test_reference_bank_names(cache_dir):
@@ -22,6 +23,13 @@ def test_reference_bank_names(cache_dir):
     assert bank.algebra("gl(2)").sdim == (4, 0)
     with pytest.raises(UsageError, match="unknown reference algebra 'nosuch\\(9\\)'"):
         bank.algebra("nosuch(9)")
+
+
+def test_reference_bank_shares_the_family_cache():
+    """A gl/sl/psl reference is the algebra the chain tables use, built once."""
+    bank = ReferenceBank(3)
+    assert bank.algebra("gl(2|2)") is family_algebra("gl", 2, 2, 3)
+    assert family_algebra("psl", 3, 0, 3) is bank.algebra("psl(3)")
 
 
 def test_reference_subquotient(cache_dir):
