@@ -313,10 +313,6 @@ class FunctionField(Field):
         zero = 0 if self.p else Fraction(0)
         return RatFunc((zero, c), (1,))
 
-    def poly(self, coeffs) -> RatFunc:
-        cs = [c % self.p if self.p else Fraction(c) for c in coeffs]
-        return self._make(_ptrim(cs), (1,))
-
 
 _FIELD_CACHE: dict = {}
 

@@ -11,10 +11,17 @@ two kernels, chosen by the field:
 extend() inserts a batch of untracked rows.  Over a prime field it runs
 one vectorized numpy elimination over the whole batch (the tall systems
 of invariant_forms need it), in int16 when p^2 fits and int64 otherwise
-(mod_p_dtype); over QQ and K(a) it inserts the rows one by one.  rref,
-mat_rank and mat_nullspace are thin wrappers over it.  Over a prime field
-a Matrix may hold its rows as an integer ndarray, which reaches the
-elimination without a round trip through Python lists.
+(mod_p_dtype); over QQ and K(a) it inserts the rows one by one.  The
+vectorized elimination drops the all-zero rows and visits only the columns
+that are nonzero at the start, since no row operation fills an all-zero
+column.  rref, mat_rank and mat_nullspace are thin wrappers over it.
+
+Over a prime field a Matrix may hold its rows as an integer ndarray, which
+reaches the elimination without a round trip through Python lists: the
+invariance equations (Superalgebra._form_equations_mod_p) and every
+ad-matrix (Superalgebra.ad_matrix) are built that way, and
+kernel_mod_image hands such a matrix to each of its eliminations as an
+array.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -53,7 +60,7 @@ class Matrix:
 
     Over a prime field the rows may also be a 2-D integer ndarray with
     entries in [0, p); it is kept as is, not copied, and read only by rref,
-    mat_rank and mat_nullspace."""
+    mat_rank, mat_nullspace, kernel_mod_image and transpose (a view)."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
         self.field = field
@@ -72,6 +79,8 @@ class Matrix:
         self.nrows = len(self.rows)
 
     def transpose(self) -> "Matrix":
+        if isinstance(self.rows, np.ndarray):
+            return Matrix(self.field, self.rows.T)
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)], ncols=self.nrows)
 
@@ -113,15 +122,24 @@ def mat_nullspace(M: Matrix) -> List[list]:
 
 
 def _rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """In-place RREF of an integer array with entries in [0, p); returns
-    (nonzero rows, pivot columns).  The dtype must hold p^2."""
+    """RREF of an integer array with entries in [0, p), computed in place
+    (on a copy when some rows are zero); returns (nonzero rows, pivot
+    columns).  The dtype must hold p^2.  All-zero rows are dropped first,
+    and only the columns with a nonzero entry at the start are visited: a
+    row operation never fills a column that is zero in every row.
+    Ad-matrices are mostly zero rows and columns."""
+    nonzero_rows = a.any(axis=1)
+    if not nonzero_rows.all():
+        a = a[nonzero_rows]
     m, n = a.shape
     pivots: List[int] = []
     r = 0
-    for c in range(n):
+    # ndarray methods and broadcasting, not np.nonzero and np.outer: the
+    # loop runs once per pivot, and each of those adds a Python-level call
+    for c in a.any(axis=0).nonzero()[0].tolist():
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -131,9 +149,9 @@ def _rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.nonzero(col)[0]
+        mask = col.nonzero()[0]
         if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            a[mask] = (a[mask] - col[mask, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -272,14 +290,43 @@ def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
 
     Returns the echelon of the column space, the nullspace basis, and the
     complement rows: the kernel vectors reduced modulo the image and
-    echelonized among themselves, so they vanish on the image pivots.
+    echelonized among themselves, so they vanish on the image pivots.  The
+    image (from the columns) and the kernel (from the rows) come from two
+    independent eliminations, so a caller comparing their dimensions checks
+    rank-nullity.
+
+    Over GF(p) the matrix is an integer array throughout (a list-row Matrix
+    is converted once): the kernel basis is read off the row RREF and the
+    kernel block is reduced modulo the image in one array operation.  Over
+    QQ and K(a) the kernel comes from mat_nullspace and each kernel vector
+    is reduced by the image echelon.  All three eliminations go through
+    rref, and every scalar returned is canonical (a Python int over GF(p)).
     """
     f = M.field
+    n = M.ncols
+    p = f.p if isinstance(f, PrimeField) else 0
+    if p and not isinstance(M.rows, np.ndarray):
+        M = Matrix(f, np.array(M.rows, dtype=np.int64).reshape(M.nrows, n) % p)
     im = Echelon(f, M.nrows)
-    for j in range(M.ncols):
-        im.add([row[j] for row in M.rows])
-    ker = mat_nullspace(M)
-    comp = Echelon(f, M.ncols)
-    for vec in ker:
-        comp.add(im.reduce(vec)[0])
-    return im, ker, [list(r) for r in comp.rows]
+    im.rows, im.pivots = rref(M.transpose())
+    im.combos = [{} for _ in im.rows]
+    if not p:
+        ker = mat_nullspace(M)
+        comp, _ = rref(Matrix(f, [im.reduce(vec)[0] for vec in ker], ncols=n))
+        return im, ker, comp
+    rows, pivots = rref(M)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    ker = np.zeros((free.size, n), dtype=np.int64)
+    ker[np.arange(free.size), free] = 1
+    ker[:, pivots] = -np.array(rows, dtype=np.int64).reshape(-1, n)[:, free].T % p
+    # ker - coef @ image, summed over the nonzero coefficients only (kernel
+    # rows are sparse), each product reduced mod p first
+    image = np.array(im.rows, dtype=np.int64).reshape(-1, n)
+    coef = ker[:, im.pivots]
+    at, t = coef.nonzero()
+    red = ker.copy()
+    np.subtract.at(red, at, coef[at, t][:, None] * image[t] % p)
+    comp, _ = rref(Matrix(f, red % p))
+    return im, ker.tolist(), comp

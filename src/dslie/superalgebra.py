@@ -16,7 +16,7 @@ immutable by convention: operations return new values.
 
 Every subquotient goes through Superalgebra.subquotient, the only code that
 computes brackets and squares on a new basis: subalgebras and the sl/osp
-realizations, quotients by ideals (psl, g^(1)/c), basis changes, and the
+realizations, quotients by ideals (psl, g^(1)/c) and the
 Duflo-Serganova homology g_x = Ker ad_x / Im ad_x in ds.py.  Callers choose
 the basis rows and, for a quotient, pass the echelon of the zero part;
 coordinates are read from one tracked echelon over the basis rows taken
@@ -272,13 +272,40 @@ class Superalgebra:
         return out
 
     def ad_matrix(self, u: Element) -> Matrix:
-        """Matrix of ad_u = [u, .] in the basis (column j = [u, b_j])."""
+        """Matrix of ad_u = [u, .] in the basis (column j = [u, b_j]).
+
+        Entry (m, j) sums c * C[i,j,m] over the support {i: c} of u, read
+        from the stored constants with the sign of [b_i, b_j] applied to c;
+        no element is bracketed.  Over GF(p) the rows are an n x n int64
+        array (each product reduced mod p before the sum, so p up to 2^31
+        cannot overflow); over QQ and K(a) they are lists of Field scalars."""
         f = self.field
         n = self.dim
-        cols = []
-        for j in range(n):
-            cols.append(el_to_dense(f, self.bracket(u, {j: f.one}), n))
-        rows = [[cols[j][m] for j in range(n)] for m in range(n)]
+        p = f.p if isinstance(f, PrimeField) else 0
+        terms = []  # (m, j, c * C[i,j,m]) for every stored constant of [b_i, b_j]
+        for i, c in u.items():
+            minus = None  # -c, computed on first use
+            for j in range(n):
+                w = self.brackets.get((i, j) if i <= j else (j, i))
+                if not w:
+                    continue
+                s = c
+                if i > j and f.p != 2 and not (self.parities[i] and self.parities[j]):
+                    if minus is None:
+                        minus = -c % p if p else f.neg(c)
+                    s = minus
+                terms += [(m, j, s * e % p if p else f.mul(s, e)) for m, e in w.items()]
+        if p:
+            a = np.zeros((n, n), dtype=np.int64)
+            if terms:
+                m, j, v = np.array(terms, dtype=np.int64).T
+                np.add.at(a, (m, j), v)
+                a %= p
+            return Matrix(f, a)
+        zero = zero_of(f)
+        rows = [[f.zero] * n for _ in range(n)]
+        for m, j, v in terms:
+            rows[m][j] = v if rows[m][j] == zero else f.add(rows[m][j], v)
         return Matrix(f, rows, ncols=n)
 
     def _denominator_lcm(self) -> int:
@@ -792,21 +819,6 @@ class Superalgebra:
         if not center:
             return sub
         return sub.quotient_by_ideal(center)
-
-    def transform_basis(self, T: List[list]) -> "Superalgebra":
-        """Pullback of the structure along an invertible parity-preserving map.
-
-        New basis b'_a = sum_i T[i][a] b_i; T must be block diagonal with
-        respect to parity.
-        """
-        f = self.field
-        n = self.dim
-        for i in range(n):
-            for a in range(n):
-                if not f.is_zero(T[i][a]) and self.parities[i] != self.parities[a]:
-                    raise ValueError("basis change must preserve parity")
-        cols = [[T[i][a] for i in range(n)] for a in range(n)]
-        return self.subquotient(cols, labels=[f"t{a}" for a in range(n)], weights=False)
 
 
 class GradedSpan:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dslie.fields import FieldSpec, RatFunc, field_for
+from helpers import poly
 
 
 def test_gf3_add():
@@ -73,7 +74,7 @@ def _axiom_fields():
 def test_field_axioms(x, y, z, fidx):
     f = _axiom_fields()[fidx]
     if getattr(f, "spec").parametric:
-        a, b, c = f.poly([x, 1]), f.poly([y]), f.poly([z, 0, 1])
+        a, b, c = poly(f, [x, 1]), poly(f, [y]), poly(f, [z, 0, 1])
     else:
         a, b, c = f.from_int(x), f.from_int(y), f.from_int(z)
     assert f.add(a, b) == f.add(b, a)

@@ -1,5 +1,7 @@
 """Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
-and the batch (numpy) against the incremental (list) elimination."""
+the batch (numpy) against the incremental (list) elimination, and the
+homology matrices (ad_matrix, kernel_mod_image) against their list-based
+references."""
 
 import random
 
@@ -8,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dslie.catalog import build_catalog_algebra
+from dslie.ds import ds_homology, single_root_candidates
 from dslie.fields import PrimeField, field_for
-from dslie.linalg import Echelon, Matrix, mat_nullspace, mat_rank, rref
+from dslie.linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank, rref
+from dslie.superalgebra import el_to_dense
+from test_subquotient import _p2_heisenberg
 
 
 def _mat(field, int_rows, ncols=None):
@@ -163,3 +169,135 @@ def test_batch_rref_matches_incremental(p, parametric, data):
     assert len(pivots) + len(null) == n == mat_rank(M) + len(null)
     for v in null:
         assert all(f.is_zero(_dot(f, row, v)) for row in M.rows)
+
+
+# -- the homology matrices against their list-based references ----------------
+
+
+def _ad_matrix_reference(g, u):
+    """Rows of ad_u built column by column through the bracket."""
+    f = g.field
+    n = g.dim
+    cols = [el_to_dense(f, g.bracket(u, {j: f.one}), n) for j in range(n)]
+    return [[cols[j][m] for j in range(n)] for m in range(n)]
+
+
+def _kernel_mod_image_reference(M):
+    """Ker M / Im M with the image built column by column and each kernel
+    vector reduced and inserted one at a time."""
+    f = M.field
+    im = Echelon(f, M.nrows)
+    for j in range(M.ncols):
+        im.add([row[j] for row in M.rows])
+    ker = mat_nullspace(M)
+    comp = Echelon(f, M.ncols)
+    for vec in ker:
+        comp.add(im.reduce(vec)[0])
+    return im.rows, im.pivots, ker, [list(r) for r in comp.rows]
+
+
+def _scalars(rows):
+    return [x for row in rows for x in row]
+
+
+def _check_kernel_mod_image(M):
+    """kernel_mod_image of M (and over GF(p) of M as an int64 array) equals
+    the reference, and over GF(p) every scalar it returns is a Python int."""
+    f = M.field
+    want = _kernel_mod_image_reference(M)
+    inputs = [M]
+    if isinstance(f, PrimeField):
+        inputs.append(Matrix(f, np.array(M.rows, dtype=np.int64).reshape(M.nrows, M.ncols)))
+    for A in inputs:
+        im, ker, comp = kernel_mod_image(A)
+        assert (im.rows, im.pivots, ker, comp) == want
+        if isinstance(f, PrimeField):
+            assert {type(x) for x in _scalars(im.rows + ker + comp)} <= {int}
+    return want
+
+
+def _square_zero(f, n, rank, ops):
+    """P N P^-1 with N = sum_{t < rank} E_{2t, 2t+1}, so M^2 = 0 and M has
+    the given rank; P is the product of the elementary matrices I + c E_ij
+    in ops, applied as a row and a column operation each."""
+    M = [[f.zero] * n for _ in range(n)]
+    for t in range(rank):
+        M[2 * t][2 * t + 1] = f.one
+    for i, j, c in ops:
+        if i == j:
+            continue
+        M[i] = [f.add(x, f.mul(c, y)) for x, y in zip(M[i], M[j])]
+        for row in M:
+            row[j] = f.sub(row[j], f.mul(c, row[i]))
+    return M
+
+
+# GF(2147483629) puts sums of products of two residues past int64
+HOMOLOGY_FIELDS = [(2, False), (3, False), (5, False), (7, False),
+                   (2147483629, False), (0, False), (2, True)]
+
+
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("p,parametric", HOMOLOGY_FIELDS)
+@given(data=st.data())
+def test_kernel_mod_image_matches_reference(p, parametric, data):
+    f = field_for(p, parametric)
+    big = 2**40 if p > 5 else 3
+    n = data.draw(st.integers(1, 8), label="n")
+    rank = data.draw(st.sampled_from([0, n // 2]) | st.integers(0, n // 2), label="rank")
+    cells = st.tuples(st.integers(-big, big), st.integers(-1, 1))
+    ops = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), cells),
+                             max_size=12), label="ops")
+    rows = _square_zero(f, n, rank, [(i, j, _entry(f, *c)) for i, j, c in ops])
+    M = Matrix(f, rows, ncols=n)
+    assert all(f.is_zero(_dot(f, row, col)) for row in rows for col in zip(*rows))
+    im_rows, _, ker, comp = _check_kernel_mod_image(M)
+    assert len(im_rows) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
+
+
+def test_kernel_mod_image_sums_past_int64():
+    """At rank 16 over GF(2147483629) the image reduction sums 16 products
+    of two residues, past int64 unless each product is reduced first."""
+    f = field_for(2147483629)
+    rng = random.Random(5)
+    n = 32
+    ops = [(rng.randrange(n), rng.randrange(n), f.from_int(rng.randrange(f.p)))
+           for _ in range(200)]
+    _check_kernel_mod_image(Matrix(f, _square_zero(f, n, n // 2, ops), ncols=n))
+
+
+AD_KEYS = [("brj(2;5)", 5), ("g(6,6)", 3), ("e(7,1)", 2), ("bgl(3;alpha)", 2)]
+
+
+@pytest.mark.parametrize("key,p", AD_KEYS)
+def test_ad_matrix_matches_reference(cache_dir, key, p):
+    b = build_catalog_algebra(key, p, cache_dir=cache_dir)
+    g = b.algebra
+    prime = isinstance(g.field, PrimeField)
+    cands = single_root_candidates(b)
+    assert cands
+    for c in cands:
+        A = g.ad_matrix(c.element)
+        rows = A.rows.tolist() if prime else A.rows
+        assert isinstance(A.rows, np.ndarray) == prime
+        assert rows == _ad_matrix_reference(g, c.element), c.description
+        _check_kernel_mod_image(Matrix(g.field, rows, ncols=g.dim))
+
+
+@pytest.mark.parametrize("key,p", [("g(6,6)", 3), ("e(7,1)", 2), (None, 2)])
+def test_homology_scalars_are_python_ints(cache_dir, key, p):
+    """Over GF(p) every constant of g_x is a Python int: an np.int64 prints
+    as np.int64(1) under numpy 2, which would change serialized text and
+    digests.  Without a key, x is the central odd o3 of the p = 2 Heisenberg
+    algebra, whose homology carries squares."""
+    if key is None:
+        g = _p2_heisenberg()
+        hom = ds_homology(g, {g.labels.index("o3"): g.field.one}).homology
+        assert hom.squares
+    else:
+        b = build_catalog_algebra(key, p, cache_dir=cache_dir)
+        hom = ds_homology(b.algebra, single_root_candidates(b)[0]).homology
+    consts = list(hom.brackets.values()) + list((hom.squares or {}).values())
+    assert hom.brackets
+    assert {type(c) for w in consts for c in w.values()} == {int}
+    assert {type(k) for w in consts for k in w} == {int}

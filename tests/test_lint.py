@@ -7,6 +7,8 @@ or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
 counts as named when a name, attribute, import or identifier inside a
 string (the benchmark's hook table names methods as "Class.method") in
 src/, tests/ or perfbench/ spells it; dunder methods are called implicitly.
+A definition that only tests/ names belongs in a test helper, so src/ or
+perfbench/ must name each one too.
 """
 
 import argparse
@@ -122,8 +124,8 @@ def named(source: str):
     return out
 
 
-def _sources():
-    for top in ("src", "tests", "perfbench"):
+def _sources(tops=("src", "tests", "perfbench")):
+    for top in tops:
         for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
                 if name.endswith(".py"):
@@ -131,14 +133,26 @@ def _sources():
                         yield fh.read()
 
 
-def test_no_dead_definitions():
-    everywhere = set().union(*map(named, _sources()))
-    dead = []
+def unnamed_definitions(tops):
+    """(module, line, name) of every definition in src/dslie that no source
+    under the given top-level directories names."""
+    names = set().union(*map(named, _sources(tops)))
+    out = []
     for module in MODULES:
         with open(os.path.join(SRC, module)) as fh:
-            dead += [(module, line, name) for line, name in defined_names(fh.read())
-                     if name not in everywhere]
-    assert dead == []
+            out += [(module, line, name) for line, name in defined_names(fh.read())
+                    if name not in names]
+    return out
+
+
+def test_no_dead_definitions():
+    assert unnamed_definitions(("src", "tests", "perfbench")) == []
+
+
+def test_no_test_only_definitions():
+    """The library and the benchmark name every definition; what only the
+    tests use lives under tests/."""
+    assert unnamed_definitions(("src", "perfbench")) == []
 
 
 def test_checker_sees_calls_attributes_and_strings():
@@ -150,6 +164,17 @@ def test_checker_sees_calls_attributes_and_strings():
     used = named(lib) | named(hooks)
     assert [(line, name) for line, name in defined_names(lib) if name not in used] == \
         [(9, "inner"), (12, "orphan")]
+
+
+def test_checker_sees_test_only_definitions():
+    lib = ("def by_lib():\n    pass\ndef by_bench():\n    pass\n"
+           "def by_test():\n    pass\nby_lib()\n")
+    bench = "HOOKS = ['by_bench']\n"
+    test = "by_test()\n"
+    outside_tests = named(lib) | named(bench)
+    assert [name for _, name in defined_names(lib) if name not in outside_tests] == ["by_test"]
+    assert [name for _, name in defined_names(lib)
+            if name not in outside_tests | named(test)] == []
 
 
 def unread_options(parser: argparse.ArgumentParser):

@@ -18,6 +18,7 @@ from dslie.fields import field_for
 from dslie.serialize import canonical_json, superalgebra_to_dict
 from dslie.superalgebra import Superalgebra
 from dslie.tables import chain_element
+from helpers import transform_basis
 
 
 def _p2_heisenberg() -> Superalgebra:
@@ -52,7 +53,7 @@ def _p2_quotient() -> Superalgebra:
 
 
 def _transformed(g: Superalgebra) -> Superalgebra:
-    return g.transform_basis(_unipotent(g))
+    return transform_basis(g, _unipotent(g))
 
 
 def _g_x(key: str, p: int, x: str) -> Superalgebra:
