@@ -195,7 +195,9 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
                 maximal.append(cur)
             return
         for t, c in enumerate(ext):
-            extend(cur + (c,), Echelon(QQ, b.n).extend(span.rows + [vecs[c]]), ext[t + 1:])
+            grown = span.copy()
+            grown.add(vecs[c])
+            extend(cur + (c,), grown, ext[t + 1:])
 
     extend(tuple(), Echelon(QQ, b.n), list(range(nr)))
     # deduplicate non-maximal leftovers

@@ -29,7 +29,12 @@ Nullspace bases assign 1 to each free column in increasing order, so
 repeated runs are byte-identical.
 
 kernel_mod_image builds on Echelon the Ker M / Im M complement that
-every homology (of ad_x on g, of rho_x on a module) is read from.
+every homology (of ad_x on g, of rho_x on a module) is read from.  Over QQ
+and K(a) it eliminates each connected block of M on its own: ad_x and
+rho_x are sparse, and their supports split into many small blocks (rho_x
+on the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
+Ker and Im are direct sums over the blocks and an RREF is unique, so the
+output is the one the whole matrix gives, byte for byte.
 """
 
 from __future__ import annotations
@@ -182,6 +187,14 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
+    def copy(self) -> "Echelon":
+        """An echelon with the same rows, which add() can grow without
+        changing this one (add replaces rows, never edits them)."""
+        out = Echelon(self.field, self.ncols, self.track)
+        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        out.combos = [dict(c) for c in self.combos]
+        return out
+
     def _sub(self, xs: list, c, ys: list) -> list:
         """xs - c*ys, entrywise."""
         p = self._p
@@ -285,6 +298,76 @@ class Echelon:
         return self
 
 
+def _blocks(M: Matrix) -> List[List[int]]:
+    """The connected blocks of a square M: the components of the graph on
+    the indices that joins i and j when M[i][j] != 0 (union-find), each in
+    increasing order.  Permuting rows and columns alike by the blocks puts
+    M in block-diagonal form."""
+    root = list(range(M.ncols))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    zero = zero_of(M.field)
+    for i, row in enumerate(M.rows):
+        for j, x in enumerate(row):
+            if x != zero:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    blocks: dict = {}
+    for i in range(M.ncols):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _kernel_mod_image_blocks(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
+    """The Field path of kernel_mod_image, block by block: each connected
+    block of M gets the image, nullspace and complement eliminations of the
+    whole matrix, and its rows are lifted back to n coordinates."""
+    f = M.field
+    n = M.ncols
+    zero = zero_of(f)
+    image, ker, comp = [], [], []  # (pivot or free column, row in n coordinates)
+    for block in _blocks(M):
+        if len(block) == 1 and M.rows[block[0]][block[0]] == zero:
+            # a zero row and column: its unit vector spans kernel and complement
+            unit = [f.zero] * n
+            unit[block[0]] = f.one
+            ker.append((block[0], unit))
+            comp.append((block[0], list(unit)))
+            continue
+
+        def lift(row: list) -> list:
+            out = [f.zero] * n
+            for j, x in zip(block, row):
+                out[j] = x
+            return out
+
+        sub = Matrix(f, [[M.rows[i][j] for j in block] for i in block], ncols=len(block))
+        im = Echelon(f, len(block))
+        im.rows, im.pivots = rref(sub.transpose())
+        block_ker = mat_nullspace(sub)
+        rows, pivots = rref(Matrix(f, [im.reduce(vec)[0] for vec in block_ker],
+                                   ncols=len(block)))
+        image += [(block[c], lift(row)) for row, c in zip(im.rows, im.pivots)]
+        comp += [(block[c], lift(row)) for row, c in zip(rows, pivots)]
+        # a nullspace vector's last nonzero entry is its free column: its
+        # other entries sit on pivots, which lie left of the free columns of
+        # their rows
+        ker += [(max(j for j, x in enumerate(vec) if x != zero), vec)
+                for vec in map(lift, block_ker)]
+    for part in (image, ker, comp):
+        part.sort(key=lambda t: t[0])
+    im = Echelon(f, M.nrows)
+    im.pivots = [c for c, _ in image]
+    im.rows = [row for _, row in image]
+    im.combos = [{} for _ in image]
+    return im, [vec for _, vec in ker], [row for _, row in comp]
+
+
 def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
     """Ker M / Im M for a square M (the caller checks M^2 = 0).
 
@@ -297,23 +380,34 @@ def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
 
     Over GF(p) the matrix is an integer array throughout (a list-row Matrix
     is converted once): the kernel basis is read off the row RREF and the
-    kernel block is reduced modulo the image in one array operation.  Over
-    QQ and K(a) the kernel comes from mat_nullspace and each kernel vector
-    is reduced by the image echelon.  All three eliminations go through
-    rref, and every scalar returned is canonical (a Python int over GF(p)).
+    kernel block is reduced modulo the image in one array operation.
+
+    Over QQ and K(a) M is split into its connected blocks (_blocks), and
+    each block gets its own three eliminations: the image, the nullspace
+    (mat_nullspace), and the kernel vectors reduced by the block's image
+    echelon.  An index whose row and column are zero is a block of its own
+    whose unit vector is both its kernel vector and its complement row, with
+    no elimination.  The lifted rows are sorted by pivot, the kernel vectors
+    by free column, and the result is the one the whole matrix gives, byte
+    for byte: a row of M in a block is supported on the block, so the row
+    space, the column space and the kernel are direct sums over the blocks;
+    an RREF is unique, and the nullspace vector of a free column c lies in
+    c's block.  Per-block numpy calls would cost the GF(p) path more than
+    they save, so it eliminates the whole array.
+
+    Every elimination goes through rref or mat_nullspace, and every scalar
+    returned is canonical (a Python int over GF(p)).
     """
     f = M.field
     n = M.ncols
     p = f.p if isinstance(f, PrimeField) else 0
-    if p and not isinstance(M.rows, np.ndarray):
+    if not p:
+        return _kernel_mod_image_blocks(M)
+    if not isinstance(M.rows, np.ndarray):
         M = Matrix(f, np.array(M.rows, dtype=np.int64).reshape(M.nrows, n) % p)
     im = Echelon(f, M.nrows)
     im.rows, im.pivots = rref(M.transpose())
     im.combos = [{} for _ in im.rows]
-    if not p:
-        ker = mat_nullspace(M)
-        comp, _ = rref(Matrix(f, [im.reduce(vec)[0] for vec in ker], ncols=n))
-        return im, ker, comp
     rows, pivots = rref(M)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False

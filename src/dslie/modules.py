@@ -8,6 +8,13 @@ builds g(A) with lowerings in place of raisings.
 The construction only uses the Chevalley triple actions, so it serves
 both g(A) and its first-derived subquotient (the latter requires the
 weight to kill the central combinations of the h_i, which is checked).
+
+A matrix of the action is held as sparse rows (a list of Elements, row t
+holding the coefficients of basis_t in the images of the basis vectors).
+The root vectors act through their words: a product combines rows with
+el_addmul, and a commutator or rho_x = sum_k c_k rho(b_k) adds rows and
+drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows,
+and only the Ker/Im elimination sees a dense matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .build import BuildError, BuildResult, grading_rows, radical_step
 from .linalg import Matrix, kernel_mod_image, mat_nullspace
-from .superalgebra import Element, el_add, el_addmul, el_scale
+from .superalgebra import Element, el_add, el_addmul, el_scale, el_to_dense
 
 
 @dataclass
@@ -40,22 +47,18 @@ class ModuleRep:
         ev = sum(1 for p in self.parities if p == 0)
         return ev, len(self.parities) - ev
 
-    def action_matrix(self, global_idx: int) -> List[list]:
-        """Matrix (rows) of the algebra basis element on the module."""
+    def action_matrix(self, global_idx: int) -> List[Element]:
+        """Sparse rows of the matrix of the algebra basis element on the
+        module."""
         b = self.build
         fld = b.field
         nh = b.n + b.n_grading
-        dm = self.dim
         if global_idx < b.n:
             return _diag([_h_value(b, self.lam, global_idx, t) for t in self.degrees], fld)
         if global_idx < nh:
             # grading element d_t with lambda(d_t) = 0
             drow = grading_rows(b.spec, fld)[global_idx - b.n]
-            vals = []
-            for m in range(dm):
-                t = self.degrees[m]
-                vals.append(fld.neg(fld.from_int(t[drow])))
-            return _diag(vals, fld)
+            return _diag([fld.neg(fld.from_int(t[drow])) for t in self.degrees], fld)
         npos = len(b.pos_roots)
         if global_idx < nh + npos:
             flat = b.pos_order[global_idx - nh]
@@ -63,43 +66,37 @@ class ModuleRep:
         flat = b.neg_order[global_idx - nh - npos]
         return self._word_matrix(b.neg_nodes[flat].word, positive=False)
 
-    def _gen_matrix(self, i: int, positive: bool) -> List[list]:
-        fld = self.build.field
+    def _gen_matrix(self, i: int, positive: bool) -> List[Element]:
         acts = self.e_act[i] if positive else self.f_act[i]
-        dm = self.dim
-        rows = [[fld.zero] * dm for _ in range(dm)]
-        for m in range(dm):
-            for t, c in acts[m].items():
+        rows: List[Element] = [{} for _ in range(self.dim)]
+        for m, col in enumerate(acts):
+            for t, c in col.items():
                 rows[t][m] = c
         return rows
 
-    def _word_matrix(self, word, positive: bool) -> List[list]:
+    def _word_matrix(self, word, positive: bool) -> List[Element]:
         fld = self.build.field
         nodes = self.build.pos_nodes if positive else self.build.neg_nodes
         if word[0] == "g":
             return self._gen_matrix(word[1], positive)
         if word[0] == "sq":
             z = self._word_matrix(nodes[word[1]].word, positive)
-            return _mat_mul(z, z, fld)
+            return _sparse_mul(fld, z, z)
         _, i, parent = word
         a = self._gen_matrix(i, positive)
         bmat = self._word_matrix(nodes[parent].word, positive)
-        ab = _mat_mul(a, bmat, fld)
-        ba = _mat_mul(bmat, a, fld)
         pi = self.build.spec.parities[i]
         pb = nodes[parent].parity
-        sgn = fld.neg(fld.one) if (fld.p != 2 and pi and pb) else fld.one
-        return [[fld.sub(x, fld.mul(sgn, y)) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(ab, ba)]
+        minus_sgn = fld.one if (fld.p != 2 and pi and pb) else fld.neg(fld.one)
+        return [el_addmul(fld, r1, minus_sgn, r2)
+                for r1, r2 in zip(_sparse_mul(fld, a, bmat), _sparse_mul(fld, bmat, a))]
 
-    def element_matrix(self, el: Element) -> List[list]:
+    def element_matrix(self, el: Element) -> List[Element]:
+        """Sparse rows of rho_x = sum_k c_k rho(b_k) for x = {k: c_k}."""
         fld = self.build.field
-        dm = self.dim
-        out = [[fld.zero] * dm for _ in range(dm)]
+        out: List[Element] = [{} for _ in range(self.dim)]
         for k, c in el.items():
-            mk = self.action_matrix(k)
-            out = [[fld.add(x, fld.mul(c, y)) for x, y in zip(r1, r2)]
-                   for r1, r2 in zip(out, mk)]
+            out = [el_addmul(fld, r1, c, r2) for r1, r2 in zip(out, self.action_matrix(k))]
         return out
 
 
@@ -114,28 +111,19 @@ def _h_value(b: BuildResult, lam: Sequence, a: int, t: Tuple[int, ...]):
     return acc
 
 
-def _diag(vals, fld) -> List[list]:
-    n = len(vals)
-    rows = [[fld.zero] * n for _ in range(n)]
-    for i, v in enumerate(vals):
-        rows[i][i] = v
-    return rows
+def _diag(vals, fld) -> List[Element]:
+    return [{i: v} if not fld.is_zero(v) else {} for i, v in enumerate(vals)]
 
 
-def _mat_mul(a: List[list], b: List[list], fld) -> List[list]:
-    n = len(a)
-    out = [[fld.zero] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            c = ai[k]
-            if fld.is_zero(c):
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(n):
-                if not fld.is_zero(bk[j]):
-                    oi[j] = fld.add(oi[j], fld.mul(c, bk[j]))
+def _sparse_mul(fld, a: List[Element], b: List[Element]) -> List[Element]:
+    """The product of two matrices held as sparse rows: row i of a.b is the
+    sum of a[i][k] * b[k]."""
+    out = []
+    for row in a:
+        acc: Element = {}
+        for k, c in row.items():
+            acc = el_addmul(fld, acc, c, b[k])
+        out.append(acc)
     return out
 
 
@@ -250,10 +238,10 @@ def module_homology(rep: ModuleRep, el: Element) -> ModuleHomology:
     fld = rep.build.field
     dm = rep.dim
     R = rep.element_matrix(el)
-    R2 = _mat_mul(R, R, fld)
-    if any(not fld.is_zero(R2[i][j]) for i in range(dm) for j in range(dm)):
+    if any(_sparse_mul(fld, R, R)):
         raise ValueError("rho_x squared is nonzero on the module")
-    im, _ker, comp_rows = kernel_mod_image(Matrix(fld, R, ncols=dm))
+    im, _ker, comp_rows = kernel_mod_image(
+        Matrix(fld, [el_to_dense(fld, r, dm) for r in R], ncols=dm))
     ev = od = 0
     for r in comp_rows:
         ps = {rep.parities[k] for k in range(dm) if not fld.is_zero(r[k])}

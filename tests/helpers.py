@@ -1,8 +1,10 @@
 """Constructions that only the tests need: a basis change of a
-superalgebra and a polynomial in the generator of K(a)."""
+superalgebra, a polynomial in the generator of K(a), and the dense
+references of the homology of a square-zero matrix and of a module."""
 
-from dslie.fields import FunctionField
-from dslie.superalgebra import Superalgebra
+from dslie.fields import FunctionField, PrimeField
+from dslie.linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace, rref
+from dslie.superalgebra import Superalgebra, el_to_dense
 
 
 def transform_basis(g: Superalgebra, T: list) -> Superalgebra:
@@ -28,3 +30,100 @@ def poly(f: FunctionField, coeffs) -> object:
         out = f.add(out, f.mul(f.from_int(c), power))
         power = f.mul(power, f.param())
     return out
+
+
+def kernel_mod_image_unsplit(M: Matrix):
+    """Ker M / Im M over QQ or K(a) from three eliminations of the whole
+    matrix: the image, the nullspace, and the kernel vectors reduced by the
+    image echelon (kernel_mod_image splits M into its connected blocks)."""
+    f = M.field
+    im = Echelon(f, M.nrows)
+    im.rows, im.pivots = rref(M.transpose())
+    ker = mat_nullspace(M)
+    comp, _ = rref(Matrix(f, [im.reduce(vec)[0] for vec in ker], ncols=M.ncols))
+    return im, ker, comp
+
+
+def dense_mat_mul(f, a: list, b: list) -> list:
+    """Product of two square matrices held as dense rows."""
+    n = len(a)
+    out = [[f.zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            c = a[i][k]
+            if f.is_zero(c):
+                continue
+            for j in range(n):
+                if not f.is_zero(b[k][j]):
+                    out[i][j] = f.add(out[i][j], f.mul(c, b[k][j]))
+    return out
+
+
+def _dense_word_matrix(rep, word, positive: bool) -> list:
+    """Dense matrix of a root vector on the module, from its word: a
+    generator's matrix, the square of a node, or the supercommutator of a
+    generator with a node."""
+    f = rep.build.field
+    nodes = rep.build.pos_nodes if positive else rep.build.neg_nodes
+    if word[0] == "g":
+        acts = rep.e_act[word[1]] if positive else rep.f_act[word[1]]
+        rows = [[f.zero] * rep.dim for _ in range(rep.dim)]
+        for m, col in enumerate(acts):
+            for t, c in col.items():
+                rows[t][m] = c
+        return rows
+    if word[0] == "sq":
+        z = _dense_word_matrix(rep, nodes[word[1]].word, positive)
+        return dense_mat_mul(f, z, z)
+    _, i, parent = word
+    a = _dense_word_matrix(rep, ("g", i), positive)
+    b = _dense_word_matrix(rep, nodes[parent].word, positive)
+    ab, ba = dense_mat_mul(f, a, b), dense_mat_mul(f, b, a)
+    odd = f.p != 2 and rep.build.spec.parities[i] and nodes[parent].parity
+    sgn = f.neg(f.one) if odd else f.one
+    return [[f.sub(x, f.mul(sgn, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+def dense_element_matrix(rep, el) -> list:
+    """Dense rho_x, each root vector's matrix multiplied out from its word;
+    the Cartan and grading elements act diagonally."""
+    b = rep.build
+    f = b.field
+    nh = b.n + b.n_grading
+    npos = len(b.pos_roots)
+    out = [[f.zero] * rep.dim for _ in range(rep.dim)]
+    for k, c in el.items():
+        if k < nh:
+            mk = [el_to_dense(f, r, rep.dim) for r in rep.action_matrix(k)]
+        elif k < nh + npos:
+            mk = _dense_word_matrix(rep, b.pos_nodes[b.pos_order[k - nh]].word, True)
+        else:
+            mk = _dense_word_matrix(rep, b.neg_nodes[b.neg_order[k - nh - npos]].word, False)
+        out = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(out, mk)]
+    return out
+
+
+def module_homology_reference(rep, el):
+    """(rank, sdim_mx, basis_rows) of Ker rho_x / Im rho_x from the dense
+    rho_x, its dense square and the unsplit Ker/Im (the GF(p) array path of
+    kernel_mod_image, which does not split, over a prime field)."""
+    f = rep.build.field
+    dm = rep.dim
+    R = dense_element_matrix(rep, el)
+    if any(not f.is_zero(x) for row in dense_mat_mul(f, R, R) for x in row):
+        raise ValueError("rho_x squared is nonzero on the module")
+    M = Matrix(f, R, ncols=dm)
+    if isinstance(f, PrimeField):
+        im, _ker, comp = kernel_mod_image(M)
+    else:
+        im, _ker, comp = kernel_mod_image_unsplit(M)
+    ev = od = 0
+    for r in comp:
+        ps = {rep.parities[k] for k in range(dm) if not f.is_zero(r[k])}
+        if ps == {0}:
+            ev += 1
+        elif ps == {1}:
+            od += 1
+        else:
+            raise ValueError("module homology not parity-graded")
+    return len(im), (ev, od), comp

@@ -1,12 +1,24 @@
-"""Highest-weight modules and module homology."""
+"""Highest-weight modules and module homology, the sparse action and
+module homology against their dense references."""
+
+import random
+import re
 
 import pytest
 
+from dslie.audit import _parse_weight_entry
 from dslie.build import BuildError, build_g_of_A
 from dslie.cartan import CartanSpec
-from dslie.catalog import build_catalog_algebra
+from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.fields import field_for
 from dslie.modules import build_irreducible, module_homology
+from dslie.superalgebra import el_to_dense
+from helpers import dense_element_matrix, dense_mat_mul, module_homology_reference
+
+
+def _dense(m, k):
+    """The action matrix of basis element k as dense rows."""
+    return [el_to_dense(m.build.field, r, m.dim) for r in m.action_matrix(k)]
 
 
 def test_trivial_module():
@@ -56,21 +68,8 @@ def test_module_rep_compatibility():
     m = build_irreducible(b, [f.one, f.zero], dim_cap=400, degree_cap=30)
     g = b.algebra
     dm = m.dim
-    mats = [m.action_matrix(k) for k in range(g.dim)]
+    mats = [_dense(m, k) for k in range(g.dim)]
 
-    def matmul(a, bb):
-        out = [[f.zero] * dm for _ in range(dm)]
-        for i in range(dm):
-            for k in range(dm):
-                c = a[i][k]
-                if f.is_zero(c):
-                    continue
-                for j in range(dm):
-                    if not f.is_zero(bb[k][j]):
-                        out[i][j] = f.add(out[i][j], f.mul(c, bb[k][j]))
-        return out
-
-    import random
     rng = random.Random(0)
     pairs = [(rng.randrange(g.dim), rng.randrange(g.dim)) for _ in range(12)]
     for (u, v) in pairs:
@@ -80,8 +79,8 @@ def test_module_rep_compatibility():
             mk = mats[k]
             lhs = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)]
                    for r1, r2 in zip(lhs, mk)]
-        ab = matmul(mats[u], mats[v])
-        ba = matmul(mats[v], mats[u])
+        ab = dense_mat_mul(f, mats[u], mats[v])
+        ba = dense_mat_mul(f, mats[v], mats[u])
         sgn = f.neg(f.one) if (f.p != 2 and g.parities[u] and g.parities[v]) else f.one
         rhs = [[f.sub(x, f.mul(sgn, y)) for x, y in zip(r1, r2)]
                for r1, r2 in zip(ab, ba)]
@@ -98,19 +97,11 @@ def test_module_squaring_compatibility_p2():
         if g.parities[k] != 1:
             continue
         sq = (g.squares or {}).get(k, {})
-        mk = m.action_matrix(k)
-        m2 = [[f.zero] * dm for _ in range(dm)]
-        for i in range(dm):
-            for t in range(dm):
-                c = mk[i][t]
-                if f.is_zero(c):
-                    continue
-                for j in range(dm):
-                    if not f.is_zero(mk[t][j]):
-                        m2[i][j] = f.add(m2[i][j], f.mul(c, mk[t][j]))
+        mk = _dense(m, k)
+        m2 = dense_mat_mul(f, mk, mk)
         want = [[f.zero] * dm for _ in range(dm)]
         for t, c in sq.items():
-            mt = m.action_matrix(t)
+            mt = _dense(m, t)
             want = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)]
                     for r1, r2 in zip(want, mt)]
         assert m2 == want, g.labels[k]
@@ -130,3 +121,38 @@ def test_module_homology_requires_square_zero():
     m = build_irreducible(b, [f.one, f.zero], dim_cap=400, degree_cap=30)
     with pytest.raises(ValueError):
         module_homology(m, b.x_element("x2"))  # x2 is not homological
+
+
+MODULE_ENTRIES = [(e, m) for e in all_entries() for m in e.modules]
+
+
+@pytest.mark.parametrize("entry,mod", MODULE_ENTRIES,
+                         ids=[f"{e.key}@p{e.p}/{m['name']}" for e, m in MODULE_ENTRIES])
+def test_module_homology_matches_the_dense_reference(cache_dir, entry, mod):
+    """On every catalog module, for every odd basis vector and 20 seeded
+    sums of two: the sparse rho_x densifies to the dense product of the
+    words, and module_homology gives the rank, sdim_mx and basis rows of the
+    dense rho_x and the unsplit Ker/Im, or raises where rho_x^2 != 0."""
+    b = build_catalog_algebra(entry.key, entry.p, cache_dir=cache_dir)
+    g = b.algebra
+    f = g.field
+    lam = [_parse_weight_entry(f, s) for s in mod["weight"]]
+    m = build_irreducible(b, lam, hw_parity=mod.get("hw_parity", 0), name=mod["name"])
+    odd = [k for k in range(g.dim) if g.parities[k] == 1]
+    rng = random.Random(1)
+    els = [{k: f.one} for k in odd] + [dict.fromkeys(rng.sample(odd, 2), f.one)
+                                        for _ in range(20)]
+    raised = 0
+    for el in els:
+        dense = [el_to_dense(f, r, m.dim) for r in m.element_matrix(el)]
+        assert dense == dense_element_matrix(m, el), el
+        try:
+            want = module_homology_reference(m, el)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                module_homology(m, el)
+            raised += 1
+            continue
+        mh = module_homology(m, el)
+        assert repr((mh.rank, mh.sdim_mx, mh.basis_rows)) == repr(want), el
+    assert 0 < raised < len(els)

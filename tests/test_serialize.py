@@ -14,6 +14,7 @@ from dslie.serialize import (build_result_from_dict, build_result_to_dict,
                              cache_load, cache_path, cache_store, serialize_build,
                              spec_digest, superalgebra_from_dict,
                              superalgebra_to_dict)
+from dslie.superalgebra import el_to_dense
 
 BRJ = [[0, -1], [-2, 1]]
 
@@ -93,8 +94,8 @@ def _module_digest(b, m) -> str:
     rep = build_irreducible(b, lam, hw_parity=m.get("hw_parity", 0), name=m["name"])
     h = hashlib.sha256(repr((rep.labels, rep.parities, rep.degrees,
                              rep.f_act, rep.e_act)).encode())
-    for k in range(b.algebra.dim):
-        h.update(repr(rep.action_matrix(k)).encode())
+    for k in range(b.algebra.dim):  # the action rows densified, as the pins were taken
+        h.update(repr([el_to_dense(b.field, r, rep.dim) for r in rep.action_matrix(k)]).encode())
     return h.hexdigest()[:16]
 
 
