@@ -21,7 +21,7 @@ from .cartan import symmetrize
 from .catalog import all_entries, build_catalog_algebra
 from .classical import parse_key
 from .ds import DSError, defect_report, ds_homology, identify
-from .fields import UsageError
+from .fields import FieldSpec, UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import serialize_build
@@ -110,9 +110,16 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _samples(n: int) -> int:
+    if n < 0:
+        raise UsageError(f"--samples must be >= 0, got {n}")
+    return n
+
+
 def cmd_ds(args) -> int:
     if not (args.x or args.sweep):
         raise UsageError("either --x or --sweep is required")
+    samples = _samples(args.samples)
     cache = _cache_dir(args)
     b, g = _get_algebra(args.key, args.p, cache)
     if b is None and (args.module or args.sweep):
@@ -130,7 +137,7 @@ def cmd_ds(args) -> int:
     rows = []
     if args.sweep:
         form = symmetrize(b.spec)
-        report = defect_report(b, form, seed=args.seed, samples=args.samples)
+        report = defect_report(b, form, seed=args.seed, samples=samples)
         results = report.classes
     else:
         results = [ds_homology(g, el)]
@@ -151,9 +158,10 @@ def cmd_ds(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    samples = _samples(args.samples)
     b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
     form = symmetrize(b.spec)
-    report = defect_report(b, form, seed=args.seed, samples=args.samples)
+    report = defect_report(b, form, seed=args.seed, samples=samples)
     print(f"{args.key} p={args.p}: g_max {report.g_max}, df {report.df}, "
           f"ndf {report.ndf}  (sweep {report.sweep_size}, seed {report.seed})")
     rows = [{
@@ -166,6 +174,7 @@ def cmd_defect(args) -> int:
 
 
 def cmd_table(args) -> int:
+    FieldSpec(args.p)
     rows = []
     if args.family == "exceptional":
         auditor = Auditor(cache_dir=_cache_dir(args))
@@ -198,6 +207,8 @@ def cmd_audit(args) -> int:
             raise UsageError("specify --all or --keys")
         keys = set(args.keys)
         rows = [r for r in rows if r["key"] in keys or r["table"] in keys]
+        if not rows:
+            raise UsageError(f"--keys matches no row key or table: {' '.join(args.keys)}")
     outcomes, code = run_audit(rows, cache_dir=_cache_dir(args))
     table = []
     for o in outcomes:
@@ -217,6 +228,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.p is not None:
+        FieldSpec(args.p)
     rows = []
     for ent in all_entries():
         if args.p is not None and ent.p != args.p:

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
 from .fields import field_for
-from .linalg import Echelon, kernel_mod_image, mat_rank
+from .linalg import Echelon, kernel_mod_image, sparse_rank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
 
 MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
@@ -102,7 +102,7 @@ def ds_homology(g: Superalgebra, x) -> DSResult:
             else hx.kind
 
     n = g.dim
-    im_ech, ker, comp_rows = kernel_mod_image(g.ad_matrix(el))
+    im_ech, ker, comp_rows = kernel_mod_image(f, g.ad_matrix(el))
     rank = len(im_ech)
     for row in im_ech.rows:
         if g.bracket(el, el_from_dense(f, row)):
@@ -135,7 +135,7 @@ def ds_homology(g: Superalgebra, x) -> DSResult:
 
 
 def adjoint_rank(g: Superalgebra, el: Element) -> int:
-    return mat_rank(g.ad_matrix(el))
+    return sparse_rank(g.field, g.ad_matrix(el))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
 
     QQ = field_for(0)
     vecs = [[QQ.from_int(c) for c in r] for r in roots]
-    maximal: List[Tuple[int, ...]] = []
+    maximal: List[Tuple[Tuple[int, ...], frozenset]] = []  # each set also as a frozenset
 
     def extend(cur: Tuple[int, ...], span: Echelon, cand: List[int]):
         """Grow cur, whose QQ span is span, by the candidates orthogonal to
@@ -191,8 +191,9 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
                           f"{MAX_ORTHOGONAL_SETS} maximal orthogonal isotropic sets")
         ext = [c for c in cand if (not cur or orth[c][cur[-1]]) and not span.contains(vecs[c])]
         if not ext:
-            if cur and not any(set(cur) < set(mx) for mx in maximal):
-                maximal.append(cur)
+            found = frozenset(cur)
+            if cur and not any(found < mx for _, mx in maximal):
+                maximal.append((cur, found))
             return
         for t, c in enumerate(ext):
             grown = span.copy()
@@ -201,7 +202,7 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
 
     extend(tuple(), Echelon(QQ, b.n), list(range(nr)))
     # deduplicate non-maximal leftovers
-    maximal = [m for m in maximal if not any(set(m) < set(m2) for m2 in maximal if m2 != m)]
+    maximal = [m for m, ms in maximal if not any(ms < m2 for _, m2 in maximal)]
     df = max((len(m) for m in maximal), default=0)
     sets = sorted({tuple(roots[i] for i in m) for m in maximal})
     return {"isotropic_roots": roots, "max_sets": sets, "df": df}

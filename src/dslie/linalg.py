@@ -14,27 +14,20 @@ of invariant_forms need it), in int16 when p^2 fits and int64 otherwise
 (mod_p_dtype); over QQ and K(a) it inserts the rows one by one.  The
 vectorized elimination drops the all-zero rows and visits only the columns
 that are nonzero at the start, since no row operation fills an all-zero
-column.  rref, mat_rank and mat_nullspace are thin wrappers over it.
-
-Over a prime field a Matrix may hold its rows as an integer ndarray, which
-reaches the elimination without a round trip through Python lists: the
-invariance equations (Superalgebra._form_equations_mod_p) and every
-ad-matrix (Superalgebra.ad_matrix) are built that way, and
-kernel_mod_image hands such a matrix to each of its eliminations as an
-array.
+column.  rref, mat_rank and mat_nullspace are thin wrappers over it.  The
+integer array is the format of the invariance equations only
+(Superalgebra._form_equations_mod_p).
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
 Nullspace bases assign 1 to each free column in increasing order, so
 repeated runs are byte-identical.
 
-kernel_mod_image builds on Echelon the Ker M / Im M complement that
-every homology (of ad_x on g, of rho_x on a module) is read from.  Over QQ
-and K(a) it eliminates each connected block of M on its own: ad_x and
-rho_x are sparse, and their supports split into many small blocks (rho_x
-on the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
-Ker and Im are direct sums over the blocks and an RREF is unique, so the
-output is the one the whole matrix gives, byte for byte.
+Every homology (of ad_x on g, of rho_x on a module) is read from
+kernel_mod_image, and the rank of ad_x from sparse_rank.  Both take the
+matrix as sparse rows on every field and eliminate each of its connected
+blocks on its own: ad_x and rho_x split into many small blocks (rho_x on
+the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
 """
 
 from __future__ import annotations
@@ -63,9 +56,11 @@ def zero_of(field: Field):
 class Matrix:
     """Dense matrix over one Field; entries stored row-major in canonical form.
 
-    Over a prime field the rows may also be a 2-D integer ndarray with
-    entries in [0, p); it is kept as is, not copied, and read only by rref,
-    mat_rank, mat_nullspace, kernel_mod_image and transpose (a view)."""
+    It is the input of rref, mat_rank and mat_nullspace.  Over a prime field
+    the rows may also be a 2-D integer ndarray with entries in [0, p) (the
+    invariance equations of Superalgebra._form_equations_mod_p); it is kept
+    as is, not copied.  The homology matrices are sparse rows instead (see
+    kernel_mod_image)."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
         self.field = field
@@ -82,12 +77,6 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
         self.nrows = len(self.rows)
-
-    def transpose(self) -> "Matrix":
-        if isinstance(self.rows, np.ndarray):
-            return Matrix(self.field, self.rows.T)
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], ncols=self.nrows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -110,19 +99,23 @@ def mat_rank(M: Matrix) -> int:
 
 def mat_nullspace(M: Matrix) -> List[list]:
     """Basis of the right kernel {x : M x = 0}; deterministic free-column order."""
-    f = M.field
-    n = M.ncols
-    ech = Echelon(f, n).extend(M.rows)
+    return [vec for _c, vec in _nullspace(Echelon(M.field, M.ncols).extend(M.rows))]
+
+
+def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
+    """(free column c, the kernel vector with 1 at c and 0 at the other free
+    columns) for the row echelon ech, in increasing c."""
+    f = ech.field
     pivset = set(ech.pivots)
     basis = []
-    for fc in range(n):
+    for fc in range(ech.ncols):
         if fc in pivset:
             continue
-        vec = [f.zero] * n
+        vec = [f.zero] * ech.ncols
         vec[fc] = f.one
         for row, pc in zip(ech.rows, ech.pivots):
             vec[pc] = f.neg(row[fc])
-        basis.append(vec)
+        basis.append((fc, vec))
     return basis
 
 
@@ -298,129 +291,102 @@ class Echelon:
         return self
 
 
-def _blocks(M: Matrix) -> List[List[int]]:
-    """The connected blocks of a square M: the components of the graph on
-    the indices that joins i and j when M[i][j] != 0 (union-find), each in
-    increasing order.  Permuting rows and columns alike by the blocks puts
-    M in block-diagonal form."""
-    root = list(range(M.ncols))
+def _blocks(rows: Sequence[dict]) -> List[List[int]]:
+    """The connected blocks of a square M held as sparse rows: the
+    components of the graph joining i and j when M[i][j] != 0 (union-find
+    over the stored entries), each in increasing order."""
+    root = list(range(len(rows)))
 
     def find(i: int) -> int:
         while root[i] != i:
             root[i] = i = root[root[i]]
         return i
 
-    zero = zero_of(M.field)
-    for i, row in enumerate(M.rows):
-        for j, x in enumerate(row):
-            if x != zero:
-                a, b = find(i), find(j)
-                if a != b:
-                    root[max(a, b)] = min(a, b)
+    for i, row in enumerate(rows):
+        for j in row:
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
     blocks: dict = {}
-    for i in range(M.ncols):
+    for i in range(len(rows)):
         blocks.setdefault(find(i), []).append(i)
     return list(blocks.values())
 
 
-def _kernel_mod_image_blocks(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
-    """The Field path of kernel_mod_image, block by block: each connected
-    block of M gets the image, nullspace and complement eliminations of the
-    whole matrix, and its rows are lifted back to n coordinates."""
-    f = M.field
-    n = M.ncols
-    zero = zero_of(f)
-    image, ker, comp = [], [], []  # (pivot or free column, row in n coordinates)
-    for block in _blocks(M):
-        if len(block) == 1 and M.rows[block[0]][block[0]] == zero:
-            # a zero row and column: its unit vector spans kernel and complement
-            unit = [f.zero] * n
-            unit[block[0]] = f.one
-            ker.append((block[0], unit))
-            comp.append((block[0], list(unit)))
-            continue
-
-        def lift(row: list) -> list:
-            out = [f.zero] * n
-            for j, x in zip(block, row):
-                out[j] = x
-            return out
-
-        sub = Matrix(f, [[M.rows[i][j] for j in block] for i in block], ncols=len(block))
-        im = Echelon(f, len(block))
-        im.rows, im.pivots = rref(sub.transpose())
-        block_ker = mat_nullspace(sub)
-        rows, pivots = rref(Matrix(f, [im.reduce(vec)[0] for vec in block_ker],
-                                   ncols=len(block)))
-        image += [(block[c], lift(row)) for row, c in zip(im.rows, im.pivots)]
-        comp += [(block[c], lift(row)) for row, c in zip(rows, pivots)]
-        # a nullspace vector's last nonzero entry is its free column: its
-        # other entries sit on pivots, which lie left of the free columns of
-        # their rows
-        ker += [(max(j for j, x in enumerate(vec) if x != zero), vec)
-                for vec in map(lift, block_ker)]
-    for part in (image, ker, comp):
-        part.sort(key=lambda t: t[0])
-    im = Echelon(f, M.nrows)
-    im.pivots = [c for c, _ in image]
-    im.rows = [row for _, row in image]
-    im.combos = [{} for _ in image]
-    return im, [vec for _, vec in ker], [row for _, row in comp]
+def _dense(field: Field, rows: Sequence[dict], block: List[int]) -> List[list]:
+    """The dense rows of M restricted to one block."""
+    pos = {j: t for t, j in enumerate(block)}
+    sub = [[field.zero] * len(block) for _ in block]
+    for out, i in zip(sub, block):
+        for j, x in rows[i].items():
+            out[pos[j]] = x
+    return sub
 
 
-def kernel_mod_image(M: Matrix) -> Tuple[Echelon, List[list], List[list]]:
-    """Ker M / Im M for a square M (the caller checks M^2 = 0).
+def _column_echelon(field: Field, sub: List[list]) -> Echelon:
+    """The echelon of the column space of a dense block, column by column."""
+    im = Echelon(field, len(sub))
+    for col in zip(*sub):
+        im.add(col)
+    return im
+
+
+def sparse_rank(field: Field, rows: Sequence[dict]) -> int:
+    """Rank of a square matrix with sparse rows: the sum over its connected
+    blocks of the rank of each block's columns."""
+    return sum(len(_column_echelon(field, _dense(field, rows, block)))
+               for block in _blocks(rows) if len(block) > 1 or rows[block[0]])
+
+
+def kernel_mod_image(field: Field, rows: Sequence[dict]) -> Tuple[Echelon, List[list], List[list]]:
+    """Ker M / Im M for a square M held as sparse rows, row m the dict
+    {j: M[m][j]} of its nonzero entries (the caller checks M^2 = 0).
 
     Returns the echelon of the column space, the nullspace basis, and the
     complement rows: the kernel vectors reduced modulo the image and
-    echelonized among themselves, so they vanish on the image pivots.  The
-    image (from the columns) and the kernel (from the rows) come from two
-    independent eliminations, so a caller comparing their dimensions checks
-    rank-nullity.
+    echelonized among themselves.  The image (from the columns) and the
+    kernel (from the rows) come from two independent eliminations, so a
+    caller comparing their dimensions checks rank-nullity.
 
-    Over GF(p) the matrix is an integer array throughout (a list-row Matrix
-    is converted once): the kernel basis is read off the row RREF and the
-    kernel block is reduced modulo the image in one array operation.
-
-    Over QQ and K(a) M is split into its connected blocks (_blocks), and
-    each block gets its own three eliminations: the image, the nullspace
-    (mat_nullspace), and the kernel vectors reduced by the block's image
-    echelon.  An index whose row and column are zero is a block of its own
-    whose unit vector is both its kernel vector and its complement row, with
-    no elimination.  The lifted rows are sorted by pivot, the kernel vectors
-    by free column, and the result is the one the whole matrix gives, byte
-    for byte: a row of M in a block is supported on the block, so the row
-    space, the column space and the kernel are direct sums over the blocks;
-    an RREF is unique, and the nullspace vector of a free column c lies in
-    c's block.  Per-block numpy calls would cost the GF(p) path more than
-    they save, so it eliminates the whole array.
-
-    Every elimination goes through rref or mat_nullspace, and every scalar
-    returned is canonical (a Python int over GF(p)).
+    Each connected block gets these three eliminations through Echelon.add,
+    dense in its own coordinates; an index whose row and column are zero
+    needs none, its unit vector is its kernel vector and complement row.
+    The rows lifted back and sorted by pivot (or free column) are the ones
+    the whole matrix gives, byte for byte: the row space, the column space
+    and the kernel are direct sums over the blocks, and an RREF is unique.
     """
-    f = M.field
-    n = M.ncols
-    p = f.p if isinstance(f, PrimeField) else 0
-    if not p:
-        return _kernel_mod_image_blocks(M)
-    if not isinstance(M.rows, np.ndarray):
-        M = Matrix(f, np.array(M.rows, dtype=np.int64).reshape(M.nrows, n) % p)
-    im = Echelon(f, M.nrows)
-    im.rows, im.pivots = rref(M.transpose())
-    im.combos = [{} for _ in im.rows]
-    rows, pivots = rref(M)
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = is_free.nonzero()[0]
-    ker = np.zeros((free.size, n), dtype=np.int64)
-    ker[np.arange(free.size), free] = 1
-    ker[:, pivots] = -np.array(rows, dtype=np.int64).reshape(-1, n)[:, free].T % p
-    # ker - coef @ image, summed over the nonzero coefficients only (kernel
-    # rows are sparse), each product reduced mod p first
-    image = np.array(im.rows, dtype=np.int64).reshape(-1, n)
-    coef = ker[:, im.pivots]
-    at, t = coef.nonzero()
-    red = ker.copy()
-    np.subtract.at(red, at, coef[at, t][:, None] * image[t] % p)
-    comp, _ = rref(Matrix(f, red % p))
-    return im, ker.tolist(), comp
+    f = field
+    n = len(rows)
+    image, ker, comp = [], [], []  # (pivot or free column, block, row in block coordinates)
+    for block in _blocks(rows):
+        if len(block) == 1 and not rows[block[0]]:
+            ker.append((block[0], block, [f.one]))
+            comp.append((block[0], block, [f.one]))
+            continue
+        sub = _dense(f, rows, block)
+        im = _column_echelon(f, sub)
+        row_ech = Echelon(f, len(block))
+        for row in sub:
+            row_ech.add(row)
+        block_ker = _nullspace(row_ech)
+        comp_ech = Echelon(f, len(block))
+        for _c, vec in block_ker:
+            comp_ech.add(im.reduce(vec)[0])
+        image += [(block[c], block, row) for c, row in zip(im.pivots, im.rows)]
+        ker += [(block[c], block, vec) for c, vec in block_ker]
+        comp += [(block[c], block, row) for c, row in zip(comp_ech.pivots, comp_ech.rows)]
+
+    def lifted(part: list) -> List[list]:
+        out = []
+        for _c, block, row in sorted(part, key=lambda t: t[0]):
+            vec = [f.zero] * n
+            for j, x in zip(block, row):
+                vec[j] = x
+            out.append(vec)
+        return out
+
+    im = Echelon(f, n)
+    im.pivots = sorted(c for c, _b, _r in image)
+    im.rows = lifted(image)
+    im.combos = [{} for _ in image]
+    return im, lifted(ker), lifted(comp)

@@ -13,8 +13,9 @@ A matrix of the action is held as sparse rows (a list of Elements, row t
 holding the coefficients of basis_t in the images of the basis vectors).
 The root vectors act through their words: a product combines rows with
 el_addmul, and a commutator or rho_x = sum_k c_k rho(b_k) adds rows and
-drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows,
-and only the Ker/Im elimination sees a dense matrix.
+drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows and
+hands them to linalg.kernel_mod_image, which makes only each connected
+block dense.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .build import BuildError, BuildResult, grading_rows, radical_step
 from .linalg import Matrix, kernel_mod_image, mat_nullspace
-from .superalgebra import Element, el_add, el_addmul, el_scale, el_to_dense
+from .superalgebra import Element, el_add, el_addmul, el_scale
 
 
 @dataclass
@@ -240,8 +241,7 @@ def module_homology(rep: ModuleRep, el: Element) -> ModuleHomology:
     R = rep.element_matrix(el)
     if any(_sparse_mul(fld, R, R)):
         raise ValueError("rho_x squared is nonzero on the module")
-    im, _ker, comp_rows = kernel_mod_image(
-        Matrix(fld, [el_to_dense(fld, r, dm) for r in R], ncols=dm))
+    im, _ker, comp_rows = kernel_mod_image(fld, R)
     ev = od = 0
     for r in comp_rows:
         ps = {rep.parities[k] for k in range(dm) if not fld.is_zero(r[k])}

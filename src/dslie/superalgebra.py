@@ -271,18 +271,18 @@ class Superalgebra:
                     out = el_addmul(f, out, f.mul(c, d), w)
         return out
 
-    def ad_matrix(self, u: Element) -> Matrix:
-        """Matrix of ad_u = [u, .] in the basis (column j = [u, b_j]).
+    def ad_matrix(self, u: Element) -> List[Element]:
+        """Sparse rows of ad_u = [u, .] in the basis: row m is {j: coefficient
+        of b_m in [u, b_j]}, zeros left out (the input of
+        linalg.kernel_mod_image and linalg.sparse_rank).
 
         Entry (m, j) sums c * C[i,j,m] over the support {i: c} of u, read
         from the stored constants with the sign of [b_i, b_j] applied to c;
-        no element is bracketed.  Over GF(p) the rows are an n x n int64
-        array (each product reduced mod p before the sum, so p up to 2^31
-        cannot overflow); over QQ and K(a) they are lists of Field scalars."""
+        no element is bracketed."""
         f = self.field
         n = self.dim
         p = f.p if isinstance(f, PrimeField) else 0
-        terms = []  # (m, j, c * C[i,j,m]) for every stored constant of [b_i, b_j]
+        rows: List[Element] = [{} for _ in range(n)]
         for i, c in u.items():
             minus = None  # -c, computed on first use
             for j in range(n):
@@ -294,19 +294,13 @@ class Superalgebra:
                     if minus is None:
                         minus = -c % p if p else f.neg(c)
                     s = minus
-                terms += [(m, j, s * e % p if p else f.mul(s, e)) for m, e in w.items()]
-        if p:
-            a = np.zeros((n, n), dtype=np.int64)
-            if terms:
-                m, j, v = np.array(terms, dtype=np.int64).T
-                np.add.at(a, (m, j), v)
-                a %= p
-            return Matrix(f, a)
+                for m, e in w.items():
+                    v = s * e % p if p else f.mul(s, e)
+                    if j in rows[m]:
+                        v = (rows[m][j] + v) % p if p else f.add(rows[m][j], v)
+                    rows[m][j] = v
         zero = zero_of(f)
-        rows = [[f.zero] * n for _ in range(n)]
-        for m, j, v in terms:
-            rows[m][j] = v if rows[m][j] == zero else f.add(rows[m][j], v)
-        return Matrix(f, rows, ncols=n)
+        return [{j: v for j, v in row.items() if v != zero} for row in rows]
 
     def _denominator_lcm(self) -> int:
         """Over QQ, the lcm of the denominators of the structure constants."""

@@ -1,10 +1,11 @@
 """Constructions that only the tests need: a basis change of a
-superalgebra, a polynomial in the generator of K(a), and the dense
-references of the homology of a square-zero matrix and of a module."""
+superalgebra, a polynomial in the generator of K(a), the transpose of a
+Matrix, and the dense references of the homology of a square-zero matrix
+and of a module."""
 
-from dslie.fields import FunctionField, PrimeField
-from dslie.linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace, rref
-from dslie.superalgebra import Superalgebra, el_to_dense
+from dslie.fields import FunctionField
+from dslie.linalg import Echelon, Matrix, mat_nullspace, rref
+from dslie.superalgebra import Superalgebra, el_from_dense, el_to_dense
 
 
 def transform_basis(g: Superalgebra, T: list) -> Superalgebra:
@@ -32,13 +33,29 @@ def poly(f: FunctionField, coeffs) -> object:
     return out
 
 
+def transpose(M: Matrix) -> Matrix:
+    return Matrix(M.field, [[M.rows[i][j] for i in range(M.nrows)] for j in range(M.ncols)],
+                  ncols=M.nrows)
+
+
+def sparse_rows(M: Matrix) -> list:
+    """The rows of a dense square M as dicts of their nonzero entries, the
+    format of ad_matrix, element_matrix and kernel_mod_image."""
+    return [el_from_dense(M.field, row) for row in M.rows]
+
+
+def dense_matrix(f, rows: list) -> Matrix:
+    """The dense Matrix of a square matrix held as sparse rows."""
+    return Matrix(f, [el_to_dense(f, r, len(rows)) for r in rows], ncols=len(rows))
+
+
 def kernel_mod_image_unsplit(M: Matrix):
-    """Ker M / Im M over QQ or K(a) from three eliminations of the whole
-    matrix: the image, the nullspace, and the kernel vectors reduced by the
-    image echelon (kernel_mod_image splits M into its connected blocks)."""
+    """Ker M / Im M from three eliminations of the whole dense matrix: the
+    image, the nullspace, and the kernel vectors reduced by the image
+    echelon (kernel_mod_image splits M into its connected blocks)."""
     f = M.field
     im = Echelon(f, M.nrows)
-    im.rows, im.pivots = rref(M.transpose())
+    im.rows, im.pivots = rref(transpose(M))
     ker = mat_nullspace(M)
     comp, _ = rref(Matrix(f, [im.reduce(vec)[0] for vec in ker], ncols=M.ncols))
     return im, ker, comp
@@ -105,18 +122,13 @@ def dense_element_matrix(rep, el) -> list:
 
 def module_homology_reference(rep, el):
     """(rank, sdim_mx, basis_rows) of Ker rho_x / Im rho_x from the dense
-    rho_x, its dense square and the unsplit Ker/Im (the GF(p) array path of
-    kernel_mod_image, which does not split, over a prime field)."""
+    rho_x, its dense square and the unsplit Ker/Im."""
     f = rep.build.field
     dm = rep.dim
     R = dense_element_matrix(rep, el)
     if any(not f.is_zero(x) for row in dense_mat_mul(f, R, R) for x in row):
         raise ValueError("rho_x squared is nonzero on the module")
-    M = Matrix(f, R, ncols=dm)
-    if isinstance(f, PrimeField):
-        im, _ker, comp = kernel_mod_image(M)
-    else:
-        im, _ker, comp = kernel_mod_image_unsplit(M)
+    im, _ker, comp = kernel_mod_image_unsplit(Matrix(f, R, ncols=dm))
     ev = od = 0
     for r in comp:
         ps = {rep.parities[k] for k in range(dm) if not f.is_zero(r[k])}

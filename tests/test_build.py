@@ -20,7 +20,7 @@ def test_sl2():
     # ad(h) is diagonal with entries 0, 2, -2
     f = b.field
     adh = b.algebra.ad_matrix({0: f.one})
-    diag = sorted(int(adh.rows[i][i]) for i in range(3))
+    diag = sorted(int(adh[i].get(i, f.zero)) for i in range(3))
     assert diag == [-2, 0, 2]
 
 

@@ -148,6 +148,23 @@ def test_bad_input_is_one_line_usage_error(capsys, cache_dir, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "exceptional", "-p", "4"],
+    ["catalog", "-p", "4"],
+    ["defect", "brj(2;5)", "-p", "5", "--samples", "-3"],
+    ["ds", "brj(2;5)", "-p", "5", "--sweep", "--samples", "-3"],
+    ["audit", "--keys", "nosuch"],
+])
+def test_input_that_selects_nothing_is_a_usage_error(capsys, argv):
+    """A characteristic that is not 0 or a prime, a negative sample count
+    and audit keys that match no row are refused before any work, instead
+    of printing nothing (or an empty summary) with exit 0."""
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+
+
 def test_table_range_covers_shipped_tables():
     shapes = set()
     for row in load_expected()["rows"]:

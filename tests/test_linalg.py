@@ -1,8 +1,8 @@
 """Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
-the batch (numpy) against the incremental (list) elimination, and the
-homology matrices (ad_matrix, kernel_mod_image) against their list-based
-references, and the block-by-block Ker/Im over QQ and K(a) against the
-eliminations of the whole matrix."""
+the batch (numpy) against the incremental (list) elimination, the homology
+matrices (ad_matrix, kernel_mod_image, adjoint_rank) against their dense
+references, and the block-by-block Ker/Im against the eliminations of the
+whole matrix."""
 
 import random
 
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from dslie.catalog import build_catalog_algebra
 from dslie.classical import classical, parse_key
-from dslie.ds import ds_homology, is_homological, single_root_candidates
+from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_candidates
 from dslie.fields import PrimeField, field_for
 from dslie.linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank, rref
 from dslie.superalgebra import el_add, el_to_dense
-from helpers import kernel_mod_image_unsplit
+from helpers import dense_matrix, kernel_mod_image_unsplit, sparse_rows
 from test_subquotient import _p2_heisenberg
 
 
@@ -204,18 +204,14 @@ def _scalars(rows):
 
 
 def _check_kernel_mod_image(M):
-    """kernel_mod_image of M (and over GF(p) of M as an int64 array) equals
-    the reference, and over GF(p) every scalar it returns is a Python int."""
+    """kernel_mod_image of the sparse rows of M equals the reference on the
+    dense M, and over GF(p) every scalar it returns is a Python int."""
     f = M.field
     want = _kernel_mod_image_reference(M)
-    inputs = [M]
+    im, ker, comp = kernel_mod_image(f, sparse_rows(M))
+    assert (im.rows, im.pivots, ker, comp) == want
     if isinstance(f, PrimeField):
-        inputs.append(Matrix(f, np.array(M.rows, dtype=np.int64).reshape(M.nrows, M.ncols)))
-    for A in inputs:
-        im, ker, comp = kernel_mod_image(A)
-        assert (im.rows, im.pivots, ker, comp) == want
-        if isinstance(f, PrimeField):
-            assert {type(x) for x in _scalars(im.rows + ker + comp)} <= {int}
+        assert {type(x) for x in _scalars(im.rows + ker + comp)} <= {int}
     return want
 
 
@@ -260,7 +256,7 @@ def test_kernel_mod_image_matches_reference(p, parametric, data):
 
 def test_kernel_mod_image_sums_past_int64():
     """At rank 16 over GF(2147483629) the image reduction sums 16 products
-    of two residues, past int64 unless each product is reduced first."""
+    of two residues, past int64 if they were summed in fixed width."""
     f = field_for(2147483629)
     rng = random.Random(5)
     n = 32
@@ -269,17 +265,18 @@ def test_kernel_mod_image_sums_past_int64():
     _check_kernel_mod_image(Matrix(f, _square_zero(f, n, n // 2, ops), ncols=n))
 
 
-# -- the block split of the Field path against the whole matrix ---------------
+# -- the block split against the whole matrix ----------------------------------
 
-BLOCK_FIELDS = [(0, False), (2, True), (3, True), (0, True)]
+BLOCK_FIELDS = [(2, False), (3, False), (2147483629, False), (0, False), (2, True),
+                (3, True), (0, True)]
 
 
-def _check_block_split(M):
-    """kernel_mod_image, which eliminates M block by block, gives the image
-    rows and pivots, the kernel and the complement of the eliminations of
-    the whole matrix, repr for repr."""
-    im, ker, comp = kernel_mod_image(M)
-    ref_im, ref_ker, ref_comp = kernel_mod_image_unsplit(M)
+def _check_block_split(f, rows):
+    """kernel_mod_image, which eliminates the sparse rows block by block,
+    gives the image rows and pivots, the kernel and the complement of the
+    eliminations of the whole dense matrix, repr for repr."""
+    im, ker, comp = kernel_mod_image(f, rows)
+    ref_im, ref_ker, ref_comp = kernel_mod_image_unsplit(dense_matrix(f, rows))
     assert repr(im.rows) == repr(ref_im.rows) and im.pivots == ref_im.pivots
     assert repr(ker) == repr(ref_ker)
     assert repr(comp) == repr(ref_comp)
@@ -320,18 +317,16 @@ def test_block_split_matches_the_whole_matrix(p, parametric, data):
         start += k
     perm = data.draw(st.permutations(range(n)), label="perm")
     M = Matrix(f, [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)], ncols=n)
-    im, ker, comp = _check_block_split(M)
+    im, ker, comp = _check_block_split(f, sparse_rows(M))
     assert len(im) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
 
 
 BLOCK_ALGEBRAS = [("bgl(3;alpha)", 2), ("bgl(4;alpha)", 2), ("osp(4|2;a)", 5), ("gl(2|2)", 0)]
 
 
-@pytest.mark.parametrize("key,p", BLOCK_ALGEBRAS)
-def test_block_split_matches_on_ad_x(cache_dir, key, p):
-    """ad_x of every homological single root and of 15 seeded sums of two
-    of them.  The split does not need (ad_x)^2 = 0, so a sum that is not
-    homological is checked too."""
+def _single_roots(cache_dir, key, p):
+    """(g, the homological single roots of g): the candidates of a catalog
+    build, or the homological odd basis vectors of a classical algebra."""
     if parse_key(key):
         g = classical(*parse_key(key), p)
         singles = [{k: g.field.one} for k in range(g.dim)
@@ -341,10 +336,19 @@ def test_block_split_matches_on_ad_x(cache_dir, key, p):
         g = b.algebra
         singles = [c.element for c in single_root_candidates(b)]
     assert singles
+    return g, singles
+
+
+@pytest.mark.parametrize("key,p", BLOCK_ALGEBRAS)
+def test_block_split_matches_on_ad_x(cache_dir, key, p):
+    """ad_x of every homological single root and of 15 seeded sums of two
+    of them.  The split does not need (ad_x)^2 = 0, so a sum that is not
+    homological is checked too."""
+    g, singles = _single_roots(cache_dir, key, p)
     rng = random.Random(0)
     pairs = [el_add(g.field, *rng.sample(singles, 2)) for _ in range(15)]
     for el in singles + pairs:
-        _check_block_split(g.ad_matrix(el))
+        _check_block_split(g.field, g.ad_matrix(el))
 
 
 AD_KEYS = [("brj(2;5)", 5), ("g(6,6)", 3), ("e(7,1)", 2), ("bgl(3;alpha)", 2)]
@@ -358,11 +362,24 @@ def test_ad_matrix_matches_reference(cache_dir, key, p):
     cands = single_root_candidates(b)
     assert cands
     for c in cands:
-        A = g.ad_matrix(c.element)
-        rows = A.rows.tolist() if prime else A.rows
-        assert isinstance(A.rows, np.ndarray) == prime
-        assert rows == _ad_matrix_reference(g, c.element), c.description
-        _check_kernel_mod_image(Matrix(g.field, rows, ncols=g.dim))
+        rows = g.ad_matrix(c.element)
+        assert all(not g.field.is_zero(x) for row in rows for x in row.values())
+        if prime:
+            assert {type(x) for row in rows for x in row.values()} == {int}
+        M = dense_matrix(g.field, rows)
+        assert M.rows == _ad_matrix_reference(g, c.element), c.description
+        _check_kernel_mod_image(M)
+
+
+@pytest.mark.parametrize("key,p", AD_KEYS + [("gl(2|2)", 0)])
+def test_adjoint_rank_matches_dense_rank(cache_dir, key, p):
+    """adjoint_rank, one column elimination per block of the sparse ad_x,
+    is the rank of the dense reference ad-matrix, for every homological
+    single root (over QQ, the odd basis vectors of gl(2|2))."""
+    g, singles = _single_roots(cache_dir, key, p)
+    for el in singles:
+        want = mat_rank(Matrix(g.field, _ad_matrix_reference(g, el), ncols=g.dim))
+        assert adjoint_rank(g, el) == want, el
 
 
 @pytest.mark.parametrize("key,p", [("g(6,6)", 3), ("e(7,1)", 2), (None, 2)])

@@ -1,6 +1,7 @@
 """Static checks on the library sources: every import in src/dslie is used
-and sits at module level, every function, method and class it defines is
-named somewhere, and every CLI option is read by its command's handler.
+and sits at module level, only linalg.py and superalgebra.py import numpy,
+every function, method and class it defines is named somewhere, and every
+CLI option is read by its command's handler.
 
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
@@ -73,6 +74,37 @@ def test_checker_sees_annotations_and_all():
     src = ("from typing import List, Optional\nimport re\nfrom x import A, B, C\n"
            "__all__ = ['C']\ndef f(a: 'Optional[A]') -> List[int]:\n    pass\n")
     assert unused_imports(src) == [(2, "re"), (3, "B")]
+
+
+def imported_modules(source: str):
+    """The top-level package of every module the source imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+NUMPY_MODULES = ["linalg.py", "superalgebra.py"]
+
+
+def test_numpy_stays_in_linalg_and_superalgebra():
+    """The GF(p) array format of the invariance equations stays inside
+    linalg and the forms assembly; the homology matrices are sparse rows."""
+    users = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            if "numpy" in imported_modules(fh.read()):
+                users.append(module)
+    assert users == NUMPY_MODULES
+
+
+def test_checker_sees_numpy_imports():
+    src = "import numpy as np\nfrom numpy.linalg import norm\nfrom . import numpy\nimport os\n"
+    assert imported_modules(src) == {"numpy", "os"}
+    assert imported_modules("from numpy import zeros\n") == {"numpy"}
 
 
 def local_imports(source: str):

@@ -15,6 +15,7 @@ from dslie.classical import abelian, gl, hei_odd, psl
 from dslie.ds import ds_homology
 from dslie.linalg import Matrix, mat_nullspace
 from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_from_dense
+from helpers import transpose
 from test_subquotient import _p2_heisenberg
 
 
@@ -24,8 +25,8 @@ def _kernel_trick_meet(g: Superalgebra, rows_a, rows_b):
     f = g.field
     if not rows_a or not rows_b:
         return []
-    M = Matrix(f, [list(r) for r in rows_a] + [list(r) for r in rows_b],
-               ncols=g.dim).transpose()
+    M = transpose(Matrix(f, [list(r) for r in rows_a] + [list(r) for r in rows_b],
+                         ncols=g.dim))
     out = []
     for v in mat_nullspace(M):
         comb = [f.zero] * g.dim
