@@ -24,7 +24,7 @@ from .ds import DSError, defect_report, ds_homology, identify
 from .fields import FieldSpec, UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
-from .serialize import serialize_build
+from .serialize import ensure_cache_dir, serialize_build
 from .tables import chain_table, family_algebra
 
 CACHE_ENV = "DSLIE_CACHE_DIR"
@@ -32,7 +32,12 @@ TABLE_MAX_N, TABLE_MAX_B = 4, 12  # the range of the shipped square and shifted 
 
 
 def _cache_dir(args) -> Optional[str]:
-    return args.cache_dir or os.environ.get(CACHE_ENV) or None
+    """The cache directory of --cache-dir or $DSLIE_CACHE_DIR, created if
+    needed; one that cannot be created or written is a usage error."""
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
+    if cache_dir:
+        ensure_cache_dir(cache_dir)
+    return cache_dir
 
 
 def _emit(rows: List[dict], fmt: str, stream=None):

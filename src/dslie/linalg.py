@@ -9,14 +9,21 @@ two kernels, chosen by the field:
   * QQ, K(a)              -- the Field's own add/mul/inv
 
 extend() inserts a batch of untracked rows.  Over a prime field it runs
-one vectorized numpy elimination over the whole batch (the tall systems
-of invariant_forms need it), in int16 when p^2 fits and int64 otherwise
-(mod_p_dtype); over QQ and K(a) it inserts the rows one by one.  The
-vectorized elimination drops the all-zero rows and visits only the columns
-that are nonzero at the start, since no row operation fills an all-zero
-column.  rref, mat_rank and mat_nullspace are thin wrappers over it.  The
-integer array is the format of the invariance equations only
-(Superalgebra._form_equations_mod_p).
+one vectorized numpy elimination over the whole batch, in int16 when p^2
+fits and int64 otherwise (mod_p_dtype); over QQ and K(a) it inserts the
+rows one by one.  The vectorized elimination drops the all-zero rows and
+visits only the columns that are nonzero at the start, since no row
+operation fills an all-zero column.  rref, mat_rank and mat_nullspace are
+thin wrappers over it.
+
+The fingerprint's two GF(p) systems, the invariance equations of the
+forms and the center's equations, are tall and mostly forced: most of
+their variables stand alone in some equation, so they are 0.
+nullspace_mod_p takes such a system as integer COO triples, deletes every
+one-entry equation with its variable until none is left (peel_mod_p, the
+singleton step of LP presolve), and eliminates only the core that remains,
+an integer array, through mat_nullspace.  Its answer is the nullspace of
+the whole system byte for byte.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -36,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField, RationalField, field_for
 
 
 def mod_p_dtype(p: int):
@@ -58,8 +65,8 @@ class Matrix:
 
     It is the input of rref, mat_rank and mat_nullspace.  Over a prime field
     the rows may also be a 2-D integer ndarray with entries in [0, p) (the
-    invariance equations of Superalgebra._form_equations_mod_p); it is kept
-    as is, not copied.  The homology matrices are sparse rows instead (see
+    core that peel_mod_p leaves of a sparse system); it is kept as is, not
+    copied.  The homology matrices are sparse rows instead (see
     kernel_mod_image)."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
@@ -289,6 +296,94 @@ class Echelon:
         self.rows = out.tolist()
         self.combos = [{} for _ in self.rows]
         return self
+
+
+def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+               vals: np.ndarray) -> Tuple[Matrix, np.ndarray]:
+    """The core of a sparse system mod p, given as COO triples of int64
+    arrays: equation rows[e] >= 0 has vals[e] at variable cols[e]
+    (0 <= cols[e] < ncols).
+
+    Repeated (equation, variable) entries are summed mod p and zero entries
+    dropped.  Then every equation with exactly one nonzero entry is
+    deleted together with that variable's column, until no such equation is
+    left; a deletion can leave another equation with one entry, so this
+    repeats.  The surviving equations are scaled to leading entry 1 and
+    repeats dropped.  Returns (core, kept): the core as an integer array
+    over the kept columns, kept the increasing indices of the columns that
+    were not deleted.
+
+    A deleted variable is 0 in every solution: its equation says c x_t = 0
+    with c != 0.  So the row space of the system is the direct sum of the
+    unit rows e_t of the deleted variables and the core rows (0 on the
+    deleted columns), and those unit rows and the core's RREF together are
+    the RREF of the whole system (see nullspace_mod_p)."""
+    dtype = mod_p_dtype(p)
+    key = rows * ncols + cols
+    order = key.argsort()
+    key, c = key[order], vals[order]
+    first = _firsts(key).nonzero()[0]
+    c = np.add.reduceat(c, first) % p
+    nonzero = c != 0
+    key, c = key[first[nonzero]], c[nonzero]
+    r, v = np.divmod(key, max(ncols, 1))  # entries sorted by equation, then variable
+    r = np.cumsum(_firsts(r)) - 1  # equations numbered 0, 1, ...
+    deleted = np.zeros(ncols, dtype=bool)
+    while r.size:
+        single = np.bincount(r)[r] == 1  # the entries of one-entry equations
+        if not single.any():
+            break
+        deleted[v[single]] = True
+        live = ~deleted[v]
+        r, v, c = r[live], v[live], c[live]
+    kept = (~deleted).nonzero()[0]
+    if not r.size:
+        return Matrix(field_for(p), np.zeros((0, kept.size), dtype=dtype)), kept
+    new_eq = _firsts(r)
+    eq = np.cumsum(new_eq) - 1  # core equation of every entry
+    start = new_eq.nonzero()[0]
+    if p > 2:  # scale to leading entry 1 (at p = 2 every entry is 1)
+        lead = c[start].tolist()
+        inv = {x: pow(x, p - 2, p) for x in set(lead)}
+        c = c * np.array([inv[x] for x in lead], dtype=np.int64)[eq] % p
+    buf = (v * p + c).tobytes()
+    at = (start * 8).tolist() + [8 * c.size]  # byte offsets of the int64 rows
+    keys = [buf[a:b] for a, b in zip(at, at[1:])]
+    distinct = np.zeros(start.size, dtype=bool)
+    distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
+    on = distinct[eq]
+    core = np.zeros((int(distinct.sum()), kept.size), dtype=dtype)
+    core[(np.cumsum(distinct) - 1)[eq[on]], (np.cumsum(~deleted) - 1)[v[on]]] = c[on]
+    return Matrix(field_for(p), core), kept
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    out = np.empty(a.size, dtype=bool)
+    out[:1] = True
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
+def nullspace_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                    vals: np.ndarray) -> List[list]:
+    """mat_nullspace over GF(p) of the sparse system given as COO triples
+    (see peel_mod_p), equal to the nullspace of the whole dense system byte
+    for byte, from the elimination of its core alone.
+
+    Each deleted variable t is an RREF pivot whose row is the unit row e_t,
+    so no other RREF row and no kernel vector has a nonzero entry at t, and
+    the free columns are the core's free columns.  The kernel vectors are
+    the core's, with 0 put back at every deleted column."""
+    core, kept = peel_mod_p(p, ncols, rows, cols, vals)
+    kept = kept.tolist()
+    out = []
+    for vec in mat_nullspace(core):
+        full = [0] * ncols
+        for j, x in zip(kept, vec):
+            full[j] = x
+        out.append(full)
+    return out
 
 
 def _blocks(rows: Sequence[dict]) -> List[List[int]]:

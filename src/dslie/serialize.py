@@ -2,9 +2,11 @@
 
 Everything is canonical JSON (sorted keys, fixed separators), so repeated
 runs produce identical bytes; the cache is keyed by a content digest of
-the Cartan data, the degree cap and the file format.  A cache file that
-cannot be decoded, or whose algebra disagrees with the spec's expected
-sdim, is treated as a miss.
+the Cartan data, the degree cap and the file format.  A cache entry that
+cannot be read or decoded, that names a basis index outside [0, dim), or
+whose algebra disagrees with the spec's expected sdim, is treated as a
+miss.  A cache directory that cannot be created or written is a
+UsageError that names the path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 from .build import BuildResult, _Node, parse_sdim
 from .cartan import CartanSpec
-from .fields import Field, RatFunc, field_for
+from .fields import Field, RatFunc, UsageError, field_for
 from .superalgebra import Superalgebra
 
 CACHE_FORMAT = 1  # bump when the stored layout or the builder's output changes
@@ -51,6 +53,19 @@ def element_from_obj(fld: Field, o: dict) -> dict:
     return {int(k): scalar_from_obj(fld, v) for k, v in o.items()}
 
 
+def _check_indices(o: dict) -> None:
+    """A ValueError unless every basis index of the stored brackets, squares
+    and Chevalley elements is one of "0" .. str(dim - 1), as
+    superalgebra_to_dict writes them; one pass over the keys."""
+    indices = frozenset(map(str, range(len(o["labels"]))))
+    squares = o.get("squares", {})
+    elements = list(o["brackets"].values()) + list(squares.values())
+    elements += [e for v in (o.get("chevalley") or {}).values() for e in v]
+    pairs = ",".join(o["brackets"]).split(",") if o["brackets"] else []
+    if not (indices.issuperset(pairs) and indices.issuperset(set().union(squares, *elements))):
+        raise ValueError(f"a basis index outside [0, {len(indices)})")
+
+
 def superalgebra_to_dict(g: Superalgebra) -> dict:
     fld = g.field
     out = {
@@ -72,6 +87,9 @@ def superalgebra_to_dict(g: Superalgebra) -> dict:
 
 
 def superalgebra_from_dict(o: dict) -> Superalgebra:
+    """The algebra of superalgebra_to_dict; an index outside [0, dim) in a
+    bracket, a square or a Chevalley element is a ValueError."""
+    _check_indices(o)
     fld = field_for(o["field"]["p"], o["field"]["parametric"])
     brackets = {}
     for key, v in o["brackets"].items():
@@ -174,21 +192,38 @@ def cache_load(cache_dir: Optional[str], spec: CartanSpec,
     try:
         with open(cache_path(cache_dir, spec, degree_cap)) as fh:
             b = build_result_from_dict(json.load(fh))
-    except (FileNotFoundError, ValueError, KeyError, IndexError, TypeError, AttributeError):
-        return None  # missing, truncated or malformed: a miss, rebuilt and overwritten
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
+        return None  # unreadable, truncated or malformed: a miss, rebuilt and overwritten
     if spec.expected_sdim and b.sdim != parse_sdim(spec.expected_sdim)[0]:
         return None  # stale: the same check build_g_of_A makes
     return b
+
+
+def ensure_cache_dir(cache_dir: str) -> None:
+    """Create the cache directory if needed; a UsageError naming it when it
+    cannot be created or written."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cache directory {cache_dir} cannot be created: "
+                         f"{exc.strerror}") from None
+    if not os.access(cache_dir, os.W_OK | os.X_OK):
+        raise UsageError(f"cache directory {cache_dir} cannot be written")
 
 
 def cache_store(cache_dir: Optional[str], spec: CartanSpec, degree_cap: int,
                 b: BuildResult) -> Optional[str]:
     if not cache_dir:
         return None
-    os.makedirs(cache_dir, exist_ok=True)
+    ensure_cache_dir(cache_dir)
     path = cache_path(cache_dir, spec, degree_cap)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(serialize_build(b))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(serialize_build(b))
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise UsageError(f"cache entry {path} cannot be written: {exc.strerror}") from None
     return path

@@ -24,7 +24,9 @@ modulo that zero part, and a bracket that leaves the span is a ValueError.
 
 The fingerprint's series start from [g, g], read once as the span of the
 stored brackets (and squares at p = 2); no pair of basis vectors is
-bracketed for it.  The center comes from one nullspace, and center ∩ [g, g]
+bracketed for it.  The center comes from one nullspace (over GF(p), from
+CENTER_PEEL_MIN_BRACKETS stored brackets on, through
+linalg.nullspace_mod_p, fed the stored constants), and center ∩ [g, g]
 by a dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
@@ -34,13 +36,16 @@ the stored structure constants: only nonzero paths are summed.
 
 invariant_forms solves the invariance equations of an even supersymmetric
 form, assembled from the nonzero structure constants on every field.  Over
-GF(p) they form one integer numpy array (summed mod p, rows scaled to
-leading entry 1, repeated rows dropped) handed to linalg's elimination as
-an array.  Over QQ the same array is built modulo a 31-bit prime, and the
-nullspace is lifted by rational reconstruction and certified exactly (see
-_forms_modular).  Over K(a), and over QQ when no prime certifies, the
-equations are Field rows, one per nonzero equation in (i, j, k) order
-(see _form_equations).
+GF(p) they are integer (equation, variable, value) triples handed to
+linalg.nullspace_mod_p, which deletes the variables that stand alone in
+some equation (they are 0; most are) and eliminates only the core left;
+the fingerprint asks for the dimension alone, and no form matrix is
+built for it.  Over QQ the same triples are taken modulo a 31-bit prime,
+and the nullspace is lifted by rational reconstruction and certified
+exactly (see _forms_modular).  Over K(a), and over QQ when no prime
+certifies, the equations are Field rows, one per nonzero equation in
+(i, j, k) order (see _form_equations), eliminated without that peeling
+(invariant_forms says why).
 """
 
 from __future__ import annotations
@@ -54,14 +59,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField, UsageError, field_for
-from .linalg import Echelon, Matrix, mat_nullspace, mod_p_dtype, zero_of
+from .fields import Field, PrimeField, RationalField, UsageError
+from .linalg import Echelon, Matrix, mat_nullspace, nullspace_mod_p, zero_of
 
 Element = Dict[int, object]
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
 FORMS_PRIMES = (2147483629, 2147483587)  # 31-bit moduli of the QQ invariant forms
+# fewer stored brackets than this: the GF(p) center's dense rows cost less
+# than the numpy calls of linalg.nullspace_mod_p (crossover between 5 and 10)
+CENTER_PEEL_MIN_BRACKETS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +430,14 @@ class Superalgebra:
     def center_rows(self) -> List[list]:
         """Kernel of the joint adjoint action, as dense vectors: one equation
         sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
-        brackets."""
+        brackets.  Over GF(p), from CENTER_PEEL_MIN_BRACKETS stored brackets
+        on, the constants go to linalg.nullspace_mod_p as they are stored,
+        one (equation, variable, value) triple each."""
         f = self.field
         n = self.dim
+        if isinstance(f, PrimeField) and len(self.brackets) >= CENTER_PEEL_MIN_BRACKETS:
+            A, B, M, C = self._constants_mod_p()
+            return nullspace_mod_p(f.p, n, B * n + M, A, C)
         rows: Dict[Tuple[int, int], list] = {}
         for a, b, w in self.ordered_brackets():
             for m, c in w.items():
@@ -483,22 +496,29 @@ class Superalgebra:
             "abelian": sdims[0] == (0, 0),
         }
 
-    def invariant_forms(self) -> dict:
+    def invariant_forms(self, basis: bool = True) -> dict:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
-        {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
+        {"dim": dimension of their space, "forms": a basis as n x n matrices}.
+        With basis=False the answer is {"dim": ...} alone; over GF(p) no
+        form matrix is then built (over QQ and K(a) the forms are solved
+        either way, and over QQ certified)."""
         f = self.field
         pairs = self._form_pairs()
         if isinstance(f, PrimeField):
-            return self._forms_of(pairs, mat_nullspace(self._form_equations_mod_p(pairs)))
+            sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
+            return self._forms_of(pairs, sols) if basis else {"dim": len(sols)}
         # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
         # K(a) keeps every nonzero equation, repeats included, and Field
-        # elimination: made faster alone, the bgl(4;a) defect op (about 0.3 s)
-        # would repeat often enough per measured window to set the
-        # defect-sweep latency tail.
+        # elimination, with no peeling of forced-zero variables and no
+        # deduplication: made faster alone, the bgl(4;a) defect op (about
+        # 2.1 s, some 0.3 s without its forms) would repeat often enough per
+        # measured window to set the defect-sweep latency tail at about
+        # 300 ms instead of about 35 ms.  That waits for a tail that does not
+        # depend on the round count.
         forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
         if forms is None:
             forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))
-        return forms
+        return forms if basis else {"dim": forms["dim"]}
 
     def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[list]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
@@ -529,8 +549,8 @@ class Superalgebra:
         for q in FORMS_PRIMES:
             if den % q == 0:
                 continue
-            lifts = [[_rational_lift(int(a), q) for a in v]
-                     for v in mat_nullspace(self._form_equations_mod_p(pairs, q))]
+            sols = nullspace_mod_p(q, len(pairs), *self._form_equations_mod_p(pairs, q))
+            lifts = [[_rational_lift(a, q) for a in v] for v in sols]
             if any(None in v for v in lifts):
                 continue
             forms = self._forms_of(pairs, lifts)
@@ -611,22 +631,44 @@ class Superalgebra:
         rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
         return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in rows if r], ncols=len(pairs))
 
-    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]],
-                              q: Optional[int] = None) -> Matrix:
+    def _constants_mod_p(self, q: Optional[int] = None) -> Tuple[np.ndarray, ...]:
+        """The entries of ordered_brackets as four int64 arrays (a, b, m, c):
+        c = C[a,b,m] mod q (default: the characteristic p of GF(p); over QQ
+        a prime dividing no denominator), read from the stored pairs a <= b
+        in one pass; the other order gets its sign here,
+        [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at p = 2)."""
+        f = self.field
+        q = q or f.p
+        if f.p:
+            flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
+                    for x in (i, j, m, c)]
+        else:
+            flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
+                    for x in (i, j, m, c.numerator * pow(c.denominator, -1, q) % q)]
+        I, J, M, C = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+        two = I != J
+        flip = C[two]
+        if f.p != 2:
+            odd = np.array(self.parities, dtype=bool)
+            flip = np.where(odd[I[two]] & odd[J[two]], flip, -flip) % q
+        return (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
+                np.concatenate([M, M[two]]), np.concatenate([C, flip]))
+
+    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]], q: Optional[int] = None
+                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The equations of _form_equations modulo q (default: the
         characteristic p of GF(p); over QQ a prime dividing no denominator),
-        as one integer array with one row per distinct equation.
+        as integer COO triples (equation, variable, value) for
+        linalg.nullspace_mod_p, which sums them mod q.
 
         Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
         B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
-        equation (l, i, j), for every k and l.  Entries of one (equation,
-        variable) are summed mod p and zero equations dropped.  Every
-        equation is scaled to leading entry 1, and duplicates are removed on
-        the bytes of the sparse row, so only distinct rows are made dense."""
+        equation (l, i, j), for every k and l; entries at an entry of B
+        that is 0 by parity are left out."""
         f = self.field
-        p, n, nv = q or f.p, self.dim, len(pairs)
+        n, nv = self.dim, len(pairs)
         if not self.brackets and not self.squares:  # abelian: no equation
-            return Matrix(field_for(p), np.zeros((0, nv), dtype=mod_p_dtype(p)))
+            return tuple(np.zeros((3, 0), dtype=np.int64))
         var = np.full((n, n), -1, dtype=np.int64)  # B_ab = sgn[a, b] * x[var[a, b]]
         lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         var[lo, hi] = var[hi, lo] = np.arange(nv)
@@ -634,9 +676,7 @@ class Superalgebra:
         if f.p != 2:  # B_ji = -B_ij for odd i < j
             odd = np.array(self.parities)[lo] == 1
             sgn[hi[odd], lo[odd]] = -1
-        consts = [(a, b, m, c if f.p else c.numerator * pow(c.denominator, -1, p) % p)
-                  for a, b, w in self.ordered_brackets() for m, c in w.items()]
-        I, J, M, C = np.array(consts, dtype=np.int64).reshape(-1, 4).T
+        I, J, M, C = self._constants_mod_p(q)
         ks = np.arange(n)
         # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
         # equation (i, k) is row n^3 + i n + k
@@ -660,35 +700,13 @@ class Superalgebra:
                 vals.append(-adad[k, m])
         r, v, c = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols, vals))
         keep = v >= 0
-        key = r[keep] * nv + v[keep]
-        order = np.argsort(key)
-        key, c = key[order], c[keep][order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, c = key[first], np.add.reduceat(c, first) % p
-        r, v = np.divmod(key[c != 0], nv)
-        c = c[c != 0]
-        new_eq = np.diff(r, prepend=-1) != 0
-        eq = np.cumsum(new_eq) - 1  # equation of every entry; entries sorted by variable
-        start = np.flatnonzero(new_eq)
-        lead, which = np.unique(c[start], return_inverse=True)
-        inv = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
-        c = c * inv[which][eq] % p
-        buf = (v * p + c).tobytes()
-        at = (np.append(start, len(c)) * 8).tolist()  # byte offsets of the int64 rows
-        keys = [buf[a:b] for a, b in zip(at, at[1:])]
-        distinct = np.zeros(len(start), dtype=bool)
-        distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
-        row_of = np.cumsum(distinct) - 1
-        on = distinct[eq]
-        dense = np.zeros((int(distinct.sum()), nv), dtype=mod_p_dtype(p))
-        dense[row_of[eq[on]], v[on]] = c[on]
-        return Matrix(field_for(p), dense)
+        return r[keep], v[keep], c[keep]
 
     def fingerprint(self) -> Fingerprint:
         ss = self.structure_series()
         forms_dim = None
         if self.dim <= FORMS_DIM_CUTOFF:
-            forms_dim = self.invariant_forms()["dim"]
+            forms_dim = self.invariant_forms(basis=False)["dim"]
         return Fingerprint(
             sdim=self.sdim,
             derived_sdims=ss["derived_sdims"],

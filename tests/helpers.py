@@ -1,7 +1,7 @@
 """Constructions that only the tests need: a basis change of a
 superalgebra, a polynomial in the generator of K(a), the transpose of a
-Matrix, and the dense references of the homology of a square-zero matrix
-and of a module."""
+Matrix, and the dense references of the center, of the homology of a
+square-zero matrix and of a module."""
 
 from dslie.fields import FunctionField
 from dslie.linalg import Echelon, Matrix, mat_nullspace, rref
@@ -31,6 +31,20 @@ def poly(f: FunctionField, coeffs) -> object:
         out = f.add(out, f.mul(f.from_int(c), power))
         power = f.mul(power, f.param())
     return out
+
+
+def center_rows_reference(g: Superalgebra) -> list:
+    """The center as mat_nullspace of dense Field rows, one equation
+    sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m) in increasing order (the
+    library's center_rows hands the stored constants to
+    linalg.nullspace_mod_p over GF(p) when there are enough of them)."""
+    f = g.field
+    n = g.dim
+    rows = {}
+    for a, b, w in g.ordered_brackets():
+        for m, c in w.items():
+            rows.setdefault((b, m), [f.zero] * n)[a] = c
+    return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
 
 
 def transpose(M: Matrix) -> Matrix:

@@ -165,6 +165,45 @@ def test_input_that_selects_nothing_is_a_usage_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "brj(2;5)", "-p", "5"],
+    ["ds", "brj(2;5)", "-p", "5", "--x", "x1"],
+    ["audit", "--keys", "brj(2;3)"],
+])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_cache_directory_that_cannot_be_created_is_a_usage_error(
+        capsys, monkeypatch, tmp_path, argv, via):
+    """A cache directory under a regular file, from --cache-dir or from
+    $DSLIE_CACHE_DIR: one usage-error line that names it, exit 1."""
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / "file" / "cache")
+    monkeypatch.delenv("DSLIE_CACHE_DIR", raising=False)
+    if via == "env":
+        monkeypatch.setenv("DSLIE_CACHE_DIR", bad)
+    code, out, err = run(capsys, argv + (["--cache-dir", bad] if via == "flag" else []))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+    assert bad in err
+
+
+def test_cache_entry_replaced_by_a_directory(capsys, tmp_path):
+    """An entry that is a directory cannot be read, so it is a miss; the
+    rebuilt algebra cannot be stored there, which is one usage-error line
+    that names the entry, exit 1."""
+    cd = str(tmp_path)
+    assert run(capsys, ["build", "brj(2;5)", "-p", "5"], cd)[0] == 0
+    (entry,) = tmp_path.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, ["build", "brj(2;5)", "-p", "5"], cd)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+    assert str(entry) in err
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
+
+
 def test_table_range_covers_shipped_tables():
     shapes = set()
     for row in load_expected()["rows"]:

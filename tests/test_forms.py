@@ -5,11 +5,13 @@ p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled from the
 nonzero structure constants on every field.  _reference_equations below is
 the brute-force assembly over all n^3 basis triples; the library's Field
 assembly (used over K(a) and as the exact QQ path) must give its rows in
-its order, and the GF(p) integer array, deduplicated and scaled, its row
-space.  The pinned tests fix the invariant_forms() output byte for byte by
-the sha256 of (dim, forms).
+its order, and the GF(p) triples, once linalg.peel_mod_p has deleted the
+forced-zero variables and scaled and deduplicated the rest, its row space
+together with the unit rows of the deleted variables.  The pinned tests
+fix the invariant_forms() output byte for byte by the sha256 of (dim,
+forms).
 
-Over QQ the integer array is built modulo a 31-bit prime, its nullspace is
+Over QQ the same triples are taken modulo a 31-bit prime, their nullspace is
 lifted by rational reconstruction, and every lifted form is checked
 exactly; the exact path (Field assembly, Fraction elimination) answers
 when no prime gives a lift that passes.  The QQ pins were recorded on the
@@ -30,7 +32,7 @@ from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
-from dslie.linalg import Matrix, mat_nullspace, mat_rank, rref
+from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref
 from dslie.superalgebra import FORMS_DIM_CUTOFF, FORMS_PRIMES, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
 from helpers import transform_basis
@@ -176,15 +178,22 @@ def test_forms_pinned(cache_dir, name):
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_array_assembly_matches_generic(cache_dir, name):
+    """The core that peel_mod_p leaves of the array assembly, with the unit
+    rows of the variables it deleted, spans the triple loop's row space."""
     g = ALGEBRAS[name](cache_dir)
     p = g.field.p
     pairs = g._form_pairs()
-    fast = g._form_equations_mod_p(pairs)
+    nv = len(pairs)
+    core, kept = peel_mod_p(p, nv, *g._form_equations_mod_p(pairs))
     generic = _reference_equations(g, pairs)
-    assert isinstance(fast.rows, np.ndarray) and fast.ncols == generic.ncols == len(pairs)
-    assert rref(fast) == rref(generic)
+    assert isinstance(core.rows, np.ndarray) and core.ncols == len(kept)
+    assert generic.ncols == nv
+    full = np.zeros((core.nrows + nv - len(kept), nv), dtype=np.int64)
+    full[:core.nrows, kept] = core.rows
+    full[np.arange(core.nrows, len(full)), np.setdiff1d(np.arange(nv), kept)] = 1
+    assert rref(Matrix(g.field, full)) == rref(generic)
     # reduced mod p, no zero row, leading entries 1, no repeated row
-    a = fast.rows
+    a = core.rows
     assert ((a >= 0) & (a < p)).all()
     lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
     assert (lead == 1).all()
@@ -196,7 +205,7 @@ def test_edge_inputs():
     # no equation, so every pair variable is a form
     for name in ("abelian(2|3)/p2", "abelian(2|3)/p5", "solvable(1|1)/p3"):
         g = ALGEBRAS[name](None)
-        assert g._form_equations_mod_p(g._form_pairs()).nrows == 0
+        assert all(len(x) == 0 for x in g._form_equations_mod_p(g._form_pairs()))
         assert g.invariant_forms()["dim"] == len(g._form_pairs())
     # nonzero squares add equations: without them one more form survives
     g = _p2_heisenberg()
@@ -364,3 +373,23 @@ def test_field_assembly_gives_the_reference_rows(cache_dir, name):
     got, want = g._form_equations(pairs), _reference_equations(g, pairs)
     assert got.ncols == want.ncols == len(pairs)
     assert got.rows == want.rows
+
+
+@pytest.mark.parametrize("name", ["psl(2|2)/p5", "gl(2|1)/p0", "bgl(3;alpha)/p2"])
+def test_fingerprint_asks_invariant_forms_once(monkeypatch, cache_dir, name):
+    """fingerprint() reads the forms dimension through exactly one
+    invariant_forms() call below FORMS_DIM_CUTOFF, over GF(p), QQ and K(a):
+    the forms work is not done elsewhere, out of that call's sight."""
+    g = EVERY_FIELD[name](cache_dir)
+    assert g.dim <= FORMS_DIM_CUTOFF
+    calls = []
+    solve = Superalgebra.invariant_forms
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.dim)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Superalgebra, "invariant_forms", spy)
+    forms_dim = g.fingerprint().forms_dim
+    assert calls == [g.dim]
+    assert forms_dim == solve(g)["dim"]

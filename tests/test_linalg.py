@@ -15,7 +15,8 @@ from dslie.catalog import build_catalog_algebra
 from dslie.classical import classical, parse_key
 from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_candidates
 from dslie.fields import PrimeField, field_for
-from dslie.linalg import Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank, rref
+from dslie.linalg import (Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank,
+                          nullspace_mod_p, peel_mod_p, rref)
 from dslie.superalgebra import el_add, el_to_dense
 from helpers import dense_matrix, kernel_mod_image_unsplit, sparse_rows
 from test_subquotient import _p2_heisenberg
@@ -399,3 +400,72 @@ def test_homology_scalars_are_python_ints(cache_dir, key, p):
     assert hom.brackets
     assert {type(c) for w in consts for c in w.values()} == {int}
     assert {type(k) for w in consts for k in w} == {int}
+
+
+# -- the peeled mod-p nullspace against the whole system -----------------------
+
+PEEL_PRIMES = [2, 3, 5, 7, 2147483629]
+PEEL_SHAPES = ["random", "cascade", "no-singleton", "all-singleton", "empty"]
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("p", PEEL_PRIMES)
+@given(data=st.data())
+def test_peeled_nullspace_matches_the_whole_system(p, data):
+    """nullspace_mod_p of COO triples equals mat_nullspace of the dense
+    system they sum to, repr for repr.  Besides random systems the draws
+    plant a cascade (a chain x_0 = 0, x_0 + x_1 = 0, x_1 + x_2 = 0, ...,
+    where each variable stands alone only once the one before it is
+    deleted), systems with no singleton equation, systems of singletons
+    only, and the empty system; repeated entries that sum to 0 mod p are
+    mixed into any of them, so an equation may look longer than it is."""
+    f = field_for(p)
+    shape = data.draw(st.sampled_from(PEEL_SHAPES), label="shape")
+    n = data.draw(st.integers(0 if shape == "empty" else 2, 7), label="ncols")
+    nonzero = st.builds(lambda a, k: a + k * p, st.integers(1, p - 1), st.integers(-2, 2))
+    anything = st.integers(-3 * p, 3 * p)
+    eqs = data.draw(st.integers(1, 5), label="equations")
+    triples, chain = [], []
+    if shape == "random":
+        triples = data.draw(st.lists(st.tuples(st.integers(0, eqs), st.integers(0, n - 1),
+                                               anything), max_size=15), label="triples")
+    elif shape == "cascade":
+        chain = data.draw(st.permutations(range(n)), label="chain")[:data.draw(
+            st.integers(2, n), label="length")]
+        triples = [(0, chain[0], data.draw(nonzero))]
+        for e in range(1, len(chain)):
+            triples += [(e, chain[e - 1], data.draw(nonzero)), (e, chain[e], data.draw(nonzero))]
+        triples += data.draw(st.lists(st.tuples(st.integers(len(chain), len(chain) + eqs),
+                                                st.integers(0, n - 1), anything),
+                                      max_size=8), label="extra")
+    elif shape in ("no-singleton", "all-singleton"):
+        size = st.integers(2, n) if shape == "no-singleton" else st.just(1)
+        for e in range(eqs):
+            cols = data.draw(st.permutations(range(n)), label="cols")[:data.draw(size)]
+            triples += [(e, c, data.draw(nonzero)) for c in cols]
+    if shape != "empty" and data.draw(st.booleans(), label="cancel"):
+        for e, c, v in data.draw(st.lists(st.tuples(st.integers(0, eqs + 2),
+                                                    st.integers(0, n - 1), anything),
+                                          min_size=1, max_size=4), label="cancelling"):
+            triples += [(e, c, v), (e, c, -v + p * data.draw(st.integers(-1, 1)))]
+    triples = [triples[i] for i in data.draw(st.permutations(range(len(triples))),
+                                             label="order")]
+    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+
+    dense = [[0] * n for _ in range(max(rows.tolist(), default=-1) + 1)]
+    for e, c, v in triples:
+        dense[e][c] = (dense[e][c] + v) % p
+    want = mat_nullspace(Matrix(f, dense, ncols=n))
+    got = nullspace_mod_p(p, n, rows, cols, vals)
+    assert repr(got) == repr(want)
+    assert all(type(x) is int for vec in got for x in vec)
+
+    core, kept = peel_mod_p(p, n, rows, cols, vals)
+    deleted = set(range(n)) - set(kept.tolist())
+    assert n - len(got) == len(deleted) + mat_rank(core)
+    if shape == "cascade":
+        assert set(chain) <= deleted
+    if shape == "all-singleton":
+        assert core.nrows == 0
+    if shape == "no-singleton":
+        assert not deleted  # the cancelling entries add 0 to the sums

@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from dslie.build import build_g_of_A
 from dslie.cartan import CartanSpec
 from dslie.audit import _parse_weight_entry
@@ -15,6 +17,7 @@ from dslie.serialize import (build_result_from_dict, build_result_to_dict,
                              spec_digest, superalgebra_from_dict,
                              superalgebra_to_dict)
 from dslie.superalgebra import el_to_dense
+from test_subquotient import _p2_heisenberg
 
 BRJ = [[0, -1], [-2, 1]]
 
@@ -125,6 +128,47 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path):
     rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
     assert serialize_build(rebuilt) == serialize_build(cold)
     assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
+
+
+@pytest.mark.parametrize("part", ["brackets", "chevalley"])
+def test_cache_entry_with_an_index_out_of_range_is_rebuilt(tmp_path, part):
+    """An element key outside [0, dim) in a stored bracket or Chevalley
+    element of the dim-22 brj(2;5) makes the entry a miss: it is rebuilt
+    and overwritten."""
+    cd = str(tmp_path)
+    cold = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    (path,) = [os.path.join(cd, name) for name in os.listdir(cd)]
+    with open(path) as fh:
+        o = json.load(fh)
+    store = o["algebra"][part]
+    first = next(iter(store))
+    if part == "chevalley":
+        store[first][0] = {"999": 1}
+    else:
+        store[first] = {"999": 1}
+    with open(path, "w") as fh:
+        json.dump(o, fh)
+    assert cache_load(cd, cold.spec, 40) is None
+    rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    with open(path) as fh:
+        assert fh.read() == serialize_build(cold)
+
+
+def test_squares_with_an_index_out_of_range_are_rejected():
+    """No catalog build stores a nonzero square, so the square checks run on
+    the p = 2 Heisenberg algebra: an out-of-range key in a square's value
+    or an out-of-range squared index is a ValueError, which cache_load
+    reads as a miss."""
+    d = superalgebra_to_dict(_p2_heisenberg())
+    assert d["squares"]
+    assert superalgebra_from_dict(d).squares == _p2_heisenberg().squares
+    first = next(iter(d["squares"]))
+    for bad in ({**d["squares"], first: {"999": 1}}, {**d["squares"], "-1": {"0": 1}}):
+        with pytest.raises(ValueError, match="outside"):
+            superalgebra_from_dict({**d, "squares": bad})
+    with pytest.raises(ValueError, match="outside"):
+        superalgebra_from_dict({**d, "brackets": {**d["brackets"], "0,999": {"0": 1}}})
 
 
 def test_stale_cache_entry_is_rebuilt(tmp_path):

@@ -4,19 +4,28 @@ Superalgebra.structure_series reads [g, g] once from the stored brackets
 (and squares at p = 2) and counts dim C ∩ [g, g] per parity as
 dim C + dim [g, g] - dim (C + [g, g]).  The reference below is the earlier
 algorithm: the first derived and lower central steps bracket every pair of
-basis vectors, and center ∩ [g, g] is a basis found from the nullspace of
-the stacked center and [g, g] rows.
+basis vectors, the center is the nullspace of dense rows, and
+center ∩ [g, g] is a basis found from the nullspace of the stacked center
+and [g, g] rows.
+
+center_rows, which over GF(p) peels the forced-zero variables off the
+stored constants (linalg.nullspace_mod_p) once the algebra has
+CENTER_PEEL_MIN_BRACKETS stored brackets, is compared with the dense
+reference repr for repr on every catalog build, on the subquotient
+structures of test_subquotient.py and on the algebras of test_forms.py
+(which have fewer brackets than that as well as more).
 """
 
 import pytest
 
-from dslie.catalog import build_catalog_algebra
+from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import abelian, gl, hei_odd, psl
 from dslie.ds import ds_homology
 from dslie.linalg import Matrix, mat_nullspace
 from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_from_dense
-from helpers import transpose
-from test_subquotient import _p2_heisenberg
+from helpers import center_rows_reference, transpose
+from test_forms import EVERY_FIELD
+from test_subquotient import BUILDERS, _p2_heisenberg
 
 
 def _kernel_trick_meet(g: Superalgebra, rows_a, rows_b):
@@ -82,7 +91,7 @@ def reference_series(g: Superalgebra) -> dict:
         if nxt.dim() == lc.dim():
             break
         lc = nxt
-    center = g.center_rows()
+    center = center_rows_reference(g)
     return {
         "derived_sdims": tuple(sdims),
         "center_sdim": _sdim(g, center),
@@ -123,3 +132,21 @@ def test_center_meets_derived_in_a_proper_part():
     # abelian summand is central and meets [g, g] in 0
     ss = ALGEBRAS["gl(2|2)+abelian(1|1)/p0"](None).structure_series()
     assert (ss["center_sdim"], ss["center_in_derived_sdim"]) == ((2, 1), (1, 0))
+
+
+@pytest.mark.parametrize("ent", all_entries(), ids=lambda e: f"{e.key}@p{e.p}")
+def test_center_matches_dense_reference_on_catalog_builds(ent, cache_dir):
+    g = build_catalog_algebra(ent.key, ent.p, cache_dir=cache_dir).algebra
+    assert repr(g.center_rows()) == repr(center_rows_reference(g))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_center_matches_dense_reference_on_subquotients(name):
+    g = BUILDERS[name]()
+    assert repr(g.center_rows()) == repr(center_rows_reference(g))
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_FIELD))
+def test_center_matches_dense_reference_on_form_algebras(cache_dir, name):
+    g = EVERY_FIELD[name](cache_dir)
+    assert repr(g.center_rows()) == repr(center_rows_reference(g))
