@@ -27,6 +27,7 @@ from .ds import (DSResult, adjoint_rank, ds_homology, identify, is_homological,
 from .fields import UsageError
 from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
+from .serialize import CacheError
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add
 from .tables import chain_element, family_algebra
 
@@ -175,9 +176,12 @@ class Auditor:
     def evaluate(self, row: dict) -> AuditOutcome:
         """The row's outcome.  A computation failure is a discrepancy even on
         a whitelisted row: the whitelist excuses printed values, never a
-        value that was not computed."""
+        value that was not computed.  A cache that cannot be written is no
+        row's outcome: it is raised."""
         try:
             return self._evaluate(row)
+        except CacheError:
+            raise
         except Exception as exc:  # reported as the row's outcome, not raised
             return AuditOutcome(row=row, status=DISCREPANCY,
                                 detail=f"computation failed: {exc}")

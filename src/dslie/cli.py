@@ -24,7 +24,7 @@ from .ds import DSError, defect_report, ds_homology, identify
 from .fields import FieldSpec, UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
-from .serialize import ensure_cache_dir, serialize_build
+from .serialize import CacheError, ensure_cache_dir, serialize_build
 from .tables import chain_table, family_algebra
 
 CACHE_ENV = "DSLIE_CACHE_DIR"
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CacheError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DSError, BuildError) as exc:

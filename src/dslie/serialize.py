@@ -5,8 +5,10 @@ runs produce identical bytes; the cache is keyed by a content digest of
 the Cartan data, the degree cap and the file format.  A cache entry that
 cannot be read or decoded, that names a basis index outside [0, dim), or
 whose algebra disagrees with the spec's expected sdim, is treated as a
-miss.  A cache directory that cannot be created or written is a
-UsageError that names the path.
+miss.  A cache directory that cannot be created or written, or an entry
+that cannot be written, is a CacheError that names the path; it is not a
+UsageError, so no caller takes it for a bad name, and the CLI reports it
+as a usage error.
 """
 
 from __future__ import annotations
@@ -19,10 +21,14 @@ from typing import Optional
 
 from .build import BuildResult, _Node, parse_sdim
 from .cartan import CartanSpec
-from .fields import Field, RatFunc, UsageError, field_for
+from .fields import Field, RatFunc, field_for
 from .superalgebra import Superalgebra
 
 CACHE_FORMAT = 1  # bump when the stored layout or the builder's output changes
+
+
+class CacheError(Exception):
+    """A cache directory or entry that cannot be created or written."""
 
 
 def scalar_to_obj(fld: Field, x):
@@ -54,15 +60,16 @@ def element_from_obj(fld: Field, o: dict) -> dict:
 
 
 def _check_indices(o: dict) -> None:
-    """A ValueError unless every basis index of the stored brackets, squares
-    and Chevalley elements is one of "0" .. str(dim - 1), as
-    superalgebra_to_dict writes them; one pass over the keys."""
+    """A ValueError unless every basis index of the stored bracket values,
+    squares and Chevalley elements is one of "0" .. str(dim - 1), as
+    superalgebra_to_dict writes them; one pass over the keys.  The bracket
+    keys need no check here: Superalgebra rejects a pair outside
+    0 <= i <= j < dim."""
     indices = frozenset(map(str, range(len(o["labels"]))))
     squares = o.get("squares", {})
     elements = list(o["brackets"].values()) + list(squares.values())
     elements += [e for v in (o.get("chevalley") or {}).values() for e in v]
-    pairs = ",".join(o["brackets"]).split(",") if o["brackets"] else []
-    if not (indices.issuperset(pairs) and indices.issuperset(set().union(squares, *elements))):
+    if not indices.issuperset(set().union(squares, *elements)):
         raise ValueError(f"a basis index outside [0, {len(indices)})")
 
 
@@ -200,15 +207,15 @@ def cache_load(cache_dir: Optional[str], spec: CartanSpec,
 
 
 def ensure_cache_dir(cache_dir: str) -> None:
-    """Create the cache directory if needed; a UsageError naming it when it
+    """Create the cache directory if needed; a CacheError naming it when it
     cannot be created or written."""
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cache directory {cache_dir} cannot be created: "
+        raise CacheError(f"cache directory {cache_dir} cannot be created: "
                          f"{exc.strerror}") from None
     if not os.access(cache_dir, os.W_OK | os.X_OK):
-        raise UsageError(f"cache directory {cache_dir} cannot be written")
+        raise CacheError(f"cache directory {cache_dir} cannot be written")
 
 
 def cache_store(cache_dir: Optional[str], spec: CartanSpec, degree_cap: int,
@@ -225,5 +232,5 @@ def cache_store(cache_dir: Optional[str], spec: CartanSpec, degree_cap: int,
     except OSError as exc:
         if os.path.isfile(tmp):
             os.remove(tmp)
-        raise UsageError(f"cache entry {path} cannot be written: {exc.strerror}") from None
+        raise CacheError(f"cache entry {path} cannot be written: {exc.strerror}") from None
     return path

@@ -24,9 +24,8 @@ modulo that zero part, and a bracket that leaves the span is a ValueError.
 
 The fingerprint's series start from [g, g], read once as the span of the
 stored brackets (and squares at p = 2); no pair of basis vectors is
-bracketed for it.  The center comes from one nullspace (over GF(p), from
-CENTER_PEEL_MIN_BRACKETS stored brackets on, through
-linalg.nullspace_mod_p, fed the stored constants), and center ∩ [g, g]
+bracketed for it.  The center comes from one nullspace (over GF(p)
+through linalg.nullspace_mod_p, fed the stored constants), and center ∩ [g, g]
 by a dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
@@ -38,11 +37,10 @@ invariant_forms solves the invariance equations of an even supersymmetric
 form, assembled from the nonzero structure constants on every field.  Over
 GF(p) they are integer (equation, variable, value) triples handed to
 linalg.nullspace_mod_p, which deletes the variables that stand alone in
-some equation (they are 0; most are) and eliminates only the core left;
-the fingerprint asks for the dimension alone, and no form matrix is
-built for it.  Over QQ the same triples are taken modulo a 31-bit prime,
-and the nullspace is lifted by rational reconstruction and certified
-exactly (see _forms_modular).  Over K(a), and over QQ when no prime
+some equation (they are 0; most are) and eliminates only the core left.
+Over QQ the same triples are taken modulo a 31-bit prime, and the
+nullspace is lifted by rational reconstruction and certified exactly
+(see _forms_modular).  Over K(a), and over QQ when no prime
 certifies, the equations are Field rows, one per nonzero equation in
 (i, j, k) order (see _form_equations), eliminated without that peeling
 (invariant_forms says why).
@@ -67,9 +65,6 @@ Element = Dict[int, object]
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
 FORMS_PRIMES = (2147483629, 2147483587)  # 31-bit moduli of the QQ invariant forms
-# fewer stored brackets than this: the GF(p) center's dense rows cost less
-# than the numpy calls of linalg.nullspace_mod_p (crossover between 5 and 10)
-CENTER_PEEL_MIN_BRACKETS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +425,11 @@ class Superalgebra:
     def center_rows(self) -> List[list]:
         """Kernel of the joint adjoint action, as dense vectors: one equation
         sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
-        brackets.  Over GF(p), from CENTER_PEEL_MIN_BRACKETS stored brackets
-        on, the constants go to linalg.nullspace_mod_p as they are stored,
-        one (equation, variable, value) triple each."""
+        brackets.  Over GF(p) the constants go to linalg.nullspace_mod_p as
+        they are stored, one (equation, variable, value) triple each."""
         f = self.field
         n = self.dim
-        if isinstance(f, PrimeField) and len(self.brackets) >= CENTER_PEEL_MIN_BRACKETS:
+        if isinstance(f, PrimeField):
             A, B, M, C = self._constants_mod_p()
             return nullspace_mod_p(f.p, n, B * n + M, A, C)
         rows: Dict[Tuple[int, int], list] = {}
@@ -496,17 +490,14 @@ class Superalgebra:
             "abelian": sdims[0] == (0, 0),
         }
 
-    def invariant_forms(self, basis: bool = True) -> dict:
+    def invariant_forms(self) -> dict:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
-        {"dim": dimension of their space, "forms": a basis as n x n matrices}.
-        With basis=False the answer is {"dim": ...} alone; over GF(p) no
-        form matrix is then built (over QQ and K(a) the forms are solved
-        either way, and over QQ certified)."""
+        {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         f = self.field
         pairs = self._form_pairs()
         if isinstance(f, PrimeField):
             sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
-            return self._forms_of(pairs, sols) if basis else {"dim": len(sols)}
+            return self._forms_of(pairs, sols)
         # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
         # K(a) keeps every nonzero equation, repeats included, and Field
         # elimination, with no peeling of forced-zero variables and no
@@ -518,7 +509,7 @@ class Superalgebra:
         forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
         if forms is None:
             forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))
-        return forms if basis else {"dim": forms["dim"]}
+        return forms
 
     def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[list]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
@@ -706,7 +697,7 @@ class Superalgebra:
         ss = self.structure_series()
         forms_dim = None
         if self.dim <= FORMS_DIM_CUTOFF:
-            forms_dim = self.invariant_forms(basis=False)["dim"]
+            forms_dim = self.invariant_forms()["dim"]
         return Fingerprint(
             sdim=self.sdim,
             derived_sdims=ss["derived_sdims"],

@@ -10,6 +10,8 @@ from dslie import audit
 from dslie.audit import DISCREPANCY, load_expected, run_audit
 from dslie.classical import parse_key
 from dslie.cli import main, table_shape
+from dslie.references import ReferenceBank
+from dslie.serialize import CacheError
 
 
 def run(capsys, argv, cache_dir=None):
@@ -202,6 +204,33 @@ def test_cache_entry_replaced_by_a_directory(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
     assert str(entry) in err
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
+
+
+def test_audit_with_an_entry_replaced_by_a_directory(capsys, tmp_path):
+    """Under audit too, an entry that cannot be written is the usage-error
+    line with exit 1, not a failed row (exit 3)."""
+    cd = str(tmp_path)
+    assert run(capsys, ["build", "brj(2;5)", "-p", "5"], cd)[0] == 0
+    (entry,) = tmp_path.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, ["audit", "--keys", "brj25"], cd)
+    assert code == 1
+    assert "computation failed" not in out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+    assert str(entry) in err
+
+
+def test_audit_reference_that_cannot_be_stored_is_a_usage_error(monkeypatch, capsys, cache_dir):
+    """A reference whose build cannot be stored is not an unavailable
+    reference: a whitelisted row does not come out documented, exit 0."""
+    def unwritable(self, name):
+        raise CacheError(f"cache entry for {name} cannot be written")
+    monkeypatch.setattr(ReferenceBank, "fingerprint", unwritable)
+    code, out, err = run(capsys, ["audit", "--keys", "el55"], cache_dir)
+    assert code == 1
+    assert "documented" not in out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: cache entry")
 
 
 def test_table_range_covers_shipped_tables():

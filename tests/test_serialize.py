@@ -159,7 +159,8 @@ def test_squares_with_an_index_out_of_range_are_rejected():
     """No catalog build stores a nonzero square, so the square checks run on
     the p = 2 Heisenberg algebra: an out-of-range key in a square's value
     or an out-of-range squared index is a ValueError, which cache_load
-    reads as a miss."""
+    reads as a miss.  An out-of-range bracket key is the ValueError of the
+    Superalgebra constructor."""
     d = superalgebra_to_dict(_p2_heisenberg())
     assert d["squares"]
     assert superalgebra_from_dict(d).squares == _p2_heisenberg().squares
@@ -167,7 +168,7 @@ def test_squares_with_an_index_out_of_range_are_rejected():
     for bad in ({**d["squares"], first: {"999": 1}}, {**d["squares"], "-1": {"0": 1}}):
         with pytest.raises(ValueError, match="outside"):
             superalgebra_from_dict({**d, "squares": bad})
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="bad bracket key"):
         superalgebra_from_dict({**d, "brackets": {**d["brackets"], "0,999": {"0": 1}}})
 
 

@@ -9,11 +9,9 @@ center ∩ [g, g] is a basis found from the nullspace of the stacked center
 and [g, g] rows.
 
 center_rows, which over GF(p) peels the forced-zero variables off the
-stored constants (linalg.nullspace_mod_p) once the algebra has
-CENTER_PEEL_MIN_BRACKETS stored brackets, is compared with the dense
+stored constants (linalg.nullspace_mod_p), is compared with the dense
 reference repr for repr on every catalog build, on the subquotient
-structures of test_subquotient.py and on the algebras of test_forms.py
-(which have fewer brackets than that as well as more).
+structures of test_subquotient.py and on the algebras of test_forms.py.
 """
 
 import pytest
