@@ -37,7 +37,7 @@ def center_rows_reference(g: Superalgebra) -> list:
     """The center as mat_nullspace of dense Field rows, one equation
     sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m) in increasing order (the
     library's center_rows hands the stored constants to
-    linalg.nullspace_mod_p over GF(p) when there are enough of them)."""
+    linalg.nullspace_mod_p over GF(p))."""
     f = g.field
     n = g.dim
     rows = {}
