@@ -59,20 +59,6 @@ def element_from_obj(fld: Field, o: dict) -> dict:
     return {int(k): scalar_from_obj(fld, v) for k, v in o.items()}
 
 
-def _check_indices(o: dict) -> None:
-    """A ValueError unless every basis index of the stored bracket values,
-    squares and Chevalley elements is one of "0" .. str(dim - 1), as
-    superalgebra_to_dict writes them; one pass over the keys.  The bracket
-    keys need no check here: Superalgebra rejects a pair outside
-    0 <= i <= j < dim."""
-    indices = frozenset(map(str, range(len(o["labels"]))))
-    squares = o.get("squares", {})
-    elements = list(o["brackets"].values()) + list(squares.values())
-    elements += [e for v in (o.get("chevalley") or {}).values() for e in v]
-    if not indices.issuperset(set().union(squares, *elements)):
-        raise ValueError(f"a basis index outside [0, {len(indices)})")
-
-
 def superalgebra_to_dict(g: Superalgebra) -> dict:
     fld = g.field
     out = {
@@ -95,8 +81,8 @@ def superalgebra_to_dict(g: Superalgebra) -> dict:
 
 def superalgebra_from_dict(o: dict) -> Superalgebra:
     """The algebra of superalgebra_to_dict; an index outside [0, dim) in a
-    bracket, a square or a Chevalley element is a ValueError."""
-    _check_indices(o)
+    bracket, a square or a Chevalley element is the Superalgebra
+    constructor's ValueError."""
     fld = field_for(o["field"]["p"], o["field"]["parametric"])
     brackets = {}
     for key, v in o["brackets"].items():

@@ -31,7 +31,12 @@ dim C ∩ D = dim C + dim D - dim (C + D).
 
 check_axioms verifies super Jacobi as ad_{[b_i,b_j]} = ad_i ad_j -
 s_ij ad_j ad_i for all pairs i <= j, every column at once, by contracting
-the stored structure constants: only nonzero paths are summed.
+the stored structure constants: only nonzero paths are summed.  Over GF(p)
+the contraction is one pass of integer arrays (a join of the constants,
+one sort and np.add.reduceat per chunk of paths), and the Python pair loop
+runs only when some sum is nonzero, to name the failures exactly as
+before; over QQ and K(a) the pair loop is the whole check.  The
+constructor keeps every basis index in [0, dim).
 
 invariant_forms solves the invariance equations of an even supersymmetric
 form, assembled from the nonzero structure constants on every field.  Over
@@ -64,6 +69,7 @@ Element = Dict[int, object]
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
+JACOBI_CHUNK = 1 << 16  # path terms per step of the GF(p) Jacobi contraction
 FORMS_PRIMES = (2147483629, 2147483587)  # 31-bit moduli of the QQ invariant forms
 
 
@@ -112,6 +118,22 @@ def el_to_dense(f: Field, u: Element, n: int) -> list:
     for k, c in u.items():
         out[k] = c
     return out
+
+
+def _note(bad: List[str], msg: str) -> None:
+    """Add a violation to check_axioms' list unless it is full."""
+    if len(bad) < MAX_VIOLATIONS:
+        bad.append(msg)
+
+
+def _join(off: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair (r, s) with off[keys[r]] <= s < off[keys[r] + 1], by
+    increasing r: row r of a table joined with the rows s of a table sorted
+    by key, whose rows of key x are off[x] .. off[x + 1] - 1."""
+    start = off[keys]
+    count = off[keys + 1] - start
+    r = np.repeat(np.arange(keys.size), count)
+    return r, np.arange(r.size) + np.repeat(start - count.cumsum() + count, count)
 
 
 def _rational_lift(a: int, q: int) -> Optional[Fraction]:
@@ -168,6 +190,7 @@ class Superalgebra:
             if field.p == 2 else None
         self.weights = list(weights) if weights is not None else None
         self.chevalley = chevalley
+        self._mod_p: Dict[int, Tuple[np.ndarray, ...]] = {}  # _constants_mod_p by modulus
         n = len(labels)
         if len(parities) != n:
             raise ValueError("parity vector length mismatch")
@@ -176,10 +199,16 @@ class Superalgebra:
                 raise ValueError(f"bad bracket key {(i, j)}")
             if i == j and (field.p == 2 or parities[i] == 0):
                 raise ValueError(f"diagonal bracket stored for key {(i, i)}")
-        if field.p == 2:
-            for i in (self.squares or {}):
-                if parities[i] != 1:
-                    raise ValueError(f"square stored for even basis element {i}")
+        # every basis index of a bracket value, a square and a Chevalley
+        # element, in one pass over the keys
+        sq = self.squares or {}
+        used = set(sq).union(*self.brackets.values(), *sq.values(),
+                             *(e for es in (chevalley or {}).values() for e in es))
+        if used and (min(used) < 0 or max(used) >= n):
+            raise ValueError(f"a basis index outside [0, {n})")
+        for i in sq:
+            if parities[i] != 1:
+                raise ValueError(f"square stored for even basis element {i}")
 
     # -- basic data ---------------------------------------------------------
 
@@ -313,46 +342,138 @@ class Superalgebra:
 
     def check_axioms(self) -> List[str]:
         """Exhaustive verification; returns violation descriptions (empty =
-        pass), at most MAX_VIOLATIONS of them."""
+        pass), at most MAX_VIOLATIONS of them.
+
+        First the parity and weight of every stored constant, then the super
+        Jacobi rule on every pair i <= j, the square rule (p = 2) and the
+        cube rule (p = 3).  Over GF(p) one contraction of the stored
+        constants decides those rules (_rules_hold_mod_p), and the pair loop
+        (_rule_failures) runs only when some sum is nonzero, to name the
+        failures; over QQ and K(a) the pair loop is the whole check."""
         f = self.field
-        n = self.dim
         bad: List[str] = []
-
-        def note(msg):
-            if len(bad) < MAX_VIOLATIONS:
-                bad.append(msg)
-
         # parity and weight additivity of stored constants
         for (i, j), v in self.brackets.items():
             pij = (self.parities[i] + self.parities[j]) % 2
             for k in v:
                 if self.parities[k] != pij:
-                    note(f"parity of [{self.labels[i]},{self.labels[j]}] component {self.labels[k]}")
+                    _note(bad, f"parity of [{self.labels[i]},{self.labels[j]}] component {self.labels[k]}")
             if self.weights is not None:
                 wi, wj = self.weights[i], self.weights[j]
                 if wi is not None and wj is not None:
                     wij = tuple(a + b for a, b in zip(wi, wj))
                     for k in v:
                         if self.weights[k] is not None and self.weights[k] != wij:
-                            note(f"weight of [{self.labels[i]},{self.labels[j]}]")
+                            _note(bad, f"weight of [{self.labels[i]},{self.labels[j]}]")
         if f.p == 2 and self.squares:
             for i, v in self.squares.items():
                 for k in v:
                     if self.parities[k] != 0:
-                        note(f"parity of s({self.labels[i]})")
+                        _note(bad, f"parity of s({self.labels[i]})")
                 if self.weights is not None and self.weights[i] is not None:
                     w2 = tuple(2 * a for a in self.weights[i])
                     for k in v:
                         if self.weights[k] is not None and self.weights[k] != w2:
-                            note(f"weight of s({self.labels[i]})")
+                            _note(bad, f"weight of s({self.labels[i]})")
+        if not (isinstance(f, PrimeField) and self._rules_hold_mod_p()):
+            self._rule_failures(bad)
+        return bad
 
-        # super Jacobi: ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for all
-        # pairs i <= j, on every column at once, and at p = 2 the square rule
-        # ad_{s(b_i)} = ad_i^2 for odd b_i.  The sums run over the nonzero
-        # paths of the stored constants: ad[i][k] = [b_i, b_k].  Over GF(p)
-        # and QQ they run in Python integers, reduced mod p once; over QQ
-        # every constant is scaled by the lcm of the denominators, which
-        # keeps the identity since each of its terms is a product of two.
+    def _rules_hold_mod_p(self) -> bool:
+        """Whether every sum of the super Jacobi rule, the square rule
+        (p = 2) and the cube rule (p = 3) is 0 over GF(p), from one
+        contraction of the stored constants C(a,b,m) (the arrays of
+        _constants_mod_p).  It sums exactly the paths that the pair loop of
+        _rule_failures sums.
+
+        The sum of the pair i <= j at column k and component t is keyed
+        ((i n + j) n + k) n + t.  Its terms are the products of two
+        constants C(x,y,l) C(u,l,t), one join on l, read three ways:
+          * sigma C(i,j,l) C(k,l,t) of [[b_i,b_j],b_k], as C(l,k,t) =
+            sigma C(k,l,t) with sigma = -(-1)^{p(l)p(k)};
+          * -C(j,k,l) C(i,l,t) of -[b_i,[b_j,b_k]];
+          * s_ij C(i,k,l) C(j,l,t) of s_ij [b_j,[b_i,b_k]].
+        At p = 2, where no sign matters, the last two terms of a pair (i, i)
+        cancel; those paths go instead, for odd b_i, to the square rule
+        [s(b_i),b_k] = [b_i,[b_i,b_k]], keyed as the pair (n, i), beside
+        S(i,l) C(k,l,t) for s(b_i) = sum_l S(i,l) b_l, which joins as the
+        constants C(n,i,l).  At p = 3 the paths C(i,i,l) C(i,l,t) also make
+        the cube rule [b_i,[b_i,b_i]] = 0, keyed as the pair (n, 0) at
+        column i.  The constructor keeps every index in [0, n), so keys do
+        not collide.  Each key is summed mod p after one sort, by
+        np.add.reduceat; a product of two constants is below p^2 <= 2^62
+        (FieldSpec caps p at 2^31), and it is reduced before the sum.
+
+        Every term takes its component t from the second constant, so the
+        join runs over a run of components t at a time, with at most
+        JACOBI_CHUNK paths unless one component alone has more: memory
+        stays bounded on the largest builds."""
+        p, n = self.field.p, self.dim
+        if not self.brackets:
+            return True  # every ad_x is 0
+        A, B, M, C = self._constants_mod_p()
+        odd = np.array(self.parities, dtype=bool)
+        X, Y, L, V = A, B, M, C  # the first constants C(x,y,l)
+        if self.squares:
+            S = np.array([(n, i, l, c) for i, v in self.squares.items() for l, c in v.items()],
+                         dtype=np.int64).T
+            X, Y, L, V = (np.concatenate(z) for z in zip((A, B, M, C), S))
+        by_l = B.argsort(kind="stable")  # the second constants C(u,l,t), by l
+        chunks = [by_l]
+        if L.size * B.size > JACOBI_CHUNK:  # there may be more paths than that
+            paths = np.bincount(M, np.bincount(L, minlength=n)[B], n)  # by component t
+            bounds, size = [0], 0
+            for t, count in enumerate(paths.tolist()):
+                if size and size + count > JACOBI_CHUNK:
+                    bounds.append(t)
+                    size = 0
+                size += count
+            bounds.append(n)
+            t = M[by_l]
+            chunks = [by_l[(t >= lo) & (t < hi)] for lo, hi in zip(bounds, bounds[1:])]
+        for R in chunks:
+            r, s = _join(np.bincount(B[R] + 1, minlength=n + 1).cumsum(), L)
+            s = R[s]
+            x, y, u, t = X[r], Y[r], A[s], M[s]
+            v = V[r] * C[s] % p
+            # the three readings of each path as keys (i, j, k, t), kept on i <= j
+            if p == 2:
+                diag = x == u
+                i = np.concatenate([x, u, np.where(diag, n, x)])
+                keep = np.concatenate([(x < y) | (x == n), (u < x) & (x < n), (x < u) | diag & odd[u]])
+                vals = np.concatenate([v, v, v])
+            else:
+                i = np.concatenate([x, u, x])
+                keep = np.concatenate([x <= y, u <= x, x <= u])
+                vals = np.concatenate([np.where(odd[B[s]] & odd[u], v, -v), -v,
+                                       np.where(odd[x] & odd[u], -v, v)])
+            j, k = np.concatenate([y, x, u]), np.concatenate([u, y, y])
+            key = (((i * n + j) * n + k) * n + np.concatenate([t, t, t]))[keep]
+            vals = vals[keep]
+            if p == 3:
+                cube = ((x == u) & (y == x)).nonzero()[0]
+                key = np.concatenate([key, (n ** 3 + x[cube]) * n + t[cube]])
+                vals = np.concatenate([vals, v[cube]])
+            order = key.argsort()
+            key = key[order]
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if (np.add.reduceat(vals[order], first.nonzero()[0]) % p).any():
+                return False
+        return True
+
+    def _rule_failures(self, bad: List[str]) -> None:
+        """check_axioms' rules pair by pair, noted in bad: super Jacobi as
+        ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for all pairs i <= j, on
+        every column at once; at p = 2 the square rule ad_{s(b_i)} = ad_i^2
+        for odd b_i; at p = 3 the cube rule [x,[x,x]] = 0 for odd x."""
+        f = self.field
+        n = self.dim
+        # The sums run over the nonzero paths of the stored constants:
+        # ad[i][k] = [b_i, b_k].  Over GF(p) and QQ they run in Python
+        # integers, reduced mod p once; over QQ every constant is scaled by
+        # the lcm of the denominators, which keeps the identity since each
+        # of its terms is a product of two.
         qq = isinstance(f, RationalField)
         native = qq or isinstance(f, PrimeField)
         den = self._denominator_lcm() if qq else 1
@@ -386,16 +507,16 @@ class Superalgebra:
                 s_ij = minus if (self.parities[i] and self.parities[j] and f.p != 2) else one
                 k = first_failure(ad[i].get(j, {}), [(i, j, minus), (j, i, s_ij)])
                 if k is not None:
-                    note(f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
+                    _note(bad, f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
                 if len(bad) >= MAX_VIOLATIONS:
-                    return bad
+                    return
 
         if f.p == 3:
             for i in range(n):
                 if self.parities[i] == 1:
                     xx = self.bracket_basis(i, i)
                     if self.bracket({i: f.one}, xx):
-                        note(f"[x,[x,x]] != 0 for odd {self.labels[i]}")
+                        _note(bad, f"[x,[x,x]] != 0 for odd {self.labels[i]}")
 
         if f.p == 2:
             for i in range(n):
@@ -403,8 +524,7 @@ class Superalgebra:
                     continue
                 k = first_failure((self.squares or {}).get(i, {}), [(i, i, minus)])
                 if k is not None:
-                    note(f"[s(x),z] != [x,[x,z]] for x={self.labels[i]}, z={self.labels[k]}")
-        return bad
+                    _note(bad, f"[s(x),z] != [x,[x,z]] for x={self.labels[i]}, z={self.labels[k]}")
 
     # -- subspaces ------------------------------------------------------------
 
@@ -627,9 +747,13 @@ class Superalgebra:
         c = C[a,b,m] mod q (default: the characteristic p of GF(p); over QQ
         a prime dividing no denominator), read from the stored pairs a <= b
         in one pass; the other order gets its sign here,
-        [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at p = 2)."""
+        [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at p = 2).  They
+        are read once per q and kept, read-only: the algebra is immutable by
+        convention, and check_axioms, the center and the forms all read them."""
         f = self.field
         q = q or f.p
+        if q in self._mod_p:
+            return self._mod_p[q]
         if f.p:
             flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
                     for x in (i, j, m, c)]
@@ -642,8 +766,12 @@ class Superalgebra:
         if f.p != 2:
             odd = np.array(self.parities, dtype=bool)
             flip = np.where(odd[I[two]] & odd[J[two]], flip, -flip) % q
-        return (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
-                np.concatenate([M, M[two]]), np.concatenate([C, flip]))
+        out = (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
+               np.concatenate([M, M[two]]), np.concatenate([C, flip]))
+        for x in out:
+            x.flags.writeable = False
+        self._mod_p[q] = out
+        return out
 
     def _form_equations_mod_p(self, pairs: List[Tuple[int, int]], q: Optional[int] = None
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

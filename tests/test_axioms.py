@@ -2,21 +2,33 @@
 
 Superalgebra.check_axioms checks the super Jacobi identity as
 ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for every pair i <= j, on all
-columns at once, by contracting the stored structure constants (and at
-p = 2 the square rule ad_{s(b_i)} = ad_i^2).  The reference below is the
-earlier algorithm: for each pair it brackets basis triples column by column
-through Superalgebra.bracket.  Both must agree exactly, on valid algebras
-and on algebras with one structure constant or one square flipped.
+columns at once, with the square rule ad_{s(b_i)} = ad_i^2 at p = 2 and
+the cube rule [x,[x,x]] = 0 at p = 3.  Over GF(p) one integer-array
+contraction of the stored structure constants decides the rules, and the
+pair loop that contracts them in Python runs only when it finds a nonzero
+sum, to name the failures; over QQ and K(a) the pair loop is the whole
+check.  The reference below is the earlier algorithm: for each pair it
+brackets basis triples column by column through Superalgebra.bracket.
+Both must agree exactly, on valid algebras and on algebras with one
+structure constant or one square flipped (fixed mutants over five kinds of
+field, and random flips over GF(2), GF(3), GF(5), GF(7) and GF(11)), with
+the contraction in one step or in the smallest chunks.
 """
 
-import pytest
+import functools
+import tracemalloc
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dslie import superalgebra
 from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
 from dslie.superalgebra import MAX_VIOLATIONS, Superalgebra, el_add, el_scale
-from test_subquotient import BUILDERS
+from test_subquotient import BUILDERS, _transformed
 
 
 def reference_check(g: Superalgebra) -> list:
@@ -135,13 +147,14 @@ def _flip_bracket(g: Superalgebra, nth: int) -> Superalgebra:
     return Superalgebra(f, g.labels, g.parities, br, g.squares, g.weights)
 
 
-def _flip_square(g: Superalgebra, odd: str, even: str) -> Superalgebra:
-    """g at p = 2 with the coefficient of ``even`` in s(``odd``) raised by 1."""
+def _flip_square(g: Superalgebra, odd: str, even: str, weights: bool = True) -> Superalgebra:
+    """g at p = 2 with the coefficient of ``even`` in s(``odd``) raised by 1;
+    without ``weights`` the weight check cannot see the flip."""
     f = g.field
     i, m = g.labels.index(odd), g.labels.index(even)
     sq = {k: dict(v) for k, v in g.squares.items()}
     sq.setdefault(i, {})[m] = f.add(sq.get(i, {}).get(m, f.zero), f.one)
-    return Superalgebra(f, g.labels, g.parities, g.brackets, sq, g.weights)
+    return Superalgebra(f, g.labels, g.parities, g.brackets, sq, g.weights if weights else None)
 
 
 # name: (characteristic, parametric field, builder)
@@ -149,6 +162,8 @@ MUTANTS = {
     "gl(2|1)/p2 bracket": (2, False, lambda c: _flip_bracket(gl(2, 1, 2), 3)),
     "gl(2|1)/p2 square": (2, False, lambda c: _flip_square(gl(2, 1, 2), "E1,2", "E1,1")),
     "sl(2|2)/p2 square": (2, False, lambda c: _flip_square(sl(2, 2, 2), "E1,2", "E1,3")),
+    "gl(2|1)/p2 square, no weights": (2, False, lambda c: _flip_square(
+        gl(2, 1, 2), "E1,2", "E1,1", weights=False)),
     "e(7,7)/p2 x1+x3 bracket": (2, False, lambda c: _flip_bracket(
         _homology("e(7,7)", 2, "x1+x3", c), 2)),
     "psl(2|2)/p3 bracket": (3, False, lambda c: _flip_bracket(psl(2, 2, 3), 5)),
@@ -187,3 +202,153 @@ def test_cube_rule_alone_is_reported():
     f = field_for(3)
     g = Superalgebra(f, ["x", "y", "z"], [1, 0, 1], {(0, 0): {1: f.one}, (0, 1): {2: f.one}})
     assert g.check_axioms() == reference_check(g) == ["[x,[x,x]] != 0 for odd x"]
+
+
+def test_square_rule_alone_is_reported():
+    # the square mutants above are also weight failures; without weights,
+    # and with E1,1 even, only the square rule sees the flip
+    g = MUTANTS["gl(2|1)/p2 square, no weights"][2](None)
+    bad = g.check_axioms()
+    assert bad == reference_check(g)
+    assert bad and all(msg.startswith("[s(x),z] != [x,[x,z]] for x=E1,2") for msg in bad)
+
+
+# algebras for the random flips: homologies and small builds over GF(2),
+# GF(3), GF(5), GF(7) and GF(11)
+FLIP_POOL = {
+    "e(7,7)/p2 x1+x3": lambda c: _homology("e(7,7)", 2, "x1+x3", c),
+    "e(6,1)/p2 x1": lambda c: _homology("e(6,1)", 2, "x1", c),
+    "gl(2|1)/p2": lambda c: gl(2, 1, 2),
+    "sl(2|2)/p2": lambda c: sl(2, 2, 2),
+    "sl(2|2)/p2 transformed": lambda c: _transformed(sl(2, 2, 2)),
+    "brj(2;3)/p3": lambda c: build_catalog_algebra("brj(2;3)", 3, cache_dir=c).algebra,
+    "g(2,3)/p3 x1": lambda c: _homology("g(2,3)", 3, "x1", c),
+    "psl(2|2)/p3": lambda c: psl(2, 2, 3),
+    "el(5;5)/p5 x1": lambda c: _homology("el(5;5)", 5, "x1", c),
+    "osp(3|2)/p5": lambda c: osp(3, 2, 5),
+    "ab(3)/p7 x1": lambda c: _homology("ab(3)", 7, "x1", c),
+    "ag(2)/p7 x1": lambda c: _homology("ag(2)", 7, "x1", c),
+    "sl(2|1)/p7": lambda c: sl(2, 1, 7),
+    "ab(3)/p11 x1": lambda c: _homology("ab(3)", 11, "x1", c),
+    "osp(3|2)/p11": lambda c: osp(3, 2, 11),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_base(name: str, cache_dir: str) -> Superalgebra:
+    return FLIP_POOL[name](cache_dir)
+
+
+def test_flip_pool_covers_five_primes(cache_dir):
+    assert {_flip_base(name, cache_dir).field.p for name in FLIP_POOL} == {2, 3, 5, 7, 11}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(FLIP_POOL)), data=st.data())
+def test_random_flip_matches_reference(cache_dir, name, data):
+    """One constant raised by a random nonzero scalar: a stored bracket
+    constant, a new component of a bracket or, at p = 2, a coefficient of a
+    square.  A flip can leave a Lie superalgebra (scaling a basis vector of
+    sl(2) changes one constant), and the reference says so; those examples
+    are discarded, so every kept one exercises the naming of failures."""
+    g = _flip_base(name, cache_dir)
+    f, n = g.field, g.dim
+    kinds = ["stored", "new"] + (["square"] * (f.p == 2))
+    kind = data.draw(st.sampled_from(kinds))
+    delta = data.draw(st.integers(1, f.p - 1))
+    br = {k: dict(v) for k, v in g.brackets.items()}
+    sq = {k: dict(v) for k, v in (g.squares or {}).items()}
+    if kind == "stored":
+        key, m = data.draw(st.sampled_from(sorted((k, m) for k, v in br.items() for m in v)))
+        el = br[key]
+    elif kind == "new":
+        key = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        par = sum(g.parities[i] for i in key) % 2
+        m = data.draw(st.sampled_from([m for m in range(n) if g.parities[m] == par]))
+        el = br.setdefault(key, {})
+    else:
+        i = data.draw(st.sampled_from([i for i in range(n) if g.parities[i]]))
+        m = data.draw(st.sampled_from([m for m in range(n) if not g.parities[m]]))
+        el = sq.setdefault(i, {})
+    el[m] = f.add(el.get(m, f.zero), delta)
+    if f.is_zero(el[m]):
+        del el[m]
+    h = Superalgebra(f, g.labels, g.parities, br, sq or None, g.weights)
+    bad = h.check_axioms()
+    assert bad == reference_check(h)
+    assume(bad)
+    assert len(bad) <= MAX_VIOLATIONS
+
+
+def _valid(cache_dir) -> list:
+    """Valid algebras over GF(2), GF(3), GF(5), GF(7), QQ and GF(2)(a); in
+    the transformed sl(2|2) at p = 2 six odd basis vectors have s(b_i) != 0
+    and ad_i^2 != 0, so the square rule has nonzero terms."""
+    return ([_homology(key, p, x, cache_dir) for key, p, x in
+             [("e(7,7)", 2, "x1+x3"), ("el(5;5)", 5, "x1"), ("g(2,3)", 3, "x1"), ("ab(3)", 7, "x1")]]
+            + [build_catalog_algebra(key, p, cache_dir=cache_dir).algebra
+               for key, p in [("g(2,3)", 3), ("bgl(3;alpha)", 2)]]
+            + [_transformed(sl(2, 2, 2)), gl(2, 1, 0)])
+
+
+def _mutants(cache_dir) -> list:
+    return [make(cache_dir) for _, _, make in MUTANTS.values()]
+
+
+def _native(g: Superalgebra) -> bool:
+    return g.field.p > 0 and not g.field.spec.parametric
+
+
+def test_smallest_chunks_give_the_same_answers(cache_dir, monkeypatch):
+    """With JACOBI_CHUNK = 1 every component that has paths is a chunk of
+    its own."""
+    valid, mutants = _valid(cache_dir), _mutants(cache_dir)
+    answers = [g.check_axioms() for g in valid + mutants]
+    assert not any(answers[:len(valid)]) and all(answers[len(valid):])
+    joins = []
+    join = superalgebra._join
+    monkeypatch.setattr(superalgebra, "_join", lambda *a: joins.append(a) or join(*a))
+    monkeypatch.setattr(superalgebra, "JACOBI_CHUNK", 1)
+    for g, want in zip(valid + mutants, answers):
+        joins.clear()
+        assert g.check_axioms() == want
+        if g in valid and _native(g):
+            assert len(joins) > 1
+
+
+def test_pair_loop_runs_only_on_a_nonzero_sum(cache_dir, monkeypatch):
+    """Over GF(p) the Python pair loop runs exactly when the contraction
+    finds a nonzero sum: never on a valid algebra, always on a mutant.
+    Over QQ and K(a) it is the whole check."""
+    calls = []
+    loop = Superalgebra._rule_failures
+    monkeypatch.setattr(Superalgebra, "_rule_failures",
+                        lambda self, bad: calls.append(self) or loop(self, bad))
+    valid = _valid(cache_dir)
+    for g in valid + _mutants(cache_dir):
+        calls.clear()
+        g.check_axioms()
+        if _native(g):
+            assert g._rules_hold_mod_p() == (g in valid)
+            assert calls == ([] if g in valid else [g])
+        else:
+            assert calls == [g]
+
+
+# traced peak of check_axioms on e(8,1) at p = 2, whose contraction has
+# 1,079,392 paths: 15 MB in chunks of JACOBI_CHUNK = 2^16 paths, 211 MB in
+# one step
+E8_PEAK_CAP_MB = 32
+
+
+def test_contraction_memory_stays_bounded(cache_dir):
+    g = build_catalog_algebra("e(8,1)", 2, cache_dir=cache_dir).algebra
+    # a fresh copy, so that the constants are read inside the traced call
+    g = Superalgebra(g.field, g.labels, g.parities, g.brackets, g.squares, g.weights)
+    tracemalloc.start()
+    try:
+        assert g.check_axioms() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E8_PEAK_CAP_MB * 2**20

@@ -55,6 +55,24 @@ def test_square_rejects_even_component():
         g.square({g.labels.index("E1,1"): f.one})
 
 
+@pytest.mark.parametrize("p,brackets,squares,chevalley", [
+    (3, {(0, 1): {-1: 1}}, None, None),
+    (3, {(0, 1): {5: 1}}, None, None),
+    (2, {}, {7: {0: 1}}, None),
+    (2, {}, {-1: {0: 1}}, None),
+    (2, {}, {1: {3: 1}}, None),
+    (3, {}, None, {"e": [{0: 1}], "f": [{3: 1}]}),
+])
+def test_constructor_rejects_an_index_outside_the_basis(p, brackets, squares, chevalley):
+    """An element key outside [0, dim) in a bracket value, a square (its
+    key or its value) or a Chevalley element is a ValueError: check_axioms
+    would pass such an algebra or fail with an IndexError, and the GF(p)
+    contraction's flat keys would alias."""
+    f = field_for(p)
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        Superalgebra(f, ["a", "b", "c"], [0, 1, 1], brackets, squares, chevalley=chevalley)
+
+
 def test_check_axioms_pass_and_mutation():
     g = gl(1, 2, 3)
     assert g.check_axioms() == []
