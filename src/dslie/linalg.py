@@ -8,22 +8,19 @@ two kernels, chosen by the field:
   * GF(p), p = 2 included -- inline integer arithmetic mod p
   * QQ, K(a)              -- the Field's own add/mul/inv
 
-extend() inserts a batch of untracked rows.  Over a prime field it runs
-one vectorized numpy elimination over the whole batch, in int16 when p^2
-fits and int64 otherwise (mod_p_dtype); over QQ and K(a) it inserts the
-rows one by one.  The vectorized elimination drops the all-zero rows and
-visits only the columns that are nonzero at the start, since no row
-operation fills an all-zero column.  rref, mat_rank and mat_nullspace are
-thin wrappers over it.
+Every rank, nullspace and span inserts its rows through Echelon.add.
+extend() is the add loop over a batch of untracked rows; it stops once
+the rank is full, which keeps tall systems cheap.  rref, mat_rank and
+mat_nullspace are thin wrappers over it.
 
 The fingerprint's two GF(p) systems, the invariance equations of the
 forms and the center's equations, are tall and mostly forced: most of
 their variables stand alone in some equation, so they are 0.
 nullspace_mod_p takes such a system as integer COO triples, deletes every
 one-entry equation with its variable until none is left (peel_mod_p, the
-singleton step of LP presolve), and eliminates only the core that remains,
-an integer array, through mat_nullspace.  Its answer is the nullspace of
-the whole system byte for byte.
+singleton step of LP presolve), and eliminates only the core that remains
+through mat_nullspace.  Its answer is the nullspace of the whole system
+byte for byte.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -46,13 +43,6 @@ import numpy as np
 from .fields import Field, PrimeField, RationalField, field_for
 
 
-def mod_p_dtype(p: int):
-    """Integer dtype of the mod-p elimination: int16 when p^2 fits (it
-    quarters the memory of tall systems), int64 otherwise (p <= 2^31 keeps
-    p^2 in range)."""
-    return np.int16 if p * p < 2**15 else np.int64
-
-
 def zero_of(field: Field):
     """The value a scalar is compared with (== or !=) to test it for zero:
     the int 0 over QQ, since Fraction's equality has a fast path for an int
@@ -63,18 +53,11 @@ def zero_of(field: Field):
 class Matrix:
     """Dense matrix over one Field; entries stored row-major in canonical form.
 
-    It is the input of rref, mat_rank and mat_nullspace.  Over a prime field
-    the rows may also be a 2-D integer ndarray with entries in [0, p) (the
-    core that peel_mod_p leaves of a sparse system); it is kept as is, not
-    copied.  The homology matrices are sparse rows instead (see
-    kernel_mod_image)."""
+    It is the input of rref, mat_rank and mat_nullspace.  The homology
+    matrices are sparse rows instead (see kernel_mod_image)."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
         self.field = field
-        if isinstance(rows, np.ndarray):
-            self.rows = rows
-            self.nrows, self.ncols = rows.shape
-            return
         self.rows = [list(r) for r in rows]
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -126,51 +109,16 @@ def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
     return basis
 
 
-def _rref_mod_p(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """RREF of an integer array with entries in [0, p), computed in place
-    (on a copy when some rows are zero); returns (nonzero rows, pivot
-    columns).  The dtype must hold p^2.  All-zero rows are dropped first,
-    and only the columns with a nonzero entry at the start are visited: a
-    row operation never fills a column that is zero in every row.
-    Ad-matrices are mostly zero rows and columns."""
-    nonzero_rows = a.any(axis=1)
-    if not nonzero_rows.all():
-        a = a[nonzero_rows]
-    m, n = a.shape
-    pivots: List[int] = []
-    r = 0
-    # ndarray methods and broadcasting, not np.nonzero and np.outer: the
-    # loop runs once per pivot, and each of those adds a Python-level call
-    for c in a.any(axis=0).nonzero()[0].tolist():
-        if r == m:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        if a[r, c] != 1:
-            a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col.nonzero()[0]
-        if mask.size:
-            a[mask] = (a[mask] - col[mask, None] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
 class Echelon:
     """Growing RREF basis of vectors with provenance tracking.
 
     Vectors are scalar lists.  reduce() returns the residual after
     elimination against the current basis together with the combination
     of previously *inserted* vectors that was subtracted; add() inserts
-    the residual when it is nonzero.  Used for radical elimination,
-    span/ideal computations, ker/im complements and, through extend(),
-    for rank and nullspace.
+    the residual when it is nonzero, and is the only way a row enters on
+    every field.  Used for radical elimination, span/ideal computations,
+    ker/im complements and, through extend() (the add loop), for rank and
+    nullspace.
     """
 
     def __init__(self, field: Field, ncols: int, track: bool = False):
@@ -274,27 +222,14 @@ class Echelon:
         return piv
 
     def extend(self, rows: Sequence[Sequence]) -> "Echelon":
-        """Insert a batch of untracked rows (lists, or over a prime field an
-        integer ndarray); stops once the rank is full."""
+        """Insert a batch of untracked rows through add(); stops once the
+        rank is full."""
         if self.track:
             raise ValueError("extend inserts untracked rows; use add() to track them")
-        p = self._p
-        if not p:
-            for row in rows:
-                if len(self.rows) == self.ncols:
-                    break
-                self.add(row)
-            return self
-        if len(rows) == 0 or len(self.rows) == self.ncols:
-            return self
-        dtype = mod_p_dtype(p)
-        a = np.array(rows, dtype=dtype)  # a copy: the elimination works in place
-        if self.rows:
-            a = np.vstack([np.array(self.rows, dtype=dtype), a])
-        a %= p
-        out, self.pivots = _rref_mod_p(a, p)
-        self.rows = out.tolist()
-        self.combos = [{} for _ in self.rows]
+        for row in rows:
+            if len(self.rows) == self.ncols:
+                break
+            self.add(row)
         return self
 
 
@@ -309,16 +244,15 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     deleted together with that variable's column, until no such equation is
     left; a deletion can leave another equation with one entry, so this
     repeats.  The surviving equations are scaled to leading entry 1 and
-    repeats dropped.  Returns (core, kept): the core as an integer array
-    over the kept columns, kept the increasing indices of the columns that
-    were not deleted.
+    repeats dropped.  Returns (core, kept): the core as a Matrix of int
+    rows over the kept columns, kept the increasing indices of the columns
+    that were not deleted.
 
     A deleted variable is 0 in every solution: its equation says c x_t = 0
     with c != 0.  So the row space of the system is the direct sum of the
     unit rows e_t of the deleted variables and the core rows (0 on the
     deleted columns), and those unit rows and the core's RREF together are
     the RREF of the whole system (see nullspace_mod_p)."""
-    dtype = mod_p_dtype(p)
     key = rows * ncols + cols
     order = key.argsort()
     key, c = key[order], vals[order]
@@ -338,7 +272,7 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
         r, v, c = r[live], v[live], c[live]
     kept = (~deleted).nonzero()[0]
     if not r.size:
-        return Matrix(field_for(p), np.zeros((0, kept.size), dtype=dtype)), kept
+        return Matrix(field_for(p), [], ncols=kept.size), kept
     new_eq = _firsts(r)
     eq = np.cumsum(new_eq) - 1  # core equation of every entry
     start = new_eq.nonzero()[0]
@@ -352,9 +286,9 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     distinct = np.zeros(start.size, dtype=bool)
     distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
     on = distinct[eq]
-    core = np.zeros((int(distinct.sum()), kept.size), dtype=dtype)
+    core = np.zeros((int(distinct.sum()), kept.size), dtype=np.int64)
     core[(np.cumsum(distinct) - 1)[eq[on]], (np.cumsum(~deleted) - 1)[v[on]]] = c[on]
-    return Matrix(field_for(p), core), kept
+    return Matrix(field_for(p), core.tolist(), ncols=kept.size), kept
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:

@@ -120,6 +120,18 @@ def el_to_dense(f: Field, u: Element, n: int) -> list:
     return out
 
 
+def _nonzero_values(values: dict, zero) -> dict:
+    """A copy of values (key -> Element) without the zero coefficients, and
+    without the values that are then empty."""
+    out = {}
+    for k, v in values.items():
+        if zero in v.values():  # rare: the common case is one dict() copy
+            v = {m: x for m, x in v.items() if x != zero}
+        if v:
+            out[k] = dict(v)
+    return out
+
+
 def _note(bad: List[str], msg: str) -> None:
     """Add a violation to check_axioms' list unless it is full."""
     if len(bad) < MAX_VIOLATIONS:
@@ -185,9 +197,9 @@ class Superalgebra:
         self.field = field
         self.labels = list(labels)
         self.parities = list(parities)
-        self.brackets = {k: dict(v) for k, v in brackets.items() if v}
-        self.squares = {k: dict(v) for k, v in (squares or {}).items() if v} \
-            if field.p == 2 else None
+        zero = zero_of(field)
+        self.brackets = _nonzero_values(brackets, zero)
+        self.squares = _nonzero_values(squares or {}, zero) if field.p == 2 else None
         self.weights = list(weights) if weights is not None else None
         self.chevalley = chevalley
         self._mod_p: Dict[int, Tuple[np.ndarray, ...]] = {}  # _constants_mod_p by modulus
@@ -200,13 +212,13 @@ class Superalgebra:
             if i == j and (field.p == 2 or parities[i] == 0):
                 raise ValueError(f"diagonal bracket stored for key {(i, i)}")
         # every basis index of a bracket value, a square and a Chevalley
-        # element, in one pass over the keys
-        sq = self.squares or {}
-        used = set(sq).union(*self.brackets.values(), *sq.values(),
+        # element as given (a zero coefficient too), in one pass over the keys
+        sq = (squares or {}) if field.p == 2 else {}
+        used = set(sq).union(*brackets.values(), *sq.values(),
                              *(e for es in (chevalley or {}).values() for e in es))
         if used and (min(used) < 0 or max(used) >= n):
             raise ValueError(f"a basis index outside [0, {n})")
-        for i in sq:
+        for i in self.squares or {}:
             if parities[i] != 1:
                 raise ValueError(f"square stored for even basis element {i}")
 
@@ -935,11 +947,10 @@ class Superalgebra:
                 if w and not isp.contains_element(w):
                     raise ValueError("not an ideal: squaring leaves the span")
 
-        ideal, spanned = Echelon(f, n), Echelon(f, n)
+        ideal = Echelon(f, n)
         for r in isp.all_rows():
             ideal.add(r)
-            spanned.add(r)
-        comp = spanned.complete_with_units()
+        comp = ideal.copy().complete_with_units()
         return self.subquotient([el_to_dense(f, {m: f.one}, n) for m in comp], ideal,
                                 labels=[self.labels[m] for m in comp], chevalley=True)
 

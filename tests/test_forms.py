@@ -186,14 +186,15 @@ def test_array_assembly_matches_generic(cache_dir, name):
     nv = len(pairs)
     core, kept = peel_mod_p(p, nv, *g._form_equations_mod_p(pairs))
     generic = _reference_equations(g, pairs)
-    assert isinstance(core.rows, np.ndarray) and core.ncols == len(kept)
+    assert core.ncols == len(kept)
+    assert all(type(r) is list and all(type(x) is int for x in r) for r in core.rows)
     assert generic.ncols == nv
+    a = np.array(core.rows, dtype=np.int64).reshape(core.nrows, core.ncols)
     full = np.zeros((core.nrows + nv - len(kept), nv), dtype=np.int64)
-    full[:core.nrows, kept] = core.rows
+    full[:core.nrows, kept] = a
     full[np.arange(core.nrows, len(full)), np.setdiff1d(np.arange(nv), kept)] = 1
-    assert rref(Matrix(g.field, full)) == rref(generic)
+    assert rref(Matrix(g.field, full.tolist(), ncols=nv)) == rref(generic)
     # reduced mod p, no zero row, leading entries 1, no repeated row
-    a = core.rows
     assert ((a >= 0) & (a < p)).all()
     lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
     assert (lead == 1).all()

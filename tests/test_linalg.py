@@ -1,8 +1,9 @@
 """Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
-the batch (numpy) against the incremental (list) elimination, the homology
-matrices (ad_matrix, kernel_mod_image, adjoint_rank) against their dense
-references, and the block-by-block Ker/Im against the eliminations of the
-whole matrix."""
+a batch through extend() against the same rows added one by one (and its
+stop at full rank), the peeled GF(p) nullspace against the dense one, the
+homology matrices (ad_matrix, kernel_mod_image, adjoint_rank) against
+their dense references, and the block-by-block Ker/Im against the
+eliminations of the whole matrix."""
 
 import random
 
@@ -126,8 +127,8 @@ def test_echelon_matches_rank(rows, p):
         assert recon == row
 
 
-# the primes 181, 191 and 2147483629 put products of two residues next to
-# the bounds of the batch kernel's dtypes (int16 up to 181, then int64)
+# prime fields from GF(2) up to the forms' first modulus 2147483629, then QQ
+# and GF(2)(a)
 ENGINE_FIELDS = [(2, False), (3, False), (5, False), (181, False), (191, False),
                  (2147483629, False), (0, False), (2, True)]
 
@@ -156,23 +157,35 @@ def test_batch_rref_matches_incremental(p, parametric, data):
         for row in seq:
             ech.add(row)
         assert (ech.rows, ech.pivots) == (rows, pivots)  # the RREF is unique
-    # a batch on top of rows inserted one by one; over a prime field the
-    # batch may also be an integer array, which gives the same echelon
+    # a batch on top of rows inserted one by one
     cut = data.draw(st.integers(0, M.nrows), label="cut")
-    batches = [M.rows[cut:]]
-    if isinstance(f, PrimeField):
-        arr = np.array(M.rows, dtype=np.int64).reshape(-1, n)
-        assert rref(Matrix(f, arr)) == (rows, pivots)
-        batches.append(arr[cut:])
-    for batch in batches:
-        ech = Echelon(f, n)
-        for row in M.rows[:cut]:
-            ech.add(row)
-        assert (ech.extend(batch).rows, ech.pivots) == (rows, pivots)
+    ech = Echelon(f, n)
+    for row in M.rows[:cut]:
+        ech.add(row)
+    assert (ech.extend(M.rows[cut:]).rows, ech.pivots) == (rows, pivots)
     null = mat_nullspace(M)
     assert len(pivots) + len(null) == n == mat_rank(M) + len(null)
     for v in null:
         assert all(f.is_zero(_dot(f, row, v)) for row in M.rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2147483629])
+def test_extend_stops_at_full_rank(p, monkeypatch):
+    """extend inserts a tall batch only until the rank is full: no later row
+    can add a pivot, and skipping them keeps tall systems cheap."""
+    f = field_for(p)
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(5)] for _ in range(200)]
+    probe = Echelon(f, 5)
+    full = next(k for k, row in enumerate(rows, 1) if probe.add(row) is not None
+                and len(probe) == 5)
+    inserted = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add",
+                        lambda self, vec, vid=None: inserted.append(vec) or add(self, vec, vid))
+    ech = Echelon(f, 5).extend(rows)
+    assert inserted == rows[:full] and full < len(rows)
+    assert (ech.rows, ech.pivots) == (probe.rows, probe.pivots)
 
 
 # -- the homology matrices against their list-based references ----------------

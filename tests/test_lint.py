@@ -1,6 +1,7 @@
 """Static checks on the library sources: every import in src/dslie is used
-and sits at module level, only linalg.py and superalgebra.py import numpy,
-every function, method and class it defines is named somewhere, and every
+and sits at module level, only linalg.py and superalgebra.py import numpy
+(and in linalg only the peel of the sparse GF(p) systems uses it), every
+function, method and class it defines is named somewhere, and every
 CLI option is read by its command's handler.
 
 An import counts as used when the module reads it, lists it in ``__all__``
@@ -105,6 +106,28 @@ def test_checker_sees_numpy_imports():
     src = "import numpy as np\nfrom numpy.linalg import norm\nfrom . import numpy\nimport os\n"
     assert imported_modules(src) == {"numpy", "os"}
     assert imported_modules("from numpy import zeros\n") == {"numpy"}
+
+
+def numpy_definitions(source: str):
+    """Every top-level function and class whose signature or body names np."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)))
+
+
+def test_numpy_stays_in_the_peel():
+    """In linalg only the peel of a sparse GF(p) system works on arrays; its
+    core leaves as list rows, so Matrix and Echelon have one row format and
+    every elimination goes through Echelon.add."""
+    with open(os.path.join(SRC, "linalg.py")) as fh:
+        assert numpy_definitions(fh.read()) == ["_firsts", "nullspace_mod_p", "peel_mod_p"]
+
+
+def test_checker_sees_numpy_definitions():
+    src = ("import numpy as np\nclass K:\n    def m(self):\n        return np.zeros(1)\n"
+           "def typed(a: np.ndarray) -> int:\n    return 0\ndef plain(np_rows):\n"
+           "    return np_rows\nZ = np.int64\n")
+    assert numpy_definitions(src) == ["K", "typed"]
 
 
 def local_imports(source: str):

@@ -73,6 +73,19 @@ def test_constructor_rejects_an_index_outside_the_basis(p, brackets, squares, ch
         Superalgebra(f, ["a", "b", "c"], [0, 1, 1], brackets, squares, chevalley=chevalley)
 
 
+def test_constructor_drops_zero_coefficients():
+    """A zero coefficient is no component: [a,b] = 0 a is stored as no
+    bracket and breaks no parity rule.  The index check still sees it."""
+    f = field_for(3)
+    g = Superalgebra(f, ["a", "b", "c"], [0, 1, 1], {(0, 1): {0: 0}, (1, 2): {0: 1, 1: 0}})
+    assert g.brackets == {(1, 2): {0: 1}}
+    assert g.check_axioms() == []
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        Superalgebra(f, ["a", "b", "c"], [0, 1, 1], {(0, 1): {7: 0}})
+    h = Superalgebra(field_for(2), ["a", "b"], [0, 1], {}, {1: {0: 0}})
+    assert h.squares == {}
+
+
 def test_check_axioms_pass_and_mutation():
     g = gl(1, 2, 3)
     assert g.check_axioms() == []
