@@ -1,10 +1,15 @@
 """Classical matrix families as references."""
 
+import hashlib
 import random
 
 import pytest
 
-from dslie.classical import abelian, alternating_parities, gl, hei_odd, osp, psl, sl
+from dslie.audit import load_expected
+from dslie.classical import (abelian, alternating_parities, classical, gl, hei_odd, osp,
+                             parse_key, psl, sl)
+from dslie.fields import UsageError
+from dslie.serialize import canonical_json, superalgebra_to_dict
 from dslie.superalgebra import el_addmul
 
 
@@ -77,3 +82,52 @@ def test_quotient_reduces_dim_by_ideal_dim():
     center = s.center_rows()
     q = s.quotient_by_ideal(center)
     assert q.dim == s.dim - len(center)
+
+
+def _table_classical_pairs() -> list:
+    """The (key, p) pairs of every gl/sl/psl that a shipped table row names,
+    as its algebra key or as its label, in sorted order."""
+    pairs = set()
+    for row in load_expected()["rows"]:
+        for name in (row["key"], row.get("label")):
+            if isinstance(name, str) and parse_key(name):
+                pairs.add((name, row["p"]))
+    return sorted(pairs)
+
+
+def test_table_classical_algebras_pinned():
+    """Every classical algebra the tables name, byte for byte: one sha256 over
+    the canonical JSON of each, in sorted (key, p) order."""
+    pairs = _table_classical_pairs()
+    assert len(pairs) == 125
+    h = hashlib.sha256()
+    for key, p in pairs:
+        h.update(canonical_json(superalgebra_to_dict(classical(*parse_key(key), p))).encode())
+    assert h.hexdigest()[:16] == "e27e43f7bd34ee9d"
+
+
+# (a, b) with a <= 5, b <= 6 where psl(a|b) is defined, per p; it raises on
+# every other pair
+PSL_DEFINED = {
+    0: {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)},
+    2: {(0, 2), (0, 4), (0, 6), (1, 1), (1, 3), (1, 5), (2, 0), (2, 2), (2, 4), (2, 6),
+        (3, 1), (3, 3), (3, 5), (4, 0), (4, 2), (4, 4), (4, 6), (5, 1), (5, 3), (5, 5)},
+    3: {(0, 3), (0, 6), (1, 1), (1, 4), (2, 2), (2, 5), (3, 0), (3, 3), (3, 6), (4, 1),
+        (4, 4), (5, 2), (5, 5)},
+    5: {(0, 5), (1, 1), (1, 6), (2, 2), (3, 3), (4, 4), (5, 0), (5, 5)},
+    7: {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)},
+}
+
+
+@pytest.mark.parametrize("p", sorted(PSL_DEFINED))
+def test_psl_defined_set_pinned(p):
+    defined = set()
+    for a in range(6):
+        for b in range(7):
+            try:
+                psl(a, b, p)
+            except UsageError as exc:
+                assert str(exc) == f"psl({a}|{b}) undefined at p={p}: sl has trivial center"
+            else:
+                defined.add((a, b))
+    assert defined == PSL_DEFINED[p]
