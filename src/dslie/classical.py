@@ -12,7 +12,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from .fields import UsageError, field_for
-from .linalg import Matrix, mat_nullspace
+from .linalg import Echelon, Matrix, mat_nullspace
 from .superalgebra import Element, Superalgebra
 
 
@@ -81,38 +81,54 @@ def gl(a: int, b: int, p: int) -> Superalgebra:
     return g
 
 
-def sl(a: int, b: int, p: int) -> Superalgebra:
-    """Supertraceless matrices inside gl(a|b)."""
-    g = gl(a, b, p)
+def _sl_rows(g: Superalgebra, a: int, b: int) -> Tuple[List[list], List[str]]:
+    """sl(a|b)'s basis inside g = gl(a|b), as rows and their labels: the unit
+    rows E_ij (i != j) and, for i < n, E_ii + s_i E_nn with s_i = 1 when
+    positions i and n differ in parity and -1 when they agree (supertrace 0).
+    No other row touches E_ii or E_nn, so the rows are already in RREF; they
+    come even before odd, each group by pivot, and are labelled by the pivot."""
     fld = g.field
     n = a + b
     pos = alternating_parities(a, b)
-    rows = []
-    diag = {}
-    for t, lab in enumerate(g.labels):
-        i, j = lab[1:].split(",")
-        if i != j:
-            vec = [fld.zero] * g.dim
-            vec[t] = fld.one
-            rows.append(vec)
-        else:
-            diag[int(i) - 1] = t
-    for i in range(n - 1):
-        # E_ii +/- E_{i+1,i+1} with supertrace zero
+    last = n * n - 1  # index of E_nn
+    rows = {}
+    for t in range(last):
         vec = [fld.zero] * g.dim
-        vec[diag[i]] = fld.one
-        vec[diag[i + 1]] = fld.one if pos[i] != pos[i + 1] else fld.neg(fld.one)
-        rows.append(vec)
-    return g.subalgebra_from_rows(rows)
+        vec[t] = fld.one
+        i, j = divmod(t, n)
+        if i == j:
+            vec[last] = fld.one if pos[i] != pos[-1] else fld.neg(fld.one)
+        rows[g.parities[t], t] = vec
+    keys = sorted(rows)
+    return [rows[k] for k in keys], [g.labels[t] for _, t in keys]
+
+
+def sl(a: int, b: int, p: int) -> Superalgebra:
+    """Supertraceless matrices inside gl(a|b)."""
+    g = gl(a, b, p)
+    rows, labels = _sl_rows(g, a, b)
+    return g.subquotient(rows, labels=labels, chevalley=True)
 
 
 def psl(a: int, b: int, p: int) -> Superalgebra:
-    """sl(a|b) modulo its center (defined when a = b mod p)."""
-    s = sl(a, b, p)
-    center = s.center_rows()
-    if not center:
+    """sl(a|b) modulo its center, as one subquotient of gl(a|b).
+
+    The center of sl is nonzero exactly when a + b >= 2 and a = b mod p
+    (a = b at p = 0), and is then spanned by the identity, the sum of sl's
+    n - 1 diagonal rows.  A complement of it taken by unit vectors in sl's
+    basis order drops the last of them, the row of E_{n-1,n-1}.
+    """
+    n = a + b
+    if n < 2 or ((a - b) % p if p else a - b):
         raise UsageError(f"psl({a}|{b}) undefined at p={p}: sl has trivial center")
-    return s.quotient_by_ideal(center)
+    g = gl(a, b, p)
+    fld = g.field
+    rows, labels = _sl_rows(g, a, b)
+    drop = labels.index(f"E{n - 1},{n - 1}")
+    identity = Echelon(fld, g.dim)
+    identity.add([fld.one if i == j else fld.zero for i in range(n) for j in range(n)])
+    del rows[drop], labels[drop]
+    return g.subquotient(rows, identity, labels=labels, chevalley=True)
 
 
 def hei_odd(p: int) -> Superalgebra:

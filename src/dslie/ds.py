@@ -85,12 +85,14 @@ class DSError(RuntimeError):
 
 def ds_homology(g: Superalgebra, x) -> DSResult:
     """Ker ad_x / Im ad_x with the induced bracket (and squaring at p = 2)."""
+    f = g.field
     if isinstance(x, HomologicalElement):
         hx, el = x, x.element
     else:
-        el = dict(x)
+        el = {k: c for k, c in x.items() if not f.is_zero(c)}
         hx = HomologicalElement(element=el, kind="explicit")
-    f = g.field
+    if not el:
+        raise DSError("element is not homological: x = 0")
     kind = is_homological(g, el)
     if kind == "no":
         if g.parity_of(el) == 1:

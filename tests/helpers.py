@@ -1,11 +1,13 @@
 """Constructions that only the tests need: a basis change of a
 superalgebra, a polynomial in the generator of K(a), the transpose of a
-Matrix, and the dense references of the center, of the homology of a
+Matrix, the two-step sl, psl and g^(1)/c through a checked quotient by an
+ideal, and the dense references of the center, of the homology of a
 square-zero matrix and of a module."""
 
-from dslie.fields import FunctionField
+from dslie.classical import alternating_parities, gl
+from dslie.fields import FunctionField, UsageError
 from dslie.linalg import Echelon, Matrix, mat_nullspace, rref
-from dslie.superalgebra import Superalgebra, el_from_dense, el_to_dense
+from dslie.superalgebra import GradedSpan, Superalgebra, el_from_dense, el_to_dense
 
 
 def transform_basis(g: Superalgebra, T: list) -> Superalgebra:
@@ -45,6 +47,77 @@ def center_rows_reference(g: Superalgebra) -> list:
         for m, c in w.items():
             rows.setdefault((b, m), [f.zero] * n)[a] = c
     return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
+
+
+def _in_graded_span(g: Superalgebra, span: GradedSpan, u) -> bool:
+    """Whether each parity part of u lies in the span's part of that parity."""
+    parts = ({k: c for k, c in u.items() if g.parities[k] == par} for par in (0, 1))
+    return all(not part or ech.contains(el_to_dense(g.field, part, g.dim))
+               for part, ech in zip(parts, (span.even, span.odd)))
+
+
+def quotient_by_ideal_reference(g: Superalgebra, ideal_rows: list) -> Superalgebra:
+    """g modulo the span of ideal_rows, after checking that it is an ideal:
+    every bracket of an ideal row with a basis vector, and at p = 2 every
+    square of an odd ideal row, must stay in the span (ValueError
+    otherwise).  The complement is spanned by the first basis vectors, in
+    index order, that are independent of the ideal and of each other."""
+    f = g.field
+    n = g.dim
+    span = GradedSpan(g)
+    for r in ideal_rows:
+        span.add_dense(r)
+    for r in span.all_rows():
+        u = el_from_dense(f, r)
+        for k in range(n):
+            if not _in_graded_span(g, span, g.bracket(u, {k: f.one})):
+                raise ValueError(f"not an ideal: bracket with {g.labels[k]} leaves the span")
+    if f.p == 2:
+        for r in span.odd.rows:
+            if not _in_graded_span(g, span, g.square(el_from_dense(f, r))):
+                raise ValueError("not an ideal: squaring leaves the span")
+    ideal = Echelon(f, n)
+    ideal.extend(span.all_rows())
+    comp = ideal.copy().complete_with_units()
+    return g.subquotient([el_to_dense(f, {m: f.one}, n) for m in comp], ideal,
+                         labels=[g.labels[m] for m in comp], chevalley=True)
+
+
+def sl_reference(a: int, b: int, p: int) -> Superalgebra:
+    """sl(a|b) as the subalgebra of gl(a|b) spanned by the off-diagonal E_ij
+    and the E_ii +- E_{i+1,i+1} of supertrace 0, put in RREF by a
+    GradedSpan."""
+    g = gl(a, b, p)
+    f = g.field
+    pos = alternating_parities(a, b)
+    rows = []
+    diag = {}
+    for t, lab in enumerate(g.labels):
+        i, j = lab[1:].split(",")
+        if i != j:
+            rows.append(el_to_dense(f, {t: f.one}, g.dim))
+        else:
+            diag[int(i) - 1] = t
+    for i in range(a + b - 1):
+        sgn = f.one if pos[i] != pos[i + 1] else f.neg(f.one)
+        rows.append(el_to_dense(f, {diag[i]: f.one, diag[i + 1]: sgn}, g.dim))
+    return g.subalgebra_from_rows(rows)
+
+
+def psl_reference(a: int, b: int, p: int) -> Superalgebra:
+    """sl(a|b) modulo the center it solves for, through the checked quotient."""
+    s = sl_reference(a, b, p)
+    center = s.center_rows()
+    if not center:
+        raise UsageError(f"psl({a}|{b}) undefined at p={p}: sl has trivial center")
+    return quotient_by_ideal_reference(s, center)
+
+
+def first_derived_mod_center_reference(g: Superalgebra) -> Superalgebra:
+    """g^(1) modulo its center, through the checked quotient."""
+    sub = g.subalgebra_from_rows(g.first_derived_span().all_rows())
+    center = sub.center_rows()
+    return quotient_by_ideal_reference(sub, center) if center else sub
 
 
 def transpose(M: Matrix) -> Matrix:

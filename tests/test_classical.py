@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dslie.audit import load_expected
 from dslie.classical import (abelian, alternating_parities, classical, gl, hei_odd, osp,
@@ -11,6 +13,7 @@ from dslie.classical import (abelian, alternating_parities, classical, gl, hei_o
 from dslie.fields import UsageError
 from dslie.serialize import canonical_json, superalgebra_to_dict
 from dslie.superalgebra import el_addmul
+from helpers import psl_reference, quotient_by_ideal_reference, sl_reference
 
 
 def test_dimensions():
@@ -80,7 +83,7 @@ def test_first_derived_mod_center_matches_psl():
 def test_quotient_reduces_dim_by_ideal_dim():
     s = sl(2, 2, 0)
     center = s.center_rows()
-    q = s.quotient_by_ideal(center)
+    q = quotient_by_ideal_reference(s, center)
     assert q.dim == s.dim - len(center)
 
 
@@ -131,3 +134,33 @@ def test_psl_defined_set_pinned(p):
             else:
                 defined.add((a, b))
     assert defined == PSL_DEFINED[p]
+
+
+def _outcome(build, a: int, b: int, p: int) -> str:
+    """The canonical JSON of build(a, b, p), or its UsageError text."""
+    try:
+        return canonical_json(superalgebra_to_dict(build(a, b, p)))
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_sl_psl_match_two_step_reference_on_smallest_sizes(p):
+    """sl and psl written down inside gl against the subalgebra of gl and
+    the checked quotient by sl's center, for a + b <= 2."""
+    for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+        for new, ref in ((sl, sl_reference), (psl, psl_reference)):
+            assert _outcome(new, a, b, p) == _outcome(ref, a, b, p), (new.__name__, a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 7), st.sampled_from([0, 2, 3, 5]), st.booleans())
+def test_sl_psl_match_two_step_reference(a, b, p, central):
+    """The same comparison on random sizes.  With ``central`` set, b moves to
+    the largest b' <= b with b' = a mod p (b' = a at p = 0), where sl has a
+    center and psl is defined."""
+    if central:
+        b = b - (b - a) % p if p else a
+        assume(b >= 0)
+    for new, ref in ((sl, sl_reference), (psl, psl_reference)):
+        assert _outcome(new, a, b, p) == _outcome(ref, a, b, p), new.__name__

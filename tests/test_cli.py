@@ -46,6 +46,12 @@ def test_ds_rejects_even(capsys, cache_dir):
     assert "not homological" in err
 
 
+def test_ds_rejects_zero_element(capsys, cache_dir):
+    code, _out, err = run(capsys, ["ds", "gl(2|2)", "-p", "2", "--x", "x1+x1"], cache_dir)
+    assert code == 2
+    assert "not homological: x = 0" in err
+
+
 def test_ds_rejection_states_square(capsys, cache_dir):
     code, _out, err = run(capsys, ["ds", "brj(2;5)", "-p", "5", "--x", "x2"],
                           cache_dir)

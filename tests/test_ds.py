@@ -65,6 +65,23 @@ def test_ds_rejects_nonhomological(brj25):
         ds_homology(brj25.algebra, brj25.x_element("x2"))
 
 
+@pytest.mark.parametrize("x", [{}, {0: 0}])
+def test_ds_rejects_zero_element(x):
+    """x = 0 gets its own message, not the one for a nonzero even element."""
+    with pytest.raises(DSError, match=r"^element is not homological: x = 0$"):
+        ds_homology(gl(2, 2, 3), x)
+
+
+def test_ds_drops_zero_coefficients():
+    """An explicit zero coefficient does not make an odd x look mixed."""
+    g = gl(2, 2, 3)
+    x = g.element("x1")
+    even = g.parities.index(0)
+    res = ds_homology(g, {**x, even: 0})
+    assert res.x.element == x
+    assert res.sdim_gx == ds_homology(g, x).sdim_gx
+
+
 def test_isotropic_roots_brj25(brj25):
     roots = isotropic_odd_roots(brj25)
     assert sorted(roots) == [(1, 0), (1, 4), (2, 3), (2, 5)]

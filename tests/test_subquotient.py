@@ -18,7 +18,8 @@ from dslie.fields import field_for
 from dslie.serialize import canonical_json, superalgebra_to_dict
 from dslie.superalgebra import Superalgebra
 from dslie.tables import chain_element
-from helpers import transform_basis
+from helpers import (first_derived_mod_center_reference, quotient_by_ideal_reference,
+                     transform_basis)
 
 
 def _p2_heisenberg() -> Superalgebra:
@@ -49,7 +50,7 @@ def _p2_subalgebra() -> Superalgebra:
 
 def _p2_quotient() -> Superalgebra:
     g = _p2_heisenberg()
-    return g.quotient_by_ideal([_unit(g, "c1")])
+    return quotient_by_ideal_reference(g, [_unit(g, "c1")])
 
 
 def _transformed(g: Superalgebra) -> Superalgebra:
@@ -112,6 +113,17 @@ def pinned_structure(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_pinned_structure(name):
     assert pinned_structure(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("key,p", [("brj(2;3)", 3), ("bgl(3;alpha)", 2)])
+def test_first_derived_mod_center_matches_checked_quotient(key, p):
+    """g^(1)/c in one subquotient against the quotient that checks the
+    center is an ideal (brackets, and squares at p = 2; bgl(3;alpha) is over
+    K(a))."""
+    g = build_catalog_algebra(key, p).algebra
+    got = g.first_derived_mod_center()
+    want = first_derived_mod_center_reference(g)
+    assert canonical_json(superalgebra_to_dict(got)) == canonical_json(superalgebra_to_dict(want))
 
 
 def test_subquotient_rejects_unclosed_subspace():
