@@ -66,11 +66,11 @@ def radical_step(fld: Field, n: int, vecs: List[List[Element]]) -> List[Optional
     ech = Echelon(fld, len(cols), track=True)
     out: List[Optional[Element]] = []
     for ci, v in enumerate(vecs):
-        dense = [fld.zero] * len(cols)
-        for j in range(n):
-            for b, c in v[j].items():
-                dense[colpos[(j, b)]] = c
-        out.append(None if ech.add(dense, vid=ci) is not None else ech.reduce(dense)[1])
+        u = {colpos[(j, b)]: c for j in range(n) for b, c in v[j].items()}
+        res, combo = ech.reduce(u)  # most candidates are dependent: one reduction
+        if res:
+            ech.add(u, vid=ci)
+        out.append(None if res else combo)
     return out
 
 
@@ -289,7 +289,7 @@ def grading_rows(spec: CartanSpec, fld: Field) -> List[int]:
     element d_t acts on a root by its coordinate at the t-th of them."""
     ech = Echelon(fld, spec.n)
     for i in range(spec.n):
-        ech.add([spec.entry_scalar(fld, i, j) for j in range(spec.n)])
+        ech.add({j: spec.entry_scalar(fld, i, j) for j in range(spec.n)})
     return ech.complete_with_units()
 
 

@@ -19,6 +19,7 @@ from .fields import UsageError
 from .serialize import cache_load, cache_store
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DEGREE_CAP = 40  # the degree cap of every catalog build; part of its cache path
 
 
 def _parse_entry(e):
@@ -96,13 +97,12 @@ def catalog_get(key: str, p: int) -> CatalogEntry:
     return ent
 
 
-def build_catalog_algebra(key: str, p: int, cache_dir: Optional[str] = None,
-                          degree_cap: int = 40) -> BuildResult:
+def build_catalog_algebra(key: str, p: int, cache_dir: Optional[str] = None) -> BuildResult:
     ent = catalog_get(key, p)
     spec = ent.spec()
-    cached = cache_load(cache_dir, spec, degree_cap)
+    cached = cache_load(cache_dir, spec, DEGREE_CAP)
     if cached is not None:
         return cached
-    b = build_g_of_A(spec, degree_cap=degree_cap)
-    cache_store(cache_dir, spec, degree_cap, b)
+    b = build_g_of_A(spec, degree_cap=DEGREE_CAP)
+    cache_store(cache_dir, spec, DEGREE_CAP, b)
     return b

@@ -81,7 +81,7 @@ def gl(a: int, b: int, p: int) -> Superalgebra:
     return g
 
 
-def _sl_rows(g: Superalgebra, a: int, b: int) -> Tuple[List[list], List[str]]:
+def _sl_rows(g: Superalgebra, a: int, b: int) -> Tuple[List[Element], List[str]]:
     """sl(a|b)'s basis inside g = gl(a|b), as rows and their labels: the unit
     rows E_ij (i != j) and, for i < n, E_ii + s_i E_nn with s_i = 1 when
     positions i and n differ in parity and -1 when they agree (supertrace 0).
@@ -93,8 +93,7 @@ def _sl_rows(g: Superalgebra, a: int, b: int) -> Tuple[List[list], List[str]]:
     last = n * n - 1  # index of E_nn
     rows = {}
     for t in range(last):
-        vec = [fld.zero] * g.dim
-        vec[t] = fld.one
+        vec = {t: fld.one}
         i, j = divmod(t, n)
         if i == j:
             vec[last] = fld.one if pos[i] != pos[-1] else fld.neg(fld.one)
@@ -126,7 +125,7 @@ def psl(a: int, b: int, p: int) -> Superalgebra:
     rows, labels = _sl_rows(g, a, b)
     drop = labels.index(f"E{n - 1},{n - 1}")
     identity = Echelon(fld, g.dim)
-    identity.add([fld.one if i == j else fld.zero for i in range(n) for j in range(n)])
+    identity.add({i * n + i: fld.one for i in range(n)})
     del rows[drop], labels[drop]
     return g.subquotient(rows, identity, labels=labels, chevalley=True)
 
@@ -167,8 +166,7 @@ def osp(m: int, two_n: int, p: int) -> Superalgebra:
     eqs = []
     for r in range(size):
         for c in range(size):
-            row = [fld.zero] * big.dim
-            nz = False
+            row = {}
             for (i, j), u in idx.items():
                 coeff = fld.zero
                 if j == c and not fld.is_zero(G[r][i]):
@@ -179,8 +177,7 @@ def osp(m: int, two_n: int, p: int) -> Superalgebra:
                     coeff = fld.add(coeff, fld.mul(sgn, G[i][c]))
                 if not fld.is_zero(coeff):
                     row[u] = coeff
-                    nz = True
-            if nz:
+            if row:
                 eqs.append(row)
     sol = mat_nullspace(Matrix(fld, eqs, ncols=big.dim))
     return big.subalgebra_from_rows(sol)

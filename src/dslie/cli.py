@@ -40,8 +40,8 @@ def _cache_dir(args) -> Optional[str]:
     return cache_dir
 
 
-def _emit(rows: List[dict], fmt: str, stream=None):
-    stream = stream or sys.stdout
+def _emit(rows: List[dict], fmt: str):
+    stream = sys.stdout
     if not rows:
         return
     cols = list(rows[0].keys())

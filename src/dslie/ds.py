@@ -12,7 +12,7 @@ from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
 from .fields import field_for
 from .linalg import Echelon, kernel_mod_image, sparse_rank
-from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_from_dense
+from .superalgebra import Element, Fingerprint, Superalgebra, el_add
 
 MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
 
@@ -54,6 +54,7 @@ class DefectReport:
 def is_homological(g: Superalgebra, x: Element) -> str:
     """'odd' (odd element, x^2 = 0), 'ad' ((ad_x)^2 = 0, p = 2 only), or 'no'."""
     f = g.field
+    x = {k: c for k, c in x.items() if not f.is_zero(c)}
     if not x:
         return "no"
     par = g.parity_of(x)
@@ -107,7 +108,7 @@ def ds_homology(g: Superalgebra, x) -> DSResult:
     im_ech, ker, comp_rows = kernel_mod_image(f, g.ad_matrix(el))
     rank = len(im_ech)
     for row in im_ech.rows:
-        if g.bracket(el, el_from_dense(f, row)):
+        if g.bracket(el, row):
             raise DSError("(ad_x)^2 != 0: image not contained in kernel")
     if len(ker) != n - rank:
         raise AssertionError("rank-nullity violated")
@@ -181,7 +182,7 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
             orth[i][j] = orth[j][i] = K0.is_zero(root_ip(form, roots[i], roots[j]))
 
     QQ = field_for(0)
-    vecs = [[QQ.from_int(c) for c in r] for r in roots]
+    vecs = [{i: QQ.from_int(c) for i, c in enumerate(r) if c} for r in roots]
     maximal: List[Tuple[Tuple[int, ...], frozenset]] = []  # each set also as a frozenset
 
     def extend(cur: Tuple[int, ...], span: Echelon, cand: List[int]):

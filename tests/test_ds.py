@@ -11,9 +11,10 @@ from dslie.ds import (DSError, adjoint_rank, defect_report, ds_homology,
                       isotropic_odd_roots, isotropic_orthogonal_sets,
                       rank_equivalence_check, single_root_candidates)
 from dslie.fields import field_for
-from dslie.linalg import Matrix, mat_rank
+from dslie.linalg import mat_rank
 from dslie.superalgebra import el_add
 from dslie.tables import chain_element, family_algebra
+from helpers import dense_matrix
 
 QQ = field_for(0)
 
@@ -82,6 +83,18 @@ def test_ds_drops_zero_coefficients():
     assert res.sdim_gx == ds_homology(g, x).sdim_gx
 
 
+def test_zero_coefficients_are_no_support():
+    """is_homological and parity_of read a zero coefficient as absent: x = 0
+    is not homological even where (ad_x)^2 = 0 holds, and an even index
+    with coefficient 0 leaves an odd x odd."""
+    assert is_homological(gl(2, 2, 2), {0: 0}) == "no"
+    g = gl(2, 2, 3)
+    assert g.parities[0] == 0 and g.parities[1] == 1
+    assert is_homological(g, {1: 1}) == "odd"
+    assert is_homological(g, {1: 1, 0: 0}) == "odd"
+    assert g.parity_of({1: 1, 0: 0}) == 1
+
+
 def test_isotropic_roots_brj25(brj25):
     roots = isotropic_odd_roots(brj25)
     assert sorted(roots) == [(1, 0), (1, 4), (2, 3), (2, 5)]
@@ -116,7 +129,7 @@ def _reference_orthogonal_sets(b, form) -> dict:
 
     def independent(idxs):
         rows = [[QQ.from_int(c) for c in roots[i]] for i in idxs]
-        return mat_rank(Matrix(QQ, rows, ncols=b.n)) == len(idxs)
+        return mat_rank(dense_matrix(QQ, rows, b.n)) == len(idxs)
 
     maximal = []
 

@@ -35,7 +35,7 @@ from dslie.fields import field_for
 from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref
 from dslie.superalgebra import FORMS_DIM_CUTOFF, FORMS_PRIMES, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
-from helpers import transform_basis
+from helpers import dense_matrix, transform_basis
 from test_subquotient import _p2_heisenberg
 
 P31 = 2147483629  # a 31-bit prime: p^2 needs the int64 elimination
@@ -115,7 +115,7 @@ PINNED = {
 def _reference_equations(g: Superalgebra, pairs) -> Matrix:
     """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
     (i, j, k) in order, and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]])
-    = 0 per odd b_i and k; dense rows over any field, zero rows dropped."""
+    = 0 per odd b_i and k; element rows over any field, zero rows dropped."""
     f = g.field
     n = g.dim
     pair_idx = {ij: t for t, ij in enumerate(pairs)}
@@ -163,8 +163,7 @@ def _reference_equations(g: Superalgebra, pairs) -> Matrix:
                 row = {a: b for a, b in row.items() if not f.is_zero(b)}
                 if row:
                     eq_rows.append(row)
-    return Matrix(f, [[r.get(t, f.zero) for t in range(len(pairs))] for r in eq_rows],
-                  ncols=len(pairs))
+    return Matrix(f, eq_rows, ncols=len(pairs))
 
 
 def _digest(res) -> str:
@@ -187,13 +186,16 @@ def test_array_assembly_matches_generic(cache_dir, name):
     core, kept = peel_mod_p(p, nv, *g._form_equations_mod_p(pairs))
     generic = _reference_equations(g, pairs)
     assert core.ncols == len(kept)
-    assert all(type(r) is list and all(type(x) is int for x in r) for r in core.rows)
+    assert all(type(r) is dict and all(type(j) is int and type(x) is int for j, x in r.items())
+               for r in core.rows)
     assert generic.ncols == nv
-    a = np.array(core.rows, dtype=np.int64).reshape(core.nrows, core.ncols)
+    a = np.zeros((core.nrows, core.ncols), dtype=np.int64)
+    for i, r in enumerate(core.rows):
+        a[i, list(r)] = list(r.values())
     full = np.zeros((core.nrows + nv - len(kept), nv), dtype=np.int64)
     full[:core.nrows, kept] = a
     full[np.arange(core.nrows, len(full)), np.setdiff1d(np.arange(nv), kept)] = 1
-    assert rref(Matrix(g.field, full.tolist(), ncols=nv)) == rref(generic)
+    assert rref(dense_matrix(g.field, full.tolist(), nv)) == rref(generic)
     # reduced mod p, no zero row, leading entries 1, no repeated row
     assert ((a >= 0) & (a < p)).all()
     lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
@@ -268,7 +270,7 @@ def test_qq_forms_match_exact_after_rational_basis_change(which, data):
     n = g.dim
     T = [[data.draw(ENTRIES) if g.parities[i] == g.parities[a] else QQ.zero
           for a in range(n)] for i in range(n)]
-    assume(mat_rank(Matrix(QQ, T)) == n)
+    assume(mat_rank(dense_matrix(QQ, T, n)) == n)
     h = transform_basis(g, T)
     assert repr(h.invariant_forms()) == repr(_exact(h))
 

@@ -1,9 +1,10 @@
 """Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
 a batch through extend() against the same rows added one by one (and its
-stop at full rank), the peeled GF(p) nullspace against the dense one, the
-homology matrices (ad_matrix, kernel_mod_image, adjoint_rank) against
-their dense references, and the block-by-block Ker/Im against the
-eliminations of the whole matrix."""
+stop at full rank), the Echelon against the dense-list reference at its
+boundary (every element it returns is clean), the peeled GF(p) nullspace
+against the dense one, the homology matrices (ad_matrix,
+kernel_mod_image, adjoint_rank) against their dense references, and the
+block-by-block Ker/Im against the eliminations of the whole matrix."""
 
 import random
 
@@ -18,20 +19,32 @@ from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_cand
 from dslie.fields import PrimeField, field_for
 from dslie.linalg import (Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank,
                           nullspace_mod_p, peel_mod_p, rref)
-from dslie.superalgebra import el_add, el_to_dense
-from helpers import dense_matrix, kernel_mod_image_unsplit, sparse_rows
+from dslie.superalgebra import el_add, el_addmul
+from helpers import (DenseEchelon, dense_matrix, el_from_dense, el_to_dense,
+                     kernel_mod_image_unsplit)
 from test_subquotient import _p2_heisenberg
 
 
-def _mat(field, int_rows, ncols=None):
-    return Matrix(field, [[field.from_int(a) for a in row] for row in int_rows], ncols=ncols)
+def _mat(field, int_rows):
+    return dense_matrix(field, [[field.from_int(a) for a in row] for row in int_rows],
+                        len(int_rows[0]))
 
 
 def _dot(f, row, v):
+    """The product of two elements taken as vectors."""
     acc = f.zero
-    for a, x in zip(row, v):
-        acc = f.add(acc, f.mul(a, x))
+    for j, a in row.items():
+        if j in v:
+            acc = f.add(acc, f.mul(a, v[j]))
     return acc
+
+
+def _check_elements(f, els, ncols):
+    """Every element the engine returns stores no zero and only indices in
+    [0, ncols)."""
+    for u in els:
+        assert all(0 <= j < ncols for j in u), u
+        assert not any(f.is_zero(x) for x in u.values()), u
 
 
 def test_rank_identity_gf2():
@@ -66,7 +79,7 @@ def test_nullspace_zero_full():
 def test_nullspace_gf2_ones():
     f = field_for(2)
     basis = mat_nullspace(_mat(f, [[1, 1], [1, 1]]))
-    assert basis == [[1, 1]]
+    assert basis == [{0: 1, 1: 1}]
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
@@ -100,9 +113,9 @@ def test_rank_q_vs_gfp_when_pivots_are_units():
 def test_parametric_rank():
     f = field_for(2, parametric=True)
     a = f.param()
-    M = Matrix(f, [[f.one, a], [a, f.mul(a, a)]])
+    M = dense_matrix(f, [[f.one, a], [a, f.mul(a, a)]], 2)
     assert mat_rank(M) == 1
-    M2 = Matrix(f, [[f.one, a], [a, f.one]])  # det = 1 + a^2 = (1+a)^2 != 0
+    M2 = dense_matrix(f, [[f.one, a], [a, f.one]], 2)  # det = 1 + a^2 = (1+a)^2 != 0
     assert mat_rank(M2) == 2
 
 
@@ -119,11 +132,11 @@ def test_echelon_matches_rank(rows, p):
     # every original row reduces to zero against the completed echelon
     for row in M.rows:
         res, combo = ech.reduce(row)
-        assert all(f.is_zero(x) for x in res)
+        assert res == {}
         # and the tracked combination reproduces the row
-        recon = [f.zero] * 3
+        recon = {}
         for vid, c in combo.items():
-            recon = [f.add(x, f.mul(c, y)) for x, y in zip(recon, M.rows[vid])]
+            recon = el_addmul(f, recon, c, M.rows[vid])
         assert recon == row
 
 
@@ -149,8 +162,9 @@ def test_batch_rref_matches_incremental(p, parametric, data):
     n = data.draw(st.integers(1, 6), label="ncols")
     cells = st.tuples(st.integers(-big, big), st.integers(-1, 1))
     grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), max_size=7), label="M")
-    M = Matrix(f, [[_entry(f, c0, c1) for c0, c1 in row] for row in grid], ncols=n)
+    M = dense_matrix(f, [[_entry(f, c0, c1) for c0, c1 in row] for row in grid], n)
     rows, pivots = rref(M)
+    _check_elements(f, rows, n)
     order = data.draw(st.permutations(range(M.nrows)), label="order")
     for seq in (M.rows, [M.rows[i] for i in order]):
         ech = Echelon(f, n)
@@ -164,6 +178,7 @@ def test_batch_rref_matches_incremental(p, parametric, data):
         ech.add(row)
     assert (ech.extend(M.rows[cut:]).rows, ech.pivots) == (rows, pivots)
     null = mat_nullspace(M)
+    _check_elements(f, null, n)
     assert len(pivots) + len(null) == n == mat_rank(M) + len(null)
     for v in null:
         assert all(f.is_zero(_dot(f, row, v)) for row in M.rows)
@@ -175,7 +190,7 @@ def test_extend_stops_at_full_rank(p, monkeypatch):
     can add a pivot, and skipping them keeps tall systems cheap."""
     f = field_for(p)
     rng = random.Random(p)
-    rows = [[rng.randrange(p) for _ in range(5)] for _ in range(200)]
+    rows = [el_from_dense(f, [rng.randrange(p) for _ in range(5)]) for _ in range(200)]
     probe = Echelon(f, 5)
     full = next(k for k, row in enumerate(rows, 1) if probe.add(row) is not None
                 and len(probe) == 5)
@@ -186,6 +201,74 @@ def test_extend_stops_at_full_rank(p, monkeypatch):
     ech = Echelon(f, 5).extend(rows)
     assert inserted == rows[:full] and full < len(rows)
     assert (ech.rows, ech.pivots) == (probe.rows, probe.pivots)
+
+
+# -- the Echelon against the dense-list reference ------------------------------
+
+DIFF_FIELDS = [(2, False), (3, False), (7, False), (2147483629, False), (0, False), (2, True)]
+
+
+def _same(f, ech, ref):
+    """ech and the reference hold the same pivots, rows and combos, and
+    every row of ech is a clean element."""
+    _check_elements(f, ech.rows, ech.ncols)
+    assert ech.pivots == ref.pivots
+    assert repr([el_to_dense(f, r, ech.ncols) for r in ech.rows]) == repr(ref.rows)
+    assert ech.combos == ref.combos
+
+
+@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("p,parametric", DIFF_FIELDS)
+@given(data=st.data())
+def test_echelon_matches_the_dense_reference(p, parametric, track, data):
+    """Echelon, which takes and returns elements, against DenseEchelon, the
+    same engine with dense lists at its boundary: add, reduce and contains
+    on every vector, then a copy grown apart from its source,
+    complete_with_units, and extend with its stop at full rank.  The
+    elements handed in may carry explicit zero coefficients."""
+    f = field_for(p, parametric)
+    big = 2**40 if p > 7 else 3
+    n = data.draw(st.integers(1, 6), label="ncols")
+    cells = st.tuples(st.integers(-big, big), st.integers(-1, 1))
+    grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), max_size=8), label="M")
+    dense = [[_entry(f, c0, c1) for c0, c1 in row] for row in grid]
+    vecs = []  # (element, its dense list)
+    for row in dense:
+        u = el_from_dense(f, row)
+        zeros = data.draw(st.sets(st.sampled_from(range(n))), label="zeros")
+        u.update({j: f.zero for j in zeros if j not in u})
+        vecs.append((u, row))
+    ech, ref = Echelon(f, n, track), DenseEchelon(f, n, track)
+    for t, (u, row) in enumerate(vecs):
+        vid = t if track else None
+        assert ech.add(u, vid) == ref.add(row, vid)
+        for v, vrow in vecs:
+            (res, combo), (ref_res, ref_combo) = ech.reduce(v), ref.reduce(vrow)
+            _check_elements(f, [res], n)
+            assert repr(el_to_dense(f, res, n)) == repr(ref_res) and combo == ref_combo
+            assert ech.contains(v) == ref.contains(vrow)
+    _same(f, ech, ref)
+
+    if vecs:
+        cut = data.draw(st.integers(0, len(vecs) - 1), label="cut")
+        grown, ref_grown = Echelon(f, n, track), DenseEchelon(f, n, track)
+        for t, (u, row) in enumerate(vecs[:cut]):
+            grown.add(u, t if track else None)
+            ref_grown.add(row, t if track else None)
+        twin = grown.copy()
+        for t, (u, row) in enumerate(vecs[cut:], cut):
+            twin.add(u, t if track else None)
+        _same(f, grown, ref_grown)  # the source did not move
+        _same(f, twin, ref)
+
+    assert ech.copy().complete_with_units() == ref.copy().complete_with_units()
+    if not track:
+        units = [({j: f.one}, [f.one if k == j else f.zero for k in range(n)]) for j in range(n)]
+        batch = vecs + units + vecs
+        rest, ref_rest = iter([u for u, _ in batch]), iter([row for _, row in batch])
+        _same(f, Echelon(f, n).extend(rest), DenseEchelon(f, n).extend(ref_rest))
+        assert len(list(rest)) == len(list(ref_rest)) >= len(vecs) - 1  # stopped
 
 
 # -- the homology matrices against their list-based references ----------------
@@ -200,30 +283,36 @@ def _ad_matrix_reference(g, u):
 
 
 def _kernel_mod_image_reference(M):
-    """Ker M / Im M with the image built column by column and each kernel
-    vector reduced and inserted one at a time."""
+    """Ker M / Im M on the dense-list reference engine, with the image built
+    column by column and each kernel vector reduced and inserted one at a
+    time; the rows are returned as elements."""
     f = M.field
-    im = Echelon(f, M.nrows)
-    for j in range(M.ncols):
-        im.add([row[j] for row in M.rows])
+    n = M.ncols
+    dense = [el_to_dense(f, r, n) for r in M.rows]
+    im = DenseEchelon(f, M.nrows)
+    for j in range(n):
+        im.add([row[j] for row in dense])
     ker = mat_nullspace(M)
-    comp = Echelon(f, M.ncols)
+    comp = DenseEchelon(f, n)
     for vec in ker:
-        comp.add(im.reduce(vec)[0])
-    return im.rows, im.pivots, ker, [list(r) for r in comp.rows]
+        comp.add(im.reduce(el_to_dense(f, vec, n))[0])
+    return ([el_from_dense(f, r) for r in im.rows], im.pivots, ker,
+            [el_from_dense(f, r) for r in comp.rows])
 
 
 def _scalars(rows):
-    return [x for row in rows for x in row]
+    return [x for row in rows for x in row.values()]
 
 
 def _check_kernel_mod_image(M):
-    """kernel_mod_image of the sparse rows of M equals the reference on the
-    dense M, and over GF(p) every scalar it returns is a Python int."""
+    """kernel_mod_image of the rows of M equals the reference, every
+    element it returns is clean, and over GF(p) every scalar it returns is
+    a Python int."""
     f = M.field
     want = _kernel_mod_image_reference(M)
-    im, ker, comp = kernel_mod_image(f, sparse_rows(M))
+    im, ker, comp = kernel_mod_image(f, M.rows)
     assert (im.rows, im.pivots, ker, comp) == want
+    _check_elements(f, im.rows + ker + comp, M.ncols)
     if isinstance(f, PrimeField):
         assert {type(x) for x in _scalars(im.rows + ker + comp)} <= {int}
     return want
@@ -262,8 +351,9 @@ def test_kernel_mod_image_matches_reference(p, parametric, data):
     ops = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), cells),
                              max_size=12), label="ops")
     rows = _square_zero(f, n, rank, [(i, j, _entry(f, *c)) for i, j, c in ops])
-    M = Matrix(f, rows, ncols=n)
-    assert all(f.is_zero(_dot(f, row, col)) for row in rows for col in zip(*rows))
+    M = dense_matrix(f, rows, n)
+    assert all(f.is_zero(_dot(f, el_from_dense(f, row), el_from_dense(f, col)))
+               for row in rows for col in zip(*rows))
     im_rows, _, ker, comp = _check_kernel_mod_image(M)
     assert len(im_rows) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
 
@@ -276,7 +366,7 @@ def test_kernel_mod_image_sums_past_int64():
     n = 32
     ops = [(rng.randrange(n), rng.randrange(n), f.from_int(rng.randrange(f.p)))
            for _ in range(200)]
-    _check_kernel_mod_image(Matrix(f, _square_zero(f, n, n // 2, ops), ncols=n))
+    _check_kernel_mod_image(dense_matrix(f, _square_zero(f, n, n // 2, ops), n))
 
 
 # -- the block split against the whole matrix ----------------------------------
@@ -290,7 +380,7 @@ def _check_block_split(f, rows):
     gives the image rows and pivots, the kernel and the complement of the
     eliminations of the whole dense matrix, repr for repr."""
     im, ker, comp = kernel_mod_image(f, rows)
-    ref_im, ref_ker, ref_comp = kernel_mod_image_unsplit(dense_matrix(f, rows))
+    ref_im, ref_ker, ref_comp = kernel_mod_image_unsplit(Matrix(f, rows, ncols=len(rows)))
     assert repr(im.rows) == repr(ref_im.rows) and im.pivots == ref_im.pivots
     assert repr(ker) == repr(ref_ker)
     assert repr(comp) == repr(ref_comp)
@@ -330,8 +420,8 @@ def test_block_split_matches_the_whole_matrix(p, parametric, data):
         rank += r
         start += k
     perm = data.draw(st.permutations(range(n)), label="perm")
-    M = Matrix(f, [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)], ncols=n)
-    im, ker, comp = _check_block_split(f, sparse_rows(M))
+    M = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    im, ker, comp = _check_block_split(f, [el_from_dense(f, row) for row in M])
     assert len(im) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
 
 
@@ -380,9 +470,9 @@ def test_ad_matrix_matches_reference(cache_dir, key, p):
         assert all(not g.field.is_zero(x) for row in rows for x in row.values())
         if prime:
             assert {type(x) for row in rows for x in row.values()} == {int}
-        M = dense_matrix(g.field, rows)
-        assert M.rows == _ad_matrix_reference(g, c.element), c.description
-        _check_kernel_mod_image(M)
+        assert [el_to_dense(g.field, r, g.dim) for r in rows] == \
+            _ad_matrix_reference(g, c.element), c.description
+        _check_kernel_mod_image(Matrix(g.field, rows, ncols=g.dim))
 
 
 @pytest.mark.parametrize("key,p", AD_KEYS + [("gl(2|2)", 0)])
@@ -392,7 +482,7 @@ def test_adjoint_rank_matches_dense_rank(cache_dir, key, p):
     single root (over QQ, the odd basis vectors of gl(2|2))."""
     g, singles = _single_roots(cache_dir, key, p)
     for el in singles:
-        want = mat_rank(Matrix(g.field, _ad_matrix_reference(g, el), ncols=g.dim))
+        want = mat_rank(dense_matrix(g.field, _ad_matrix_reference(g, el), g.dim))
         assert adjoint_rank(g, el) == want, el
 
 
@@ -468,12 +558,14 @@ def test_peeled_nullspace_matches_the_whole_system(p, data):
     dense = [[0] * n for _ in range(max(rows.tolist(), default=-1) + 1)]
     for e, c, v in triples:
         dense[e][c] = (dense[e][c] + v) % p
-    want = mat_nullspace(Matrix(f, dense, ncols=n))
+    want = mat_nullspace(dense_matrix(f, dense, n))
     got = nullspace_mod_p(p, n, rows, cols, vals)
     assert repr(got) == repr(want)
-    assert all(type(x) is int for vec in got for x in vec)
+    _check_elements(f, got, n)
+    assert all(type(x) is int for vec in got for x in vec.values())
 
     core, kept = peel_mod_p(p, n, rows, cols, vals)
+    _check_elements(f, core.rows, core.ncols)
     deleted = set(range(n)) - set(kept.tolist())
     assert n - len(got) == len(deleted) + mat_rank(core)
     if shape == "cascade":

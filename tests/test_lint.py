@@ -1,8 +1,9 @@
 """Static checks on the library sources: every import in src/dslie is used
 and sits at module level, only linalg.py and superalgebra.py import numpy
 (and in linalg only the peel of the sparse GF(p) systems uses it), every
-function, method and class it defines is named somewhere, and every
-CLI option is read by its command's handler.
+function, method and class it defines is named somewhere, every CLI
+option is read by its command's handler, and every parameter with a
+default is set by some call.
 
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
@@ -117,8 +118,8 @@ def numpy_definitions(source: str):
 
 def test_numpy_stays_in_the_peel():
     """In linalg only the peel of a sparse GF(p) system works on arrays; its
-    core leaves as list rows, so Matrix and Echelon have one row format and
-    every elimination goes through Echelon.add."""
+    core leaves as element rows, so Matrix and Echelon take one vector
+    format and every elimination goes through Echelon.add."""
     with open(os.path.join(SRC, "linalg.py")) as fh:
         assert numpy_definitions(fh.read()) == ["_firsts", "nullspace_mod_p", "peel_mod_p"]
 
@@ -265,3 +266,86 @@ def test_checker_sees_unread_option():
     go.add_argument("--unread")
     go.set_defaults(func=_toy_handler)
     assert unread_options(ap) == [("go", "unread")]
+
+
+def defaulted_parameters(source: str):
+    """(line, callee, parameter, position) of every parameter with a default
+    of every function and method.  The callee is the name a call spells:
+    the class name for __init__.  The position is the parameter's index
+    among the positional arguments a call passes (self or cls not
+    counted), None for a keyword-only one."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    owner[item] = None if static else node.name
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if owner.get(node) is not None:
+            positional = positional[1:]
+        callee = owner[node] if node.name == "__init__" and node in owner else node.name
+        first = len(positional) - len(args.defaults)
+        out += [(node.lineno, callee, a.arg, first + t)
+                for t, a in enumerate(positional[first:])]
+        out += [(node.lineno, callee, a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return sorted(out)
+
+
+def calls(source: str):
+    """(callee, number of positional arguments, keyword names, whether a
+    *args or **kwargs may set any parameter) of every call to a name or an
+    attribute."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            callee = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            star = (any(isinstance(a, ast.Starred) for a in n.args)
+                    or any(k.arg is None for k in n.keywords))
+            out.append((callee, len(n.args), {k.arg for k in n.keywords}, star))
+    return out
+
+
+def unset_parameters(library: dict, callers) -> list:
+    """(module, line, callee, parameter) of every defaulted parameter in the
+    library sources (module -> source) that no call in the caller sources
+    sets by keyword or by position, nor through *args or **kwargs."""
+    by_callee = {}
+    for source in callers:
+        for callee, npos, keywords, star in calls(source):
+            by_callee.setdefault(callee, []).append((npos, keywords, star))
+    return [(module, line, callee, name)
+            for module, source in library.items()
+            for line, callee, name, pos in defaulted_parameters(source)
+            if not any(star or name in keywords or (pos is not None and npos > pos)
+                       for npos, keywords, star in by_callee.get(callee, []))]
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """A parameter with a default that no caller sets is a knob with one
+    value: it belongs in the body as a constant."""
+    library = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            library[module] = fh.read()
+    assert unset_parameters(library, list(_sources())) == []
+
+
+def test_checker_sees_unset_parameters():
+    lib = ("class K:\n    def __init__(self, a, b=1, *, c=2):\n        pass\n"
+           "    def m(self, x=0, y=0):\n        pass\n"
+           "    @staticmethod\n    def s(x=0):\n        pass\n"
+           "def f(p, q=1, r=2):\n    pass\n"
+           "def g(u=0):\n    pass\n")
+    use = ("K(1, 2)\nK(0).m(5)\nK.s(1)\nf(1, r=3)\nargs = ()\ng(*args)\n")
+    assert unset_parameters({"lib.py": lib}, [lib, use]) == [
+        ("lib.py", 2, "K", "c"), ("lib.py", 4, "m", "y"), ("lib.py", 9, "f", "q")]
+    assert unset_parameters({"lib.py": lib}, [use, "K(0, c=1, **{})\nf(0, 1)\nK(0).m(y=1)\n"]) == []

@@ -12,8 +12,7 @@ from dslie.cartan import CartanSpec
 from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.fields import field_for
 from dslie.modules import build_irreducible, module_homology
-from dslie.superalgebra import el_to_dense
-from helpers import dense_element_matrix, dense_mat_mul, module_homology_reference
+from helpers import dense_element_matrix, dense_mat_mul, el_to_dense, module_homology_reference
 
 
 def _dense(m, k):

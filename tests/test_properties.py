@@ -15,8 +15,7 @@ from dslie.catalog import build_catalog_algebra
 from dslie.classical import gl, psl
 from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_candidates
 from dslie.linalg import Echelon
-from dslie.superalgebra import el_from_dense, el_to_dense
-from helpers import transform_basis
+from helpers import el_from_dense, transform_basis
 
 SMALL_KEYS = [("brj(2;5)", 5), ("brj(2;3)", 3), ("bgl(3;alpha)", 2),
               ("bgl(4;alpha)", 2), ("g(1,6)", 3), ("g(2,3)", 3),
@@ -82,7 +81,7 @@ def test_fingerprint_invariance_under_base_change(builds):
                 for i in range(n):
                     T[i][i] = f.one if f.is_zero(T[i][i]) else T[i][i]
                 ech = Echelon(f, n)
-                cols = [[T[i][a] for i in range(n)] for a in range(n)]
+                cols = [el_from_dense(f, [T[i][a] for i in range(n)]) for a in range(n)]
                 if all(ech.add(c) is not None for c in cols):
                     ok = True
             g2 = transform_basis(g, T)

@@ -16,7 +16,7 @@ from dslie.serialize import (build_result_from_dict, build_result_to_dict,
                              cache_load, cache_path, cache_store, serialize_build,
                              spec_digest, superalgebra_from_dict,
                              superalgebra_to_dict)
-from dslie.superalgebra import el_to_dense
+from helpers import el_to_dense
 from test_subquotient import _p2_heisenberg
 
 BRJ = [[0, -1], [-2, 1]]

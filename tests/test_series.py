@@ -4,7 +4,7 @@ Superalgebra.structure_series reads [g, g] once from the stored brackets
 (and squares at p = 2) and counts dim C ∩ [g, g] per parity as
 dim C + dim [g, g] - dim (C + [g, g]).  The reference below is the earlier
 algorithm: the first derived and lower central steps bracket every pair of
-basis vectors, the center is the nullspace of dense rows, and
+basis vectors, the center is the nullspace of Field rows, and
 center ∩ [g, g] is a basis found from the nullspace of the stacked center
 and [g, g] rows.
 
@@ -20,7 +20,7 @@ from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import abelian, gl, hei_odd, psl
 from dslie.ds import ds_homology
 from dslie.linalg import Matrix, mat_nullspace
-from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_from_dense
+from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_addmul
 from helpers import center_rows_reference, transpose
 from test_forms import EVERY_FIELD
 from test_subquotient import BUILDERS, _p2_heisenberg
@@ -32,14 +32,14 @@ def _kernel_trick_meet(g: Superalgebra, rows_a, rows_b):
     f = g.field
     if not rows_a or not rows_b:
         return []
-    M = transpose(Matrix(f, [list(r) for r in rows_a] + [list(r) for r in rows_b],
-                         ncols=g.dim))
+    M = transpose(Matrix(f, list(rows_a) + list(rows_b), ncols=g.dim))
     out = []
     for v in mat_nullspace(M):
-        comb = [f.zero] * g.dim
-        for idx, r in enumerate(rows_a):
-            comb = [f.add(x, f.mul(v[idx], y)) for x, y in zip(comb, r)]
-        if any(not f.is_zero(x) for x in comb):
+        comb = {}
+        for idx, c in v.items():
+            if idx < len(rows_a):
+                comb = el_addmul(f, comb, c, rows_a[idx])
+        if comb:
             out.append(comb)
     return out
 
@@ -47,7 +47,7 @@ def _kernel_trick_meet(g: Superalgebra, rows_a, rows_b):
 def _sdim(g: Superalgebra, rows):
     sp = GradedSpan(g)
     for r in rows:
-        sp.add_dense(r)
+        sp.add_element(r)
     return sp.sdim()
 
 
@@ -76,13 +76,12 @@ def reference_series(g: Superalgebra) -> dict:
     lc, nilpotent = full, False
     while True:
         nxt = GradedSpan(g)
-        for r in lc.all_rows():
-            u = el_from_dense(f, r)
+        for u in lc.all_rows():
             for i in range(g.dim):
                 nxt.add_element(g.bracket({i: f.one}, u))
         if f.p == 2:
             for r in lc.odd.rows:
-                nxt.add_element(g.square(el_from_dense(f, r)))
+                nxt.add_element(g.square(r))
         if nxt.dim() == 0:
             nilpotent = True
             break

@@ -38,9 +38,9 @@ def _unipotent(g: Superalgebra) -> list:
              for a in range(n)] for i in range(n)]
 
 
-def _unit(g: Superalgebra, *labels) -> list:
-    f = g.field
-    return [f.one if lab in labels else f.zero for lab in g.labels]
+def _unit(g: Superalgebra, *labels) -> dict:
+    """The sum of the basis elements with these labels."""
+    return {k: g.field.one for k, lab in enumerate(g.labels) if lab in labels}
 
 
 def _p2_subalgebra() -> Superalgebra:
