@@ -9,18 +9,20 @@ here alone.
 
 One elimination engine, the incremental Echelon: a growing basis kept in
 reduced row echelon form, with optional provenance of every row.  Inside,
-its rows are dense lists of canonical scalars, and its row updates use
-one of three kernels, chosen by the field:
+its rows are sparse dicts {column: nonzero scalar} on every field, and
+its row update out -= c*row uses one of three kernels, chosen by the
+field:
 
-  * GF(p), p = 2 included -- inline integer arithmetic mod p
-  * QQ                    -- Fraction arithmetic that skips zero entries
-  * K(a)                  -- the Field's own add/mul
+  * GF(p), p = 2 included -- inline integer arithmetic mod p over the
+                             support of the row
+  * QQ                    -- Fraction arithmetic over the support of the row
+  * K(a)                  -- the Field's own sub/mul on every column
 
-The rows stay dense on purpose: sparse rows measured much faster on the
-K(a) invariant forms (the bgl(4;alpha) defect op 1.14 s -> 0.205 s), so
-more defect-sweep rounds would fit the benchmark's window and that op
-would set its latency tail (about 300 ms against about 30 ms).  The swap
-waits for a tail that does not depend on the round count.
+K(a) visits every column, zeros included, on purpose: skipping them made
+the bgl(4;alpha) defect op fast enough that 22 defect-sweep rounds
+instead of 6 fit the benchmark's window, so that op became its 11th
+largest sample and set the latency tail (33.8 -> 233 ms).  K(a) keeps its
+cost until the tail does not depend on the round count.
 
 Every rank, nullspace and span inserts its rows through Echelon.add.
 extend() is the add loop over a batch of untracked rows; it stops once
@@ -51,6 +53,7 @@ the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,25 +101,22 @@ def mat_rank(M: Matrix) -> int:
 
 def mat_nullspace(M: Matrix) -> List[Element]:
     """Basis of the right kernel {x : M x = 0}; deterministic free-column order."""
-    ech = Echelon(M.field, M.ncols).extend(M.rows)
-    return [ech._element(vec) for _c, vec in _nullspace(ech)]
+    return [vec for _c, vec in _nullspace(Echelon(M.field, M.ncols).extend(M.rows))]
 
 
-def _nullspace(ech: Echelon) -> List[Tuple[int, list]]:
-    """(free column c, the dense kernel vector with 1 at c and 0 at the other
-    free columns) for the row echelon ech, in increasing c."""
+def _nullspace(ech: Echelon) -> List[Tuple[int, Element]]:
+    """(free column c, the kernel vector with 1 at c and 0 at the other free
+    columns) for the row echelon ech, in increasing c.  One pass over the
+    RREF rows: row r puts -r[c] at its pivot into the vector of each free
+    column c it holds (in full RREF a row holds no other pivot column)."""
     f = ech.field
-    pivset = set(ech.pivots)
-    basis = []
-    for fc in range(ech.ncols):
-        if fc in pivset:
-            continue
-        vec = [f.zero] * ech.ncols
-        vec[fc] = f.one
-        for row, pc in zip(ech._rows, ech.pivots):
-            vec[pc] = f.neg(row[fc])
-        basis.append((fc, vec))
-    return basis
+    rows = ech._rows
+    ker = {c: {c: f.one} for c in range(ech.ncols) if c not in rows}
+    for pc in ech.pivots:
+        for j, x in rows[pc].items():
+            if j != pc:
+                ker[j][pc] = f.neg(x)
+    return [(c, dict(sorted(vec.items()))) for c, vec in ker.items()]
 
 
 class Echelon:
@@ -129,83 +129,102 @@ class Echelon:
     for radical elimination, span/ideal computations, ker/im complements
     and, through extend() (the add loop), for rank and nullspace.
 
-    The rows are held as dense lists (_rows) and read as elements (rows);
-    kernel_mod_image and sparse_rank work on the dense rows of their small
-    blocks directly (_add, _reduce_vec).
+    The rows are private sparse dicts {column: nonzero scalar} keyed by
+    their pivot column (_rows), in full RREF, and read as elements (rows).
+    Full RREF makes a reduction one pass over the pivot columns in the
+    vector's support: each coefficient is the vector's own entry there.
+    A row update (_update) is one in-place out -= c*ys over the support of
+    ys, except over K(a), where it visits every column (the module
+    docstring says why); adding a row replaces, never edits, the rows that
+    hold its pivot column, since copy() shares rows.  kernel_mod_image and
+    sparse_rank eliminate the rows of their small blocks through the
+    private _add and _reduce.
     """
 
     def __init__(self, field: Field, ncols: int, track: bool = False):
         self.field = field
         self.ncols = ncols
         self.track = track
-        self._rows: List[list] = []
-        self.pivots: List[int] = []
-        self.combos: List[dict] = []  # combo over inserted-vector ids
+        self._rows: Dict[int, dict] = {}  # pivot column -> row
+        self._combos: Dict[int, dict] = {}  # pivot column -> combo over inserted-vector ids
+        self.pivots: List[int] = []  # increasing
         self._p = field.p if isinstance(field, PrimeField) else 0
         self._qq = isinstance(field, RationalField)
         self._zero = zero_of(field)
 
     def __len__(self):
-        return len(self._rows)
+        return len(self.pivots)
 
     @property
     def rows(self) -> List[Element]:
         """The RREF rows as elements, by increasing pivot."""
-        return [self._element(row) for row in self._rows]
+        return [dict(sorted(self._rows[pc].items())) for pc in self.pivots]
 
     def copy(self) -> "Echelon":
         """An echelon with the same rows, which add() can grow without
         changing this one (add replaces rows, never edits them)."""
         out = Echelon(self.field, self.ncols, self.track)
-        out._rows, out.pivots = list(self._rows), list(self.pivots)
-        out.combos = [dict(c) for c in self.combos]
+        out._rows, out.pivots = dict(self._rows), list(self.pivots)
+        out._combos = {pc: dict(c) for pc, c in self._combos.items()}
         return out
 
-    def _densify(self, u: Element) -> list:
-        vec = [self.field.zero] * self.ncols
-        for k, x in u.items():
-            vec[k] = x
-        return vec
-
-    def _element(self, vec: Sequence) -> Element:
+    def _clean(self, u: Element) -> dict:
         zero = self._zero
-        return {j: x for j, x in enumerate(vec) if x != zero}
+        return {j: x for j, x in u.items() if x != zero}
 
-    def _sub(self, xs: list, c, ys: list) -> list:
-        """xs - c*ys, entrywise."""
+    def _update(self, out: dict, c, ys: dict) -> None:
+        """out -= c*ys, in place, no zero kept: over GF(p) and QQ on the
+        support of ys, over K(a) on every column (see the module docstring)."""
         p = self._p
         if p:
-            return [(x - c * y) % p for x, y in zip(xs, ys)]
-        if self._qq:
-            return [x - c * y if y else x for x, y in zip(xs, ys)]
-        f = self.field
-        return [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
+            for j, y in ys.items():
+                v = (out.get(j, 0) - c * y) % p
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+        elif self._qq:
+            for j, y in ys.items():
+                v = out.get(j, 0) - c * y
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+        else:
+            f = self.field
+            zero = f.zero
+            for j in range(self.ncols):
+                v = f.sub(out.get(j, zero), f.mul(c, ys.get(j, zero)))
+                if v != zero:
+                    out[j] = v
+                elif j in out:
+                    del out[j]
 
-    def _reduce_vec(self, vec: Sequence) -> Tuple[list, dict]:
-        # rows are kept in full RREF, so the elimination coefficient against
-        # row r is simply vec[pivot_r] (other rows vanish at that column);
-        # only rows whose pivot column is in the support of vec contribute.
+    def _reduce(self, out: dict) -> Tuple[dict, dict]:
+        """Reduce out, a clean dict that is changed in place, against the
+        rows; returns it with the combination subtracted.  In full RREF the
+        coefficient of the row with pivot pc is out[pc] (no other row holds
+        pc), so only the pivots in the support of out contribute."""
         f = self.field
         zero = self._zero
-        vec = list(vec)
+        rows = self._rows
         combo: dict = {}
-        hits = [(r, vec[pc]) for r, pc in enumerate(self.pivots) if vec[pc] != zero]
-        for r, c in hits:
-            vec = self._sub(vec, c, self._rows[r])
+        for pc in sorted(out.keys() & rows.keys()):
+            c = out[pc]
+            self._update(out, c, rows[pc])
             if self.track:
-                for vid, coef in self.combos[r].items():
+                for vid, coef in self._combos[pc].items():
                     combo[vid] = f.add(combo.get(vid, zero), f.mul(c, coef))
         if self.track:
             combo = {k: v for k, v in combo.items() if v != zero}
-        return vec, combo
+        return out, combo
 
     def reduce(self, u: Element) -> Tuple[Element, dict]:
-        res, combo = self._reduce_vec(self._densify(u))
-        return self._element(res), combo
+        res, combo = self._reduce(self._clean(u))
+        return dict(sorted(res.items())), combo
 
     def contains(self, u: Element) -> bool:
-        zero = self._zero
-        return all(x == zero for x in self._reduce_vec(self._densify(u))[0])
+        return not self._reduce(self._clean(u))[0]
 
     def complete_with_units(self) -> List[int]:
         """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
@@ -215,40 +234,40 @@ class Echelon:
 
     def add(self, u: Element, vid=None) -> Optional[int]:
         """Insert u; returns its pivot column if independent, else None."""
-        return self._add(self._densify(u), vid)
+        return self._add(self._clean(u), vid)
 
-    def _add(self, vec: Sequence, vid=None) -> Optional[int]:
+    def _add(self, vec: dict, vid=None) -> Optional[int]:
+        """add() of a clean dict, which becomes the caller's no longer."""
         f = self.field
         zero = self._zero
-        res, combo = self._reduce_vec(vec)
-        piv = next((j for j, x in enumerate(res) if x != zero), None)
-        if piv is None:
+        res, combo = self._reduce(vec)
+        if not res:
             return None
+        piv = min(res)
         inv = f.one
         if res[piv] != f.one:  # already-normalised rows are common (always at p = 2)
             inv = f.inv(res[piv])
             p = self._p
-            res = [(inv * x) % p for x in res] if p else [f.mul(inv, x) for x in res]
+            res = ({j: inv * x % p for j, x in res.items()} if p
+                   else {j: f.mul(inv, x) for j, x in res.items()})
         mycombo = {}
         if self.track:
             mycombo = {k: f.mul(inv, f.neg(v)) for k, v in combo.items()}
             mycombo[vid] = f.add(mycombo.get(vid, zero), inv)
-        # back-substitute into existing rows to keep full RREF
-        for r, row in enumerate(self._rows):
+        # back-substitute into the rows that hold piv, to keep full RREF
+        rows = self._rows
+        for pc in [pc for pc, row in rows.items() if piv in row]:
+            row = dict(rows[pc])
             c = row[piv]
-            if c != zero:
-                self._rows[r] = self._sub(row, c, res)
-                if self.track:
-                    for vid2, coef in mycombo.items():
-                        self.combos[r][vid2] = f.sub(self.combos[r].get(vid2, zero),
-                                                     f.mul(c, coef))
-        # keep rows sorted by pivot column
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self._rows.insert(pos, res)
-        self.pivots.insert(pos, piv)
-        self.combos.insert(pos, mycombo)
+            self._update(row, c, res)
+            rows[pc] = row
+            if self.track:
+                combo_pc = self._combos[pc]
+                for vid2, coef in mycombo.items():
+                    combo_pc[vid2] = f.sub(combo_pc.get(vid2, zero), f.mul(c, coef))
+        rows[piv] = res
+        self._combos[piv] = mycombo
+        bisect.insort(self.pivots, piv)
         return piv
 
     def extend(self, rows: Sequence[Element]) -> "Echelon":
@@ -257,7 +276,7 @@ class Echelon:
         if self.track:
             raise ValueError("extend inserts untracked rows; use add() to track them")
         for row in rows:
-            if len(self._rows) == self.ncols:
+            if len(self.pivots) == self.ncols:
                 break
             self.add(row)
         return self
@@ -368,29 +387,25 @@ def _blocks(rows: Sequence[Element]) -> List[List[int]]:
     return list(blocks.values())
 
 
-def _dense(field: Field, rows: Sequence[Element], block: List[int]) -> List[list]:
-    """The dense rows of M restricted to one block."""
+def _block_rows(field: Field, rows: Sequence[Element], block: List[int]) -> List[dict]:
+    """The rows of M restricted to one block, as clean dicts in block
+    coordinates."""
+    zero = zero_of(field)
     pos = {j: t for t, j in enumerate(block)}
-    sub = [[field.zero] * len(block) for _ in block]
-    for out, i in zip(sub, block):
-        for j, x in rows[i].items():
-            out[pos[j]] = x
-    return sub
-
-
-def _column_echelon(field: Field, sub: List[list]) -> Echelon:
-    """The echelon of the column space of a dense block, column by column."""
-    im = Echelon(field, len(sub))
-    for col in zip(*sub):
-        im._add(col)
-    return im
+    return [{pos[j]: x for j, x in rows[i].items() if x != zero} for i in block]
 
 
 def sparse_rank(field: Field, rows: Sequence[Element]) -> int:
     """Rank of a square matrix with sparse rows: the sum over its connected
-    blocks of the rank of each block's columns."""
-    return sum(len(_column_echelon(field, _dense(field, rows, block)))
-               for block in _blocks(rows) if len(block) > 1 or rows[block[0]])
+    blocks of the rank of each block's rows."""
+    rank = 0
+    for block in _blocks(rows):
+        if len(block) > 1 or rows[block[0]]:
+            ech = Echelon(field, len(block))
+            for row in _block_rows(field, rows, block):
+                ech._add(row)
+            rank += len(ech)
+    return rank
 
 
 def kernel_mod_image(field: Field, rows: Sequence[Element]
@@ -404,44 +419,46 @@ def kernel_mod_image(field: Field, rows: Sequence[Element]
     kernel (from the rows) come from two independent eliminations, so a
     caller comparing their dimensions checks rank-nullity.
 
-    Each connected block gets these three eliminations on its own dense
-    rows; an index whose row and column are zero needs none, its unit vector
-    is its kernel vector and complement row.  The rows lifted back to the
-    global indices and sorted by pivot (or free column) are the ones the
-    whole matrix gives, byte for byte: the row space, the column space and
-    the kernel are direct sums over the blocks, and an RREF is unique.
+    Each connected block gets these three eliminations on its own rows and
+    columns, in block coordinates; an index whose row and column are zero
+    needs none, its unit vector is its kernel vector and complement row.
+    The rows lifted back to the global indices and sorted by pivot (or free
+    column) are the ones the whole matrix gives, byte for byte: the row
+    space, the column space and the kernel are direct sums over the blocks,
+    and an RREF is unique.
     """
     f = field
-    zero = zero_of(f)
-    image, ker, comp = [], [], []  # (global column, block, dense row in block coordinates)
+    image, ker, comp = [], [], []  # (global column, block, row in block coordinates)
     for block in _blocks(rows):
         if len(block) == 1 and not rows[block[0]]:
-            ker.append((block[0], block, [f.one]))
-            comp.append((block[0], block, [f.one]))
+            ker.append((block[0], block, {0: f.one}))
+            comp.append((block[0], block, {0: f.one}))
             continue
-        sub = _dense(f, rows, block)
-        im = _column_echelon(f, sub)
+        sub = _block_rows(f, rows, block)
+        cols: List[dict] = [{} for _ in block]
+        for t, row in enumerate(sub):
+            for s, x in row.items():
+                cols[s][t] = x
+        im = Echelon(f, len(block))
+        for col in cols:
+            im._add(col)
         row_ech = Echelon(f, len(block))
         for row in sub:
             row_ech._add(row)
         block_ker = _nullspace(row_ech)
         comp_ech = Echelon(f, len(block))
         for _c, vec in block_ker:
-            comp_ech._add(im._reduce_vec(vec)[0])
-        image += [(block[c], block, row) for c, row in zip(im.pivots, im._rows)]
+            comp_ech._add(im._reduce(dict(vec))[0])
+        image += [(block[c], block, im._rows[c]) for c in im.pivots]
         ker += [(block[c], block, vec) for c, vec in block_ker]
-        comp += [(block[c], block, row) for c, row in zip(comp_ech.pivots, comp_ech._rows)]
+        comp += [(block[c], block, comp_ech._rows[c]) for c in comp_ech.pivots]
 
     def lifted(part: list) -> List[Element]:  # by column, in the global indices
-        return [{j: x for j, x in zip(block, row) if x != zero}
+        return [{block[t]: row[t] for t in sorted(row)}
                 for _c, block, row in sorted(part, key=lambda t: t[0])]
 
     out = Echelon(f, len(rows))
-    image.sort(key=lambda t: t[0])
-    out.pivots = [c for c, _b, _r in image]
-    out._rows = [[f.zero] * len(rows) for _ in image]
-    for vec, (_c, block, row) in zip(out._rows, image):
-        for j, x in zip(block, row):
-            vec[j] = x
-    out.combos = [{} for _ in image]
+    out.pivots = sorted(c for c, _b, _r in image)
+    out._rows = {c: {block[t]: x for t, x in row.items()} for c, block, row in image}
+    out._combos = {c: {} for c in out.pivots}
     return out, lifted(ker), lifted(comp)

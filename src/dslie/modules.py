@@ -14,8 +14,8 @@ holding the coefficients of basis_t in the images of the basis vectors).
 The root vectors act through their words: a product combines rows with
 el_addmul, and a commutator or rho_x = sum_k c_k rho(b_k) adds rows and
 drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows and
-hands them to linalg.kernel_mod_image, which makes only each connected
-block dense.
+hands them to linalg.kernel_mod_image, which eliminates each connected
+block on its own.
 """
 
 from __future__ import annotations

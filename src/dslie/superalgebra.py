@@ -618,13 +618,11 @@ class Superalgebra:
             sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
             return self._forms_of(pairs, sols)
         # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
-        # K(a) keeps every nonzero equation, repeats included, and Field
-        # elimination, with no peeling of forced-zero variables and no
-        # deduplication: made faster alone, the bgl(4;a) defect op (about
-        # 2.1 s, some 0.3 s without its forms) would repeat often enough per
-        # measured window to set the defect-sweep latency tail at about
-        # 300 ms instead of about 35 ms.  That waits for a tail that does not
-        # depend on the round count.
+        # K(a) keeps every nonzero equation, repeats included, with no
+        # peeling of forced-zero variables and no deduplication, for the
+        # reason its row updates visit every column (linalg's module
+        # docstring): made faster, the bgl(4;a) defect op would set the
+        # defect-sweep latency tail.
         forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
         if forms is None:
             forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))

@@ -1,7 +1,8 @@
 """Rank / nullspace over every field kind, rank-nullity, QQ vs GF(p) ranks,
 a batch through extend() against the same rows added one by one (and its
-stop at full rank), the Echelon against the dense-list reference at its
-boundary (every element it returns is clean), the peeled GF(p) nullspace
+stop at full rank), the Echelon against the dense-list reference on small
+filled rows and on wide sparse ones (every element it returns is clean,
+its keys in increasing order), the peeled GF(p) nullspace
 against the dense one, the homology matrices (ad_matrix,
 kernel_mod_image, adjoint_rank) against their dense references, and the
 block-by-block Ker/Im against the eliminations of the whole matrix."""
@@ -40,11 +41,12 @@ def _dot(f, row, v):
 
 
 def _check_elements(f, els, ncols):
-    """Every element the engine returns stores no zero and only indices in
-    [0, ncols)."""
+    """Every element the engine returns stores no zero, only indices in
+    [0, ncols), and its keys in increasing order."""
     for u in els:
         assert all(0 <= j < ncols for j in u), u
         assert not any(f.is_zero(x) for x in u.values()), u
+        assert list(u) == sorted(u), u
 
 
 def test_rank_identity_gf2():
@@ -214,7 +216,7 @@ def _same(f, ech, ref):
     _check_elements(f, ech.rows, ech.ncols)
     assert ech.pivots == ref.pivots
     assert repr([el_to_dense(f, r, ech.ncols) for r in ech.rows]) == repr(ref.rows)
-    assert ech.combos == ref.combos
+    assert [ech._combos[pc] for pc in ech.pivots] == ref.combos
 
 
 @settings(max_examples=15, deadline=None)
@@ -223,20 +225,48 @@ def _same(f, ech, ref):
 @given(data=st.data())
 def test_echelon_matches_the_dense_reference(p, parametric, track, data):
     """Echelon, which takes and returns elements, against DenseEchelon, the
-    same engine with dense lists at its boundary: add, reduce and contains
-    on every vector, then a copy grown apart from its source,
-    complete_with_units, and extend with its stop at full rank.  The
-    elements handed in may carry explicit zero coefficients."""
+    same engine with dense lists at its boundary, on small mostly filled
+    rows."""
     f = field_for(p, parametric)
     big = 2**40 if p > 7 else 3
     n = data.draw(st.integers(1, 6), label="ncols")
     cells = st.tuples(st.integers(-big, big), st.integers(-1, 1))
     grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), max_size=8), label="M")
-    dense = [[_entry(f, c0, c1) for c0, c1 in row] for row in grid]
+    _check_against_dense(f, n, track, [[_entry(f, c0, c1) for c0, c1 in row] for row in grid],
+                         data)
+
+
+@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("p,parametric", DIFF_FIELDS)
+@given(data=st.data())
+def test_echelon_matches_the_dense_reference_on_sparse_rows(p, parametric, track, data):
+    """The same comparison on wide sparse rows, at most 4 nonzero entries
+    in up to 24 columns, the regime of the stored brackets and the ad_x
+    blocks: rows that update others grow and lose keys."""
+    f = field_for(p, parametric)
+    big = 2**40 if p > 7 else 3
+    n = data.draw(st.integers(8, 24), label="ncols")
+    cells = st.tuples(st.integers(0, n - 1), st.integers(-big, big), st.integers(-1, 1))
+    grid = data.draw(st.lists(st.lists(cells, min_size=1, max_size=4), max_size=8), label="M")
+    dense = []
+    for row in grid:
+        vec = [f.zero] * n
+        for j, c0, c1 in row:
+            vec[j] = _entry(f, c0, c1)
+        dense.append(vec)
+    _check_against_dense(f, n, track, dense, data)
+
+
+def _check_against_dense(f, n, track, dense, data):
+    """add, reduce and contains on every vector, then a copy grown apart
+    from its source, complete_with_units, and extend with its stop at full
+    rank, against DenseEchelon.  The elements handed in may carry explicit
+    zero coefficients."""
     vecs = []  # (element, its dense list)
     for row in dense:
         u = el_from_dense(f, row)
-        zeros = data.draw(st.sets(st.sampled_from(range(n))), label="zeros")
+        zeros = data.draw(st.sets(st.sampled_from(range(n)), max_size=6), label="zeros")
         u.update({j: f.zero for j in zeros if j not in u})
         vecs.append((u, row))
     ech, ref = Echelon(f, n, track), DenseEchelon(f, n, track)

@@ -1,9 +1,10 @@
 """Static checks on the library sources: every import in src/dslie is used
 and sits at module level, only linalg.py and superalgebra.py import numpy
-(and in linalg only the peel of the sparse GF(p) systems uses it), every
-function, method and class it defines is named somewhere, every CLI
-option is read by its command's handler, and every parameter with a
-default is set by some call.
+(and in linalg only the peel of the sparse GF(p) systems uses it), no
+module but linalg reads the private rows, kernels or entry points of its
+Echelon, every function, method and class it defines is named somewhere,
+every CLI option is read by its command's handler, and every parameter
+with a default is set by some call.
 
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
@@ -129,6 +130,53 @@ def test_checker_sees_numpy_definitions():
            "def typed(a: np.ndarray) -> int:\n    return 0\ndef plain(np_rows):\n"
            "    return np_rows\nZ = np.int64\n")
     assert numpy_definitions(src) == ["K", "typed"]
+
+
+def private_members(source: str, cls: str):
+    """The private names of a class: its _-prefixed methods (dunders
+    excepted) and the self._x attributes its methods assign."""
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    for sub in ast.walk(node):
+        targets = (sub.targets if isinstance(sub, ast.Assign)
+                   else [sub.target] if isinstance(sub, (ast.AnnAssign, ast.AugAssign)) else [])
+        for t in targets:
+            for e in (t.elts if isinstance(t, ast.Tuple) else [t]):
+                if (isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                        and e.value.id == "self"):
+                    names.add(e.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def foreign_reads(source: str, names):
+    """(line, name) of every x.name with x not self, name in names."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in names
+                  and not (isinstance(n.value, ast.Name) and n.value.id == "self"))
+
+
+def test_echelon_row_format_stays_in_linalg():
+    """Echelon's rows, kernels and private entry points are linalg's alone:
+    the row format is decided there, and every other module hands the
+    engine elements."""
+    with open(os.path.join(SRC, "linalg.py")) as fh:
+        private = private_members(fh.read(), "Echelon")
+    assert {"_rows", "_add", "_reduce", "_update"} <= private
+    for module in MODULES:
+        if module != "linalg.py":
+            with open(os.path.join(SRC, module)) as fh:
+                assert foreign_reads(fh.read(), private) == [], module
+
+
+def test_checker_sees_private_reads():
+    src = ("class E:\n    def __init__(self):\n        self._rows, self.pivots = {}, []\n"
+           "        self._n: int = 0\n    def _add(self, v):\n        self._rows[0] = v\n"
+           "    def __len__(self):\n        return 0\n    def rows(self):\n"
+           "        return self._rows\n")
+    private = private_members(src, "E")
+    assert private == {"_rows", "_n", "_add"}
+    use = "def f(e, g):\n    e._add({})\n    self._rows = 1\n    return g.rows, e._rows[0]\n"
+    assert foreign_reads(use, private) == [(2, "_add"), (4, "_rows")]
 
 
 def local_imports(source: str):
