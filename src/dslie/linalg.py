@@ -36,7 +36,9 @@ nullspace_mod_p takes such a system as integer COO triples, deletes every
 one-entry equation with its variable until none is left (peel_mod_p, the
 singleton step of LP presolve), and eliminates only the core that remains
 through mat_nullspace.  Its answer is the nullspace of the whole system
-byte for byte.
+byte for byte.  With p = 0 the same two functions solve an integer system
+exactly over QQ (the forms over QQ, their constants scaled to integers):
+nothing is reduced mod p and the core's entries are Fractions.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -54,6 +56,7 @@ the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -286,16 +289,18 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
                vals: np.ndarray) -> Tuple[Matrix, np.ndarray]:
     """The core of a sparse system mod p, given as COO triples of int64
     arrays: equation rows[e] >= 0 has vals[e] at variable cols[e]
-    (0 <= cols[e] < ncols).
+    (0 <= cols[e] < ncols).  p = 0 means exactly over ZZ: the caller keeps
+    every sum of the entries of one (equation, variable) inside int64.
 
-    Repeated (equation, variable) entries are summed mod p and zero entries
-    dropped.  Then every equation with exactly one nonzero entry is
-    deleted together with that variable's column, until no such equation is
-    left; a deletion can leave another equation with one entry, so this
-    repeats.  The surviving equations are scaled to leading entry 1 and
-    repeats dropped.  Returns (core, kept): the core as a Matrix of element
-    rows (int values) over the kept columns, kept the increasing indices of
-    the columns that were not deleted.
+    Repeated (equation, variable) entries are summed (mod p when p > 0) and
+    zero entries dropped.  Then every equation with exactly one nonzero
+    entry is deleted together with that variable's column, until no such
+    equation is left; a deletion can leave another equation with one
+    entry, so this repeats.  When p > 0 the surviving equations are scaled
+    to leading entry 1; repeats are dropped.  Returns (core, kept): the
+    core as a Matrix of element rows over the kept columns and field_for(p)
+    (int values mod p, Fractions when p = 0), kept the increasing indices
+    of the columns that were not deleted.
 
     A deleted variable is 0 in every solution: its equation says c x_t = 0
     with c != 0.  So the row space of the system is the direct sum of the
@@ -306,7 +311,9 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     order = key.argsort()
     key, c = key[order], vals[order]
     first = _firsts(key).nonzero()[0]
-    c = np.add.reduceat(c, first) % p
+    c = np.add.reduceat(c, first)
+    if p:
+        c %= p
     nonzero = c != 0
     key, c = key[first[nonzero]], c[nonzero]
     r, v = np.divmod(key, max(ncols, 1))  # entries sorted by equation, then variable
@@ -329,15 +336,17 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
         lead = c[start].tolist()
         inv = {x: pow(x, p - 2, p) for x in set(lead)}
         c = c * np.array([inv[x] for x in lead], dtype=np.int64)[eq] % p
-    buf = (v * p + c).tobytes()
-    at = (start * 8).tolist() + [8 * c.size]  # byte offsets of the int64 rows
+    buf = np.column_stack([v, c]).tobytes()  # a row is its (variable, value) pairs
+    at = (start * 16).tolist() + [16 * c.size]  # byte offsets of the rows
     keys = [buf[a:b] for a, b in zip(at, at[1:])]
     distinct = np.zeros(start.size, dtype=bool)
     distinct[list(dict(zip(keys, range(len(keys)))).values())] = True
     on = distinct[eq]
     core: List[Element] = [{} for _ in range(int(distinct.sum()))]
+    values = c[on].tolist()
     for e, j, x in zip((np.cumsum(distinct) - 1)[eq[on]].tolist(),
-                       (np.cumsum(~deleted) - 1)[v[on]].tolist(), c[on].tolist()):
+                       (np.cumsum(~deleted) - 1)[v[on]].tolist(),
+                       values if p else map(Fraction, values)):
         core[e][j] = x
     return Matrix(field_for(p), core, ncols=kept.size), kept
 
@@ -352,9 +361,9 @@ def _firsts(a: np.ndarray) -> np.ndarray:
 
 def nullspace_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
                     vals: np.ndarray) -> List[Element]:
-    """mat_nullspace over GF(p) of the sparse system given as COO triples
-    (see peel_mod_p), equal to the nullspace of the whole system byte for
-    byte, from the elimination of its core alone.
+    """mat_nullspace over GF(p), or over QQ when p = 0, of the sparse system
+    given as COO triples (see peel_mod_p), equal to the nullspace of the
+    whole system byte for byte, from the elimination of its core alone.
 
     Each deleted variable t is an RREF pivot whose row is the unit row e_t,
     so no other RREF row and no kernel vector has a nonzero entry at t, and

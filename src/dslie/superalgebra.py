@@ -45,12 +45,12 @@ form, assembled from the nonzero structure constants on every field.  Over
 GF(p) they are integer (equation, variable, value) triples handed to
 linalg.nullspace_mod_p, which deletes the variables that stand alone in
 some equation (they are 0; most are) and eliminates only the core left.
-Over QQ the same triples are taken modulo a 31-bit prime, and the
-nullspace is lifted by rational reconstruction and certified exactly
-(see _forms_modular).  Over K(a), and over QQ when no prime
-certifies, the equations are Field rows, one per nonzero equation in
-(i, j, k) order (see _form_equations), eliminated without that peeling
-(invariant_forms says why).
+Over QQ the constants are scaled by the lcm of their denominators to
+integers, and the same triples are eliminated exactly (p = 0) in the same
+way.  Over K(a), and over QQ when a scaled constant could overflow int64,
+the equations are Field rows, one per nonzero equation in (i, j, k) order
+(see _form_equations), eliminated without that peeling (invariant_forms
+says why).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +69,6 @@ from .linalg import Echelon, Element, Matrix, mat_nullspace, nullspace_mod_p, ze
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
 JACOBI_CHUNK = 1 << 16  # path terms per step of the GF(p) Jacobi contraction
-FORMS_PRIMES = (2147483629, 2147483587)  # 31-bit moduli of the QQ invariant forms
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +134,6 @@ def _join(off: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return r, np.arange(r.size) + np.repeat(start - count.cumsum() + count, count)
 
 
-def _rational_lift(a: int, q: int) -> Optional[Fraction]:
-    """The r/s with |r|, s <= sqrt(q/2) and r = s a mod q (rational
-    reconstruction, Wang 1981), or None when there is none."""
-    bound = math.isqrt(q // 2)
-    r0, r1, s0, s1 = q, a, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
-    if abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
 @dataclass(frozen=True)
 class Fingerprint:
     """Computable isomorphism-class proxy; equality is the matching criterion."""
@@ -190,7 +175,7 @@ class Superalgebra:
         self.squares = _nonzero_values(squares or {}, zero) if field.p == 2 else None
         self.weights = list(weights) if weights is not None else None
         self.chevalley = chevalley
-        self._mod_p: Dict[int, Tuple[np.ndarray, ...]] = {}  # _constants_mod_p by modulus
+        self._mod_p: Optional[Tuple[np.ndarray, ...]] = None  # _constants_mod_p, once read
         n = len(labels)
         if len(parities) != n:
             raise ValueError("parity vector length mismatch")
@@ -614,19 +599,17 @@ class Superalgebra:
         {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         f = self.field
         pairs = self._form_pairs()
-        if isinstance(f, PrimeField):
+        if isinstance(f, (PrimeField, RationalField)) and self._constants_mod_p() is not None:
             sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
-            return self._forms_of(pairs, sols)
-        # QQ: solved mod a 31-bit prime and certified exactly (_forms_modular).
-        # K(a) keeps every nonzero equation, repeats included, with no
-        # peeling of forced-zero variables and no deduplication, for the
-        # reason its row updates visit every column (linalg's module
-        # docstring): made faster, the bgl(4;a) defect op would set the
-        # defect-sweep latency tail.
-        forms = self._forms_modular(pairs) if isinstance(f, RationalField) else None
-        if forms is None:
-            forms = self._forms_of(pairs, mat_nullspace(self._form_equations(pairs)))
-        return forms
+        else:
+            # QQ here only when a scaled constant could overflow int64
+            # (_constants_mod_p).  K(a) keeps every nonzero equation, repeats
+            # included, with no peeling of forced-zero variables and no
+            # deduplication, for the reason its row updates visit every
+            # column (linalg's module docstring): made faster, the bgl(4;a)
+            # defect op would set the defect-sweep latency tail.
+            sols = mat_nullspace(self._form_equations(pairs))
+        return self._forms_of(pairs, sols)
 
     def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[Element]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
@@ -642,45 +625,6 @@ class Superalgebra:
             return B
 
         return {"dim": len(sols), "forms": [to_matrix(s) for s in sols]}
-
-    def _forms_modular(self, pairs: List[Tuple[int, int]]) -> Optional[dict]:
-        """The QQ forms from the nullspace mod q, q in FORMS_PRIMES, lifted by
-        rational reconstruction and checked exactly; None when no prime
-        gives a lift that passes.
-
-        The answer equals the exact nullspace: the mod-q nullity is at least
-        the QQ nullity, and each lift keeps the mod-q RREF shape (1 at its
-        own free column, its last nonzero entry; 0 at the other free
-        columns).  Invariant lifts of that shape, as many as the mod-q
-        nullity, are the unique such basis of the QQ nullspace."""
-        den = self._denominator_lcm()
-        for q in FORMS_PRIMES:
-            if den % q == 0:
-                continue
-            sols = nullspace_mod_p(q, len(pairs), *self._form_equations_mod_p(pairs, q))
-            lifts = [{t: _rational_lift(a, q) for t, a in v.items()} for v in sols]
-            if any(None in v.values() for v in lifts):
-                continue
-            forms = self._forms_of(pairs, lifts)
-            if all(self._is_invariant(B) for B in forms["forms"]):
-                return forms
-        return None
-
-    def _is_invariant(self, B: List[list]) -> bool:
-        """B([b_i,b_j], b_k) = B(b_i, [b_j,b_k]) for all i, j, k, summed over
-        the nonzero structure constants and the nonzero entries of B."""
-        f = self.field
-        n = self.dim
-        rows = [{k: c for k, c in enumerate(r) if not f.is_zero(c)} for r in B]
-        cols = [{i: B[i][m] for i in range(n) if not f.is_zero(B[i][m])} for m in range(n)]
-        acc: Dict[Tuple[int, int, int], object] = {}
-        for a, b, w in self.ordered_brackets():
-            for m, c in w.items():
-                for k, e in rows[m].items():  # B([b_a,b_b], b_k) in equation (a, b, k)
-                    acc[a, b, k] = f.add(acc.get((a, b, k), f.zero), f.mul(c, e))
-                for l, e in cols[m].items():  # B(b_l, [b_a,b_b]) in equation (l, a, b)
-                    acc[l, a, b] = f.sub(acc.get((l, a, b), f.zero), f.mul(c, e))
-        return all(f.is_zero(v) for v in acc.values())
 
     def _form_pairs(self) -> List[Tuple[int, int]]:
         """The variables of an even supersymmetric form: the entries B_ij,
@@ -739,43 +683,58 @@ class Superalgebra:
         rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
         return Matrix(f, [r for r in rows if r], ncols=len(pairs))
 
-    def _constants_mod_p(self, q: Optional[int] = None) -> Tuple[np.ndarray, ...]:
-        """The entries of ordered_brackets as four int64 arrays (a, b, m, c):
-        c = C[a,b,m] mod q (default: the characteristic p of GF(p); over QQ
-        a prime dividing no denominator), read from the stored pairs a <= b
-        in one pass; the other order gets its sign here,
-        [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at p = 2).  They
-        are read once per q and kept, read-only: the algebra is immutable by
-        convention, and check_axioms, the center and the forms all read them."""
+    def _constants_mod_p(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """The entries of ordered_brackets as four int64 arrays (a, b, m, c),
+        read from the stored pairs a <= b in one pass; the other order gets
+        its sign here, [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at
+        p = 2).  Over GF(p) c = C[a,b,m] mod p up to that sign (|c| < p);
+        over QQ c = den C[a,b,m], an exact integer, with den the lcm of the
+        denominators (the invariance equations are linear in the constants,
+        so the scale leaves their solutions unchanged).
+
+        Over QQ the answer is None when some |c| >= 2^62: one (equation,
+        variable) entry of the invariance equations (_form_equations_mod_p)
+        sums at most two constants, so below that bound no sum leaves int64.
+        Equation (i, j, k) at the variable of B_ab = B_ba gets C[i,j,m] from
+        B(b_m, b_k) only for the one m with {m, k} = {a, b}, and -C[j,k,m]
+        from B(b_i, b_m) only for the one m with {i, m} = {a, b}; each
+        ordered constant is one entry of these arrays, and over QQ there is
+        no square equation.
+
+        The arrays are read once and kept, read-only: the algebra is
+        immutable by convention, and check_axioms, the center and the forms
+        all read them."""
+        if self._mod_p is not None:
+            return self._mod_p
         f = self.field
-        q = q or f.p
-        if q in self._mod_p:
-            return self._mod_p[q]
         if f.p:
             flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
                     for x in (i, j, m, c)]
         else:
+            den = self._denominator_lcm()
             flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
-                    for x in (i, j, m, c.numerator * pow(c.denominator, -1, q) % q)]
+                    for x in (i, j, m, c.numerator * (den // c.denominator))]
+            if any(abs(c) >> 62 for c in flat[3::4]):
+                return None
         I, J, M, C = np.array(flat, dtype=np.int64).reshape(-1, 4).T
         two = I != J
         flip = C[two]
         if f.p != 2:
             odd = np.array(self.parities, dtype=bool)
-            flip = np.where(odd[I[two]] & odd[J[two]], flip, -flip) % q
+            flip = np.where(odd[I[two]] & odd[J[two]], flip, -flip)
         out = (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
                np.concatenate([M, M[two]]), np.concatenate([C, flip]))
         for x in out:
             x.flags.writeable = False
-        self._mod_p[q] = out
+        self._mod_p = out
         return out
 
-    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]], q: Optional[int] = None
+    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]]
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The equations of _form_equations modulo q (default: the
-        characteristic p of GF(p); over QQ a prime dividing no denominator),
-        as integer COO triples (equation, variable, value) for
-        linalg.nullspace_mod_p, which sums them mod q.
+        """The equations of _form_equations as integer COO triples (equation,
+        variable, value) for linalg.nullspace_mod_p, which sums them mod p
+        over GF(p) and exactly over QQ (p = 0), from the constants of
+        _constants_mod_p (over QQ scaled to integers).
 
         Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
         B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
@@ -792,7 +751,7 @@ class Superalgebra:
         if f.p != 2:  # B_ji = -B_ij for odd i < j
             odd = np.array(self.parities)[lo] == 1
             sgn[hi[odd], lo[odd]] = -1
-        I, J, M, C = self._constants_mod_p(q)
+        I, J, M, C = self._constants_mod_p()
         ks = np.arange(n)
         # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
         # equation (i, k) is row n^3 + i n + k

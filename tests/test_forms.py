@@ -4,36 +4,35 @@ The invariance equations B([b_i,b_j], b_k) = B(b_i, [b_j,b_k]) (and, at
 p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled from the
 nonzero structure constants on every field.  _reference_equations below is
 the brute-force assembly over all n^3 basis triples; the library's Field
-assembly (used over K(a) and as the exact QQ path) must give its rows in
-its order, and the GF(p) triples, once linalg.peel_mod_p has deleted the
-forced-zero variables and scaled and deduplicated the rest, its row space
-together with the unit rows of the deleted variables.  The pinned tests
-fix the invariant_forms() output byte for byte by the sha256 of (dim,
-forms).
+assembly (used over K(a), and over QQ when a scaled constant could
+overflow int64) must give its rows in its order, and the integer triples,
+once linalg.peel_mod_p has deleted the forced-zero variables and
+deduplicated the rest (over GF(p) also scaled to leading entries 1), its
+row space together with the unit rows of the deleted variables.  The
+pinned tests fix the invariant_forms() output byte for byte by the sha256
+of (dim, forms).
 
-Over QQ the same triples are taken modulo a 31-bit prime, their nullspace is
-lifted by rational reconstruction, and every lifted form is checked
-exactly; the exact path (Field assembly, Fraction elimination) answers
-when no prime gives a lift that passes.  The QQ pins were recorded on the
-exact path, and the K(a) pins on the triple loop before the Field assembly
-replaced it.
+Over QQ the integer triples come from the constants scaled by the lcm of
+their denominators and are eliminated exactly (p = 0).  The QQ pins were
+recorded on the Field path (Field assembly, Fraction elimination), and the
+K(a) pins on the triple loop before the Field assembly replaced it; the
+differential test compares the integer path with the nullspace of the
+triple loop's rows, on both sides of the int64 bound.
 """
 
 import hashlib
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dslie import superalgebra
 from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
 from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref
-from dslie.superalgebra import FORMS_DIM_CUTOFF, FORMS_PRIMES, Superalgebra, direct_sum
+from dslie.superalgebra import FORMS_DIM_CUTOFF, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
 from helpers import dense_matrix, transform_basis
 from test_subquotient import _p2_heisenberg
@@ -112,6 +111,33 @@ PINNED = {
 }
 
 
+QQ = field_for(0)
+
+
+def _sq3_gl_k1(cache_dir):
+    g = family_algebra("gl", 3, 3, 0)
+    return ds_homology(g, chain_element(g, 1)).homology
+
+
+ALGEBRAS_QQ = {
+    "gl(2|1)/p0": lambda c: gl(2, 1, 0),
+    "sl(2|2)/p0": lambda c: sl(2, 2, 0),
+    "psl(2|2)/p0": lambda c: psl(2, 2, 0),
+    "osp(3|2)/p0": lambda c: osp(3, 2, 0),
+    "sq3/gl/p0/k1": _sq3_gl_k1,
+}
+
+# sha256 of repr((dim, forms)), recorded on the Field path (generic
+# assembly and Fraction elimination) before any integer path existed
+PINNED_QQ = {
+    "gl(2|1)/p0": "fc35daed9f92df5013d08f5f18194ad81311525c2a5fb44c6bb16deaab8cc80c",
+    "sl(2|2)/p0": "58030347bf444be74b052cf0c705ac6a78d23beb6b85ecdc220b46a85f300f05",
+    "psl(2|2)/p0": "e2811fe66c94c7a3e95a63d281d0aeeafc3179e430107cbb3f61252381268a84",
+    "osp(3|2)/p0": "cde3b49cbafbb82dc48e1ec4e68e13155103bc14f8e0fb8dd77eb57baf94f2b4",
+    "sq3/gl/p0/k1": "75a3d7133269085f9b49a17c8f6d6e30932b3a951a77d77222ba99ecc1f0a370",
+}
+
+
 def _reference_equations(g: Superalgebra, pairs) -> Matrix:
     """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
     (i, j, k) in order, and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]])
@@ -175,32 +201,34 @@ def test_forms_pinned(cache_dir, name):
     assert _digest(ALGEBRAS[name](cache_dir).invariant_forms()) == PINNED[name]
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(ALGEBRAS_QQ))
 def test_array_assembly_matches_generic(cache_dir, name):
     """The core that peel_mod_p leaves of the array assembly, with the unit
-    rows of the variables it deleted, spans the triple loop's row space."""
-    g = ALGEBRAS[name](cache_dir)
+    rows of the variables it deleted, spans the triple loop's row space,
+    over GF(p) and exactly over QQ (p = 0)."""
+    g = {**ALGEBRAS, **ALGEBRAS_QQ}[name](cache_dir)
     p = g.field.p
     pairs = g._form_pairs()
     nv = len(pairs)
     core, kept = peel_mod_p(p, nv, *g._form_equations_mod_p(pairs))
     generic = _reference_equations(g, pairs)
     assert core.ncols == len(kept)
-    assert all(type(r) is dict and all(type(j) is int and type(x) is int for j, x in r.items())
+    assert core.field == g.field
+    scalar = int if p else Fraction
+    assert all(type(r) is dict and all(type(j) is int and type(x) is scalar for j, x in r.items())
                for r in core.rows)
     assert generic.ncols == nv
-    a = np.zeros((core.nrows, core.ncols), dtype=np.int64)
-    for i, r in enumerate(core.rows):
-        a[i, list(r)] = list(r.values())
-    full = np.zeros((core.nrows + nv - len(kept), nv), dtype=np.int64)
-    full[:core.nrows, kept] = a
-    full[np.arange(core.nrows, len(full)), np.setdiff1d(np.arange(nv), kept)] = 1
-    assert rref(dense_matrix(g.field, full.tolist(), nv)) == rref(generic)
-    # reduced mod p, no zero row, leading entries 1, no repeated row
-    assert ((a >= 0) & (a < p)).all()
-    lead = a[np.arange(len(a)), (a != 0).argmax(axis=1)]
-    assert (lead == 1).all()
-    assert len({r.tobytes() for r in a}) == len(a) <= generic.nrows
+    kept = kept.tolist()
+    deleted = sorted(set(range(nv)) - set(kept))
+    full = [{kept[j]: x for j, x in r.items()} for r in core.rows]
+    full += [{t: g.field.one} for t in deleted]
+    assert rref(Matrix(g.field, full, ncols=nv)) == rref(generic)
+    # no zero row, no repeated row
+    assert all(core.rows)
+    assert len({tuple(sorted(r.items())) for r in core.rows}) == core.nrows <= generic.nrows
+    if p:  # reduced mod p, leading entries 1
+        assert all(0 <= x < p for r in core.rows for x in r.values())
+        assert all(r[min(r)] == 1 for r in core.rows)
 
 
 def test_edge_inputs():
@@ -217,44 +245,31 @@ def test_edge_inputs():
     assert (g.invariant_forms()["dim"], squares_free.invariant_forms()["dim"]) == (6, 7)
 
 
-QQ = field_for(0)
-
-
-def _sq3_gl_k1(cache_dir):
-    g = family_algebra("gl", 3, 3, 0)
-    return ds_homology(g, chain_element(g, 1)).homology
-
-
-ALGEBRAS_QQ = {
-    "gl(2|1)/p0": lambda c: gl(2, 1, 0),
-    "sl(2|2)/p0": lambda c: sl(2, 2, 0),
-    "psl(2|2)/p0": lambda c: psl(2, 2, 0),
-    "osp(3|2)/p0": lambda c: osp(3, 2, 0),
-    "sq3/gl/p0/k1": _sq3_gl_k1,
-}
-
-# sha256 of repr((dim, forms)), recorded on the exact path (generic
-# assembly and Fraction elimination) before the modular solve existed
-PINNED_QQ = {
-    "gl(2|1)/p0": "fc35daed9f92df5013d08f5f18194ad81311525c2a5fb44c6bb16deaab8cc80c",
-    "sl(2|2)/p0": "58030347bf444be74b052cf0c705ac6a78d23beb6b85ecdc220b46a85f300f05",
-    "psl(2|2)/p0": "e2811fe66c94c7a3e95a63d281d0aeeafc3179e430107cbb3f61252381268a84",
-    "osp(3|2)/p0": "cde3b49cbafbb82dc48e1ec4e68e13155103bc14f8e0fb8dd77eb57baf94f2b4",
-    "sq3/gl/p0/k1": "75a3d7133269085f9b49a17c8f6d6e30932b3a951a77d77222ba99ecc1f0a370",
-}
-
-
 def _exact(g: Superalgebra) -> dict:
     pairs = g._form_pairs()
     return g._forms_of(pairs, mat_nullspace(_reference_equations(g, pairs)))
 
 
+def _count_field_assemblies(monkeypatch) -> list:
+    """The dimensions of the algebras whose forms are assembled as Field rows
+    (_form_equations) from now on in the test."""
+    calls = []
+    assemble = Superalgebra._form_equations
+
+    def spy(self, pairs):
+        calls.append(self.dim)
+        return assemble(self, pairs)
+
+    monkeypatch.setattr(Superalgebra, "_form_equations", spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRAS_QQ))
-def test_qq_forms_pinned_and_certified(cache_dir, name):
+def test_qq_forms_pinned_and_certified(monkeypatch, cache_dir, name):
     g = ALGEBRAS_QQ[name](cache_dir)
+    calls = _count_field_assemblies(monkeypatch)
     assert _digest(g.invariant_forms()) == PINNED_QQ[name]
-    # the modular path answered, not the fallback
-    assert _digest(g._forms_modular(g._form_pairs())) == PINNED_QQ[name]
+    assert calls == []  # the integer path answered
 
 
 SMALL_QQ = [lambda: gl(1, 1, 0), lambda: osp(1, 2, 0), lambda: sl(2, 1, 0), lambda: gl(2, 1, 0)]
@@ -265,60 +280,74 @@ ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 @given(which=st.integers(0, len(SMALL_QQ) - 1), data=st.data())
 def test_qq_forms_match_exact_after_rational_basis_change(which, data):
     """Random invertible parity-preserving rational basis changes give
-    non-integral constants; the modular answer equals the exact one."""
+    non-integral constants; the integer path's answer equals the exact one."""
     g = SMALL_QQ[which]()
     n = g.dim
     T = [[data.draw(ENTRIES) if g.parities[i] == g.parities[a] else QQ.zero
           for a in range(n)] for i in range(n)]
     assume(mat_rank(dense_matrix(QQ, T, n)) == n)
     h = transform_basis(g, T)
-    assert repr(h.invariant_forms()) == repr(_exact(h))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_field_assemblies(monkeypatch)
+        assert repr(h.invariant_forms()) == repr(_exact(h))
+    assert calls == []
 
 
 def _one_constant(c) -> Superalgebra:
     """[x, y] = c y over QQ: the forms are the multiples of B(x, x) = 1 when
-    c != 0, but modulo a prime dividing c the bracket vanishes and all
-    three entries are free."""
+    c != 0."""
     return Superalgebra(QQ, ["x", "y"], [0, 0], {(0, 1): {1: QQ.from_int(c)}})
 
 
-def _count_exact_assemblies(monkeypatch) -> list:
-    calls = []
-    exact = Superalgebra._form_equations
-
-    def spy(self, pairs):
-        calls.append(self.dim)
-        return exact(self, pairs)
-
-    monkeypatch.setattr(Superalgebra, "_form_equations", spy)
-    return calls
+def _two_constants(c, d) -> Superalgebra:
+    """[x, y] = c y and [x, z] = d z over QQ, scaled by the lcm of the
+    denominators of c and d on the integer path."""
+    return Superalgebra(QQ, ["x", "y", "z"], [0, 0, 0],
+                        {(0, 1): {1: QQ.from_int(c)}, (0, 2): {2: QQ.from_int(d)}})
 
 
-def test_a_prime_that_loses_rank_is_rejected(monkeypatch):
-    calls = _count_exact_assemblies(monkeypatch)
-    q1, q2 = FORMS_PRIMES
-    one_form = {"dim": 1, "forms": [[[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]]}
-    # mod q1 the lifts B(x, y) = 1 and B(y, y) = 1 are not invariant over QQ;
-    # the next prime certifies the answer
-    assert _one_constant(q1).invariant_forms() == one_form and calls == []
-    # both primes divide the constant: the exact path answers
-    assert _one_constant(q1 * q2).invariant_forms() == one_form and calls == [2]
-    assert _one_constant(1).invariant_forms() == one_form
-
-
-def test_small_prime_forces_the_exact_path(monkeypatch):
-    monkeypatch.setattr(superalgebra, "FORMS_PRIMES", (3,))
-    calls = _count_exact_assemblies(monkeypatch)
-    # a constant divisible by 3: the mod-3 lifts fail the exact check
-    assert _one_constant(3).invariant_forms()["dim"] == 1
-    # a denominator divisible by 3: the prime is skipped
+def _gl21_over_3() -> Superalgebra:
+    """gl(2|1) in the basis b_i / 3: constants with denominator 3."""
     g = gl(2, 1, 0)
     third = [[Fraction(1, 3) if i == a else QQ.zero for a in range(g.dim)] for i in range(g.dim)]
     h = transform_basis(g, third)
     assert any(c.denominator == 3 for v in h.brackets.values() for c in v.values())
-    forms = h.invariant_forms()
-    assert calls == [2, 9]
-    assert repr(forms) == repr(_exact(h))
+    return h
+
+
+Q1, Q2 = 2147483629, 2147483587  # 31-bit primes
+BOUND = 1 << 62  # the integer path takes scaled constants below this in size
+
+# (algebra, whether the Field assembly answers): the scaled constants of the
+# integer path sum at most two to an entry, so they stay below 2^62 in size
+INT64_EDGE = {
+    "c=1": (lambda: _one_constant(1), False),
+    "c=3": (lambda: _one_constant(3), False),
+    "c=q1": (lambda: _one_constant(Q1), False),
+    "c=q1*q2": (lambda: _one_constant(Q1 * Q2), False),
+    "gl(2|1)/3": (_gl21_over_3, False),
+    "c=2^62-1": (lambda: _one_constant(BOUND - 1), False),
+    "c=-(2^62-1)": (lambda: _one_constant(1 - BOUND), False),
+    "c,d=(2^62-1)/3,1/3": (lambda: _two_constants(Fraction(BOUND - 1, 3), Fraction(1, 3)), False),
+    "c=2^-70": (lambda: _one_constant(Fraction(1, 2 ** 70)), False),  # scaled to 1
+    "c=2^62": (lambda: _one_constant(BOUND), True),
+    "c=-2^62": (lambda: _one_constant(-BOUND), True),
+    "c,d=2^62/3,1/3": (lambda: _two_constants(Fraction(BOUND, 3), Fraction(1, 3)), True),
+    "c=2^70": (lambda: _one_constant(2 ** 70), True),
+    "c,d=1,2^-70": (lambda: _two_constants(1, Fraction(1, 2 ** 70)), True),  # scaled to 2^70
+}
+
+
+@pytest.mark.parametrize("name", list(INT64_EDGE))
+def test_qq_forms_match_exact_at_the_int64_bound(monkeypatch, name):
+    """The integer path answers while every scaled constant is below 2^62
+    in size, the Field assembly from 2^62 on, and both give the exact
+    nullspace of the triple loop's rows, repr for repr."""
+    build, field_path = INT64_EDGE[name]
+    g = build()
+    calls = _count_field_assemblies(monkeypatch)
+    assert repr(g.invariant_forms()) == repr(_exact(g))
+    assert calls == ([g.dim] if field_path else [])
 
 
 KA2 = field_for(2, parametric=True)

@@ -2,12 +2,14 @@
 a batch through extend() against the same rows added one by one (and its
 stop at full rank), the Echelon against the dense-list reference on small
 filled rows and on wide sparse ones (every element it returns is clean,
-its keys in increasing order), the peeled GF(p) nullspace
-against the dense one, the homology matrices (ad_matrix,
-kernel_mod_image, adjoint_rank) against their dense references, and the
-block-by-block Ker/Im against the eliminations of the whole matrix."""
+its keys in increasing order), the peeled nullspace over GF(p) and
+exactly over ZZ (p = 0) against the dense one, the homology matrices
+(ad_matrix, kernel_mod_image, adjoint_rank) against their dense
+references, and the block-by-block Ker/Im against the eliminations of the
+whole matrix."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -537,7 +539,7 @@ def test_homology_scalars_are_python_ints(cache_dir, key, p):
 
 # -- the peeled mod-p nullspace against the whole system -----------------------
 
-PEEL_PRIMES = [2, 3, 5, 7, 2147483629]
+PEEL_PRIMES = [0, 2, 3, 5, 7, 2147483629]  # 0: exactly over ZZ, compared over QQ
 PEEL_SHAPES = ["random", "cascade", "no-singleton", "all-singleton", "empty"]
 
 
@@ -546,17 +548,23 @@ PEEL_SHAPES = ["random", "cascade", "no-singleton", "all-singleton", "empty"]
 @given(data=st.data())
 def test_peeled_nullspace_matches_the_whole_system(p, data):
     """nullspace_mod_p of COO triples equals mat_nullspace of the dense
-    system they sum to, repr for repr.  Besides random systems the draws
-    plant a cascade (a chain x_0 = 0, x_0 + x_1 = 0, x_1 + x_2 = 0, ...,
-    where each variable stands alone only once the one before it is
-    deleted), systems with no singleton equation, systems of singletons
-    only, and the empty system; repeated entries that sum to 0 mod p are
-    mixed into any of them, so an equation may look longer than it is."""
+    system they sum to, over GF(p) or, at p = 0, over QQ, repr for repr.
+    Besides random systems the draws plant a cascade (a chain x_0 = 0,
+    x_0 + x_1 = 0, x_1 + x_2 = 0, ..., where each variable stands alone
+    only once the one before it is deleted), systems with no singleton
+    equation, systems of singletons only, and the empty system; repeated
+    entries that sum to 0 (mod p) are mixed into any of them, so an
+    equation may look longer than it is, and some equations may be
+    repeated under another index, as they are or on shifted columns."""
     f = field_for(p)
     shape = data.draw(st.sampled_from(PEEL_SHAPES), label="shape")
     n = data.draw(st.integers(0 if shape == "empty" else 2, 7), label="ncols")
-    nonzero = st.builds(lambda a, k: a + k * p, st.integers(1, p - 1), st.integers(-2, 2))
-    anything = st.integers(-3 * p, 3 * p)
+    if p:
+        nonzero = st.builds(lambda a, k: a + k * p, st.integers(1, p - 1), st.integers(-2, 2))
+        anything = st.integers(-3 * p, 3 * p)
+    else:
+        nonzero = st.integers(-9, 9).filter(bool)
+        anything = st.integers(-9, 9)
     eqs = data.draw(st.integers(1, 5), label="equations")
     triples, chain = [], []
     if shape == "random":
@@ -581,21 +589,30 @@ def test_peeled_nullspace_matches_the_whole_system(p, data):
                                                     st.integers(0, n - 1), anything),
                                           min_size=1, max_size=4), label="cancelling"):
             triples += [(e, c, v), (e, c, -v + p * data.draw(st.integers(-1, 1)))]
+    if triples and data.draw(st.booleans(), label="repeat"):
+        top = max(e for e, _c, _v in triples)
+        for e in data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True),
+                           label="repeated"):
+            top += 1
+            shift = data.draw(st.integers(0, n - 1), label="shift")  # 0: the same row
+            triples += [(top, (c + shift) % n, v) for e2, c, v in triples if e2 == e]
     triples = [triples[i] for i in data.draw(st.permutations(range(len(triples))),
                                              label="order")]
     rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
 
     dense = [[0] * n for _ in range(max(rows.tolist(), default=-1) + 1)]
     for e, c, v in triples:
-        dense[e][c] = (dense[e][c] + v) % p
-    want = mat_nullspace(dense_matrix(f, dense, n))
+        dense[e][c] += v
+    want = mat_nullspace(dense_matrix(f, [[f.from_int(x) for x in r] for r in dense], n))
     got = nullspace_mod_p(p, n, rows, cols, vals)
     assert repr(got) == repr(want)
     _check_elements(f, got, n)
-    assert all(type(x) is int for vec in got for x in vec.values())
+    scalar = int if p else Fraction
+    assert all(type(x) is scalar for vec in got for x in vec.values())
 
     core, kept = peel_mod_p(p, n, rows, cols, vals)
     _check_elements(f, core.rows, core.ncols)
+    assert len({tuple(r.items()) for r in core.rows}) == core.nrows  # no repeated row
     deleted = set(range(n)) - set(kept.tolist())
     assert n - len(got) == len(deleted) + mat_rank(core)
     if shape == "cascade":
@@ -604,3 +621,16 @@ def test_peeled_nullspace_matches_the_whole_system(p, data):
         assert core.nrows == 0
     if shape == "no-singleton":
         assert not deleted  # the cancelling entries add 0 to the sums
+
+
+@pytest.mark.parametrize("p", PEEL_PRIMES)
+def test_peel_tells_equal_values_on_other_columns_apart(p):
+    """x_0 + x_1 = 0 and x_1 + x_2 = 0 hold the same values on other
+    columns, so neither repeats the other: both stay in the core and one
+    variable is free (at p = 0 too, where a key v * p + c would lose the
+    column)."""
+    rows, cols, vals = (np.array(a, dtype=np.int64)
+                        for a in ([0, 0, 1, 1], [0, 1, 1, 2], [1, 1, 1, 1]))
+    core, kept = peel_mod_p(p, 3, rows, cols, vals)
+    assert (core.nrows, kept.tolist()) == (2, [0, 1, 2])
+    assert len(nullspace_mod_p(p, 3, rows, cols, vals)) == 1

@@ -9,8 +9,9 @@ with a default is set by some call.
 An import counts as used when the module reads it, lists it in ``__all__``
 or mentions it in a string annotation (``-> "GradedSpan"``).  A definition
 counts as named when a name, attribute, import or identifier inside a
-string (the benchmark's hook table names methods as "Class.method") in
-src/, tests/ or perfbench/ spells it; dunder methods are called implicitly.
+string other than a docstring (the benchmark's hook table names methods
+as "Class.method") in src/, tests/ or perfbench/ spells it; dunder methods
+are called implicitly.
 A definition that only tests/ names belongs in a test helper, so src/ or
 perfbench/ must name each one too.
 """
@@ -213,17 +214,22 @@ def defined_names(source: str):
 
 
 def named(source: str):
-    """Every identifier the source reads, imports or spells inside a string;
-    the name on a def or class line does not count."""
+    """Every identifier the source reads, imports or spells inside a string
+    that is not a docstring (of the module, a class or a function); the
+    name on a def or class line does not count."""
+    tree = ast.parse(source)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                  if isinstance(n, scopes) and ast.get_docstring(n, clean=False) is not None}
     out = set()
-    for n in ast.walk(ast.parse(source)):
+    for n in ast.walk(tree):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out |= set(n.name.split(".")) | {n.asname}
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
             out |= set(re.findall(r"[A-Za-z_]\w*", n.value))
     return out
 
@@ -268,6 +274,16 @@ def test_checker_sees_calls_attributes_and_strings():
     used = named(lib) | named(hooks)
     assert [(line, name) for line, name in defined_names(lib) if name not in used] == \
         [(9, "inner"), (12, "orphan")]
+
+
+def test_checker_skips_docstrings():
+    lib = ('"""Mentions by_module."""\nclass K:\n    """Mentions by_class."""\n'
+           '    def m(self):\n        """Mentions by_method."""\n        return "by_string"\n'
+           'def by_module():\n    pass\ndef by_class():\n    pass\n'
+           'def by_method():\n    pass\ndef by_string():\n    pass\n')
+    used = named(lib) | named("K().m()\n")
+    assert [name for _, name in defined_names(lib) if name not in used] == \
+        ["by_module", "by_class", "by_method"]
 
 
 def test_checker_sees_test_only_definitions():
