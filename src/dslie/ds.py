@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
 from .fields import field_for
-from .linalg import Echelon, kernel_mod_image, sparse_rank
+from .linalg import Echelon, Matrix, kernel_mod_image, mat_rank
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add
 
 MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
@@ -138,7 +138,7 @@ def ds_homology(g: Superalgebra, x) -> DSResult:
 
 
 def adjoint_rank(g: Superalgebra, el: Element) -> int:
-    return sparse_rank(g.field, g.ad_matrix(el))
+    return mat_rank(Matrix(g.field, g.ad_matrix(el), g.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ K(a) visits every column, zeros included, on purpose: skipping them made
 the bgl(4;alpha) defect op fast enough that 22 defect-sweep rounds
 instead of 6 fit the benchmark's window, so that op became its 11th
 largest sample and set the latency tail (33.8 -> 233 ms).  K(a) keeps its
-cost until the tail does not depend on the round count.
+cost until the tail does not depend on the round count.  Since every
+matrix is eliminated whole, that update spans all n columns of ad_x or
+rho_x, not a connected block of a few, so the K(a) Ker/Im costs about 3x
+what it did block by block (0.052 against 0.017 s over the audit's 22
+K(a) ad_x); an update over the row's support costs less than either.
 
 Every rank, nullspace and span inserts its rows through Echelon.add.
 extend() is the add loop over a batch of untracked rows; it stops once
@@ -47,10 +51,8 @@ every element returned lists its keys in increasing order, so repeated
 runs are byte-identical.
 
 Every homology (of ad_x on g, of rho_x on a module) is read from
-kernel_mod_image, and the rank of ad_x from sparse_rank.  Both take the
-matrix as sparse rows on every field and eliminate each of its connected
-blocks on its own: ad_x and rho_x split into many small blocks (rho_x on
-the 32-dim bgl(4;alpha) module has 13-19 blocks of at most 4 indices).
+kernel_mod_image: three eliminations of the whole matrix, held as sparse
+rows on every field.  The rank of ad_x is mat_rank of those rows.
 """
 
 from __future__ import annotations
@@ -139,9 +141,11 @@ class Echelon:
     A row update (_update) is one in-place out -= c*ys over the support of
     ys, except over K(a), where it visits every column (the module
     docstring says why); adding a row replaces, never edits, the rows that
-    hold its pivot column, since copy() shares rows.  kernel_mod_image and
-    sparse_rank eliminate the rows of their small blocks through the
-    private _add and _reduce.
+    hold its pivot column, since copy() shares rows.  Those rows are found
+    through a private index from each column to the pivots of the rows
+    that hold it (_holders), which only _add changes and copy() copies, so
+    an add costs the rows it updates, not the rank.  kernel_mod_image
+    eliminates through the private _add and _reduce.
     """
 
     def __init__(self, field: Field, ncols: int, track: bool = False):
@@ -150,6 +154,7 @@ class Echelon:
         self.track = track
         self._rows: Dict[int, dict] = {}  # pivot column -> row
         self._combos: Dict[int, dict] = {}  # pivot column -> combo over inserted-vector ids
+        self._holders: Dict[int, set] = {}  # column -> pivots of the rows that hold it
         self.pivots: List[int] = []  # increasing
         self._p = field.p if isinstance(field, PrimeField) else 0
         self._qq = isinstance(field, RationalField)
@@ -169,6 +174,7 @@ class Echelon:
         out = Echelon(self.field, self.ncols, self.track)
         out._rows, out.pivots = dict(self._rows), list(self.pivots)
         out._combos = {pc: dict(c) for pc, c in self._combos.items()}
+        out._holders = {j: set(pcs) for j, pcs in self._holders.items()}
         return out
 
     def _clean(self, u: Element) -> dict:
@@ -257,18 +263,27 @@ class Echelon:
         if self.track:
             mycombo = {k: f.mul(inv, f.neg(v)) for k, v in combo.items()}
             mycombo[vid] = f.add(mycombo.get(vid, zero), inv)
-        # back-substitute into the rows that hold piv, to keep full RREF
+        # back-substitute into the rows that hold piv, to keep full RREF;
+        # only the columns of res can change in them
         rows = self._rows
-        for pc in [pc for pc, row in rows.items() if piv in row]:
+        holders = self._holders
+        for pc in list(holders.get(piv, ())):
             row = dict(rows[pc])
             c = row[piv]
             self._update(row, c, res)
             rows[pc] = row
+            for j in res:
+                if j in row:
+                    holders.setdefault(j, set()).add(pc)
+                else:
+                    holders[j].discard(pc)
             if self.track:
                 combo_pc = self._combos[pc]
                 for vid2, coef in mycombo.items():
                     combo_pc[vid2] = f.sub(combo_pc.get(vid2, zero), f.mul(c, coef))
         rows[piv] = res
+        for j in res:
+            holders.setdefault(j, set()).add(piv)
         self._combos[piv] = mycombo
         bisect.insort(self.pivots, piv)
         return piv
@@ -374,49 +389,6 @@ def nullspace_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     return [{kept[j]: x for j, x in vec.items()} for vec in mat_nullspace(core)]
 
 
-def _blocks(rows: Sequence[Element]) -> List[List[int]]:
-    """The connected blocks of a square M held as sparse rows: the
-    components of the graph joining i and j when M[i][j] != 0 (union-find
-    over the stored entries), each in increasing order."""
-    root = list(range(len(rows)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for i, row in enumerate(rows):
-        for j in row:
-            a, b = find(i), find(j)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    blocks: dict = {}
-    for i in range(len(rows)):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
-
-
-def _block_rows(field: Field, rows: Sequence[Element], block: List[int]) -> List[dict]:
-    """The rows of M restricted to one block, as clean dicts in block
-    coordinates."""
-    zero = zero_of(field)
-    pos = {j: t for t, j in enumerate(block)}
-    return [{pos[j]: x for j, x in rows[i].items() if x != zero} for i in block]
-
-
-def sparse_rank(field: Field, rows: Sequence[Element]) -> int:
-    """Rank of a square matrix with sparse rows: the sum over its connected
-    blocks of the rank of each block's rows."""
-    rank = 0
-    for block in _blocks(rows):
-        if len(block) > 1 or rows[block[0]]:
-            ech = Echelon(field, len(block))
-            for row in _block_rows(field, rows, block):
-                ech._add(row)
-            rank += len(ech)
-    return rank
-
-
 def kernel_mod_image(field: Field, rows: Sequence[Element]
                      ) -> Tuple[Echelon, List[Element], List[Element]]:
     """Ker M / Im M for a square M held as sparse rows, row m the element
@@ -427,47 +399,20 @@ def kernel_mod_image(field: Field, rows: Sequence[Element]
     echelonized among themselves.  The image (from the columns) and the
     kernel (from the rows) come from two independent eliminations, so a
     caller comparing their dimensions checks rank-nullity.
-
-    Each connected block gets these three eliminations on its own rows and
-    columns, in block coordinates; an index whose row and column are zero
-    needs none, its unit vector is its kernel vector and complement row.
-    The rows lifted back to the global indices and sorted by pivot (or free
-    column) are the ones the whole matrix gives, byte for byte: the row
-    space, the column space and the kernel are direct sums over the blocks,
-    and an RREF is unique.
     """
-    f = field
-    image, ker, comp = [], [], []  # (global column, block, row in block coordinates)
-    for block in _blocks(rows):
-        if len(block) == 1 and not rows[block[0]]:
-            ker.append((block[0], block, {0: f.one}))
-            comp.append((block[0], block, {0: f.one}))
-            continue
-        sub = _block_rows(f, rows, block)
-        cols: List[dict] = [{} for _ in block]
-        for t, row in enumerate(sub):
-            for s, x in row.items():
-                cols[s][t] = x
-        im = Echelon(f, len(block))
-        for col in cols:
-            im._add(col)
-        row_ech = Echelon(f, len(block))
-        for row in sub:
-            row_ech._add(row)
-        block_ker = _nullspace(row_ech)
-        comp_ech = Echelon(f, len(block))
-        for _c, vec in block_ker:
-            comp_ech._add(im._reduce(dict(vec))[0])
-        image += [(block[c], block, im._rows[c]) for c in im.pivots]
-        ker += [(block[c], block, vec) for c, vec in block_ker]
-        comp += [(block[c], block, comp_ech._rows[c]) for c in comp_ech.pivots]
-
-    def lifted(part: list) -> List[Element]:  # by column, in the global indices
-        return [{block[t]: row[t] for t in sorted(row)}
-                for _c, block, row in sorted(part, key=lambda t: t[0])]
-
-    out = Echelon(f, len(rows))
-    out.pivots = sorted(c for c, _b, _r in image)
-    out._rows = {c: {block[t]: x for t, x in row.items()} for c, block, row in image}
-    out._combos = {c: {} for c in out.pivots}
-    return out, lifted(ker), lifted(comp)
+    n = len(rows)
+    zero = zero_of(field)
+    cols: List[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x != zero:
+                cols[j][i] = x
+    image, row_ech, comp = Echelon(field, n), Echelon(field, n), Echelon(field, n)
+    for col in cols:
+        image._add(col)
+    for row in rows:
+        row_ech._add(row_ech._clean(row))
+    ker = [vec for _c, vec in _nullspace(row_ech)]
+    for vec in ker:
+        comp._add(image._reduce(dict(vec))[0])
+    return image, ker, comp.rows

@@ -14,8 +14,7 @@ holding the coefficients of basis_t in the images of the basis vectors).
 The root vectors act through their words: a product combines rows with
 el_addmul, and a commutator or rho_x = sum_k c_k rho(b_k) adds rows and
 drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows and
-hands them to linalg.kernel_mod_image, which eliminates each connected
-block on its own.
+hands them to linalg.kernel_mod_image.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class Superalgebra:
     def ad_matrix(self, u: Element) -> List[Element]:
         """Sparse rows of ad_u = [u, .] in the basis: row m is {j: coefficient
         of b_m in [u, b_j]}, zeros left out (the input of
-        linalg.kernel_mod_image and linalg.sparse_rank).
+        linalg.kernel_mod_image and of ds.adjoint_rank).
 
         Entry (m, j) sums c * C[i,j,m] over the support {i: c} of u, read
         from the stored constants with the sign of [b_i, b_j] applied to c;

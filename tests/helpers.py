@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from dslie.classical import alternating_parities, gl
 from dslie.fields import Field, FunctionField, PrimeField, RationalField, UsageError
-from dslie.linalg import Echelon, Matrix, mat_nullspace, rref, zero_of
+from dslie.linalg import Echelon, Matrix, mat_nullspace, zero_of
 from dslie.superalgebra import GradedSpan, Superalgebra
 
 
@@ -270,15 +270,31 @@ def dense_matrix(f: Field, rows: list, ncols: int) -> Matrix:
     return Matrix(f, [el_from_dense(f, r) for r in rows], ncols=ncols)
 
 
-def kernel_mod_image_unsplit(M: Matrix):
-    """Ker M / Im M from three eliminations of the whole matrix: the image,
-    the nullspace, and the kernel vectors reduced by the image echelon
-    (kernel_mod_image splits M into its connected blocks)."""
+def kernel_mod_image_reference(M: Matrix):
+    """Ker M / Im M of a square M on the dense-list reference engine: the
+    image built column by column, the kernel read off the RREF of the rows
+    (1 at each free column, minus that column of each row at its pivot),
+    and each kernel vector reduced by the image and inserted one at a time.
+    Returns (image rows, image pivots, kernel, complement rows), the rows
+    and vectors as elements."""
     f = M.field
-    im = Echelon(f, M.nrows).extend(transpose(M).rows)
-    ker = mat_nullspace(M)
-    comp, _ = rref(Matrix(f, [im.reduce(vec)[0] for vec in ker], ncols=M.ncols))
-    return im, ker, comp
+    n = M.ncols
+    dense = [el_to_dense(f, r, n) for r in M.rows]
+    im, row_ech, comp = DenseEchelon(f, n), DenseEchelon(f, n), DenseEchelon(f, n)
+    for j in range(n):
+        im.add([row[j] for row in dense])
+    for row in dense:
+        row_ech.add(row)
+    ker = []
+    for c in range(n):
+        if c not in row_ech.pivots:
+            vec = {pc: f.neg(row[c]) for pc, row in zip(row_ech.pivots, row_ech.rows)
+                   if not f.is_zero(row[c])}
+            ker.append(dict(sorted({**vec, c: f.one}.items())))
+    for vec in ker:
+        comp.add(im.reduce(el_to_dense(f, vec, n))[0])
+    return ([el_from_dense(f, r) for r in im.rows], im.pivots, ker,
+            [el_from_dense(f, r) for r in comp.rows])
 
 
 def dense_mat_mul(f, a: list, b: list) -> list:
@@ -342,12 +358,12 @@ def dense_element_matrix(rep, el) -> list:
 
 def module_homology_reference(rep, el):
     """(rank, sdim_mx, basis_rows) of Ker rho_x / Im rho_x from the dense
-    rho_x, its dense square and the unsplit Ker/Im."""
+    rho_x, its dense square and the dense-list Ker/Im."""
     f = rep.build.field
     R = dense_element_matrix(rep, el)
     if any(not f.is_zero(x) for row in dense_mat_mul(f, R, R) for x in row):
         raise ValueError("rho_x squared is nonzero on the module")
-    im, _ker, comp = kernel_mod_image_unsplit(dense_matrix(f, R, rep.dim))
+    im, _pivots, _ker, comp = kernel_mod_image_reference(dense_matrix(f, R, rep.dim))
     ev = od = 0
     for r in comp:
         ps = {rep.parities[k] for k in r}

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,25 @@ def test_catalog_listing(capsys):
     code, out, _ = run(capsys, ["catalog", "-p", "5"])
     assert code == 0
     assert "brj(2;5)" in out and "el(5;5)" in out
+
+
+def _python_m_dslie(*argv):
+    """``python -m dslie argv`` in a fresh interpreter, with the library's
+    source directory on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dslie", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_dslie_runs_main(capsys):
+    """``python -m dslie`` prints what main prints and exits with its code."""
+    code, out, _ = run(capsys, ["catalog", "-p", "5"])
+    proc = _python_m_dslie("catalog", "-p", "5")
+    assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
+    bad = _python_m_dslie("catalog", "--no-such-option")
+    assert bad.returncode == 1 and "unrecognized arguments" in bad.stderr
 
 
 def test_audit_subset_exit_codes(capsys, cache_dir):

@@ -2,11 +2,13 @@
 a batch through extend() against the same rows added one by one (and its
 stop at full rank), the Echelon against the dense-list reference on small
 filled rows and on wide sparse ones (every element it returns is clean,
-its keys in increasing order), the peeled nullspace over GF(p) and
-exactly over ZZ (p = 0) against the dense one, the homology matrices
+its keys in increasing order), its column index against the one
+recomputed from its rows, the peeled nullspace over GF(p) and exactly
+over ZZ (p = 0) against the dense one, and the homology matrices
 (ad_matrix, kernel_mod_image, adjoint_rank) against their dense
-references, and the block-by-block Ker/Im against the eliminations of the
-whole matrix."""
+references: kernel_mod_image on random square-zero matrices, on the
+empty and the zero matrix, on permuted block-diagonal ones and on ad_x
+of catalog algebras."""
 
 import random
 from fractions import Fraction
@@ -24,7 +26,7 @@ from dslie.linalg import (Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_
                           nullspace_mod_p, peel_mod_p, rref)
 from dslie.superalgebra import el_add, el_addmul
 from helpers import (DenseEchelon, dense_matrix, el_from_dense, el_to_dense,
-                     kernel_mod_image_unsplit)
+                     kernel_mod_image_reference)
 from test_subquotient import _p2_heisenberg
 
 
@@ -244,8 +246,8 @@ def test_echelon_matches_the_dense_reference(p, parametric, track, data):
 @given(data=st.data())
 def test_echelon_matches_the_dense_reference_on_sparse_rows(p, parametric, track, data):
     """The same comparison on wide sparse rows, at most 4 nonzero entries
-    in up to 24 columns, the regime of the stored brackets and the ad_x
-    blocks: rows that update others grow and lose keys."""
+    in up to 24 columns, the regime of the stored brackets and of ad_x:
+    rows that update others grow and lose keys."""
     f = field_for(p, parametric)
     big = 2**40 if p > 7 else 3
     n = data.draw(st.integers(8, 24), label="ncols")
@@ -303,6 +305,47 @@ def _check_against_dense(f, n, track, dense, data):
         assert len(list(rest)) == len(list(ref_rest)) >= len(vecs) - 1  # stopped
 
 
+def _index_of_rows(ech):
+    """The column index recomputed from the rows: column -> the pivots of
+    the rows that hold it."""
+    out = {}
+    for pc, row in ech._rows.items():
+        for j in row:
+            out.setdefault(j, set()).add(pc)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("p,parametric", DIFF_FIELDS)
+@given(data=st.data())
+def test_column_index_matches_the_rows(p, parametric, track, data):
+    """After every step of a random sequence of adds and copies, each
+    echelon's column index equals the one recomputed from its rows, and an
+    add to one echelon leaves the rows and the index of every other one
+    unchanged, its source and its copies included."""
+    f = field_for(p, parametric)
+    big = 2**40 if p > 7 else 3
+    n = data.draw(st.integers(1, 10), label="ncols")
+    cells = st.tuples(st.integers(0, n - 1), st.integers(-big, big), st.integers(-1, 1))
+    steps = data.draw(st.lists(st.none() | st.lists(cells, min_size=1, max_size=4),
+                               max_size=14), label="steps")  # None: copy
+    echs = [Echelon(f, n, track)]
+    for t, step in enumerate(steps):
+        k = data.draw(st.integers(0, len(echs) - 1), label="echelon")
+        if step is None:
+            echs.append(echs[k].copy())
+            continue
+        others = [(e, {pc: dict(r) for pc, r in e._rows.items()},
+                   {j: set(pcs) for j, pcs in e._holders.items()})
+                  for e in echs if e is not echs[k]]
+        echs[k].add({j: _entry(f, c0, c1) for j, c0, c1 in step}, t if track else None)
+        for e, rows, index in others:
+            assert (e._rows, e._holders) == (rows, index)
+        for e in echs:
+            assert e._holders == _index_of_rows(e)
+
+
 # -- the homology matrices against their list-based references ----------------
 
 
@@ -314,36 +357,19 @@ def _ad_matrix_reference(g, u):
     return [[cols[j][m] for j in range(n)] for m in range(n)]
 
 
-def _kernel_mod_image_reference(M):
-    """Ker M / Im M on the dense-list reference engine, with the image built
-    column by column and each kernel vector reduced and inserted one at a
-    time; the rows are returned as elements."""
-    f = M.field
-    n = M.ncols
-    dense = [el_to_dense(f, r, n) for r in M.rows]
-    im = DenseEchelon(f, M.nrows)
-    for j in range(n):
-        im.add([row[j] for row in dense])
-    ker = mat_nullspace(M)
-    comp = DenseEchelon(f, n)
-    for vec in ker:
-        comp.add(im.reduce(el_to_dense(f, vec, n))[0])
-    return ([el_from_dense(f, r) for r in im.rows], im.pivots, ker,
-            [el_from_dense(f, r) for r in comp.rows])
-
-
 def _scalars(rows):
     return [x for row in rows for x in row.values()]
 
 
 def _check_kernel_mod_image(M):
-    """kernel_mod_image of the rows of M equals the reference, every
-    element it returns is clean, and over GF(p) every scalar it returns is
-    a Python int."""
+    """kernel_mod_image of the rows of M gives the image rows and pivots,
+    the kernel and the complement of the dense-list reference, repr for
+    repr; every element it returns is clean, and over GF(p) every scalar it
+    returns is a Python int."""
     f = M.field
-    want = _kernel_mod_image_reference(M)
+    want = kernel_mod_image_reference(M)
     im, ker, comp = kernel_mod_image(f, M.rows)
-    assert (im.rows, im.pivots, ker, comp) == want
+    assert repr((im.rows, im.pivots, ker, comp)) == repr(want)
     _check_elements(f, im.rows + ker + comp, M.ncols)
     if isinstance(f, PrimeField):
         assert {type(x) for x in _scalars(im.rows + ker + comp)} <= {int}
@@ -401,31 +427,32 @@ def test_kernel_mod_image_sums_past_int64():
     _check_kernel_mod_image(dense_matrix(f, _square_zero(f, n, n // 2, ops), n))
 
 
-# -- the block split against the whole matrix ----------------------------------
+@pytest.mark.parametrize("p,parametric", HOMOLOGY_FIELDS)
+def test_kernel_mod_image_of_the_empty_and_the_zero_matrix(p, parametric):
+    """n = 0 gives an empty image, kernel and complement; on the zero
+    matrix the kernel and the complement are the unit vectors."""
+    f = field_for(p, parametric)
+    im, ker, comp = kernel_mod_image(f, [])
+    assert (im.ncols, len(im), ker, comp) == (0, 0, [], [])
+    for n in (1, 5):
+        units = [{j: f.one} for j in range(n)]
+        assert _check_kernel_mod_image(Matrix(f, [{}] * n, ncols=n))[1:] == ([], units, units)
+
+
+# -- block-diagonal matrices and ad_x ------------------------------------------
 
 BLOCK_FIELDS = [(2, False), (3, False), (2147483629, False), (0, False), (2, True),
                 (3, True), (0, True)]
-
-
-def _check_block_split(f, rows):
-    """kernel_mod_image, which eliminates the sparse rows block by block,
-    gives the image rows and pivots, the kernel and the complement of the
-    eliminations of the whole dense matrix, repr for repr."""
-    im, ker, comp = kernel_mod_image(f, rows)
-    ref_im, ref_ker, ref_comp = kernel_mod_image_unsplit(Matrix(f, rows, ncols=len(rows)))
-    assert repr(im.rows) == repr(ref_im.rows) and im.pivots == ref_im.pivots
-    assert repr(ker) == repr(ref_ker)
-    assert repr(comp) == repr(ref_comp)
-    return im, ker, comp
 
 
 @settings(max_examples=40, deadline=None)
 @pytest.mark.parametrize("p,parametric", BLOCK_FIELDS)
 @given(data=st.data())
 def test_block_split_matches_the_whole_matrix(p, parametric, data):
-    """A block-diagonal square-zero matrix under a random simultaneous
-    permutation of rows and columns; one full block, the zero matrix and a
-    single nonzero entry are drawn as shapes of their own."""
+    """kernel_mod_image against the dense-list reference on a block-diagonal
+    square-zero matrix under a random simultaneous permutation of rows and
+    columns; one full block, the zero matrix and a single nonzero entry
+    are drawn as shapes of their own."""
     f = field_for(p, parametric)
     shape = data.draw(st.sampled_from(["blocks", "full", "zero", "single"]), label="shape")
     cells = st.tuples(st.integers(-3, 3), st.integers(-1, 1))
@@ -453,8 +480,8 @@ def test_block_split_matches_the_whole_matrix(p, parametric, data):
         start += k
     perm = data.draw(st.permutations(range(n)), label="perm")
     M = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    im, ker, comp = _check_block_split(f, [el_from_dense(f, row) for row in M])
-    assert len(im) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
+    im_rows, _, ker, comp = _check_kernel_mod_image(dense_matrix(f, M, n))
+    assert len(im_rows) == rank and len(ker) == n - rank and len(comp) == n - 2 * rank
 
 
 BLOCK_ALGEBRAS = [("bgl(3;alpha)", 2), ("bgl(4;alpha)", 2), ("osp(4|2;a)", 5), ("gl(2|2)", 0)]
@@ -477,14 +504,15 @@ def _single_roots(cache_dir, key, p):
 
 @pytest.mark.parametrize("key,p", BLOCK_ALGEBRAS)
 def test_block_split_matches_on_ad_x(cache_dir, key, p):
-    """ad_x of every homological single root and of 15 seeded sums of two
-    of them.  The split does not need (ad_x)^2 = 0, so a sum that is not
-    homological is checked too."""
+    """kernel_mod_image of ad_x, which falls into many small connected
+    blocks, against the dense-list reference, for every homological single
+    root and 15 seeded sums of two of them.  Neither side needs
+    (ad_x)^2 = 0, so a sum that is not homological is checked too."""
     g, singles = _single_roots(cache_dir, key, p)
     rng = random.Random(0)
     pairs = [el_add(g.field, *rng.sample(singles, 2)) for _ in range(15)]
     for el in singles + pairs:
-        _check_block_split(g.field, g.ad_matrix(el))
+        _check_kernel_mod_image(Matrix(g.field, g.ad_matrix(el), ncols=g.dim))
 
 
 AD_KEYS = [("brj(2;5)", 5), ("g(6,6)", 3), ("e(7,1)", 2), ("bgl(3;alpha)", 2)]
@@ -509,8 +537,8 @@ def test_ad_matrix_matches_reference(cache_dir, key, p):
 
 @pytest.mark.parametrize("key,p", AD_KEYS + [("gl(2|2)", 0)])
 def test_adjoint_rank_matches_dense_rank(cache_dir, key, p):
-    """adjoint_rank, one column elimination per block of the sparse ad_x,
-    is the rank of the dense reference ad-matrix, for every homological
+    """adjoint_rank, the engine's rank of the sparse ad_x, is the rank of
+    the dense reference ad-matrix, for every homological
     single root (over QQ, the odd basis vectors of gl(2|2))."""
     g, singles = _single_roots(cache_dir, key, p)
     for el in singles:

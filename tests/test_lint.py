@@ -2,7 +2,8 @@
 and sits at module level, only linalg.py and superalgebra.py import numpy
 (and in linalg only the peel of the sparse GF(p) systems uses it), no
 module but linalg reads the private rows, kernels or entry points of its
-Echelon, every function, method and class it defines is named somewhere,
+Echelon, no code outside Echelon's methods writes its rows, pivots or
+column index, every function, method and class it defines is named somewhere,
 every CLI option is read by its command's handler, and every parameter
 with a default is set by some call.
 
@@ -178,6 +179,77 @@ def test_checker_sees_private_reads():
     assert private == {"_rows", "_n", "_add"}
     use = "def f(e, g):\n    e._add({})\n    self._rows = 1\n    return g.rows, e._rows[0]\n"
     assert foreign_reads(use, private) == [(2, "_add"), (4, "_rows")]
+
+
+ROW_STATE = ("_rows", "_combos", "_holders", "pivots")  # Echelon's rows and their index
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+            "remove", "setdefault", "sort", "update"}
+
+
+def state_writes(source: str, names, cls: str):
+    """(line, name) of every write to x.name, name in names, outside the
+    methods of the class cls: an assignment, augmented assignment or del
+    whose target is x.name or an item of it, and a call of a mutating
+    method (list, dict or set) on x.name or an item of it."""
+    tree = ast.parse(source)
+    inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls
+              for n in ast.walk(c)}
+
+    def state(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.attr if isinstance(node, ast.Attribute) and node.attr in names else None
+
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            targets = [node.func.value]
+        for t in targets:
+            for e in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]):
+                if state(e):
+                    out.add((node.lineno, state(e)))
+    return sorted(out)
+
+
+def test_only_echelon_writes_its_rows():
+    """Nothing but Echelon's own methods assigns or edits its rows, combos,
+    pivots or column index: the index stays right only if every row enters
+    through _add.  An image echelon assembled by assigning _rows and
+    pivots next to the indexed Echelon gave wrong homologies."""
+    with open(os.path.join(SRC, "linalg.py")) as fh:
+        echelon = next(n for n in ast.parse(fh.read()).body
+                       if isinstance(n, ast.ClassDef) and n.name == "Echelon")
+    init = next(f for f in echelon.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    assigned = {t.attr for n in ast.walk(init) if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                if isinstance(t, ast.Attribute)}
+    assert set(ROW_STATE) <= assigned  # the names still are Echelon's row state
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            assert state_writes(fh.read(), ROW_STATE, "Echelon") == [], module
+
+
+def test_checker_sees_state_writes():
+    src = ("def kernel_mod_image(f, image):\n    out = Echelon(f, 3)\n"
+           "    out.pivots = sorted(image)\n    out._rows = dict(image)\n"
+           "    out._combos, n = {c: {} for c in out.pivots}, 0\n    return out\n"
+           "class Echelon:\n    def copy(self):\n        out = Echelon(self.field, 3)\n"
+           "        out._rows, out.pivots = dict(self._rows), list(self.pivots)\n"
+           "        self._holders[0].add(1)\n        return out\n"
+           "def g(e):\n    e._holders[3].discard(0)\n    e.pivots.append(1)\n"
+           "    del e._rows[0]\n    e.pivots += [2]\n    e._rows[1][2] = 0\n"
+           "    e.rows.append(e._rows[0].copy())\n    return sorted(e.pivots), e._holders.get(1)\n")
+    assert state_writes(src, ROW_STATE, "Echelon") == [
+        (3, "pivots"), (4, "_rows"), (5, "_combos"), (14, "_holders"), (15, "pivots"),
+        (16, "_rows"), (17, "pivots"), (18, "_rows")]
 
 
 def local_imports(source: str):

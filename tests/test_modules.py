@@ -131,7 +131,7 @@ def test_module_homology_matches_the_dense_reference(cache_dir, entry, mod):
     """On every catalog module, for every odd basis vector and 20 seeded
     sums of two: the sparse rho_x densifies to the dense product of the
     words, and module_homology gives the rank, sdim_mx and basis rows of the
-    dense rho_x and the unsplit Ker/Im, or raises where rho_x^2 != 0."""
+    dense rho_x and its dense-list Ker/Im, or raises where rho_x^2 != 0."""
     b = build_catalog_algebra(entry.key, entry.p, cache_dir=cache_dir)
     g = b.algebra
     f = g.field
