@@ -28,7 +28,7 @@ from .fields import UsageError
 from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import CacheError
-from .superalgebra import Element, Fingerprint, Superalgebra, el_add
+from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_sum
 from .tables import chain_element, family_algebra
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -159,7 +159,7 @@ class Auditor:
             if is_homological(g, el) == "odd":
                 pool.append(el)
         for h1, h2, h3 in itertools.combinations(singles, 3):
-            el = el_add(f, el_add(f, h1.element, h2.element), h3.element)
+            el = el_sum(f, [(f.one, h.element) for h in (h1, h2, h3)])
             if is_homological(g, el) == "odd":
                 pool.append(el)
         if which == "sub":

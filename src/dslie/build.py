@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from .cartan import CartanSpec
 from .fields import Field
 from .linalg import Echelon
-from .superalgebra import Element, Superalgebra, el_add, el_addmul, el_scale
+from .superalgebra import Element, Superalgebra, el_scale, el_sum
 
 
 class BuildError(RuntimeError):
@@ -113,30 +113,19 @@ class _Side:
             if na.word[0] == "sq":
                 # [s(z), w] = [z, [z, w]] (p = 2)
                 z = na.word[1]
-                out = self.bracket_elem(z, self.bracket_flat(z, b))
+                out = el_sum(f, [(c, self.bracket_flat(z, d))
+                                 for d, c in self.bracket_flat(z, b).items()])
             else:
+                # [[X_i, a'], w] = [X_i, [a', w]] - (-1)^{p(i)p(a')} [a', [X_i, w]]
                 i, aprime = na.word[1], na.word[2]
-                t1 = self.raise_elem(i, self.bracket_flat(aprime, b))
-                t2 = self.bracket_elem(aprime, self.raise_tab.get((i, b), {}))
-                sgn = f.one
-                if f.p != 2 and self.parities[i] and self.nodes[aprime].parity:
-                    sgn = f.neg(f.one)
-                out = el_add(f, t1, el_scale(f, f.neg(sgn), t2))
+                odd = f.p != 2 and self.parities[i] and self.nodes[aprime].parity
+                c2 = f.one if odd else f.neg(f.one)
+                terms = [(c, self.raise_tab.get((i, d), {}))
+                         for d, c in self.bracket_flat(aprime, b).items()]
+                terms += [(f.mul(c2, c), self.bracket_flat(aprime, d))
+                          for d, c in self.raise_tab.get((i, b), {}).items()]
+                out = el_sum(f, terms)
         self._br_memo[key] = out
-        return out
-
-    def bracket_elem(self, a: int, el: Element) -> Element:
-        f = self.f
-        out: Element = {}
-        for b, c in el.items():
-            out = el_addmul(f, out, c, self.bracket_flat(a, b))
-        return out
-
-    def raise_elem(self, i: int, el: Element) -> Element:
-        f = self.f
-        out: Element = {}
-        for b, c in el.items():
-            out = el_addmul(f, out, c, self.raise_tab.get((i, b), {}))
         return out
 
     # -- lowering data for candidates ----------------------------------------
@@ -163,28 +152,32 @@ class _Side:
         if kind == "br":
             pi = self.parities[i]
             for j in range(self.n):
+                flats, hpart = self._lower_of_basis(m, j)
+                if not (flats or hpart or j == i):
+                    out.append({})
+                    continue
                 sgn = f.neg(f.one) if (f.p != 2 and pi and self.parities[j]) else f.one
-                acc: Element = {}
+                terms = []
                 if j == i:
                     c = f.mul(self.cross_coeff[i], self.weight_of(i, node.root))
-                    if not f.is_zero(c):
-                        acc = {m: c}
-                flats, hpart = self._lower_of_basis(m, j)
-                if flats:
-                    acc = el_add(f, acc, el_scale(f, sgn, self.raise_elem(i, flats)))
+                    terms.append((c, {m: f.one}))
+                terms += [(f.mul(sgn, c), self.raise_tab.get((i, b), {}))
+                          for b, c in flats.items()]
                 for k, c in hpart.items():
                     # [X_i, h_k] = -w_k(eps_i) X_i  (same side)
                     coef = f.mul(c, f.neg(self.weight_of(k, self.gen_root[i])))
-                    acc = el_addmul(f, acc, f.mul(sgn, coef), {i: f.one})
-                out.append(acc)
+                    terms.append((f.mul(sgn, coef), {i: f.one}))
+                out.append(el_sum(f, terms))
         else:  # square candidate s(node_m); p = 2, signs trivial
             for j in range(self.n):
                 flats, hpart = self._lower_of_basis(m, j)
-                acc = self.bracket_elem(m, flats) if flats else {}
-                for k, c in hpart.items():
-                    w = self.weight_of(k, node.root)
-                    acc = el_addmul(f, acc, f.mul(c, f.neg(w)), {m: f.one})
-                out.append(acc)
+                if not (flats or hpart):
+                    out.append({})
+                    continue
+                terms = [(c, self.bracket_flat(m, b)) for b, c in flats.items()]
+                terms += [(f.mul(c, f.neg(self.weight_of(k, node.root))), {m: f.one})
+                          for k, c in hpart.items()]
+                out.append(el_sum(f, terms))
         return out
 
     # -- main loop ------------------------------------------------------------
@@ -373,12 +366,6 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         # a positive, b negative
         return mixed(order[a - nh], order[b - nh - npos])
 
-    def bracket_elem_glob(a: int, el: Element) -> Element:
-        out: Element = {}
-        for b, c in el.items():
-            out = el_addmul(fld, out, c, glob_bracket(a, b))
-        return out
-
     def mirrored(ma: int, mb: int, w: Element) -> Element:
         """[x_ma, y_mb] from w = [x_mb, y_ma] by fact 2 of the module docstring."""
         pa = nodes[ma].parity
@@ -410,29 +397,26 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             else:
                 # nn = [f_j, b']; [e_i,[f_j,b']] = delta_ij [h_i, b'] + (-1)^{p_i p_j}[f_j, [e_i, b']]
                 j, bprime = nn.word[1], nn.word[2]
-                out = {}
+                terms = []
                 if i == j:
                     c = fld.neg(weight_of(i, nodes[bprime].root))
-                    if not fld.is_zero(c):
-                        out = {neg_global[bprime]: c}
-                inner = mixed(mp, bprime)
-                if inner:
-                    t = bracket_elem_glob(neg_global[j], inner)
-                    sgn = fld.one
-                    if not p2 and spec.parities[i] and spec.parities[j]:
-                        sgn = minus_one
-                    out = el_add(fld, out, el_scale(fld, sgn, t))
+                    terms.append((c, {neg_global[bprime]: fld.one}))
+                sgn = minus_one if (not p2 and spec.parities[i] and spec.parities[j]) else fld.one
+                terms += [(fld.mul(sgn, c), glob_bracket(neg_global[j], b))
+                          for b, c in mixed(mp, bprime).items()]
+                out = el_sum(fld, terms)
         elif np_.word[0] == "sq":
             z = np_.word[1]
-            out = bracket_elem_glob(pos_global[z], mixed(z, mn))
+            out = el_sum(fld, [(c, glob_bracket(pos_global[z], b))
+                               for b, c in mixed(z, mn).items()])
         else:
+            # [[e_i, a'], y] = [e_i, [a', y]] - (-1)^{p(i)p(a')} [a', [e_i, y]]
             i, aprime = np_.word[1], np_.word[2]
-            t1 = bracket_elem_glob(pos_global[i], mixed(aprime, mn))
-            t2 = bracket_elem_glob(pos_global[aprime], mixed(i, mn))
-            sgn = fld.one
-            if not p2 and spec.parities[i] and nodes[aprime].parity:
-                sgn = minus_one
-            out = el_add(fld, t1, el_scale(fld, fld.neg(sgn), t2))
+            c2 = fld.one if (not p2 and spec.parities[i] and nodes[aprime].parity) else minus_one
+            terms = [(c, glob_bracket(pos_global[i], b)) for b, c in mixed(aprime, mn).items()]
+            terms += [(fld.mul(c2, c), glob_bracket(pos_global[aprime], b))
+                      for b, c in mixed(i, mn).items()]
+            out = el_sum(fld, terms)
         memo_mixed[key] = out
         return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -102,10 +103,18 @@ class CartanSpec:
 
 @dataclass
 class SymmetrizedForm:
+    """The symmetrized form B = diag(d) A on the lifts.  Over QQ it also
+    keeps B_int = den * B, integers, with den the lcm of B's denominators,
+    so root_ip takes one integer dot product per pair of roots and divides
+    by den once: the value is still exact over QQ, never reduced mod p.
+    Over QQ(a), B_int is None and root_ip uses the Field's ops."""
+
     spec: CartanSpec
     d: List[object]  # symmetrizer over QQ(a) lifts
     B: List[List[object]]  # symmetric matrix over QQ or QQ(a)
     field: Field  # the lift field (characteristic 0)
+    B_int: Optional[List[List[int]]] = None  # den * B over QQ
+    den: int = 1
 
 
 class UnsymmetrizableError(ValueError):
@@ -158,16 +167,25 @@ def symmetrize(spec: CartanSpec) -> SymmetrizedForm:
             d = [-x for x in d]
         d = [K0.from_int(int(x)) if x.denominator == 1 else x for x in d]
     B = [[K0.mul(d[i], A[i][j]) for j in range(n)] for i in range(n)]
-    return SymmetrizedForm(spec=spec, d=d, B=B, field=K0)
+    if spec.parametric:
+        return SymmetrizedForm(spec=spec, d=d, B=B, field=K0)
+    den = math.lcm(*(x.denominator for row in B for x in row))
+    B_int = [[int(x * den) for x in row] for row in B]
+    return SymmetrizedForm(spec=spec, d=d, B=B, field=K0, B_int=B_int, den=den)
 
 
 def root_ip(form: SymmetrizedForm, beta, gamma):
-    """Bilinear extension of B on integer root coordinates; never reduced mod p."""
+    """Bilinear extension of B on integer root coordinates; never reduced mod
+    p.  Over QQ one integer dot product with form.B_int, divided by
+    form.den: exact, a Fraction as on the Field path that QQ(a) takes."""
     cb, cg = tuple(beta), tuple(gamma)
     K0 = form.field
     n = form.spec.n
     if len(cb) != n or len(cg) != n:
         raise ValueError("root coordinate length mismatch")
+    if form.B_int is not None:
+        return Fraction(sum(x * sum(map(operator.mul, row, cg))
+                            for x, row in zip(cb, form.B_int) if x), form.den)
     acc = K0.zero
     for i in range(n):
         if cb[i] == 0:

@@ -4,15 +4,15 @@ homology, defect data, and fingerprint-based identification."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .build import BuildResult
 from .cartan import SymmetrizedForm, analyze_diagram, root_ip
-from .fields import field_for
-from .linalg import Echelon, Matrix, kernel_mod_image, mat_rank
-from .superalgebra import Element, Fingerprint, Superalgebra, el_add
+from .linalg import Matrix, kernel_mod_image, mat_rank
+from .superalgebra import Element, Fingerprint, Superalgebra, el_sum
 
 MAX_ORTHOGONAL_SETS = 5000  # isotropic_orthogonal_sets gives up beyond this many
 
@@ -169,10 +169,31 @@ def isotropic_odd_roots(b: BuildResult) -> List[Tuple[Tuple[int, ...], int]]:
     return sorted(seen.keys(), reverse=True)
 
 
+def _residual(span: Tuple[Tuple[int, List[int]], ...], v: List[int]) -> List[int]:
+    """The integer vector v reduced fraction-free by span, an echelon of
+    (pivot, primitive integer row) pairs in which each row is 0 at the
+    pivots of the rows before it: at each pivot, v becomes a v - c row with
+    a the row's pivot entry and c v's entry there.  It is 0 exactly when v
+    is in the QQ span of the rows, and otherwise it is divided by the gcd
+    of its entries."""
+    for piv, row in span:
+        c = v[piv]
+        if c:
+            a = row[piv]
+            v = [a * x - c * y for x, y in zip(v, row)]
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
     """Maximal sets of QQ-linearly-independent, pairwise QQ-orthogonal
     isotropic roots; orthogonality uses integer lifts, never mod p.  More
-    than MAX_ORTHOGONAL_SETS sets found is a DSError, not a partial answer."""
+    than MAX_ORTHOGONAL_SETS sets found is a DSError, not a partial answer.
+
+    Independence is decided on the integer roots themselves by fraction-free
+    elimination (_residual), which is exact over QQ without a Fraction:
+    a candidate is independent of a set when its residual by the set's
+    integer echelon is nonzero, and that residual is the row it adds."""
     roots = sorted(isotropic_odd_roots(b), reverse=True)
     K0 = form.field
     nr = len(roots)
@@ -181,29 +202,31 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
         for j in range(i + 1, nr):
             orth[i][j] = orth[j][i] = K0.is_zero(root_ip(form, roots[i], roots[j]))
 
-    QQ = field_for(0)
-    vecs = [{i: QQ.from_int(c) for i, c in enumerate(r) if c} for r in roots]
     maximal: List[Tuple[Tuple[int, ...], frozenset]] = []  # each set also as a frozenset
 
-    def extend(cur: Tuple[int, ...], span: Echelon, cand: List[int]):
-        """Grow cur, whose QQ span is span, by the candidates orthogonal to
-        it and independent of it.  The candidates are already orthogonal to
-        all of cur but its newest member."""
+    def extend(cur: Tuple[int, ...], span: tuple, cand: List[int]):
+        """Grow cur, whose integer echelon is span, by the candidates
+        orthogonal to it and independent of it.  The candidates are already
+        orthogonal to all of cur but its newest member."""
         if len(maximal) > MAX_ORTHOGONAL_SETS:
             raise DSError(f"{b.spec.key}: more than MAX_ORTHOGONAL_SETS = "
                           f"{MAX_ORTHOGONAL_SETS} maximal orthogonal isotropic sets")
-        ext = [c for c in cand if (not cur or orth[c][cur[-1]]) and not span.contains(vecs[c])]
+        ext = []
+        for c in cand:
+            if not cur or orth[c][cur[-1]]:
+                res = _residual(span, list(roots[c]))
+                if any(res):
+                    ext.append((c, res))
         if not ext:
             found = frozenset(cur)
             if cur and not any(found < mx for _, mx in maximal):
                 maximal.append((cur, found))
             return
-        for t, c in enumerate(ext):
-            grown = span.copy()
-            grown.add(vecs[c])
-            extend(cur + (c,), grown, ext[t + 1:])
+        for t, (c, res) in enumerate(ext):
+            piv = next(k for k, x in enumerate(res) if x)
+            extend(cur + (c,), span + ((piv, res),), [d for d, _ in ext[t + 1:]])
 
-    extend(tuple(), Echelon(QQ, b.n), list(range(nr)))
+    extend(tuple(), (), list(range(nr)))
     # deduplicate non-maximal leftovers
     maximal = [m for m, ms in maximal if not any(ms < m2 for _, m2 in maximal)]
     df = max((len(m) for m in maximal), default=0)
@@ -238,9 +261,7 @@ def homological_candidates(b: BuildResult, max_sets: Sequence = (), seed: int = 
             for sub in itertools.combinations(mset, size):
                 if not all(r in by_root for r in sub):
                     continue
-                el: Element = {}
-                for r in sub:
-                    el = el_add(f, el, by_root[r].element)
+                el = el_sum(f, [(f.one, by_root[r].element) for r in sub])
                 if is_homological(g, el) == "odd":
                     desc = "+".join(by_root[r].description for r in sub)
                     push(HomologicalElement(el, "orthogonal-root-sum", sub, desc))

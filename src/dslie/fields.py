@@ -304,6 +304,21 @@ class FunctionField(Field):
         c = n % self.p if self.p else Fraction(n)
         return RatFunc((c,) if c else (), (1,))
 
+    def canonical(self, num: Poly, den: Poly) -> RatFunc:
+        """RatFunc(num, den) when it is already in canonical form: every
+        coefficient in [0, p) (p > 0), no trailing zero, a nonempty monic
+        denominator and no common factor (den = 1 for 0).  A ValueError
+        otherwise."""
+        p = self.p
+        one = 1 % p if p else 1
+        if p and not all(0 <= c < p for c in num + den):
+            raise ValueError(f"coefficient outside [0, {p}) in {num}/{den}")
+        if (num and num[-1] == 0) or not den or den[-1] != one:
+            raise ValueError(f"not a reduced monic fraction: {num}/{den}")
+        if _pgcd(num, den, p) != (one,):
+            raise ValueError(f"common factor in {num}/{den}")
+        return RatFunc(num, den)
+
     def param(self, coeff: int = 1) -> RatFunc:
         """The transcendental generator a (times an integer coefficient)."""
         c = coeff % self.p if self.p else Fraction(coeff)

@@ -232,9 +232,6 @@ class Echelon:
         res, combo = self._reduce(self._clean(u))
         return dict(sorted(res.items())), combo
 
-    def contains(self, u: Element) -> bool:
-        return not self._reduce(self._clean(u))[0]
-
     def complete_with_units(self) -> List[int]:
         """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
         of those that were independent (a complement of the start span)."""

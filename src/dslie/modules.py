@@ -11,10 +11,10 @@ weight to kill the central combinations of the h_i, which is checked).
 
 A matrix of the action is held as sparse rows (a list of Elements, row t
 holding the coefficients of basis_t in the images of the basis vectors).
-The root vectors act through their words: a product combines rows with
-el_addmul, and a commutator or rho_x = sum_k c_k rho(b_k) adds rows and
-drops the zeros.  module_homology checks rho_x^2 = 0 on the sparse rows and
-hands them to linalg.kernel_mod_image.
+The root vectors act through their words: each row of a product, and of
+rho_x = sum_k c_k rho(b_k), is one el_sum of scaled rows, and a
+commutator combines rows with el_addmul.  module_homology checks
+rho_x^2 = 0 on the sparse rows and hands them to linalg.kernel_mod_image.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .build import BuildError, BuildResult, grading_rows, radical_step
 from .linalg import Matrix, kernel_mod_image, mat_nullspace
-from .superalgebra import Element, el_add, el_addmul, el_scale
+from .superalgebra import Element, el_addmul, el_sum
 
 
 @dataclass
@@ -93,11 +93,9 @@ class ModuleRep:
 
     def element_matrix(self, el: Element) -> List[Element]:
         """Sparse rows of rho_x = sum_k c_k rho(b_k) for x = {k: c_k}."""
-        fld = self.build.field
-        out: List[Element] = [{} for _ in range(self.dim)]
-        for k, c in el.items():
-            out = [el_addmul(fld, r1, c, r2) for r1, r2 in zip(out, self.action_matrix(k))]
-        return out
+        mats = [(c, self.action_matrix(k)) for k, c in el.items()]
+        return [el_sum(self.build.field, [(c, rows[t]) for c, rows in mats])
+                for t in range(self.dim)]
 
 
 def _h_value(b: BuildResult, lam: Sequence, a: int, t: Tuple[int, ...]):
@@ -118,13 +116,7 @@ def _diag(vals, fld) -> List[Element]:
 def _sparse_mul(fld, a: List[Element], b: List[Element]) -> List[Element]:
     """The product of two matrices held as sparse rows: row i of a.b is the
     sum of a[i][k] * b[k]."""
-    out = []
-    for row in a:
-        acc: Element = {}
-        for k, c in row.items():
-            acc = el_addmul(fld, acc, c, b[k])
-        out.append(acc)
-    return out
+    return [el_sum(fld, [(c, b[k]) for k, c in row.items()]) for row in a]
 
 
 def central_h_combinations(b: BuildResult) -> List[Element]:
@@ -184,21 +176,16 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
                 per_j: List[Element] = []
                 for j in range(n):
                     # e_j . (f_i . m) = delta_ij h_i . m + (-1)^{p_j p_i} f_i . (e_j . m)
-                    acc: Element = {}
-                    if j == i:
-                        c = _h_value(b, lam, i, degrees[m])
-                        if not fld.is_zero(c):
-                            acc = {m: c}
                     up = e_act[j].get(m, {})
-                    if up:
-                        moved: Element = {}
-                        for mm, c in up.items():
-                            moved = el_addmul(fld, moved, c, f_act[i].get(mm, {}))
-                        sgn = fld.one
-                        if fld.p != 2 and pars[j] and pars[i]:
-                            sgn = fld.neg(fld.one)
-                        acc = el_add(fld, acc, el_scale(fld, sgn, moved))
-                    per_j.append(acc)
+                    if not (up or j == i):
+                        per_j.append({})
+                        continue
+                    sgn = fld.one
+                    if fld.p != 2 and pars[j] and pars[i]:
+                        sgn = fld.neg(fld.one)
+                    terms = [(_h_value(b, lam, i, degrees[m]), {m: fld.one})] if j == i else []
+                    terms += [(fld.mul(sgn, c), f_act[i].get(mm, {})) for mm, c in up.items()]
+                    per_j.append(el_sum(fld, terms))
                 raises.append(per_j)
             flat_of: Dict[int, int] = {}  # candidate id -> basis index
             for ci, combo in enumerate(radical_step(fld, n, raises)):

@@ -3,12 +3,15 @@
 Everything is canonical JSON (sorted keys, fixed separators), so repeated
 runs produce identical bytes; the cache is keyed by a content digest of
 the Cartan data, the degree cap and the file format.  A cache entry that
-cannot be read or decoded, that names a basis index outside [0, dim), or
-whose algebra disagrees with the spec's expected sdim, is treated as a
-miss.  A cache directory that cannot be created or written, or an entry
-that cannot be written, is a CacheError that names the path; it is not a
-UsageError, so no caller takes it for a bad name, and the CLI reports it
-as a usage error.
+cannot be read or decoded, that names a basis index outside [0, dim),
+that holds a scalar not in canonical form (a GF(p) value outside [0, p),
+a K(a) value that is not a reduced fraction with a monic denominator) or
+a zero denominator, or whose algebra disagrees with the spec's expected
+sdim, is treated as a miss: it is rebuilt and overwritten.  A cache
+directory that cannot be created or written, or an entry that cannot be
+written, is a CacheError that names the path; it is not a UsageError, so
+no caller takes it for a bad name, and the CLI reports it as a usage
+error.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 
 from .build import BuildResult, _Node, parse_sdim
 from .cartan import CartanSpec
-from .fields import Field, RatFunc, field_for
+from .fields import Field, field_for
 from .superalgebra import Superalgebra
 
 CACHE_FORMAT = 1  # bump when the stored layout or the builder's output changes
@@ -41,22 +44,28 @@ def scalar_to_obj(fld: Field, x):
     return str(x)
 
 
-def scalar_from_obj(fld: Field, o):
-    if fld.spec.parametric:
-        if fld.p:
-            return RatFunc(tuple(int(c) for c in o[0]), tuple(int(c) for c in o[1]))
-        return RatFunc(tuple(Fraction(c) for c in o[0]), tuple(Fraction(c) for c in o[1]))
-    if fld.p:
-        return int(o)
-    return Fraction(o)
-
-
 def element_to_obj(fld: Field, el: dict) -> dict:
     return {str(k): scalar_to_obj(fld, v) for k, v in sorted(el.items())}
 
 
-def element_from_obj(fld: Field, o: dict) -> dict:
-    return {int(k): scalar_from_obj(fld, v) for k, v in o.items()}
+def elements_from_obj(fld: Field, objs: list) -> list:
+    """The elements of element_to_obj; a ValueError unless every scalar is
+    canonical: a GF(p) value in [0, p) (one check over all of objs), a
+    K(a) value as FunctionField.canonical takes it."""
+    p = fld.p
+    if fld.spec.parametric:
+        coeff = int if p else Fraction
+        return [{int(k): fld.canonical(tuple(map(coeff, v[0])), tuple(map(coeff, v[1])))
+                 for k, v in o.items()} for o in objs]
+    if not p:
+        return [{int(k): Fraction(v) for k, v in o.items()} for o in objs]
+    out = [{int(k): int(v) for k, v in o.items()} for o in objs]
+    values = set()
+    for el in out:
+        values.update(el.values())
+    if values and (min(values) < 0 or max(values) >= p):
+        raise ValueError(f"a GF({p}) value outside [0, {p})")
+    return out
 
 
 def superalgebra_to_dict(g: Superalgebra) -> dict:
@@ -84,21 +93,21 @@ def superalgebra_from_dict(o: dict) -> Superalgebra:
     bracket, a square or a Chevalley element is the Superalgebra
     constructor's ValueError."""
     fld = field_for(o["field"]["p"], o["field"]["parametric"])
+    stored = o["brackets"]
     brackets = {}
-    for key, v in o["brackets"].items():
+    for key, v in zip(stored, elements_from_obj(fld, list(stored.values()))):
         i, j = key.split(",")
-        brackets[(int(i), int(j))] = element_from_obj(fld, v)
+        brackets[(int(i), int(j))] = v
     squares = None
     if fld.p == 2:
-        squares = {int(i): element_from_obj(fld, v)
-                   for i, v in o.get("squares", {}).items()}
+        stored = o.get("squares", {})
+        squares = dict(zip(map(int, stored), elements_from_obj(fld, list(stored.values()))))
     weights = None
     if o.get("weights") is not None:
         weights = [tuple(w) if w is not None else None for w in o["weights"]]
     chev = None
     if o.get("chevalley") is not None:
-        chev = {k: [element_from_obj(fld, e) for e in v]
-                for k, v in o["chevalley"].items()}
+        chev = {k: elements_from_obj(fld, v) for k, v in o["chevalley"].items()}
     return Superalgebra(fld, o["labels"], o["parities"], brackets, squares,
                         weights, chevalley=chev)
 
@@ -185,7 +194,8 @@ def cache_load(cache_dir: Optional[str], spec: CartanSpec,
     try:
         with open(cache_path(cache_dir, spec, degree_cap)) as fh:
             b = build_result_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
+            ZeroDivisionError):
         return None  # unreadable, truncated or malformed: a miss, rebuilt and overwritten
     if spec.expected_sdim and b.sdim != parse_sdim(spec.expected_sdim)[0]:
         return None  # stale: the same check build_g_of_A makes

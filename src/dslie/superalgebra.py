@@ -14,6 +14,13 @@ map on the odd part.  Storage convention:
 Elements are sparse dicts {basis index: scalar} that never store a zero
 (linalg.Element, the one vector format of the elimination engine).
 Everything is immutable by convention: operations return new values.
+A sum of many scaled elements is one el_sum, which keeps one accumulator
+dict per call and chooses its kernel once: plain ints reduced mod p as
+they are added over GF(p), the Field's add and mul over QQ and K(a).
+bracket and square hand it every product of a coefficient pair with a
+stored constant (the sign of [b_i, b_j], i > j, on the coefficient), and
+the sums of build, modules, ds and audit go through it too; no partial
+sum is copied.  el_add and el_addmul are for one sum of two elements.
 
 Every subquotient goes through Superalgebra.subquotient, the only code that
 computes brackets and squares on a new basis: subalgebras, the sl, psl and
@@ -104,6 +111,28 @@ def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
         else:
             out[k] = s
     return out
+
+
+def el_sum(f: Field, terms: List[Tuple[object, Element]]) -> Element:
+    """The sum of c * v over the pairs (c, v) of terms, kept in one
+    accumulator dict: over GF(p) as plain ints (c may be any int), each
+    reduced mod p as it is added; over QQ and K(a) with the Field's add and
+    mul.  No zero is kept, and a key sits where it first appeared."""
+    if not terms:
+        return {}  # the commonest sum while g(A) is built
+    acc: dict = {}
+    if isinstance(f, PrimeField):
+        p = f.spec.p
+        for c, v in terms:
+            for k, x in v.items():
+                acc[k] = (acc[k] + c * x) % p if k in acc else c * x % p
+        zero = 0
+    else:
+        add, mul, zero = f.add, f.mul, zero_of(f)
+        for c, v in terms:
+            for k, x in v.items():
+                acc[k] = add(acc[k], mul(c, x)) if k in acc else mul(c, x)
+    return {k: s for k, s in acc.items() if s != zero} if zero in acc.values() else acc
 
 
 def _nonzero_values(values: dict, zero) -> dict:
@@ -220,7 +249,7 @@ class Superalgebra:
         label; in a matrix realization x<k> and h<k> name E<k>,<k+1> and
         E<k>,<k>."""
         f = self.field
-        out: Element = {}
+        terms = []
         for term in expr.replace(" ", "").split("+"):
             m = re.fullmatch(r"h(\d*)|x(\d+)", term)
             if m is None:
@@ -230,8 +259,8 @@ class Superalgebra:
             label = next((s for s in names if s in self.labels), None)
             if label is None:
                 raise UsageError(f"{term} names no basis element (no label {' or '.join(names)})")
-            out = el_add(f, out, {self.labels.index(label): f.one})
-        return out
+            terms.append((f.one, {self.labels.index(label): f.one}))
+        return el_sum(f, terms)
 
     # -- bracket and squaring ----------------------------------------------
 
@@ -260,14 +289,23 @@ class Superalgebra:
                 yield a, b, self.bracket_basis(a, b)
 
     def bracket(self, u: Element, v: Element) -> Element:
+        """[u, v], every product of a coefficient pair with a stored
+        constant summed by el_sum in one accumulator."""
         f = self.field
-        out: Element = {}
+        gfp = isinstance(f, PrimeField)
+        mul = operator.mul if gfp else f.mul
+        neg = operator.neg if gfp else f.neg
+        get, par, p2 = self.brackets.get, self.parities, f.p == 2
+        terms = []
         for i, a in u.items():
             for j, b in v.items():
-                w = self.bracket_basis(i, j)
+                w = get((i, j) if i <= j else (j, i))
                 if w:
-                    out = el_addmul(f, out, f.mul(a, b), w)
-        return out
+                    c = mul(a, b)
+                    if i > j and not p2 and not (par[i] and par[j]):
+                        c = neg(c)
+                    terms.append((c, w))
+        return el_sum(f, terms)
 
     def square(self, u: Element) -> Element:
         """s(u) for p = 2; u must have no even component."""
@@ -277,17 +315,18 @@ class Superalgebra:
         for k in u:
             if self.parities[k] == 0:
                 raise ValueError(f"square of element with even component {self.labels[k]}")
+        mul = operator.mul if isinstance(f, PrimeField) else f.mul
+        squares, get = self.squares or {}, self.brackets.get
         items = sorted(u.items())
-        out: Element = {}
+        terms = []
         for idx, (i, c) in enumerate(items):
-            sq = (self.squares or {}).get(i)
-            if sq:
-                out = el_addmul(f, out, f.mul(c, c), sq)
+            if i in squares:
+                terms.append((mul(c, c), squares[i]))
             for (j, d) in items[idx + 1:]:
-                w = self.brackets.get((i, j), {})
+                w = get((i, j))
                 if w:
-                    out = el_addmul(f, out, f.mul(c, d), w)
-        return out
+                    terms.append((mul(c, d), w))
+        return el_sum(f, terms)
 
     def ad_matrix(self, u: Element) -> List[Element]:
         """Sparse rows of ad_u = [u, .] in the basis: row m is {j: coefficient

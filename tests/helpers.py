@@ -1,17 +1,18 @@
 """Constructions that only the tests need: a basis change of a
 superalgebra, a polynomial in the generator of K(a), the conversions
 between elements and dense scalar lists, the dense-list Echelon that the
-engine is tested against, the transpose of a Matrix, the two-step sl, psl
-and g^(1)/c through a checked quotient by an ideal, and the dense
-references of the center, of the homology of a square-zero matrix and of
-a module."""
+engine is tested against, the term-by-term bracket and square that the
+accumulating ones are tested against, the transpose of a Matrix, the
+two-step sl, psl and g^(1)/c through a checked quotient by an ideal, and
+the dense references of the center, of the homology of a square-zero
+matrix and of a module."""
 
 from typing import List, Optional, Sequence, Tuple
 
 from dslie.classical import alternating_parities, gl
 from dslie.fields import Field, FunctionField, PrimeField, RationalField, UsageError
 from dslie.linalg import Echelon, Matrix, mat_nullspace, zero_of
-from dslie.superalgebra import GradedSpan, Superalgebra
+from dslie.superalgebra import GradedSpan, Superalgebra, el_addmul
 
 
 def el_from_dense(f: Field, vec: Sequence) -> dict:
@@ -92,10 +93,6 @@ class DenseEchelon:
     def reduce(self, vec: list) -> Tuple[list, dict]:
         return self._reduce_vec(vec)
 
-    def contains(self, vec: list) -> bool:
-        zero = self._zero
-        return all(x == zero for x in self._reduce_vec(vec)[0])
-
     def complete_with_units(self) -> List[int]:
         """Insert the unit vectors e_0, e_1, ... in turn; returns the indices
         of those that were independent (a complement of the start span)."""
@@ -153,6 +150,36 @@ class DenseEchelon:
 
 
 
+def bracket_reference(g: Superalgebra, u: dict, v: dict) -> dict:
+    """[u, v] one term at a time: el_addmul adds each product of a
+    coefficient pair with a basis bracket to a copy of the partial sum."""
+    f = g.field
+    out: dict = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            w = g.bracket_basis(i, j)
+            if w:
+                out = el_addmul(f, out, f.mul(a, b), w)
+    return out
+
+
+def square_reference(g: Superalgebra, u: dict) -> dict:
+    """s(u) at p = 2 one term at a time, as bracket_reference:
+    s(sum c_i x_i) = sum c_i^2 s(x_i) + sum_{i<j} c_i c_j [x_i, x_j]."""
+    f = g.field
+    items = sorted(u.items())
+    out: dict = {}
+    for idx, (i, c) in enumerate(items):
+        sq = (g.squares or {}).get(i)
+        if sq:
+            out = el_addmul(f, out, f.mul(c, c), sq)
+        for (j, d) in items[idx + 1:]:
+            w = g.brackets.get((i, j), {})
+            if w:
+                out = el_addmul(f, out, f.mul(c, d), w)
+    return out
+
+
 def transform_basis(g: Superalgebra, T: list) -> Superalgebra:
     """Pullback of the structure along an invertible parity-preserving map.
 
@@ -193,7 +220,7 @@ def center_rows_reference(g: Superalgebra) -> list:
 def _in_graded_span(g: Superalgebra, span: GradedSpan, u) -> bool:
     """Whether each parity part of u lies in the span's part of that parity."""
     parts = ({k: c for k, c in u.items() if g.parities[k] == par} for par in (0, 1))
-    return all(not part or ech.contains(part)
+    return all(not part or not ech.reduce(part)[0]
                for part, ech in zip(parts, (span.even, span.odd)))
 
 

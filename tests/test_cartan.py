@@ -1,12 +1,15 @@
 """Cartan data: symmetrization, root inner products, diagram analysis, catalog."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dslie.cartan import (CartanSpec, UnsymmetrizableError, analyze_diagram,
                           root_ip, symmetrize)
-from dslie.catalog import CatalogError, catalog_get
+from dslie.catalog import CatalogError, all_entries, catalog_get
 
 
 BRJ = [[0, -1], [-2, 1]]
@@ -120,3 +123,35 @@ def test_catalog_get():
 def test_indecomposable_required():
     with pytest.raises(ValueError):
         CartanSpec(key="dec", p=0, entries=[[2, 0], [0, 2]], parities=[0, 0])
+
+
+QQ_LIFT_SPECS = [e.spec() for e in all_entries() if not e.spec().parametric]
+
+
+def test_qq_lift_specs_cover_the_catalog():
+    # all but bgl(3;alpha), bgl(4;alpha) and osp(4|2;a) at p = 5, 7, 11
+    assert len(QQ_LIFT_SPECS) == len(all_entries()) - 5
+    assert all(symmetrize(s).B_int is not None for s in QQ_LIFT_SPECS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(QQ_LIFT_SPECS), data=st.data())
+def test_integer_root_ip_matches_the_field_path(spec, data):
+    """Over QQ root_ip is one integer dot product with B_int; the Field path
+    (B_int None, as over QQ(a)) gives the same Fraction on random integer
+    roots."""
+    form = symmetrize(spec)
+    field_form = dataclasses.replace(form, B_int=None)
+    root = st.lists(st.integers(-6, 6), min_size=spec.n, max_size=spec.n)
+    beta, gamma = data.draw(root, label="beta"), data.draw(root, label="gamma")
+    got = root_ip(form, beta, gamma)
+    assert got == root_ip(field_form, beta, gamma)
+    assert isinstance(got, Fraction)
+
+
+def test_parametric_form_keeps_the_field_path():
+    spec = catalog_get("osp(4|2;a)", 5).spec()
+    form = symmetrize(spec)
+    assert form.B_int is None
+    assert root_ip(form, (1, 1, 1), (1, 0, 1)) == form.field.add(
+        root_ip(form, (1, 0, 0), (1, 0, 1)), root_ip(form, (0, 1, 1), (1, 0, 1)))

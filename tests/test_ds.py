@@ -1,6 +1,10 @@
 """DS homology, candidates, defect machinery on the worked cases."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dslie import ds
 from dslie.cartan import root_ip, symmetrize
@@ -155,6 +159,25 @@ def test_isotropic_orthogonal_sets_match_the_rank_reference(ent, cache_dir):
     b = build_catalog_algebra(ent.key, ent.p, cache_dir=cache_dir)
     form = symmetrize(b.spec)
     assert isotropic_orthogonal_sets(b, form) == _reference_orthogonal_sets(b, form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(-6, 6), st.integers(-10**12, 10**12)),
+                         min_size=4, max_size=4), min_size=1, max_size=6))
+def test_integer_residual_decides_qq_independence(vectors):
+    """Each vector is independent of the ones before it exactly when its
+    fraction-free residual by their integer echelon is nonzero: the QQ rank
+    goes up by one.  Entries up to 10^12 need no modulus and no bound."""
+    span, rank = (), 0
+    for t, v in enumerate(vectors):
+        res = ds._residual(span, list(v))
+        new_rank = mat_rank(dense_matrix(QQ, [[QQ.from_int(c) for c in w]
+                                              for w in vectors[:t + 1]], 4))
+        assert any(res) == (new_rank == rank + 1)
+        if any(res):
+            assert math.gcd(*res) == 1
+            span += ((next(k for k, x in enumerate(res) if x), res),)
+        rank = new_rank
 
 
 def test_isotropic_orthogonal_sets_gl22_from_cartan():

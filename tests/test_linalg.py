@@ -263,7 +263,7 @@ def test_echelon_matches_the_dense_reference_on_sparse_rows(p, parametric, track
 
 
 def _check_against_dense(f, n, track, dense, data):
-    """add, reduce and contains on every vector, then a copy grown apart
+    """add and reduce on every vector, then a copy grown apart
     from its source, complete_with_units, and extend with its stop at full
     rank, against DenseEchelon.  The elements handed in may carry explicit
     zero coefficients."""
@@ -281,7 +281,6 @@ def _check_against_dense(f, n, track, dense, data):
             (res, combo), (ref_res, ref_combo) = ech.reduce(v), ref.reduce(vrow)
             _check_elements(f, [res], n)
             assert repr(el_to_dense(f, res, n)) == repr(ref_res) and combo == ref_combo
-            assert ech.contains(v) == ref.contains(vrow)
     _same(f, ech, ref)
 
     if vecs:

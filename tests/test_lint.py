@@ -3,7 +3,8 @@ and sits at module level, only linalg.py and superalgebra.py import numpy
 (and in linalg only the peel of the sparse GF(p) systems uses it), no
 module but linalg reads the private rows, kernels or entry points of its
 Echelon, no code outside Echelon's methods writes its rows, pivots or
-column index, every function, method and class it defines is named somewhere,
+column index, no loop copies a running sum through el_add or el_addmul,
+every function, method and class it defines is named somewhere,
 every CLI option is read by its command's handler, and every parameter
 with a default is set by some call.
 
@@ -250,6 +251,53 @@ def test_checker_sees_state_writes():
     assert state_writes(src, ROW_STATE, "Echelon") == [
         (3, "pivots"), (4, "_rows"), (5, "_combos"), (14, "_holders"), (15, "pivots"),
         (16, "_rows"), (17, "pivots"), (18, "_rows")]
+
+
+SUMMING = {"el_add", "el_addmul"}  # each returns a new dict: a copy of its first sum
+
+
+def running_sums(source: str):
+    """(line, name) of every assignment inside a loop (for or while) to a
+    name that its value both reads and passes through a call of el_add or
+    el_addmul: a running sum that copies its partial sum on every step."""
+    out = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            name = node.targets[0].id
+            sums = any(isinstance(c, ast.Call) and
+                       (c.func.id if isinstance(c.func, ast.Name) else
+                        getattr(c.func, "attr", None)) in SUMMING
+                       for c in ast.walk(node.value))
+            if sums and any(isinstance(n, ast.Name) and n.id == name
+                            for n in ast.walk(node.value)):
+                out.add((node.lineno, name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_running_sum_copies(module):
+    """A sum of many terms is one el_sum (or one accumulator dict), not a
+    loop that copies its partial sum through el_add or el_addmul on every
+    term: in bracket and square that copy was a quarter of the defect
+    sweep's time."""
+    with open(os.path.join(SRC, module)) as fh:
+        assert running_sums(fh.read()) == []
+
+
+def test_checker_sees_running_sums():
+    src = ("def f(fld, us, rows):\n    out = acc = {}\n    for u in us:\n"
+           "        out = el_add(fld, out, u)\n    acc = el_add(fld, out, out)\n"
+           "    while us:\n"
+           "        rows = [sa.el_addmul(fld, r, 1, v) for r, v in zip(rows, us.pop())]\n"
+           "        tmp = el_addmul(fld, acc, 1, out)\n"
+           "        acc = el_sum(fld, [(1, acc), (1, out)])\n"
+           "    return out, rows, tmp, acc\n")
+    assert running_sums(src) == [(4, "out"), (7, "rows")]
 
 
 def local_imports(source: str):

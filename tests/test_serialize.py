@@ -10,7 +10,7 @@ import pytest
 from dslie.build import build_g_of_A
 from dslie.cartan import CartanSpec
 from dslie.audit import _parse_weight_entry
-from dslie.catalog import all_entries, build_catalog_algebra
+from dslie.catalog import all_entries, build_catalog_algebra, catalog_get
 from dslie.modules import build_irreducible
 from dslie.serialize import (build_result_from_dict, build_result_to_dict,
                              cache_load, cache_path, cache_store, serialize_build,
@@ -182,4 +182,64 @@ def test_stale_cache_entry_is_rebuilt(tmp_path):
     assert cache_load(cd, spec, 40) is None
     rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
     assert serialize_build(rebuilt) == serialize_build(cold)
+    assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
+
+
+def _corrupt_first_scalar(path: str, value) -> None:
+    """Replace the first scalar of the first stored bracket of a cache entry."""
+    with open(path) as fh:
+        o = json.load(fh)
+    brackets = o["algebra"]["brackets"]
+    first = brackets[next(iter(brackets))]
+    first[next(iter(first))] = value
+    with open(path, "w") as fh:
+        json.dump(o, fh)
+
+
+@pytest.mark.parametrize("key,p,value", [
+    ("brj(2;5)", 5, 5),                    # GF(5) value equal to p
+    ("brj(2;5)", 5, -1),                   # GF(5) value below 0
+    ("bgl(3;alpha)", 2, [[1], []]),        # empty denominator
+    ("bgl(3;alpha)", 2, [[2], [1]]),       # GF(2) coefficient outside [0, 2)
+    ("bgl(3;alpha)", 2, [[1], [1, 0]]),    # trailing zero: not monic
+    ("bgl(3;alpha)", 2, [[0, 1], [0, 1]]),  # a/a: a common factor
+    ("bgl(3;alpha)", 2, [[], [0, 1]]),     # 0 over a, not over 1
+    ("osp(4|2;a)", 5, [[1], [2]]),         # non-monic denominator
+    ("osp(4|2;a)", 5, [[1, 5], [1]]),      # GF(5)(a) coefficient equal to p
+], ids=lambda v: str(v).replace(" ", ""))
+def test_cache_entry_with_a_non_canonical_scalar_is_rebuilt(tmp_path, key, p, value):
+    """A scalar that is not in canonical form would load as a wrong constant
+    (a GF(5) coefficient 5 is a nonzero constant that is 0 in the field,
+    and Jacobi fails); an empty denominator would load and answer.  Each
+    makes the entry a miss: it is rebuilt and overwritten, equal to a fresh
+    build."""
+    cd = str(tmp_path)
+    cold = build_catalog_algebra(key, p, cache_dir=cd)
+    path = cache_path(cd, cold.spec, 40)
+    _corrupt_first_scalar(path, value)
+    assert cache_load(cd, cold.spec, 40) is None
+    rebuilt = build_catalog_algebra(key, p, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    assert serialize_build(rebuilt) == serialize_build(build_catalog_algebra(key, p))
+    with open(path) as fh:
+        assert fh.read() == serialize_build(cold)
+
+
+@pytest.mark.parametrize("value", ["1/0", [["1/0"], ["1"]]], ids=["QQ", "QQ(a)"])
+def test_cache_entry_with_a_zero_denominator_is_a_miss(tmp_path, value):
+    """Fraction("1/0") is a ZeroDivisionError, which cache_load counts as a
+    miss like any other unreadable entry."""
+    cd = str(tmp_path)
+    if isinstance(value, list):  # the osp(4|2;a) matrix over QQ(a)
+        osp = catalog_get("osp(4|2;a)", 5).spec()
+        spec = CartanSpec(key="osp42a", p=0, entries=osp.entries, parities=osp.parities)
+    else:
+        spec = CartanSpec(key="gl22", p=0, entries=[[0, 1, 0], [1, 0, -1], [0, -1, 0]],
+                          parities=[1, 1, 1])
+    cold = build_g_of_A(spec, degree_cap=40)
+    path = cache_store(cd, spec, 40, cold)
+    assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
+    _corrupt_first_scalar(path, value)
+    assert cache_load(cd, spec, 40) is None
+    cache_store(cd, spec, 40, build_g_of_A(spec, degree_cap=40))
     assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)

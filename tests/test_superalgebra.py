@@ -1,12 +1,19 @@
 """Core superalgebra model: brackets, squaring, axioms, series, subquotients."""
 
-import pytest
+import functools
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, hei_odd, psl, sl
-from dslie.fields import field_for
+from dslie.fields import FunctionField, field_for
 from dslie.linalg import Echelon
 from dslie.superalgebra import Superalgebra, direct_sum
-from helpers import quotient_by_ideal_reference
+from helpers import bracket_reference, poly, quotient_by_ideal_reference, square_reference
+from test_subquotient import BUILDERS as SUBQUOTIENT_BUILDERS
 
 
 def test_gl11_supercommutator():
@@ -185,3 +192,117 @@ def test_hei_is_sl11():
     h = hei_odd(3)
     s = sl(1, 1, 3)
     assert h.fingerprint() == s.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# bracket and square in one accumulator against the term-by-term reference
+# ---------------------------------------------------------------------------
+
+CATALOG_STRUCTURES = {  # one catalog build per field of the differential test
+    "e(6,6) p=2": ("e(6,6)", 2),
+    "bgl(3;alpha) p=2": ("bgl(3;alpha)", 2),
+    "brj(2;3) p=3": ("brj(2;3)", 3),
+    "brj(2;5) p=5": ("brj(2;5)", 5),
+    "osp(4|2;a) p=5": ("osp(4|2;a)", 5),
+}
+STRUCTURES = sorted(CATALOG_STRUCTURES) + sorted(SUBQUOTIENT_BUILDERS) + ["gl(2|2) p=2"]
+P2_STRUCTURES = [s for s in STRUCTURES if "p=2" in s or s.startswith("p2 ")]
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(name: str) -> Superalgebra:
+    if name in CATALOG_STRUCTURES:
+        return build_catalog_algebra(*CATALOG_STRUCTURES[name]).algebra
+    if name == "gl(2|2) p=2":
+        return gl(2, 2, 2)
+    return SUBQUOTIENT_BUILDERS[name]()
+
+
+def _field_names() -> set:
+    out = set()
+    for name in STRUCTURES:
+        f = _structure(name).field
+        out.add((f.p, f.spec.parametric))
+    return out
+
+
+def test_differential_structures_cover_every_field():
+    assert {(2, False), (3, False), (5, False), (0, False), (2, True), (5, True)} <= _field_names()
+    assert P2_STRUCTURES == [s for s in STRUCTURES if _structure(s).field.p == 2]
+
+
+def _scalar(f, data):
+    """A random scalar of f, zero included: small integers over GF(p), a
+    quotient of small integers over QQ, a quotient of small polynomials over
+    K(a)."""
+    if isinstance(f, FunctionField):
+        coeffs = st.lists(st.integers(-2, 2), max_size=3)
+        num = poly(f, data.draw(coeffs, label="num"))
+        den = poly(f, data.draw(coeffs, label="den"))
+        return num if f.is_zero(den) else f.div(num, den)
+    n = f.from_int(data.draw(st.integers(-3, 3), label="n"))
+    return f.div(n, f.from_int(data.draw(st.integers(1, 3), label="d"))) if f.p == 0 else n
+
+
+def _dense(g: Superalgebra, data, parity=None) -> dict:
+    """A dense random element: a drawn coefficient at every basis index (of
+    the given parity), zeros left out."""
+    f = g.field
+    out = {}
+    for k in range(g.dim):
+        if parity is None or g.parities[k] == parity:
+            c = _scalar(f, data)
+            if not f.is_zero(c):
+                out[k] = c
+    return out
+
+
+def _check_no_zero(g: Superalgebra, w: dict) -> None:
+    assert all(not g.field.is_zero(c) for c in w.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(STRUCTURES), data=st.data())
+def test_bracket_matches_the_term_by_term_sum(name, data):
+    g = _structure(name)
+    u, v = _dense(g, data), _dense(g, data)
+    w = g.bracket(u, v)
+    assert w == bracket_reference(g, u, v)
+    _check_no_zero(g, w)
+    # every term of [u, u] meets its opposite for even u; at p = 2 every
+    # term comes twice, for any u, so each sum is 2c = 0 mod 2
+    even = {k: c for k, c in u.items() if g.parities[k] == 0}
+    assert g.bracket(even, even) == bracket_reference(g, even, even) == {}
+    if g.field.p == 2:
+        assert g.bracket(u, u) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(P2_STRUCTURES), data=st.data())
+def test_square_matches_the_term_by_term_sum(name, data):
+    g = _structure(name)
+    u = _dense(g, data, parity=1)
+    s = g.square(u)
+    assert s == square_reference(g, u)
+    _check_no_zero(g, s)
+
+
+def test_bracket_drops_a_sum_that_cancels_mod_p():
+    """[b_i + c2 b_i2, b_j] with c2 chosen so that the coefficient of some
+    b_m cancels mod p, though its integer products are nonzero: b_m is not
+    kept."""
+    g = build_catalog_algebra("brj(2;5)", 5).algebra
+    f = g.field
+    found = 0
+    for j in range(g.dim):
+        cols = [(i, g.bracket({i: f.one}, {j: f.one})) for i in range(g.dim)]
+        cols = [(i, w) for i, w in cols if w]
+        for (i, w), (i2, w2) in itertools.combinations(cols, 2):
+            for m in set(w) & set(w2):
+                c2 = f.neg(f.div(w[m], w2[m]))
+                u = {i: f.one, i2: c2}
+                got = g.bracket(u, {j: f.one})
+                assert m not in got
+                assert got == bracket_reference(g, u, {j: f.one})
+                found += 1
+    assert found > 10
