@@ -163,10 +163,7 @@ def single_root_candidates(b: BuildResult) -> List[HomologicalElement]:
 def isotropic_odd_roots(b: BuildResult) -> List[Tuple[Tuple[int, ...], int]]:
     """Positive odd roots whose root vectors square to zero (ground-field
     isotropy; this is the underline rule of the tables)."""
-    seen = {}
-    for h in single_root_candidates(b):
-        seen.setdefault(h.constituents[0], []).append(h)
-    return sorted(seen.keys(), reverse=True)
+    return sorted({h.constituents[0] for h in single_root_candidates(b)}, reverse=True)
 
 
 def _residual(span: Tuple[Tuple[int, List[int]], ...], v: List[int]) -> List[int]:
@@ -194,7 +191,7 @@ def isotropic_orthogonal_sets(b: BuildResult, form: SymmetrizedForm) -> dict:
     elimination (_residual), which is exact over QQ without a Fraction:
     a candidate is independent of a set when its residual by the set's
     integer echelon is nonzero, and that residual is the row it adds."""
-    roots = sorted(isotropic_odd_roots(b), reverse=True)
+    roots = isotropic_odd_roots(b)
     K0 = form.field
     nr = len(roots)
     orth = [[False] * nr for _ in range(nr)]

@@ -42,7 +42,7 @@ class ReferenceBank:
         m = re.fullmatch(r"osp\((\d+)\|(\d+)\)", name)
         if m:
             return classical.osp(int(m.group(1)), int(m.group(2)), p)
-        if name == "hei(0|2)" or name == "sl(1|1)":
+        if name == "hei(0|2)":
             return classical.hei_odd(p)
         m = re.fullmatch(r"K\^\{(\d+)\|(\d+)\}", name)
         if m:

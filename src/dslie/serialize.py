@@ -6,8 +6,10 @@ the Cartan data, the degree cap and the file format.  A cache entry that
 cannot be read or decoded, that names a basis index outside [0, dim),
 that holds a scalar not in canonical form (a GF(p) value outside [0, p),
 a K(a) value that is not a reduced fraction with a monic denominator) or
-a zero denominator, or whose algebra disagrees with the spec's expected
-sdim, is treated as a miss: it is rebuilt and overwritten.  A cache
+a zero denominator, whose algebra the Superalgebra constructor rejects,
+whose build data does not fit its algebra (build_result_from_dict), or
+whose algebra disagrees with the spec's expected sdim, is treated as a
+miss: it is rebuilt and overwritten.  A cache
 directory that cannot be created or written, or an entry that cannot be
 written, is a CacheError that names the path; it is not a UsageError, so
 no caller takes it for a bad name, and the CLI reports it as a usage
@@ -167,9 +169,14 @@ def build_result_to_dict(b: BuildResult) -> dict:
 
 
 def build_result_from_dict(o: dict) -> BuildResult:
+    """The build of build_result_to_dict; a ValueError unless its parts fit
+    the algebra: n is the spec's rank, dim = n + n_grading + 2 N for its N
+    positive roots, which are the weights and parities of x_1..x_N, the
+    Chevalley indices name the algebra's Chevalley elements, and each node
+    and order list has N entries."""
     spec = spec_from_dict(o["spec"])
     alg = superalgebra_from_dict(o["algebra"])
-    return BuildResult(
+    b = BuildResult(
         spec=spec, field=alg.field, algebra=alg, n=o["n"], n_grading=o["n_grading"],
         pos_roots=[(tuple(r), p) for r, p in o["pos_roots"]],
         chevalley={k: list(v) for k, v in o["chevalley"].items()},
@@ -177,6 +184,13 @@ def build_result_from_dict(o: dict) -> BuildResult:
         pos_nodes=[_node_from_obj(x) for x in o["pos_nodes"]],
         neg_nodes=[_node_from_obj(x) for x in o["neg_nodes"]],
         pos_order=o["pos_order"], neg_order=o["neg_order"])
+    N, nh, one = len(b.pos_roots), b.n + b.n_grading, alg.field.one
+    if (b.n != spec.n or nh + 2 * N != alg.dim or alg.weights is None
+            or b.pos_roots != list(zip(alg.weights[nh:], alg.parities[nh:nh + N]))
+            or {k: [{i: one} for i in v] for k, v in b.chevalley.items()} != alg.chevalley
+            or any(len(x) != N for x in (b.pos_nodes, b.neg_nodes, b.pos_order, b.neg_order))):
+        raise ValueError("build data that does not fit its algebra")
+    return b
 
 
 def serialize_build(b: BuildResult) -> str:

@@ -39,13 +39,11 @@ by a dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
 check_axioms verifies super Jacobi as ad_{[b_i,b_j]} = ad_i ad_j -
-s_ij ad_j ad_i for all pairs i <= j, every column at once, by contracting
-the stored structure constants: only nonzero paths are summed.  Over GF(p)
-the contraction is one pass of integer arrays (a join of the constants,
-one sort and np.add.reduceat per chunk of paths), and the Python pair loop
-runs only when some sum is nonzero, to name the failures exactly as
-before; over QQ and K(a) the pair loop is the whole check.  The
-constructor keeps every basis index in [0, dim).
+s_ij ad_j ad_i for all pairs i <= j, every column at once, by one
+contraction of the nonzero structure constants on every field
+(_failing_sums): its join and keys are integer arrays, only its sums
+depend on the field, and the failures are named from the keys of the
+nonzero sums.  The constructor keeps every basis index in [0, dim).
 
 invariant_forms solves the invariance equations of an even supersymmetric
 form, assembled from the nonzero structure constants on every field.  Over
@@ -57,11 +55,14 @@ integers, and the same triples are eliminated exactly (p = 0) in the same
 way.  Over K(a), and over QQ when a scaled constant could overflow int64,
 the equations are Field rows, one per nonzero equation in (i, j, k) order
 (see _form_equations), eliminated without that peeling (invariant_forms
-says why).
+says why).  The Jacobi check, the center and the forms read the constants
+through one cached reader, _constants.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import re
@@ -163,6 +164,28 @@ def _join(off: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return r, np.arange(r.size) + np.repeat(start - count.cumsum() + count, count)
 
 
+def _nonzero_sums(f: Field, first: np.ndarray, V: list, C: list, r: np.ndarray,
+                  s: np.ndarray, neg: Optional[np.ndarray]) -> np.ndarray:
+    """Over QQ and K(a), which of the sums of the terms +-V[r] C[s] are
+    nonzero: one mask entry per run of terms that starts where first is
+    set, a term negated where neg is (nowhere when neg is None).  Over QQ
+    the values are plain ints.  The K(a) constants take few distinct
+    values, so each product and each sum of two values is computed once."""
+    qq = isinstance(f, RationalField)
+    add, mul = ((operator.add, operator.mul) if qq
+                else (functools.lru_cache(maxsize=None)(op) for op in (f.add, f.mul)))
+    minus, zero = (operator.neg, 0) if qq else (f.neg, f.zero)
+    sums: List[object] = []
+    signs = neg.tolist() if neg is not None else [False] * r.size
+    for new, a, b, sign in zip(first.tolist(), r.tolist(), s.tolist(), signs):
+        term = minus(mul(V[a], C[b])) if sign else mul(V[a], C[b])
+        if new:
+            sums.append(term)
+        else:
+            sums[-1] = add(sums[-1], term)
+    return np.array([x != zero for x in sums], dtype=bool)
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Computable isomorphism-class proxy; equality is the matching criterion."""
@@ -204,10 +227,16 @@ class Superalgebra:
         self.squares = _nonzero_values(squares or {}, zero) if field.p == 2 else None
         self.weights = list(weights) if weights is not None else None
         self.chevalley = chevalley
-        self._mod_p: Optional[Tuple[np.ndarray, ...]] = None  # _constants_mod_p, once read
+        self._consts: Optional[tuple] = None  # _constants, once read
         n = len(labels)
         if len(parities) != n:
             raise ValueError("parity vector length mismatch")
+        if not set(self.parities) <= {0, 1}:
+            raise ValueError("a parity outside {0, 1}")
+        if len(set(self.labels)) != n:
+            raise ValueError("repeated basis labels")
+        if self.weights is not None and len(self.weights) != n:
+            raise ValueError("weight vector length mismatch")
         for (i, j) in self.brackets:
             if not (0 <= i <= j < n):
                 raise ValueError(f"bad bracket key {(i, j)}")
@@ -263,30 +292,6 @@ class Superalgebra:
         return el_sum(f, terms)
 
     # -- bracket and squaring ----------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> Element:
-        if i < j:
-            return self.brackets.get((i, j), {})
-        if i > j:
-            v = self.brackets.get((j, i))
-            if not v:
-                return {}
-            f = self.field
-            if f.p == 2:
-                return dict(v)
-            sign = f.one if (self.parities[i] and self.parities[j]) else f.neg(f.one)
-            return el_scale(f, sign, v)
-        # i == j
-        if self.field.p != 2 and self.parities[i] == 1:
-            return self.brackets.get((i, i), {})
-        return {}
-
-    def ordered_brackets(self):
-        """(a, b, [b_a, b_b]) for every nonzero bracket of two basis vectors,
-        both orders of each stored pair, the sign applied."""
-        for (i, j) in self.brackets:
-            for a, b in {(i, j), (j, i)}:
-                yield a, b, self.bracket_basis(a, b)
 
     def bracket(self, u: Element, v: Element) -> Element:
         """[u, v], every product of a coefficient pair with a stored
@@ -359,10 +364,6 @@ class Superalgebra:
         zero = zero_of(f)
         return [{j: v for j, v in row.items() if v != zero} for row in rows]
 
-    def _denominator_lcm(self) -> int:
-        """Over QQ, the lcm of the denominators of the structure constants."""
-        return math.lcm(1, *(c.denominator for v in self.brackets.values() for c in v.values()))
-
     # -- axioms --------------------------------------------------------------
 
     def check_axioms(self) -> List[str]:
@@ -371,11 +372,11 @@ class Superalgebra:
 
         First the parity and weight of every stored constant, then the super
         Jacobi rule on every pair i <= j, the square rule (p = 2) and the
-        cube rule (p = 3).  Over GF(p) one contraction of the stored
-        constants decides those rules (_rules_hold_mod_p), and the pair loop
-        (_rule_failures) runs only when some sum is nonzero, to name the
-        failures; over QQ and K(a) the pair loop is the whole check."""
+        cube rule (p = 3), from the keys of _failing_sums: each failing pair
+        at its least failing column, the cube rule at every odd b_k it fails
+        on, the square rule of each odd b_i at its least failing column."""
         f = self.field
+        n = self.dim
         bad: List[str] = []
         # parity and weight additivity of stored constants
         for (i, j), v in self.brackets.items():
@@ -386,7 +387,7 @@ class Superalgebra:
             if self.weights is not None:
                 wi, wj = self.weights[i], self.weights[j]
                 if wi is not None and wj is not None:
-                    wij = tuple(a + b for a, b in zip(wi, wj))
+                    wij = tuple(map(operator.add, wi, wj))
                     for k in v:
                         if self.weights[k] is not None and self.weights[k] != wij:
                             _note(bad, f"weight of [{self.labels[i]},{self.labels[j]}]")
@@ -400,16 +401,22 @@ class Superalgebra:
                     for k in v:
                         if self.weights[k] is not None and self.weights[k] != w2:
                             _note(bad, f"weight of s({self.labels[i]})")
-        if not (isinstance(f, PrimeField) and self._rules_hold_mod_p()):
-            self._rule_failures(bad)
+        last = None
+        for i, j, k in self._failing_sums():
+            if i == n and f.p == 3:  # the cube rule, keyed (n, 0): every column
+                _note(bad, f"[x,[x,x]] != 0 for odd {self.labels[k]}")
+            elif (i, j) != last:  # the least failing column of the pair
+                _note(bad, f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
+                      if i < n else
+                      f"[s(x),z] != [x,[x,z]] for x={self.labels[j]}, z={self.labels[k]}")
+            last = i, j
         return bad
 
-    def _rules_hold_mod_p(self) -> bool:
-        """Whether every sum of the super Jacobi rule, the square rule
-        (p = 2) and the cube rule (p = 3) is 0 over GF(p), from one
-        contraction of the stored constants C(a,b,m) (the arrays of
-        _constants_mod_p).  It sums exactly the paths that the pair loop of
-        _rule_failures sums.
+    def _failing_sums(self) -> List[Tuple[int, int, int]]:
+        """The sorted distinct (i, j, k) of the nonzero sums of the super
+        Jacobi rule on the pairs i <= j, the square rule (p = 2, keyed
+        (n, i)) and the cube rule (p = 3, keyed (n, 0)) at column k, from
+        one contraction of the constants C(a,b,m) of _constants.
 
         The sum of the pair i <= j at column k and component t is keyed
         ((i n + j) n + k) n + t.  Its terms are the products of two
@@ -425,24 +432,30 @@ class Superalgebra:
         constants C(n,i,l).  At p = 3 the paths C(i,i,l) C(i,l,t) also make
         the cube rule [b_i,[b_i,b_i]] = 0, keyed as the pair (n, 0) at
         column i.  The constructor keeps every index in [0, n), so keys do
-        not collide.  Each key is summed mod p after one sort, by
-        np.add.reduceat; a product of two constants is below p^2 <= 2^62
-        (FieldSpec caps p at 2^31), and it is reduced before the sum.
+        not collide.
+
+        Only the sums depend on the field.  Over GF(p) np.add.reduceat sums
+        each key mod p: a product of two constants is below p^2 <= 2^62
+        (FieldSpec caps p at 2^31), and it is reduced before the sum.  Over
+        QQ and K(a) _nonzero_sums takes one Python pass over the sorted
+        terms (over QQ in ints, which scales each sum by den^2).
 
         Every term takes its component t from the second constant, so the
         join runs over a run of components t at a time, with at most
         JACOBI_CHUNK paths unless one component alone has more: memory
         stays bounded on the largest builds."""
-        p, n = self.field.p, self.dim
+        f, n, p = self.field, self.dim, self.field.p
         if not self.brackets:
-            return True  # every ad_x is 0
-        A, B, M, C = self._constants_mod_p()
+            return []  # every ad_x is 0
+        A, B, M, C = self._constants()
         odd = np.array(self.parities, dtype=bool)
+        gfp = isinstance(f, PrimeField)
         X, Y, L, V = A, B, M, C  # the first constants C(x,y,l)
         if self.squares:
-            S = np.array([(n, i, l, c) for i, v in self.squares.items() for l, c in v.items()],
-                         dtype=np.int64).T
-            X, Y, L, V = (np.concatenate(z) for z in zip((A, B, M, C), S))
+            S = np.array([(n, i, l) for i, v in self.squares.items() for l in v], dtype=np.int64).T
+            X, Y, L = (np.concatenate(z) for z in zip((A, B, M), S))
+            sv = [c for v in self.squares.values() for c in v.values()]
+            V = np.concatenate([C, sv]) if gfp else C + sv
         by_l = B.argsort(kind="stable")  # the second constants C(u,l,t), by l
         chunks = [by_l]
         if L.size * B.size > JACOBI_CHUNK:  # there may be more paths than that
@@ -456,100 +469,59 @@ class Superalgebra:
             bounds.append(n)
             t = M[by_l]
             chunks = [by_l[(t >= lo) & (t < hi)] for lo, hi in zip(bounds, bounds[1:])]
+        found = []
         for R in chunks:
             r, s = _join(np.bincount(B[R] + 1, minlength=n + 1).cumsum(), L)
             s = R[s]
             x, y, u, t = X[r], Y[r], A[s], M[s]
-            v = V[r] * C[s] % p
-            # the three readings of each path as keys (i, j, k, t), kept on i <= j
+            # the three readings of each path as keys (i, j, k, t), kept on
+            # i <= j; where both are odd, sigma (first) is 1 and s_ij (third)
+            # is -1, and the second reading is negated
             if p == 2:
                 diag = x == u
                 i = np.concatenate([x, u, np.where(diag, n, x)])
                 keep = np.concatenate([(x < y) | (x == n), (u < x) & (x < n), (x < u) | diag & odd[u]])
-                vals = np.concatenate([v, v, v])
+                both = None
             else:
                 i = np.concatenate([x, u, x])
                 keep = np.concatenate([x <= y, u <= x, x <= u])
-                vals = np.concatenate([np.where(odd[B[s]] & odd[u], v, -v), -v,
-                                       np.where(odd[x] & odd[u], -v, v)])
+                both = odd[B[s]] & odd[u], odd[x] & odd[u]
             j, k = np.concatenate([y, x, u]), np.concatenate([u, y, y])
-            key = (((i * n + j) * n + k) * n + np.concatenate([t, t, t]))[keep]
-            vals = vals[keep]
+            key = ((i * n + j) * n + k) * n + np.concatenate([t, t, t])
+            # per term: its signed value over GF(p), else its path and sign
+            base = V[r] * C[s] % p if gfp else np.arange(r.size)
+            terms, neg = [base, base, base], None
+            if both is not None and gfp:
+                minus = -base
+                terms = [np.where(both[0], base, minus), minus, np.where(both[1], minus, base)]
+            elif both is not None:
+                neg = np.concatenate([~both[0], np.ones(base.size, dtype=bool), both[1]])
+            key, per = key[keep], np.concatenate(terms)[keep]
+            if neg is not None:
+                neg = neg[keep]
             if p == 3:
                 cube = ((x == u) & (y == x)).nonzero()[0]
                 key = np.concatenate([key, (n ** 3 + x[cube]) * n + t[cube]])
-                vals = np.concatenate([vals, v[cube]])
+                per = np.concatenate([per, base[cube]])
+                if neg is not None:
+                    neg = np.concatenate([neg, np.zeros(cube.size, dtype=bool)])
             order = key.argsort()
-            key = key[order]
+            key, per = key[order], per[order]
             first = np.ones(key.size, dtype=bool)
             np.not_equal(key[1:], key[:-1], out=first[1:])
-            if (np.add.reduceat(vals[order], first.nonzero()[0]) % p).any():
-                return False
-        return True
-
-    def _rule_failures(self, bad: List[str]) -> None:
-        """check_axioms' rules pair by pair, noted in bad: super Jacobi as
-        ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for all pairs i <= j, on
-        every column at once; at p = 2 the square rule ad_{s(b_i)} = ad_i^2
-        for odd b_i; at p = 3 the cube rule [x,[x,x]] = 0 for odd x."""
-        f = self.field
-        n = self.dim
-        # The sums run over the nonzero paths of the stored constants:
-        # ad[i][k] = [b_i, b_k].  Over GF(p) and QQ they run in Python
-        # integers, reduced mod p once; over QQ every constant is scaled by
-        # the lcm of the denominators, which keeps the identity since each
-        # of its terms is a product of two.
-        qq = isinstance(f, RationalField)
-        native = qq or isinstance(f, PrimeField)
-        den = self._denominator_lcm() if qq else 1
-        ad: List[Dict[int, Element]] = [{} for _ in range(n)]
-        for a, b, w in self.ordered_brackets():
-            ad[a][b] = {m: int(c * den) for m, c in w.items()} if qq else w
-        add, mul = (operator.add, operator.mul) if native else (f.add, f.mul)
-        zero, one, minus = (0, 1, -1) if native else (f.zero, f.one, f.neg(f.one))
-        p = f.p if native else 0
-
-        def first_failure(lhs: Element, terms) -> Optional[int]:
-            """Least column k where ad_lhs - sum c ad_x ad_y is nonzero, over
-            the terms (x, y, c)."""
-            acc: Dict[Tuple[int, int], object] = {}
-            for m, c in lhs.items():
-                for k, w in ad[m].items():
-                    for t, e in w.items():
-                        acc[k, t] = add(acc.get((k, t), zero), mul(c, e))
-            for x, y, c in terms:
-                for k, w in ad[y].items():
-                    for l, d in w.items():
-                        for t, e in ad[x].get(l, {}).items():
-                            acc[k, t] = add(acc.get((k, t), zero), mul(c, mul(d, e)))
-            return min((k for (k, _), v in acc.items() if (v % p if p else v != zero)),
-                       default=None)
-
-        for i in range(n):
-            for j in range(i, n):
-                if not ad[i] or not ad[j]:
-                    continue  # ad_i or ad_j is 0, and so is [b_i, b_j]
-                s_ij = minus if (self.parities[i] and self.parities[j] and f.p != 2) else one
-                k = first_failure(ad[i].get(j, {}), [(i, j, minus), (j, i, s_ij)])
-                if k is not None:
-                    _note(bad, f"Jacobi failure at ({self.labels[i]},{self.labels[j]},{self.labels[k]})")
-                if len(bad) >= MAX_VIOLATIONS:
-                    return
-
-        if f.p == 3:
-            for i in range(n):
-                if self.parities[i] == 1:
-                    xx = self.bracket_basis(i, i)
-                    if self.bracket({i: f.one}, xx):
-                        _note(bad, f"[x,[x,x]] != 0 for odd {self.labels[i]}")
-
-        if f.p == 2:
-            for i in range(n):
-                if self.parities[i] != 1:
-                    continue
-                k = first_failure((self.squares or {}).get(i, {}), [(i, i, minus)])
-                if k is not None:
-                    _note(bad, f"[s(x),z] != [x,[x,z]] for x={self.labels[i]}, z={self.labels[k]}")
+            starts = first.nonzero()[0]
+            if gfp:
+                sums = np.add.reduceat(per, starts) % p
+            else:
+                neg = None if neg is None else neg[order]
+                sums = _nonzero_sums(f, first, V, C, r[per], s[per], neg)
+            if sums.any():
+                found.append(key[starts[sums != 0]])
+        if not found:
+            return []
+        ijk = np.unique(np.concatenate(found) // n)
+        i, jk = np.divmod(ijk, n * n)
+        return list(zip(i.tolist(), *(z.tolist() for z in np.divmod(jk, n))))
 
     # -- subspaces ------------------------------------------------------------
 
@@ -570,16 +542,17 @@ class Superalgebra:
         """Kernel of the joint adjoint action, as elements: one equation
         sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
         brackets.  Over GF(p) the constants go to linalg.nullspace_mod_p as
-        they are stored, one (equation, variable, value) triple each."""
+        they are stored, one (equation, variable, value) triple each; over
+        QQ (scaled to integers, which leaves the nullspace unchanged) and
+        K(a) they are Field rows."""
         f = self.field
         n = self.dim
         if isinstance(f, PrimeField):
-            A, B, M, C = self._constants_mod_p()
+            A, B, M, C = self._constants()
             return nullspace_mod_p(f.p, n, B * n + M, A, C)
         rows: Dict[Tuple[int, int], Element] = {}
-        for a, b, w in self.ordered_brackets():
-            for m, c in w.items():
-                rows.setdefault((b, m), {})[a] = c
+        for a, b, m, c in self._field_constants():
+            rows.setdefault((b, m), {})[a] = c
         return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
 
     # -- series, flags, fingerprint -------------------------------------------
@@ -638,15 +611,17 @@ class Superalgebra:
         {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         f = self.field
         pairs = self._form_pairs()
-        if isinstance(f, (PrimeField, RationalField)) and self._constants_mod_p() is not None:
+        if isinstance(f, PrimeField) or (isinstance(f, RationalField)
+                                         and not any(abs(c) >> 62 for c in self._constants()[3])):
             sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
         else:
             # QQ here only when a scaled constant could overflow int64
-            # (_constants_mod_p).  K(a) keeps every nonzero equation, repeats
-            # included, with no peeling of forced-zero variables and no
-            # deduplication, for the reason its row updates visit every
-            # column (linalg's module docstring): made faster, the bgl(4;a)
-            # defect op would set the defect-sweep latency tail.
+            # (_form_equations_mod_p says why 2^62).  K(a) keeps every
+            # nonzero equation, repeats included, with no peeling of
+            # forced-zero variables and no deduplication, for the reason its
+            # row updates visit every column (linalg's module docstring):
+            # made faster, the bgl(4;a) defect op would set the defect-sweep
+            # latency tail.
             sols = mat_nullspace(self._form_equations(pairs))
         return self._forms_of(pairs, sols)
 
@@ -703,82 +678,93 @@ class Superalgebra:
             row = eqs.setdefault(e, {})
             row[t] = f.add(row[t], c) if t in row else c
 
-        for a, b, w in self.ordered_brackets():
-            for m, c in w.items():
-                cs = (c, f.neg(c))  # cs[s] is (-1)^s c
-                for k, t, neg in right[m]:
-                    put((a * n + b) * n + k, t, cs[neg])
-                for l, t, neg in left[m]:
-                    put((l * n + a) * n + b, t, cs[not neg])
+        for a, b, m, c in self._field_constants():
+            cs = (c, f.neg(c))  # cs[s] is (-1)^s c
+            for k, t, neg in right[m]:
+                put((a * n + b) * n + k, t, cs[neg])
+            for l, t, neg in left[m]:
+                put((l * n + a) * n + b, t, cs[not neg])
         if f.p == 2:  # the square equation (i, k) is n^3 + i n + k; no sign
             for i in (i for i in range(n) if self.parities[i]):
                 for m, c in self.squares.get(i, {}).items():
                     for k, t, _ in right[m]:
                         put(n ** 3 + i * n + k, t, c)
-                for k in range(n):  # b_m in [b_i, [b_i, b_k]]
-                    for m, c in self.bracket({i: f.one}, self.bracket_basis(i, k)).items():
+                for k in range(n):  # b_m in [b_i, [b_i, b_k]]; no sign at p = 2
+                    ik = self.brackets.get((min(i, k), max(i, k)), {})
+                    for m, c in self.bracket({i: f.one}, ik).items():
                         if (i, m) in var:
                             put(n ** 3 + i * n + k, var[i, m][0], f.neg(c))
         rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
         return Matrix(f, [r for r in rows if r], ncols=len(pairs))
 
-    def _constants_mod_p(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """The entries of ordered_brackets as four int64 arrays (a, b, m, c),
-        read from the stored pairs a <= b in one pass; the other order gets
-        its sign here, [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at
-        p = 2).  Over GF(p) c = C[a,b,m] mod p up to that sign (|c| < p);
-        over QQ c = den C[a,b,m], an exact integer, with den the lcm of the
-        denominators (the invariance equations are linear in the constants,
-        so the scale leaves their solutions unchanged).
-
-        Over QQ the answer is None when some |c| >= 2^62: one (equation,
-        variable) entry of the invariance equations (_form_equations_mod_p)
-        sums at most two constants, so below that bound no sum leaves int64.
-        Equation (i, j, k) at the variable of B_ab = B_ba gets C[i,j,m] from
-        B(b_m, b_k) only for the one m with {m, k} = {a, b}, and -C[j,k,m]
-        from B(b_i, b_m) only for the one m with {i, m} = {a, b}; each
-        ordered constant is one entry of these arrays, and over QQ there is
-        no square equation.
-
-        The arrays are read once and kept, read-only: the algebra is
-        immutable by convention, and check_axioms, the center and the forms
-        all read them."""
-        if self._mod_p is not None:
-            return self._mod_p
+    def _constants(self) -> tuple:
+        """The nonzero structure constants C[a,b,m] of both orders (a, b) of
+        every stored pair: int64 index arrays a, b, m and the values, the
+        other order signed here, [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b]
+        (no sign at p = 2).  The values are an int64 array over GF(p), C mod
+        p up to that sign; Python ints den C over QQ, den the lcm of the
+        denominators, which changes no answer (the center and invariance
+        equations are linear in C, each Jacobi term a product of two); the
+        Field's values over K(a).  Read once and kept, read-only: the
+        algebra is immutable by convention."""
+        if self._consts is not None:
+            return self._consts
         f = self.field
-        if f.p:
-            flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
-                    for x in (i, j, m, c)]
+        flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
+                for x in (i, j, m, c)]
+        if isinstance(f, PrimeField):
+            I, J, M, C = np.array(flat, dtype=np.int64).reshape(-1, 4).T
         else:
-            den = self._denominator_lcm()
-            flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
-                    for x in (i, j, m, c.numerator * (den // c.denominator))]
-            if any(abs(c) >> 62 for c in flat[3::4]):
-                return None
-        I, J, M, C = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+            I, J, M = (np.array(flat[k::4], dtype=np.int64) for k in range(3))
+            C = flat[3::4]
         two = I != J
-        flip = C[two]
-        if f.p != 2:
-            odd = np.array(self.parities, dtype=bool)
-            flip = np.where(odd[I[two]] & odd[J[two]], flip, -flip)
+        odd = np.array(self.parities, dtype=bool)
+        keep = None if f.p == 2 else (odd[I] & odd[J])[two]  # the other order keeps its sign
+        if isinstance(f, PrimeField):
+            flip = C[two]
+            C = np.concatenate([C, flip if keep is None else np.where(keep, flip, -flip)])
+            C.flags.writeable = False
+        else:
+            if isinstance(f, RationalField):
+                den = math.lcm(1, *(c.denominator for c in C))
+                C = [c.numerator * (den // c.denominator) for c in C]
+            neg = operator.neg if isinstance(f, RationalField) else f.neg
+            flip = itertools.compress(C, two.tolist())
+            C = C + (list(flip) if keep is None else
+                     [c if k else neg(c) for c, k in zip(flip, keep.tolist())])
         out = (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
-               np.concatenate([M, M[two]]), np.concatenate([C, flip]))
+               np.concatenate([M, M[two]]))
         for x in out:
             x.flags.writeable = False
-        self._mod_p = out
-        return out
+        self._consts = out + (C,)
+        return self._consts
+
+    def _field_constants(self):
+        """The entries of _constants as (a, b, m, c), c a Field value (over
+        QQ the scaled constant as a Fraction)."""
+        A, B, M, C = self._constants()
+        f = self.field
+        if not f.spec.parametric:
+            C = map(f.from_int, C.tolist() if isinstance(C, np.ndarray) else C)
+        return zip(A.tolist(), B.tolist(), M.tolist(), C)
 
     def _form_equations_mod_p(self, pairs: List[Tuple[int, int]]
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The equations of _form_equations as integer COO triples (equation,
         variable, value) for linalg.nullspace_mod_p, which sums them mod p
         over GF(p) and exactly over QQ (p = 0), from the constants of
-        _constants_mod_p (over QQ scaled to integers).
+        _constants (over QQ scaled to integers).
 
         Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
         B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
         equation (l, i, j), for every k and l; entries at an entry of B
-        that is 0 by parity are left out."""
+        that is 0 by parity are left out.
+
+        Over QQ the caller takes this path only when every scaled |c| is
+        below 2^62: one (equation, variable) entry sums at most two
+        constants, C[i,j,m] from B(b_m, b_k) for the one m with {m, k} =
+        {a, b} and -C[j,k,m] from B(b_i, b_m) for the one m with {i, m} =
+        {a, b} at B_ab = B_ba (over QQ there is no square equation)."""
         f = self.field
         n, nv = self.dim, len(pairs)
         if not self.brackets and not self.squares:  # abelian: no equation
@@ -790,7 +776,8 @@ class Superalgebra:
         if f.p != 2:  # B_ji = -B_ij for odd i < j
             odd = np.array(self.parities)[lo] == 1
             sgn[hi[odd], lo[odd]] = -1
-        I, J, M, C = self._constants_mod_p()
+        I, J, M, C = self._constants()
+        C = np.asarray(C, dtype=np.int64)
         ks = np.arange(n)
         # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
         # equation (i, k) is row n^3 + i n + k

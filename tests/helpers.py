@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from dslie.classical import alternating_parities, gl
 from dslie.fields import Field, FunctionField, PrimeField, RationalField, UsageError
 from dslie.linalg import Echelon, Matrix, mat_nullspace, zero_of
-from dslie.superalgebra import GradedSpan, Superalgebra, el_addmul
+from dslie.superalgebra import GradedSpan, Superalgebra, el_addmul, el_scale
 
 
 def el_from_dense(f: Field, vec: Sequence) -> dict:
@@ -157,7 +157,7 @@ def bracket_reference(g: Superalgebra, u: dict, v: dict) -> dict:
     out: dict = {}
     for i, a in u.items():
         for j, b in v.items():
-            w = g.bracket_basis(i, j)
+            w = bracket_basis(g, i, j)
             if w:
                 out = el_addmul(f, out, f.mul(a, b), w)
     return out
@@ -205,15 +205,36 @@ def poly(f: FunctionField, coeffs) -> object:
     return out
 
 
+def bracket_basis(g: Superalgebra, i: int, j: int) -> dict:
+    """[b_i, b_j] read straight from the stored constants, the sign of
+    super-anticommutativity applied for i > j (the library brackets two
+    unit vectors with Superalgebra.bracket)."""
+    if i < j:
+        return g.brackets.get((i, j), {})
+    if i > j:
+        v = g.brackets.get((j, i))
+        if not v:
+            return {}
+        f = g.field
+        if f.p == 2:
+            return dict(v)
+        sign = f.one if (g.parities[i] and g.parities[j]) else f.neg(f.one)
+        return el_scale(f, sign, v)
+    if g.field.p != 2 and g.parities[i] == 1:
+        return g.brackets.get((i, i), {})
+    return {}
+
+
 def center_rows_reference(g: Superalgebra) -> list:
     """The center as mat_nullspace of Field rows, one equation
     sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m) in increasing order (the
     library's center_rows hands the stored constants to
     linalg.nullspace_mod_p over GF(p))."""
     rows = {}
-    for a, b, w in g.ordered_brackets():
-        for m, c in w.items():
-            rows.setdefault((b, m), {})[a] = c
+    for (i, j) in g.brackets:
+        for a, b in {(i, j), (j, i)}:
+            for m, c in bracket_basis(g, a, b).items():
+                rows.setdefault((b, m), {})[a] = c
     return mat_nullspace(Matrix(g.field, [rows[km] for km in sorted(rows)], ncols=g.dim))
 
 

@@ -3,20 +3,22 @@
 Superalgebra.check_axioms checks the super Jacobi identity as
 ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for every pair i <= j, on all
 columns at once, with the square rule ad_{s(b_i)} = ad_i^2 at p = 2 and
-the cube rule [x,[x,x]] = 0 at p = 3.  Over GF(p) one integer-array
-contraction of the stored structure constants decides the rules, and the
-pair loop that contracts them in Python runs only when it finds a nonzero
-sum, to name the failures; over QQ and K(a) the pair loop is the whole
-check.  The reference below is the earlier algorithm: for each pair it
-brackets basis triples column by column through Superalgebra.bracket.
-Both must agree exactly, on valid algebras and on algebras with one
-structure constant or one square flipped (fixed mutants over five kinds of
-field, and random flips over GF(2), GF(3), GF(5), GF(7) and GF(11)), with
-the contraction in one step or in the smallest chunks.
+the cube rule [x,[x,x]] = 0 at p = 3.  One contraction of the stored
+structure constants decides the rules on every field: its join and keys
+are integer arrays, and only its sums depend on the field (integer arrays
+mod p over GF(p), one Python pass over QQ and K(a)); the failures are
+named from the keys of its nonzero sums.  The reference below is the
+earlier algorithm: for each pair it brackets basis triples column by
+column through Superalgebra.bracket.  Both must agree exactly, on valid
+algebras and on algebras with one structure constant or one square
+flipped (fixed mutants over five kinds of field, and random flips over
+GF(2), GF(3), GF(5), GF(7), GF(11), QQ, GF(2)(a) and GF(5)(a)), with the
+contraction in one step or in the smallest chunks.
 """
 
 import functools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from dslie.classical import gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
 from dslie.superalgebra import MAX_VIOLATIONS, Superalgebra, el_add, el_scale
+from helpers import bracket_basis, poly
 from test_subquotient import BUILDERS, _transformed
 
 
@@ -66,16 +69,16 @@ def reference_check(g: Superalgebra) -> list:
                     if g.weights[k] is not None and g.weights[k] != w2:
                         note(f"weight of s({g.labels[i]})")
 
-    support = [[k for k in range(n) if g.bracket_basis(i, k)] for i in range(n)]
+    support = [[k for k in range(n) if bracket_basis(g, i, k)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            vij = g.bracket_basis(i, j)
+            vij = bracket_basis(g, i, j)
             ks = set(range(n)) if vij else set(support[i]) | set(support[j])
             sign = f.neg(f.one) if (g.parities[i] and g.parities[j] and f.p != 2) else f.one
             for k in sorted(ks):
                 lhs = g.bracket(vij, {k: f.one})
-                t1 = g.bracket({i: f.one}, g.bracket_basis(j, k))
-                t2 = g.bracket({j: f.one}, g.bracket_basis(i, k))
+                t1 = g.bracket({i: f.one}, bracket_basis(g, j, k))
+                t2 = g.bracket({j: f.one}, bracket_basis(g, i, k))
                 # [[i,j],k] = [i,[j,k]] - (-1)^{p_i p_j} [j,[i,k]]
                 if minus(lhs, minus(t1, el_scale(f, sign, t2))):
                     note(f"Jacobi failure at ({g.labels[i]},{g.labels[j]},{g.labels[k]})")
@@ -84,7 +87,7 @@ def reference_check(g: Superalgebra) -> list:
                 return bad
     if f.p == 3:
         for i in range(n):
-            if g.parities[i] == 1 and g.bracket({i: f.one}, g.bracket_basis(i, i)):
+            if g.parities[i] == 1 and g.bracket({i: f.one}, bracket_basis(g, i, i)):
                 note(f"[x,[x,x]] != 0 for odd {g.labels[i]}")
     if f.p == 2:
         for i in range(n):
@@ -93,7 +96,7 @@ def reference_check(g: Superalgebra) -> list:
             si = (g.squares or {}).get(i, {})
             for k in range(n):
                 lhs = g.bracket(si, {k: f.one})
-                if minus(lhs, g.bracket({i: f.one}, g.bracket_basis(i, k))):
+                if minus(lhs, g.bracket({i: f.one}, bracket_basis(g, i, k))):
                     note(f"[s(x),z] != [x,[x,z]] for x={g.labels[i]}, z={g.labels[k]}")
                     break
     return bad
@@ -214,7 +217,10 @@ def test_square_rule_alone_is_reported():
 
 
 # algebras for the random flips: homologies and small builds over GF(2),
-# GF(3), GF(5), GF(7) and GF(11)
+# GF(3), GF(5), GF(7), GF(11), QQ, GF(2)(a) and GF(5)(a).  The x1 homology
+# of osp(4|2;a) at p = 5 is 1|0 with no bracket, so no flip can be drawn on
+# it; the build itself stands for GF(5)(a).  The transformed bgl(3;alpha)
+# has nonzero squares, so each of its flips sums square paths over K(a).
 FLIP_POOL = {
     "e(7,7)/p2 x1+x3": lambda c: _homology("e(7,7)", 2, "x1+x3", c),
     "e(6,1)/p2 x1": lambda c: _homology("e(6,1)", 2, "x1", c),
@@ -231,6 +237,13 @@ FLIP_POOL = {
     "sl(2|1)/p7": lambda c: sl(2, 1, 7),
     "ab(3)/p11 x1": lambda c: _homology("ab(3)", 11, "x1", c),
     "osp(3|2)/p11": lambda c: osp(3, 2, 11),
+    "gl(2|1)/p0": lambda c: gl(2, 1, 0),
+    "sl(2|1)/p0": lambda c: sl(2, 1, 0),
+    "osp(3|2)/p0": lambda c: osp(3, 2, 0),
+    "bgl(3;alpha)/p2 x1": lambda c: _homology("bgl(3;alpha)", 2, "x1", c),
+    "bgl(3;alpha)/p2 transformed": lambda c: _transformed(
+        build_catalog_algebra("bgl(3;alpha)", 2, cache_dir=c).algebra),
+    "osp(4|2;a)/p5": lambda c: build_catalog_algebra("osp(4|2;a)", 5, cache_dir=c).algebra,
 }
 
 
@@ -240,22 +253,40 @@ def _flip_base(name: str, cache_dir: str) -> Superalgebra:
 
 
 def test_flip_pool_covers_five_primes(cache_dir):
-    assert {_flip_base(name, cache_dir).field.p for name in FLIP_POOL} == {2, 3, 5, 7, 11}
+    """Five prime fields, QQ and two function fields GF(p)(a)."""
+    fields = {_flip_base(name, cache_dir).field for name in FLIP_POOL}
+    kinds = {(f.p, f.spec.parametric) for f in fields}
+    assert kinds == {(2, False), (3, False), (5, False), (7, False), (11, False),
+                     (0, False), (2, True), (5, True)}
 
 
-@settings(max_examples=60, deadline=None)
+def _nonzero_scalars(f):
+    """The flips' scalars: every nonzero value of GF(p), small fractions
+    over QQ, and over K(a) quotients of polynomials of degree < 3."""
+    if f.spec.parametric:
+        coeffs = st.lists(st.integers(0, f.p - 1), min_size=1, max_size=3)
+        return st.builds(lambda a, b: f.div(poly(f, a), poly(f, b)), coeffs,
+                         coeffs.filter(lambda b: poly(f, b) != f.zero)
+                         ).filter(lambda x: x != f.zero)
+    if f.p:
+        return st.integers(1, f.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=90, deadline=None)
 @given(name=st.sampled_from(sorted(FLIP_POOL)), data=st.data())
 def test_random_flip_matches_reference(cache_dir, name, data):
-    """One constant raised by a random nonzero scalar: a stored bracket
-    constant, a new component of a bracket or, at p = 2, a coefficient of a
-    square.  A flip can leave a Lie superalgebra (scaling a basis vector of
-    sl(2) changes one constant), and the reference says so; those examples
-    are discarded, so every kept one exercises the naming of failures."""
+    """One constant raised by a random nonzero scalar of the field: a
+    stored bracket constant, a new component of a bracket or, at p = 2, a
+    coefficient of a square.  A flip can leave a Lie superalgebra (scaling
+    a basis vector of sl(2) changes one constant), and the reference says
+    so; those examples are discarded, so every kept one exercises the
+    naming of failures."""
     g = _flip_base(name, cache_dir)
     f, n = g.field, g.dim
     kinds = ["stored", "new"] + (["square"] * (f.p == 2))
     kind = data.draw(st.sampled_from(kinds))
-    delta = data.draw(st.integers(1, f.p - 1))
+    delta = data.draw(_nonzero_scalars(f))
     br = {k: dict(v) for k, v in g.brackets.items()}
     sq = {k: dict(v) for k, v in (g.squares or {}).items()}
     if kind == "stored":
@@ -280,26 +311,23 @@ def test_random_flip_matches_reference(cache_dir, name, data):
 
 def _valid(cache_dir) -> list:
     """Valid algebras over GF(2), GF(3), GF(5), GF(7), QQ and GF(2)(a); in
-    the transformed sl(2|2) at p = 2 six odd basis vectors have s(b_i) != 0
-    and ad_i^2 != 0, so the square rule has nonzero terms."""
+    the transformed sl(2|2) at p = 2 six odd basis vectors, and in the
+    transformed bgl(3;alpha) five, have s(b_i) != 0 and ad_i^2 != 0, so the
+    square rule has nonzero terms over GF(2) and over GF(2)(a)."""
+    bgl3 = build_catalog_algebra("bgl(3;alpha)", 2, cache_dir=cache_dir).algebra
     return ([_homology(key, p, x, cache_dir) for key, p, x in
              [("e(7,7)", 2, "x1+x3"), ("el(5;5)", 5, "x1"), ("g(2,3)", 3, "x1"), ("ab(3)", 7, "x1")]]
-            + [build_catalog_algebra(key, p, cache_dir=cache_dir).algebra
-               for key, p in [("g(2,3)", 3), ("bgl(3;alpha)", 2)]]
-            + [_transformed(sl(2, 2, 2)), gl(2, 1, 0)])
+            + [build_catalog_algebra("g(2,3)", 3, cache_dir=cache_dir).algebra, bgl3]
+            + [_transformed(sl(2, 2, 2)), _transformed(bgl3), gl(2, 1, 0)])
 
 
 def _mutants(cache_dir) -> list:
     return [make(cache_dir) for _, _, make in MUTANTS.values()]
 
 
-def _native(g: Superalgebra) -> bool:
-    return g.field.p > 0 and not g.field.spec.parametric
-
-
 def test_smallest_chunks_give_the_same_answers(cache_dir, monkeypatch):
     """With JACOBI_CHUNK = 1 every component that has paths is a chunk of
-    its own."""
+    its own, on every field."""
     valid, mutants = _valid(cache_dir), _mutants(cache_dir)
     answers = [g.check_axioms() for g in valid + mutants]
     assert not any(answers[:len(valid)]) and all(answers[len(valid):])
@@ -310,27 +338,19 @@ def test_smallest_chunks_give_the_same_answers(cache_dir, monkeypatch):
     for g, want in zip(valid + mutants, answers):
         joins.clear()
         assert g.check_axioms() == want
-        if g in valid and _native(g):
+        if g in valid:
             assert len(joins) > 1
 
 
-def test_pair_loop_runs_only_on_a_nonzero_sum(cache_dir, monkeypatch):
-    """Over GF(p) the Python pair loop runs exactly when the contraction
-    finds a nonzero sum: never on a valid algebra, always on a mutant.
-    Over QQ and K(a) it is the whole check."""
-    calls = []
-    loop = Superalgebra._rule_failures
-    monkeypatch.setattr(Superalgebra, "_rule_failures",
-                        lambda self, bad: calls.append(self) or loop(self, bad))
-    valid = _valid(cache_dir)
-    for g in valid + _mutants(cache_dir):
-        calls.clear()
-        g.check_axioms()
-        if _native(g):
-            assert g._rules_hold_mod_p() == (g in valid)
-            assert calls == ([] if g in valid else [g])
-        else:
-            assert calls == [g]
+def test_contraction_fails_exactly_on_mutants(cache_dir):
+    """On every field the contraction finds no nonzero sum on a valid
+    algebra and at least one on each mutant."""
+    valid, mutants = _valid(cache_dir), _mutants(cache_dir)
+    assert {(g.field.p, g.field.spec.parametric) for g in valid} >= {(0, False), (2, True)}
+    for g in valid:
+        assert g._failing_sums() == []
+    for g in mutants:
+        assert g._failing_sums()
 
 
 # traced peak of check_axioms on e(8,1) at p = 2, whose contraction has

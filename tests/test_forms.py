@@ -34,7 +34,7 @@ from dslie.fields import field_for
 from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref
 from dslie.superalgebra import FORMS_DIM_CUTOFF, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
-from helpers import dense_matrix, transform_basis
+from helpers import bracket_basis, dense_matrix, transform_basis
 from test_subquotient import _p2_heisenberg
 
 P31 = 2147483629  # a 31-bit prime: p^2 needs the int64 elimination
@@ -161,9 +161,9 @@ def _reference_equations(g: Superalgebra, pairs) -> Matrix:
     eq_rows = []
     for i in range(n):
         for j in range(n):
-            vij = g.bracket_basis(i, j)
+            vij = bracket_basis(g, i, j)
             for k in range(n):
-                vjk = g.bracket_basis(j, k)
+                vjk = bracket_basis(g, j, k)
                 if not vij and not vjk:
                     continue
                 row = {}
@@ -180,7 +180,7 @@ def _reference_equations(g: Superalgebra, pairs) -> Matrix:
                 continue
             si = g.squares.get(i, {})
             for k in range(n):
-                vik = g.bracket({i: f.one}, g.bracket_basis(i, k))
+                vik = g.bracket({i: f.one}, bracket_basis(g, i, k))
                 row = {}
                 for m, c in si.items():
                     b_coeff(row, m, k, c)

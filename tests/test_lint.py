@@ -97,8 +97,10 @@ NUMPY_MODULES = ["linalg.py", "superalgebra.py"]
 
 
 def test_numpy_stays_in_linalg_and_superalgebra():
-    """The GF(p) array format of the invariance equations stays inside
-    linalg and the forms assembly; the homology matrices are sparse rows."""
+    """Integer arrays stay inside linalg and superalgebra: the peeled
+    systems of the center and the forms, and the join and keys of the
+    Jacobi contraction on every field; the homology matrices are sparse
+    rows."""
     users = []
     for module in MODULES:
         with open(os.path.join(SRC, module)) as fh:

@@ -243,3 +243,43 @@ def test_cache_entry_with_a_zero_denominator_is_a_miss(tmp_path, value):
     assert cache_load(cd, spec, 40) is None
     cache_store(cd, spec, 40, build_g_of_A(spec, degree_cap=40))
     assert serialize_build(cache_load(cd, spec, 40)) == serialize_build(cold)
+
+
+def _flip_parities(roots: list) -> list:
+    return [[r, 1 - p] for r, p in roots]
+
+
+# edits of one field of a brj(2;5) cache entry that load without them as a
+# wrong algebra or a wrong build: an IndexError in ds, a wrong df or sweep
+# count in defect, or a silently malformed algebra
+CORRUPT_FIELDS = {
+    "weights cut to 3": lambda o: o["algebra"].update(weights=o["algebra"]["weights"][:3]),
+    "n = 7": lambda o: o.update(n=7),
+    "pos_roots cut to 2": lambda o: o.update(pos_roots=o["pos_roots"][:2]),
+    "pos_roots parities flipped": lambda o: o.update(pos_roots=_flip_parities(o["pos_roots"])),
+    "parity 2": lambda o: o["algebra"]["parities"].__setitem__(
+        o["algebra"]["parities"].index(1), 2),  # an odd one: the sdim check passes
+    "label repeated": lambda o: o["algebra"]["labels"].__setitem__(1, o["algebra"]["labels"][0]),
+    "chevalley e moved": lambda o: o["chevalley"]["e"].__setitem__(0, o["chevalley"]["f"][0]),
+    "pos_order cut": lambda o: o.update(pos_order=o["pos_order"][:-1]),
+    "neg_nodes cut": lambda o: o.update(neg_nodes=o["neg_nodes"][:-1]),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPT_FIELDS))
+def test_cache_entry_that_does_not_fit_its_algebra_is_rebuilt(tmp_path, name):
+    """Each edit makes the entry a miss: it is rebuilt and overwritten,
+    equal to a fresh build."""
+    cd = str(tmp_path)
+    cold = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    path = cache_path(cd, cold.spec, 40)
+    with open(path) as fh:
+        o = json.load(fh)
+    CORRUPT_FIELDS[name](o)
+    with open(path, "w") as fh:
+        json.dump(o, fh)
+    assert cache_load(cd, cold.spec, 40) is None
+    rebuilt = build_catalog_algebra("brj(2;5)", 5, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    with open(path) as fh:
+        assert fh.read() == serialize_build(cold)
