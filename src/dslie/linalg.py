@@ -33,16 +33,19 @@ extend() is the add loop over a batch of untracked rows; it stops once
 the rank is full, which keeps tall systems cheap.  rref, mat_rank and
 mat_nullspace are thin wrappers over it.
 
-The fingerprint's two GF(p) systems, the invariance equations of the
-forms and the center's equations, are tall and mostly forced: most of
-their variables stand alone in some equation, so they are 0.
-nullspace_mod_p takes such a system as integer COO triples, deletes every
-one-entry equation with its variable until none is left (peel_mod_p, the
-singleton step of LP presolve), and eliminates only the core that remains
-through mat_nullspace.  Its answer is the nullspace of the whole system
-byte for byte.  With p = 0 the same two functions solve an integer system
-exactly over QQ (the forms over QQ, their constants scaled to integers):
-nothing is reduced mod p and the core's entries are Fractions.
+The array paths -- the super Jacobi sums of check_axioms, the center and
+the invariance equations of the forms -- take one code path on every
+field: integer arrays for the join, the keys and the layout, and a values
+array whose elementwise ops alone the field chooses, in array_ops.
+sum_by_key sums terms by key for the Jacobi check and for nullspace_coo,
+which solves the center and the forms.  Those systems are tall and mostly
+forced: most variables stand alone in some equation, so they are 0.  When
+every sum is a machine integer (GF(p), QQ within int64), nullspace_coo
+deletes every one-entry equation with its variable until none is left
+(peel_mod_p, the singleton step of LP presolve) and eliminates only the
+core left; otherwise (K(a), QQ beyond int64) it eliminates the summed rows
+whole, one per nonzero equation in order.  K(a) is not peeled for the
+reason its row updates visit every column: its elimination keeps its work.
 
 Pivoting is deterministic everywhere: columns left to right, and the
 RREF of a span is unique, so every insertion order gives the same rows.
@@ -58,12 +61,14 @@ rows on every field.  The rank of ad_x is mat_rank of those rows.
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField, field_for
+from .fields import Field, PrimeField, RationalField
 
 Element = Dict[int, object]  # {index: scalar}, a zero never stored
 
@@ -297,39 +302,122 @@ class Echelon:
         return self
 
 
-def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-               vals: np.ndarray) -> Tuple[Matrix, np.ndarray]:
-    """The core of a sparse system mod p, given as COO triples of int64
-    arrays: equation rows[e] >= 0 has vals[e] at variable cols[e]
-    (0 <= cols[e] < ncols).  p = 0 means exactly over ZZ: the caller keeps
-    every sum of the entries of one (equation, variable) inside int64.
+class ArrayOps(NamedTuple):
+    """The scalar ops of the array paths over one field (array_ops)."""
 
-    Repeated (equation, variable) entries are summed (mod p when p > 0) and
-    zero entries dropped.  Then every equation with exactly one nonzero
-    entry is deleted together with that variable's column, until no such
-    equation is left; a deletion can leave another equation with one
-    entry, so this repeats.  When p > 0 the surviving equations are scaled
-    to leading entry 1; repeats are dropped.  Returns (core, kept): the
-    core as a Matrix of element rows over the kept columns and field_for(p)
-    (int values mod p, Fractions when p = 0), kept the increasing indices
-    of the columns that were not deleted.
+    array: Callable  # field scalars -> an array of them, all times one nonzero factor
+    mul: Callable  # elementwise product of two arrays
+    neg: Callable  # elementwise negation
+    zero: object  # what a sum is compared with to test it for zero
+    reduceat: Callable  # (terms, starts) -> the sums of the runs that begin at starts
+    scalar: Callable  # an array value -> the field scalar it stands for
+
+
+def array_ops(field: Field) -> ArrayOps:
+    """The only field dispatch of the array paths (the Jacobi sums, the
+    center, the invariance equations):
+
+      * GF(p) -- int64 arithmetic, products and sums reduced mod p
+      * QQ    -- object arrays of Python ints: the scalars scaled by the lcm
+                 of their denominators, so no sum has an int64 bound
+      * K(a)  -- object arrays of the Field's values, through np.frompyfunc
+                 of its add, mul and neg; add and mul are cached for the
+                 lifetime of these ops (one call's), since the constants
+                 take few distinct values
+
+    A common factor leaves a linear system's nullspace and the zero test of
+    each sum of products of two values unchanged.  The GF(p) and QQ ops
+    hold no state, so each field's are made once."""
+    if not field.spec.parametric:
+        return _exact_ops(field)
+    add, mul = (np.frompyfunc(functools.lru_cache(maxsize=None)(op), 2, 1)
+                for op in (field.add, field.mul))
+    return ArrayOps(lambda xs: np.array(xs, dtype=object), mul, np.frompyfunc(field.neg, 1, 1),
+                    field.zero, add.reduceat, lambda x: x)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_ops(field: Field) -> ArrayOps:
+    """array_ops over GF(p) and QQ."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return ArrayOps(lambda xs: np.array(xs, dtype=np.int64), lambda a, b: a * b % p,
+                        np.negative, 0, lambda a, at: np.add.reduceat(a, at) % p, int)
+
+    def scaled(xs):
+        den = math.lcm(1, *(x.denominator for x in xs))
+        return np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
+    return ArrayOps(scaled, np.multiply, np.negative, 0, np.add.reduceat, Fraction)
+
+
+def sum_by_key(field: Field, keys: np.ndarray, terms: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms summed by key: (the distinct keys whose sum is nonzero, in
+    increasing order; their sums), terms an array of array_ops(field)."""
+    ops = array_ops(field)
+    order = keys.argsort()
+    keys = keys[order]
+    starts = _firsts(keys).nonzero()[0]
+    sums = ops.reduceat(terms[order], starts) if keys.size else terms[:0]
+    nonzero = sums != ops.zero
+    return keys[starts[nonzero]], sums[nonzero]
+
+
+def nullspace_coo(field: Field, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                  vals: np.ndarray) -> List[Element]:
+    """mat_nullspace of the sparse system whose equation rows[e] >= 0 has
+    vals[e] (an array of array_ops(field)) at variable cols[e] < ncols,
+    repeated (equation, variable) entries summed by sum_by_key.  When every
+    sum is a machine integer (GF(p); QQ within int64) only the core that
+    peel_mod_p leaves is eliminated; otherwise (K(a); QQ beyond int64) the
+    summed rows go to mat_nullspace whole (_element_rows), for the reason
+    in the module docstring.  Either way the answer is the nullspace of the
+    whole system byte for byte: each variable the peel deletes is an RREF
+    pivot whose row is the unit row e_t, so no other RREF row and no kernel
+    vector has a nonzero entry at t, and the free columns are the core's."""
+    key, sums = sum_by_key(field, rows * ncols + cols, vals)
+    eq, var = np.divmod(key, max(ncols, 1))
+    ints = sums.tolist() if sums.dtype == object else None
+    if ints is not None and not all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in ints):
+        return mat_nullspace(_element_rows(field, ncols, eq, var, sums))
+    core, kept = peel_mod_p(field, ncols, eq, var, sums.astype(np.int64, copy=False))
+    kept = kept.tolist()
+    return [{kept[j]: x for j, x in vec.items()} for vec in mat_nullspace(core)]
+
+
+def _element_rows(field: Field, ncols: int, eq: np.ndarray, var: np.ndarray,
+                  sums: np.ndarray) -> Matrix:
+    """The summed system of nullspace_coo as element rows: one per
+    equation, in increasing order, its entries by increasing variable."""
+    scalar = array_ops(field).scalar
+    rows: Dict[int, Element] = {}
+    for e, j, x in zip(eq.tolist(), var.tolist(), sums.tolist()):
+        rows.setdefault(e, {})[j] = scalar(x)
+    return Matrix(field, list(rows.values()), ncols=ncols)
+
+
+def peel_mod_p(field: Field, ncols: int, eq: np.ndarray, v: np.ndarray,
+               c: np.ndarray) -> Tuple[Matrix, np.ndarray]:
+    """The core of a sparse system over GF(p) or QQ (p = 0, with integer
+    values), given as summed entries: equation eq[e] has the nonzero int64
+    value c[e] at variable v[e] (c[e] in [0, p) when p > 0), sorted by
+    (equation, variable) with no pair repeated, as sum_by_key leaves them.
+
+    Every equation with exactly one nonzero entry is deleted together with
+    that variable's column, until no such equation is left; a deletion can
+    leave another equation with one entry, so this repeats.  When p > 0 the
+    surviving equations are scaled to leading entry 1; repeats are dropped.
+    Returns (core, kept): the core as a Matrix of element rows over the
+    kept columns and the field (int values mod p, Fractions when p = 0),
+    kept the increasing indices of the columns that were not deleted.
 
     A deleted variable is 0 in every solution: its equation says c x_t = 0
     with c != 0.  So the row space of the system is the direct sum of the
     unit rows e_t of the deleted variables and the core rows (0 on the
     deleted columns), and those unit rows and the core's RREF together are
-    the RREF of the whole system (see nullspace_mod_p)."""
-    key = rows * ncols + cols
-    order = key.argsort()
-    key, c = key[order], vals[order]
-    first = _firsts(key).nonzero()[0]
-    c = np.add.reduceat(c, first)
-    if p:
-        c %= p
-    nonzero = c != 0
-    key, c = key[first[nonzero]], c[nonzero]
-    r, v = np.divmod(key, max(ncols, 1))  # entries sorted by equation, then variable
-    r = np.cumsum(_firsts(r)) - 1  # equations numbered 0, 1, ...
+    the RREF of the whole system (see nullspace_coo)."""
+    p = field.p
+    r = np.cumsum(_firsts(eq)) - 1  # equations numbered 0, 1, ...
     deleted = np.zeros(ncols, dtype=bool)
     while r.size:
         single = np.bincount(r)[r] == 1  # the entries of one-entry equations
@@ -340,7 +428,7 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
         r, v, c = r[live], v[live], c[live]
     kept = (~deleted).nonzero()[0]
     if not r.size:
-        return Matrix(field_for(p), [], ncols=kept.size), kept
+        return Matrix(field, [], ncols=kept.size), kept
     new_eq = _firsts(r)
     eq = np.cumsum(new_eq) - 1  # core equation of every entry
     start = new_eq.nonzero()[0]
@@ -360,7 +448,7 @@ def peel_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
                        (np.cumsum(~deleted) - 1)[v[on]].tolist(),
                        values if p else map(Fraction, values)):
         core[e][j] = x
-    return Matrix(field_for(p), core, ncols=kept.size), kept
+    return Matrix(field, core, ncols=kept.size), kept
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:
@@ -369,21 +457,6 @@ def _firsts(a: np.ndarray) -> np.ndarray:
     out[:1] = True
     np.not_equal(a[1:], a[:-1], out=out[1:])
     return out
-
-
-def nullspace_mod_p(p: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> List[Element]:
-    """mat_nullspace over GF(p), or over QQ when p = 0, of the sparse system
-    given as COO triples (see peel_mod_p), equal to the nullspace of the
-    whole system byte for byte, from the elimination of its core alone.
-
-    Each deleted variable t is an RREF pivot whose row is the unit row e_t,
-    so no other RREF row and no kernel vector has a nonzero entry at t, and
-    the free columns are the core's free columns.  The kernel vectors are
-    the core's, moved back to the kept columns."""
-    core, kept = peel_mod_p(p, ncols, rows, cols, vals)
-    kept = kept.tolist()
-    return [{kept[j]: x for j, x in vec.items()} for vec in mat_nullspace(core)]
 
 
 def kernel_mod_image(field: Field, rows: Sequence[Element]

@@ -172,8 +172,10 @@ def build_result_from_dict(o: dict) -> BuildResult:
     """The build of build_result_to_dict; a ValueError unless its parts fit
     the algebra: n is the spec's rank, dim = n + n_grading + 2 N for its N
     positive roots, which are the weights and parities of x_1..x_N, the
-    Chevalley indices name the algebra's Chevalley elements, and each node
-    and order list has N entries."""
+    Chevalley indices name the algebra's Chevalley elements, the N nodes
+    fit their words (_nodes_fit), pos_order is a permutation that lists
+    the nodes in the order of the positive roots, and the negative side's
+    nodes and order are the positive side's (build.py, fact 1)."""
     spec = spec_from_dict(o["spec"])
     alg = superalgebra_from_dict(o["algebra"])
     b = BuildResult(
@@ -188,9 +190,37 @@ def build_result_from_dict(o: dict) -> BuildResult:
     if (b.n != spec.n or nh + 2 * N != alg.dim or alg.weights is None
             or b.pos_roots != list(zip(alg.weights[nh:], alg.parities[nh:nh + N]))
             or {k: [{i: one} for i in v] for k, v in b.chevalley.items()} != alg.chevalley
-            or any(len(x) != N for x in (b.pos_nodes, b.neg_nodes, b.pos_order, b.neg_order))):
+            or any(len(x) != N for x in (b.pos_nodes, b.neg_nodes, b.pos_order, b.neg_order))
+            or not _nodes_fit(b.pos_nodes, spec.parities)
+            or sorted(b.pos_order) != list(range(N))
+            or [(b.pos_nodes[m].root, b.pos_nodes[m].parity) for m in b.pos_order] != b.pos_roots
+            or (b.neg_nodes, b.neg_order) != (b.pos_nodes, b.pos_order)):
         raise ValueError("build data that does not fit its algebra")
     return b
+
+
+def _nodes_fit(nodes: list, parities: list) -> bool:
+    """Whether each node's root, parity and degree are those its word gives:
+    the first n nodes are the generators ('g', i) in order (root e_i, parity
+    p_i, degree 1); ('br', i, parent) is [X_i, parent] and ('sq', parent)
+    is s(parent) of an odd parent, the parent an earlier node."""
+    n = len(parities)
+    for m, nd in enumerate(nodes):
+        w = nd.word
+        if m < n:
+            want = (("g", m), tuple(int(j == m) for j in range(n)), parities[m], 1)
+        elif w[0] == "br" and len(w) == 3 and 0 <= w[1] < n and 0 <= w[2] < m:
+            up = nodes[w[2]]
+            want = (w, tuple(a + (j == w[1]) for j, a in enumerate(up.root)),
+                    (up.parity + parities[w[1]]) % 2, up.degree + 1)
+        elif w[0] == "sq" and len(w) == 2 and 0 <= w[1] < m and nodes[w[1]].parity == 1:
+            up = nodes[w[1]]
+            want = (w, tuple(2 * a for a in up.root), 0, 2 * up.degree)
+        else:
+            return False
+        if (w, nd.root, nd.parity, nd.degree) != want:
+            return False
+    return True
 
 
 def serialize_build(b: BuildResult) -> str:

@@ -33,37 +33,33 @@ a bracket's coordinates; a bracket that leaves the span is a ValueError.
 
 The fingerprint's series start from [g, g], read once as the span of the
 stored brackets (and squares at p = 2); no pair of basis vectors is
-bracketed for it.  The center comes from one nullspace (over GF(p)
-through linalg.nullspace_mod_p, fed the stored constants), and center ∩ [g, g]
-by a dimension count: both are graded, so per parity
+bracketed for it.  The center comes from one nullspace (through
+linalg.nullspace_coo, fed the stored constants), and center ∩ [g, g] by a
+dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
 check_axioms verifies super Jacobi as ad_{[b_i,b_j]} = ad_i ad_j -
 s_ij ad_j ad_i for all pairs i <= j, every column at once, by one
-contraction of the nonzero structure constants on every field
-(_failing_sums): its join and keys are integer arrays, only its sums
-depend on the field, and the failures are named from the keys of the
-nonzero sums.  The constructor keeps every basis index in [0, dim).
+contraction of the nonzero structure constants (_failing_sums), and the
+failures are named from the keys of the nonzero sums.  The constructor
+keeps every basis index in [0, dim).
 
 invariant_forms solves the invariance equations of an even supersymmetric
-form, assembled from the nonzero structure constants on every field.  Over
-GF(p) they are integer (equation, variable, value) triples handed to
-linalg.nullspace_mod_p, which deletes the variables that stand alone in
-some equation (they are 0; most are) and eliminates only the core left.
-Over QQ the constants are scaled by the lcm of their denominators to
-integers, and the same triples are eliminated exactly (p = 0) in the same
-way.  Over K(a), and over QQ when a scaled constant could overflow int64,
-the equations are Field rows, one per nonzero equation in (i, j, k) order
-(see _form_equations), eliminated without that peeling (invariant_forms
-says why).  The Jacobi check, the center and the forms read the constants
-through one cached reader, _constants.
+form, assembled from the nonzero structure constants as (equation,
+variable, value) triples (_form_equations) and handed to
+linalg.nullspace_coo, which sums them and, when every sum is a machine
+integer (GF(p), QQ within int64), deletes the variables that stand alone
+in some equation (they are 0; most are) and eliminates only the core
+left; over K(a) it eliminates the summed rows whole.
+
+The Jacobi check, the center and the forms read the constants through
+one cached reader, _constants, and take one array path on every field:
+the join, the keys and the equation layout are integer arrays, and only
+the scalar ops on the values (linalg.array_ops) depend on the field.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -71,8 +67,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import Field, PrimeField, RationalField, UsageError
-from .linalg import Echelon, Element, Matrix, mat_nullspace, nullspace_mod_p, zero_of
+from .fields import Field, PrimeField, UsageError
+from .linalg import Echelon, Element, array_ops, nullspace_coo, sum_by_key, zero_of
 
 FORMS_DIM_CUTOFF = 48  # invariant-form space solved only below this dimension
 MAX_VIOLATIONS = 10  # check_axioms stops collecting after this many
@@ -162,28 +158,6 @@ def _join(off: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     count = off[keys + 1] - start
     r = np.repeat(np.arange(keys.size), count)
     return r, np.arange(r.size) + np.repeat(start - count.cumsum() + count, count)
-
-
-def _nonzero_sums(f: Field, first: np.ndarray, V: list, C: list, r: np.ndarray,
-                  s: np.ndarray, neg: Optional[np.ndarray]) -> np.ndarray:
-    """Over QQ and K(a), which of the sums of the terms +-V[r] C[s] are
-    nonzero: one mask entry per run of terms that starts where first is
-    set, a term negated where neg is (nowhere when neg is None).  Over QQ
-    the values are plain ints.  The K(a) constants take few distinct
-    values, so each product and each sum of two values is computed once."""
-    qq = isinstance(f, RationalField)
-    add, mul = ((operator.add, operator.mul) if qq
-                else (functools.lru_cache(maxsize=None)(op) for op in (f.add, f.mul)))
-    minus, zero = (operator.neg, 0) if qq else (f.neg, f.zero)
-    sums: List[object] = []
-    signs = neg.tolist() if neg is not None else [False] * r.size
-    for new, a, b, sign in zip(first.tolist(), r.tolist(), s.tolist(), signs):
-        term = minus(mul(V[a], C[b])) if sign else mul(V[a], C[b])
-        if new:
-            sums.append(term)
-        else:
-            sums[-1] = add(sums[-1], term)
-    return np.array([x != zero for x in sums], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -434,11 +408,12 @@ class Superalgebra:
         column i.  The constructor keeps every index in [0, n), so keys do
         not collide.
 
-        Only the sums depend on the field.  Over GF(p) np.add.reduceat sums
-        each key mod p: a product of two constants is below p^2 <= 2^62
-        (FieldSpec caps p at 2^31), and it is reduced before the sum.  Over
-        QQ and K(a) _nonzero_sums takes one Python pass over the sorted
-        terms (over QQ in ints, which scales each sum by den^2).
+        Only the scalar ops depend on the field (linalg.array_ops): each
+        term is one product of two values, and linalg.sum_by_key sums the
+        terms of a key.  Over GF(p) a product is below p^2 <= 2^62
+        (FieldSpec caps p at 2^31) and is reduced before the sum; over QQ
+        the values are the scaled integers of _constants, which scales
+        each sum by den^2.
 
         Every term takes its component t from the second constant, so the
         join runs over a run of components t at a time, with at most
@@ -447,15 +422,13 @@ class Superalgebra:
         f, n, p = self.field, self.dim, self.field.p
         if not self.brackets:
             return []  # every ad_x is 0
-        A, B, M, C = self._constants()
+        ops = array_ops(f)
+        A, B, M, C, S = self._constants()
         odd = np.array(self.parities, dtype=bool)
-        gfp = isinstance(f, PrimeField)
         X, Y, L, V = A, B, M, C  # the first constants C(x,y,l)
-        if self.squares:
-            S = np.array([(n, i, l) for i, v in self.squares.items() for l in v], dtype=np.int64).T
-            X, Y, L = (np.concatenate(z) for z in zip((A, B, M), S))
-            sv = [c for v in self.squares.values() for c in v.values()]
-            V = np.concatenate([C, sv]) if gfp else C + sv
+        if S is not None:  # and S(i,l) as C(n,i,l)
+            X, Y = np.concatenate([A, np.full(S[0].size, n)]), np.concatenate([B, S[0]])
+            L, V = np.concatenate([M, S[1]]), np.concatenate([C, S[2]])
         by_l = B.argsort(kind="stable")  # the second constants C(u,l,t), by l
         chunks = [by_l]
         if L.size * B.size > JACOBI_CHUNK:  # there may be more paths than that
@@ -481,42 +454,25 @@ class Superalgebra:
                 diag = x == u
                 i = np.concatenate([x, u, np.where(diag, n, x)])
                 keep = np.concatenate([(x < y) | (x == n), (u < x) & (x < n), (x < u) | diag & odd[u]])
-                both = None
             else:
                 i = np.concatenate([x, u, x])
                 keep = np.concatenate([x <= y, u <= x, x <= u])
-                both = odd[B[s]] & odd[u], odd[x] & odd[u]
             j, k = np.concatenate([y, x, u]), np.concatenate([u, y, y])
             key = ((i * n + j) * n + k) * n + np.concatenate([t, t, t])
-            # per term: its signed value over GF(p), else its path and sign
-            base = V[r] * C[s] % p if gfp else np.arange(r.size)
-            terms, neg = [base, base, base], None
-            if both is not None and gfp:
-                minus = -base
-                terms = [np.where(both[0], base, minus), minus, np.where(both[1], minus, base)]
-            elif both is not None:
-                neg = np.concatenate([~both[0], np.ones(base.size, dtype=bool), both[1]])
+            base = ops.mul(V[r], C[s])
+            terms = [base, base, base]
+            if p != 2:
+                minus = ops.neg(base)
+                terms = [np.where(odd[B[s]] & odd[u], base, minus), minus,
+                         np.where(odd[x] & odd[u], minus, base)]
             key, per = key[keep], np.concatenate(terms)[keep]
-            if neg is not None:
-                neg = neg[keep]
             if p == 3:
                 cube = ((x == u) & (y == x)).nonzero()[0]
                 key = np.concatenate([key, (n ** 3 + x[cube]) * n + t[cube]])
                 per = np.concatenate([per, base[cube]])
-                if neg is not None:
-                    neg = np.concatenate([neg, np.zeros(cube.size, dtype=bool)])
-            order = key.argsort()
-            key, per = key[order], per[order]
-            first = np.ones(key.size, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            starts = first.nonzero()[0]
-            if gfp:
-                sums = np.add.reduceat(per, starts) % p
-            else:
-                neg = None if neg is None else neg[order]
-                sums = _nonzero_sums(f, first, V, C, r[per], s[per], neg)
-            if sums.any():
-                found.append(key[starts[sums != 0]])
+            failing, _sums = sum_by_key(f, key, per)
+            if failing.size:
+                found.append(failing)
         if not found:
             return []
         ijk = np.unique(np.concatenate(found) // n)
@@ -540,20 +496,11 @@ class Superalgebra:
 
     def center_rows(self) -> List[Element]:
         """Kernel of the joint adjoint action, as elements: one equation
-        sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), read off the stored
-        brackets.  Over GF(p) the constants go to linalg.nullspace_mod_p as
-        they are stored, one (equation, variable, value) triple each; over
-        QQ (scaled to integers, which leaves the nullspace unchanged) and
-        K(a) they are Field rows."""
-        f = self.field
-        n = self.dim
-        if isinstance(f, PrimeField):
-            A, B, M, C = self._constants()
-            return nullspace_mod_p(f.p, n, B * n + M, A, C)
-        rows: Dict[Tuple[int, int], Element] = {}
-        for a, b, m, c in self._field_constants():
-            rows.setdefault((b, m), {})[a] = c
-        return mat_nullspace(Matrix(f, [rows[km] for km in sorted(rows)], ncols=n))
+        sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m), the stored constants
+        handed to linalg.nullspace_coo as they are, one (equation, variable,
+        value) triple each."""
+        A, B, M, C, _squares = self._constants()
+        return nullspace_coo(self.field, self.dim, B * self.dim + M, A, C)
 
     # -- series, flags, fingerprint -------------------------------------------
 
@@ -609,21 +556,9 @@ class Superalgebra:
     def invariant_forms(self) -> dict:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
         {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
-        f = self.field
         pairs = self._form_pairs()
-        if isinstance(f, PrimeField) or (isinstance(f, RationalField)
-                                         and not any(abs(c) >> 62 for c in self._constants()[3])):
-            sols = nullspace_mod_p(f.p, len(pairs), *self._form_equations_mod_p(pairs))
-        else:
-            # QQ here only when a scaled constant could overflow int64
-            # (_form_equations_mod_p says why 2^62).  K(a) keeps every
-            # nonzero equation, repeats included, with no peeling of
-            # forced-zero variables and no deduplication, for the reason its
-            # row updates visit every column (linalg's module docstring):
-            # made faster, the bgl(4;a) defect op would set the defect-sweep
-            # latency tail.
-            sols = mat_nullspace(self._form_equations(pairs))
-        return self._forms_of(pairs, sols)
+        return self._forms_of(pairs, nullspace_coo(self.field, len(pairs),
+                                                   *self._form_equations(pairs)))
 
     def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[Element]) -> dict:
         """invariant_forms' answer from nullspace vectors over the pairs."""
@@ -658,150 +593,100 @@ class Superalgebra:
             var[j, i] = (t, self.field.p != 2 and i != j and self.parities[i] == 1)
         return var
 
-    def _form_equations(self, pairs: List[Tuple[int, int]]) -> Matrix:
-        """One equation B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 per triple
-        (i, j, k), and at p = 2 B(s(b_i), b_k) - B(b_i, [b_i,[b_i,b_k]]) = 0
-        per odd b_i and every k, as element rows: zero equations dropped,
-        the rest sorted by (i, j, k) with the square equations (i, k) last.
-
-        Each nonzero structure constant C[a,b,m] adds C at B(b_m, b_k) to
-        equation (a, b, k) and -C at B(b_l, b_m) to equation (l, a, b), for
-        every k and l; entries of one (equation, variable) are summed."""
-        f = self.field
-        n = self.dim
-        var = self._form_variables(pairs)
-        right = [[(k,) + var[m, k] for k in range(n) if (m, k) in var] for m in range(n)]
-        left = [[(l,) + var[l, m] for l in range(n) if (l, m) in var] for m in range(n)]
-        eqs: Dict[int, Dict[int, object]] = {}  # (i, j, k) is i n^2 + j n + k
-
-        def put(e: int, t: int, c):
-            row = eqs.setdefault(e, {})
-            row[t] = f.add(row[t], c) if t in row else c
-
-        for a, b, m, c in self._field_constants():
-            cs = (c, f.neg(c))  # cs[s] is (-1)^s c
-            for k, t, neg in right[m]:
-                put((a * n + b) * n + k, t, cs[neg])
-            for l, t, neg in left[m]:
-                put((l * n + a) * n + b, t, cs[not neg])
-        if f.p == 2:  # the square equation (i, k) is n^3 + i n + k; no sign
-            for i in (i for i in range(n) if self.parities[i]):
-                for m, c in self.squares.get(i, {}).items():
-                    for k, t, _ in right[m]:
-                        put(n ** 3 + i * n + k, t, c)
-                for k in range(n):  # b_m in [b_i, [b_i, b_k]]; no sign at p = 2
-                    ik = self.brackets.get((min(i, k), max(i, k)), {})
-                    for m, c in self.bracket({i: f.one}, ik).items():
-                        if (i, m) in var:
-                            put(n ** 3 + i * n + k, var[i, m][0], f.neg(c))
-        rows = [{t: c for t, c in eqs[e].items() if not f.is_zero(c)} for e in sorted(eqs)]
-        return Matrix(f, [r for r in rows if r], ncols=len(pairs))
-
     def _constants(self) -> tuple:
         """The nonzero structure constants C[a,b,m] of both orders (a, b) of
-        every stored pair: int64 index arrays a, b, m and the values, the
-        other order signed here, [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b]
-        (no sign at p = 2).  The values are an int64 array over GF(p), C mod
-        p up to that sign; Python ints den C over QQ, den the lcm of the
-        denominators, which changes no answer (the center and invariance
-        equations are linear in C, each Jacobi term a product of two); the
-        Field's values over K(a).  Read once and kept, read-only: the
-        algebra is immutable by convention."""
+        every stored pair, and the squares: (A, B, M, C, S), int64 index
+        arrays a, b, m and the values C, the other order signed here,
+        [b_b, b_a] = -(-1)^{p(a)p(b)} [b_a, b_b] (no sign at p = 2), and
+        S = (I, L, V) for s(b_i) = sum V b_l over the odd i at p = 2 (None
+        without squares).  The values C and V are one array of
+        linalg.array_ops (over QQ every value times the lcm of the
+        denominators, which changes no answer: the center and invariance
+        equations are linear in the values, each Jacobi term a product of
+        two).  Read once and kept, read-only: the algebra is immutable by
+        convention."""
         if self._consts is not None:
             return self._consts
-        f = self.field
-        flat = [x for (i, j), w in self.brackets.items() for m, c in w.items()
-                for x in (i, j, m, c)]
-        if isinstance(f, PrimeField):
-            I, J, M, C = np.array(flat, dtype=np.int64).reshape(-1, 4).T
-        else:
-            I, J, M = (np.array(flat[k::4], dtype=np.int64) for k in range(3))
-            C = flat[3::4]
+        ops = array_ops(self.field)
+        sq = self.squares or {}
+        I, J, M = np.array([x for (i, j), w in self.brackets.items() for m in w for x in (i, j, m)],
+                           dtype=np.int64).reshape(-1, 3).T
+        C = ops.array([c for w in self.brackets.values() for c in w.values()]
+                      + [c for v in sq.values() for c in v.values()])
+        S = None
+        if sq:
+            S = (*np.array([x for i, v in sq.items() for l in v for x in (i, l)],
+                           dtype=np.int64).reshape(-1, 2).T, C[I.size:])
+            C = C[:I.size]
         two = I != J
-        odd = np.array(self.parities, dtype=bool)
-        keep = None if f.p == 2 else (odd[I] & odd[J])[two]  # the other order keeps its sign
-        if isinstance(f, PrimeField):
-            flip = C[two]
-            C = np.concatenate([C, flip if keep is None else np.where(keep, flip, -flip)])
-            C.flags.writeable = False
-        else:
-            if isinstance(f, RationalField):
-                den = math.lcm(1, *(c.denominator for c in C))
-                C = [c.numerator * (den // c.denominator) for c in C]
-            neg = operator.neg if isinstance(f, RationalField) else f.neg
-            flip = itertools.compress(C, two.tolist())
-            C = C + (list(flip) if keep is None else
-                     [c if k else neg(c) for c, k in zip(flip, keep.tolist())])
+        flip = C[two]
+        if self.field.p != 2:  # the other order keeps its sign where both are odd
+            odd = np.array(self.parities, dtype=bool)
+            flip = np.where((odd[I] & odd[J])[two], flip, ops.neg(flip))
         out = (np.concatenate([I, J[two]]), np.concatenate([J, I[two]]),
-               np.concatenate([M, M[two]]))
-        for x in out:
+               np.concatenate([M, M[two]]), np.concatenate([C, flip]))
+        for x in out + (S or ()):
             x.flags.writeable = False
-        self._consts = out + (C,)
+        self._consts = out + (S,)
         return self._consts
 
-    def _field_constants(self):
-        """The entries of _constants as (a, b, m, c), c a Field value (over
-        QQ the scaled constant as a Fraction)."""
-        A, B, M, C = self._constants()
-        f = self.field
-        if not f.spec.parametric:
-            C = map(f.from_int, C.tolist() if isinstance(C, np.ndarray) else C)
-        return zip(A.tolist(), B.tolist(), M.tolist(), C)
-
-    def _form_equations_mod_p(self, pairs: List[Tuple[int, int]]
-                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The equations of _form_equations as integer COO triples (equation,
-        variable, value) for linalg.nullspace_mod_p, which sums them mod p
-        over GF(p) and exactly over QQ (p = 0), from the constants of
-        _constants (over QQ scaled to integers).
+    def _form_equations(self, pairs: List[Tuple[int, int]]
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The invariance equations as COO triples (equation, variable,
+        value) for linalg.nullspace_coo, which sums the entries of one
+        (equation, variable): B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 is
+        equation (i n + j) n + k, and at p = 2 B(s(b_i), b_k) -
+        B(b_i, [b_i,[b_i,b_k]]) = 0 is equation n^3 + i n + k, for odd b_i.
+        The values are those of _constants.
 
         Each nonzero structure constant C[i,j,m] adds n entries: C[i,j,m] at
         B(b_m, b_k) to equation (i, j, k) and -C[i,j,m] at B(b_l, b_m) to
-        equation (l, i, j), for every k and l; entries at an entry of B
-        that is 0 by parity are left out.
-
-        Over QQ the caller takes this path only when every scaled |c| is
-        below 2^62: one (equation, variable) entry sums at most two
-        constants, C[i,j,m] from B(b_m, b_k) for the one m with {m, k} =
-        {a, b} and -C[j,k,m] from B(b_i, b_m) for the one m with {i, m} =
-        {a, b} at B_ab = B_ba (over QQ there is no square equation)."""
+        equation (l, i, j), for every k and l.  Each square constant S(i,m)
+        adds S(i,m) at B(b_m, b_k) to the square equation (i, k), and each
+        path C(i,k,l) C(i,l,m), one join of the constants on l, adds
+        -C(i,k,l) C(i,l,m) at B(b_i, b_m) to it.  Entries at an entry of B
+        that is 0 by parity are left out."""
         f = self.field
         n, nv = self.dim, len(pairs)
         if not self.brackets and not self.squares:  # abelian: no equation
             return tuple(np.zeros((3, 0), dtype=np.int64))
-        var = np.full((n, n), -1, dtype=np.int64)  # B_ab = sgn[a, b] * x[var[a, b]]
+        ops = array_ops(f)
+        var = np.full((n, n), -1, dtype=np.int64)  # B_ab = +-x[var[a, b]]
         lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         var[lo, hi] = var[hi, lo] = np.arange(nv)
-        sgn = np.ones((n, n), dtype=np.int64)
+        flip = np.zeros((n, n), dtype=bool)  # B_ab = -x[var[a, b]]
         if f.p != 2:  # B_ji = -B_ij for odd i < j
             odd = np.array(self.parities)[lo] == 1
-            sgn[hi[odd], lo[odd]] = -1
-        I, J, M, C = self._constants()
-        C = np.asarray(C, dtype=np.int64)
-        ks = np.arange(n)
-        # equation (i, j, k) is row i n^2 + j n + k; at p = 2 the square
-        # equation (i, k) is row n^3 + i n + k
-        rows = [((I * n + J) * n)[:, None] + ks, ks * n * n + (I * n + J)[:, None]]
-        cols = [var[M], var[:, M].T]
-        vals = [C[:, None] * sgn[M], -C[:, None] * sgn[:, M].T]
+            flip[hi[odd], lo[odd]] = True
+        A, B, M, C, S = self._constants()
+        minus = ops.neg(C)
+        ab = A * n + B
+        e, k = (var[M] >= 0).nonzero()  # C[a,b,m] at B(b_m, b_k)
+        e2, l2 = (var[:, M].T >= 0).nonzero()  # -C[a,b,m] at B(b_l, b_m)
+        rows = [ab[e] * n + k, l2 * n * n + ab[e2]]
+        cols = [var[M[e], k], var[l2, M[e2]]]
+        vals = [np.where(flip[M[e], k], minus[e], C[e]),
+                np.where(flip[l2, M[e2]], C[e2], minus[e2])]
+        if S is not None:  # p = 2: no sign
+            SI, SL, SV = S
+            e, k = (var[SL] >= 0).nonzero()  # S(i,m) at B(b_m, b_k)
+            rows.append(n ** 3 + SI[e] * n + k)
+            cols.append(var[SL[e], k])
+            vals.append(SV[e])
         if f.p == 2:
-            sq = np.array([(i, m, c) for i, v in self.squares.items() for m, c in v.items()],
-                          dtype=np.int64).reshape(-1, 3)
-            rows.append((n ** 3 + sq[:, 0] * n)[:, None] + ks)
-            cols.append(var[sq[:, 1]])
-            vals.append(np.repeat(sq[:, 2:], n, axis=1))
-            for i in (i for i in range(n) if self.parities[i]):
-                ad = np.zeros((n, n), dtype=np.int64)  # ad[k, m]: b_m in [b_i, b_k]
-                own = I == i
-                ad[J[own], M[own]] = C[own]
-                adad = ad @ ad  # adad[k, m]: b_m in [b_i, [b_i, b_k]]
-                k, m = np.nonzero(adad)
-                rows.append(n ** 3 + i * n + k)
-                cols.append(var[i, m])
-                vals.append(-adad[k, m])
-        r, v, c = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols, vals))
-        keep = v >= 0
-        return r[keep], v[keep], c[keep]
+            # the paths C(i,k,l) C(i,l,m), i odd, joined on (i, l)
+            first = np.array(self.parities, dtype=bool)[A].nonzero()[0]
+            by_ab = ab.argsort(kind="stable")
+            r, s = _join(np.bincount(ab + 1, minlength=n * n + 1).cumsum(),
+                         A[first] * n + M[first])
+            r, s = first[r], by_ab[s]
+            t = var[A[r], M[s]]
+            on = t >= 0
+            r, s = r[on], s[on]
+            rows.append(n ** 3 + A[r] * n + B[r])
+            cols.append(t[on])
+            vals.append(ops.neg(ops.mul(C[r], C[s])))
+        return tuple(np.concatenate(x) for x in (rows, cols, vals))
 
     def fingerprint(self) -> Fingerprint:
         ss = self.structure_series()

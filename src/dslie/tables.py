@@ -7,6 +7,7 @@ from typing import Dict, List, Tuple
 
 from . import classical
 from .ds import ds_homology, identify
+from .fields import UsageError
 from .superalgebra import Element, Superalgebra
 
 _FAMILY_CACHE: Dict[Tuple[str, int, int, int], Superalgebra] = {}
@@ -53,7 +54,9 @@ def chain_reference_names(family: str, a: int, b: int, k: int, p: int) -> List[s
 
 def chain_table(family: str, a: int, b: int, p: int, refs) -> List[dict]:
     """Rows (k, rank_ad, sdim g_x, label) for the chain elements; refs is the
-    references.ReferenceBank the labels are fingerprinted from."""
+    references.ReferenceBank the labels are fingerprinted from.  A reference
+    name the field cannot build (a UsageError, psl(k) without a center) is
+    skipped; any other error surfaces."""
     g = family_algebra(family, a, b, p)
     rows = []
     for k in range(1, min(a, b) + 1):
@@ -63,7 +66,7 @@ def chain_table(family: str, a: int, b: int, p: int, refs) -> List[dict]:
         for want in chain_reference_names(family, a, b, k, p):
             try:
                 names.append((want, refs.fingerprint(want)))
-            except ValueError:
+            except UsageError:
                 pass
         label = identify(res, names)
         rows.append({

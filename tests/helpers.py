@@ -225,17 +225,22 @@ def bracket_basis(g: Superalgebra, i: int, j: int) -> dict:
     return {}
 
 
-def center_rows_reference(g: Superalgebra) -> list:
-    """The center as mat_nullspace of Field rows, one equation
-    sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m) in increasing order (the
-    library's center_rows hands the stored constants to
-    linalg.nullspace_mod_p over GF(p))."""
+def center_equations_reference(g: Superalgebra) -> Matrix:
+    """The center's equations as Field rows, one equation
+    sum_i x_i [b_i, b_k]_m = 0 per nonzero (k, m) in increasing order."""
     rows = {}
     for (i, j) in g.brackets:
         for a, b in {(i, j), (j, i)}:
             for m, c in bracket_basis(g, a, b).items():
                 rows.setdefault((b, m), {})[a] = c
-    return mat_nullspace(Matrix(g.field, [rows[km] for km in sorted(rows)], ncols=g.dim))
+    return Matrix(g.field, [rows[km] for km in sorted(rows)], ncols=g.dim)
+
+
+def center_rows_reference(g: Superalgebra) -> list:
+    """The center as mat_nullspace of center_equations_reference (the
+    library's center_rows hands the stored constants to
+    linalg.nullspace_coo, which peels them over GF(p) and QQ)."""
+    return mat_nullspace(center_equations_reference(g))
 
 
 def _in_graded_span(g: Superalgebra, span: GradedSpan, u) -> bool:

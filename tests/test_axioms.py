@@ -5,9 +5,10 @@ ad_{[b_i,b_j]} = ad_i ad_j - s_ij ad_j ad_i for every pair i <= j, on all
 columns at once, with the square rule ad_{s(b_i)} = ad_i^2 at p = 2 and
 the cube rule [x,[x,x]] = 0 at p = 3.  One contraction of the stored
 structure constants decides the rules on every field: its join and keys
-are integer arrays, and only its sums depend on the field (integer arrays
-mod p over GF(p), one Python pass over QQ and K(a)); the failures are
-named from the keys of its nonzero sums.  The reference below is the
+are integer arrays, and only the scalar ops on its values depend on the
+field (linalg.array_ops: int64 mod p over GF(p), object arrays over QQ
+and K(a)), summed by linalg.sum_by_key; the failures are named from the
+keys of its nonzero sums.  The reference below is the
 earlier algorithm: for each pair it brackets basis triples column by
 column through Superalgebra.bracket.  Both must agree exactly, on valid
 algebras and on algebras with one structure constant or one square

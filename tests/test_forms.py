@@ -1,28 +1,33 @@
 """Invariant forms over prime fields, over QQ and over K(a).
 
 The invariance equations B([b_i,b_j], b_k) = B(b_i, [b_j,b_k]) (and, at
-p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled from the
-nonzero structure constants on every field.  _reference_equations below is
-the brute-force assembly over all n^3 basis triples; the library's Field
-assembly (used over K(a), and over QQ when a scaled constant could
-overflow int64) must give its rows in its order, and the integer triples,
-once linalg.peel_mod_p has deleted the forced-zero variables and
-deduplicated the rest (over GF(p) also scaled to leading entries 1), its
-row space together with the unit rows of the deleted variables.  The
-pinned tests fix the invariant_forms() output byte for byte by the sha256
-of (dim, forms).
+p = 2, B(s(b_i), b_k) = B(b_i, [b_i,[b_i,b_k]])) are assembled as COO
+triples from the nonzero structure constants on every field, by one
+array assembly (Superalgebra._form_equations).  _reference_equations
+below is the brute-force assembly over all n^3 basis triples.  Summed by
+linalg.sum_by_key, the triples must give its rows in its order on every
+field; the rows handed unpeeled to the elimination (K(a), and QQ sums
+beyond int64) must be exactly those; and once linalg.peel_mod_p has
+deleted the forced-zero variables and deduplicated the rest (over GF(p)
+also scaled to leading entries 1), the core must span its row space
+together with the unit rows of the deleted variables.  The pinned tests
+fix the invariant_forms() output byte for byte by the sha256 of
+(dim, forms).
 
-Over QQ the integer triples come from the constants scaled by the lcm of
-their denominators and are eliminated exactly (p = 0).  The QQ pins were
-recorded on the Field path (Field assembly, Fraction elimination), and the
-K(a) pins on the triple loop before the Field assembly replaced it; the
-differential test compares the integer path with the nullspace of the
-triple loop's rows, on both sides of the int64 bound.
+Over QQ the values are the constants scaled by the lcm of their
+denominators, and the system is peeled and eliminated exactly when every
+summed entry fits int64.  The QQ pins were recorded on the Field path
+(Field assembly, Fraction elimination), and the K(a) pins on the triple
+loop before the Field assembly replaced it; the differential test
+compares the integer path with the nullspace of the triple loop's rows,
+on both sides of the int64 bound.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,10 +36,11 @@ from dslie.catalog import build_catalog_algebra
 from dslie.classical import abelian, gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
-from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref
+from dslie import linalg
+from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref, sum_by_key
 from dslie.superalgebra import FORMS_DIM_CUTOFF, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
-from helpers import bracket_basis, dense_matrix, transform_basis
+from helpers import bracket_basis, center_equations_reference, dense_matrix, transform_basis
 from test_subquotient import _p2_heisenberg
 
 P31 = 2147483629  # a 31-bit prime: p^2 needs the int64 elimination
@@ -192,6 +198,14 @@ def _reference_equations(g: Superalgebra, pairs) -> Matrix:
     return Matrix(f, eq_rows, ncols=len(pairs))
 
 
+def _summed(g: Superalgebra, pairs):
+    """The assembly's entries summed as nullspace_coo sums them: (equation,
+    variable, nonzero sum), sorted by equation, then variable."""
+    rows, cols, vals = g._form_equations(pairs)
+    key, sums = sum_by_key(g.field, rows * len(pairs) + cols, vals)
+    return (*np.divmod(key, max(len(pairs), 1)), sums)
+
+
 def _digest(res) -> str:
     return hashlib.sha256(repr((res["dim"], res["forms"])).encode()).hexdigest()
 
@@ -210,7 +224,8 @@ def test_array_assembly_matches_generic(cache_dir, name):
     p = g.field.p
     pairs = g._form_pairs()
     nv = len(pairs)
-    core, kept = peel_mod_p(p, nv, *g._form_equations_mod_p(pairs))
+    eq, var, sums = _summed(g, pairs)
+    core, kept = peel_mod_p(g.field, nv, eq, var, sums.astype(np.int64))
     generic = _reference_equations(g, pairs)
     assert core.ncols == len(kept)
     assert core.field == g.field
@@ -236,7 +251,7 @@ def test_edge_inputs():
     # no equation, so every pair variable is a form
     for name in ("abelian(2|3)/p2", "abelian(2|3)/p5", "solvable(1|1)/p3"):
         g = ALGEBRAS[name](None)
-        assert all(len(x) == 0 for x in g._form_equations_mod_p(g._form_pairs()))
+        assert all(len(x) == 0 for x in g._form_equations(g._form_pairs()))
         assert g.invariant_forms()["dim"] == len(g._form_pairs())
     # nonzero squares add equations: without them one more form survives
     g = _p2_heisenberg()
@@ -250,26 +265,27 @@ def _exact(g: Superalgebra) -> dict:
     return g._forms_of(pairs, mat_nullspace(_reference_equations(g, pairs)))
 
 
-def _count_field_assemblies(monkeypatch) -> list:
-    """The dimensions of the algebras whose forms are assembled as Field rows
-    (_form_equations) from now on in the test."""
+def _count_unpeeled(monkeypatch) -> list:
+    """The systems that nullspace_coo hands to the elimination unpeeled
+    (linalg._element_rows), as Matrices, from now on in the test."""
     calls = []
-    assemble = Superalgebra._form_equations
+    element_rows = linalg._element_rows
 
-    def spy(self, pairs):
-        calls.append(self.dim)
-        return assemble(self, pairs)
+    def spy(*args):
+        M = element_rows(*args)
+        calls.append(M)
+        return M
 
-    monkeypatch.setattr(Superalgebra, "_form_equations", spy)
+    monkeypatch.setattr(linalg, "_element_rows", spy)
     return calls
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS_QQ))
 def test_qq_forms_pinned_and_certified(monkeypatch, cache_dir, name):
     g = ALGEBRAS_QQ[name](cache_dir)
-    calls = _count_field_assemblies(monkeypatch)
+    calls = _count_unpeeled(monkeypatch)
     assert _digest(g.invariant_forms()) == PINNED_QQ[name]
-    assert calls == []  # the integer path answered
+    assert calls == []  # the peeled integer path answered
 
 
 SMALL_QQ = [lambda: gl(1, 1, 0), lambda: osp(1, 2, 0), lambda: sl(2, 1, 0), lambda: gl(2, 1, 0)]
@@ -288,7 +304,7 @@ def test_qq_forms_match_exact_after_rational_basis_change(which, data):
     assume(mat_rank(dense_matrix(QQ, T, n)) == n)
     h = transform_basis(g, T)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _count_field_assemblies(monkeypatch)
+        calls = _count_unpeeled(monkeypatch)
         assert repr(h.invariant_forms()) == repr(_exact(h))
     assert calls == []
 
@@ -316,10 +332,11 @@ def _gl21_over_3() -> Superalgebra:
 
 
 Q1, Q2 = 2147483629, 2147483587  # 31-bit primes
-BOUND = 1 << 62  # the integer path takes scaled constants below this in size
+BOUND = 1 << 62  # a summed entry is +-2c at most, so |c| < 2^62 keeps every sum in int64
 
-# (algebra, whether the Field assembly answers): the scaled constants of the
-# integer path sum at most two to an entry, so they stay below 2^62 in size
+# (algebra, whether the system goes unpeeled): nullspace_coo peels a QQ
+# system while every summed entry of its scaled equations fits int64, and
+# such an entry is one constant, or the sum of two at B_ab = B_ba
 INT64_EDGE = {
     "c=1": (lambda: _one_constant(1), False),
     "c=3": (lambda: _one_constant(3), False),
@@ -330,9 +347,10 @@ INT64_EDGE = {
     "c=-(2^62-1)": (lambda: _one_constant(1 - BOUND), False),
     "c,d=(2^62-1)/3,1/3": (lambda: _two_constants(Fraction(BOUND - 1, 3), Fraction(1, 3)), False),
     "c=2^-70": (lambda: _one_constant(Fraction(1, 2 ** 70)), False),  # scaled to 1
-    "c=2^62": (lambda: _one_constant(BOUND), True),
+    "c=2^62": (lambda: _one_constant(BOUND), True),  # the sum 2c is 2^63
     "c=-2^62": (lambda: _one_constant(-BOUND), True),
     "c,d=2^62/3,1/3": (lambda: _two_constants(Fraction(BOUND, 3), Fraction(1, 3)), True),
+    "c=2^63": (lambda: _one_constant(2 * BOUND), True),
     "c=2^70": (lambda: _one_constant(2 ** 70), True),
     "c,d=1,2^-70": (lambda: _two_constants(1, Fraction(1, 2 ** 70)), True),  # scaled to 2^70
 }
@@ -340,14 +358,19 @@ INT64_EDGE = {
 
 @pytest.mark.parametrize("name", list(INT64_EDGE))
 def test_qq_forms_match_exact_at_the_int64_bound(monkeypatch, name):
-    """The integer path answers while every scaled constant is below 2^62
-    in size, the Field assembly from 2^62 on, and both give the exact
-    nullspace of the triple loop's rows, repr for repr."""
-    build, field_path = INT64_EDGE[name]
+    """The system is peeled while every summed entry fits int64 and goes
+    unpeeled once one does not, and both give the exact nullspace of the
+    triple loop's rows, repr for repr; unpeeled, the rows are the triple
+    loop's, scaled."""
+    build, unpeeled = INT64_EDGE[name]
     g = build()
-    calls = _count_field_assemblies(monkeypatch)
+    calls = _count_unpeeled(monkeypatch)
     assert repr(g.invariant_forms()) == repr(_exact(g))
-    assert calls == ([g.dim] if field_path else [])
+    assert len(calls) == unpeeled
+    if unpeeled:  # the rows scaled by the lcm of the constants' denominators
+        den = math.lcm(*(c.denominator for v in g.brackets.values() for c in v.values()))
+        want = _reference_equations(g, g._form_pairs()).rows
+        assert calls[0].rows == [{t: x * den for t, x in r.items()} for r in want]
 
 
 KA2 = field_for(2, parametric=True)
@@ -393,18 +416,74 @@ def test_ka_squares_add_equations():
     assert (g.invariant_forms()["dim"], squares_free.invariant_forms()["dim"]) == (2, 5)
 
 
-EVERY_FIELD = {**ALGEBRAS, **ALGEBRAS_QQ, **ALGEBRAS_KA}
+def _q2_p2() -> Superalgebra:
+    """q(2) at p = 2, the matrices [[A, B], [B, A]] inside gl(2|2) (in the
+    alternating format, rows 1, 3 even and 2, 4 odd): its odd b_i square to
+    non-central even elements, so [b_i,[b_i,b_k]] = [s(b_i), b_k] is not
+    always 0 and the square equations hold paths C(i,k,l) C(i,l,m)."""
+    g = gl(2, 2, 2)
+    at = {label: t for t, label in enumerate(g.labels)}
+    one, even, odd = g.field.one, (1, 3), (2, 4)
+    rows = [{at[f"E{x[a]},{y[b]}"]: one, at[f"E{u[a]},{v[b]}"]: one}
+            for a in range(2) for b in range(2)
+            for x, y, u, v in ((even, even, odd, odd), (even, odd, odd, even))]
+    return g.subalgebra_from_rows(rows)
+
+
+SQUARE_PATHS = {"q(2)/p2": lambda c: _q2_p2()}
+EVERY_FIELD = {**ALGEBRAS, **ALGEBRAS_QQ, **ALGEBRAS_KA, **SQUARE_PATHS}
+
+
+def test_square_equations_hold_the_paths_through_b_i():
+    """In q(2) at p = 2 the square equations have entries at B(b_i, b_m),
+    which only the join of the paths C(i,k,l) C(i,l,m) puts there (the
+    squares' entries B(b_m, b_k) have an even b_m), and the forms are the
+    exact nullspace of the triple loop's rows."""
+    g = _q2_p2()
+    assert g.squares and g.check_axioms() == []
+    pairs = g._form_pairs()
+    n = g.dim
+    eq, var, _sums = _summed(g, pairs)
+    square = (eq >= n ** 3).nonzero()[0].tolist()
+    assert any((eq[e] - n ** 3) // n in pairs[var[e]] for e in square)
+    assert repr(g.invariant_forms()) == repr(_exact(g))
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_FIELD))
 def test_field_assembly_gives_the_reference_rows(cache_dir, name):
-    """The assembly from the nonzero constants gives the triple loop's rows,
-    in its order, over GF(p), QQ and K(a)."""
+    """The one array assembly from the nonzero constants, summed by
+    sum_by_key, gives the triple loop's rows, in its order, over GF(p), QQ
+    and K(a)."""
     g = EVERY_FIELD[name](cache_dir)
     pairs = g._form_pairs()
-    got, want = g._form_equations(pairs), _reference_equations(g, pairs)
+    got = linalg._element_rows(g.field, len(pairs), *_summed(g, pairs))
+    want = _reference_equations(g, pairs)
     assert got.ncols == want.ncols == len(pairs)
     assert got.rows == want.rows
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS_KA))
+def test_ka_systems_are_eliminated_whole(monkeypatch, cache_dir, name):
+    """Over K(a) the forms and the center reach the elimination unpeeled:
+    the rows handed to mat_nullspace are the reference rows, row for row
+    and in order, one per nonzero equation, repeats included (the
+    elimination work is the one linalg's module docstring keeps on
+    purpose)."""
+    g = EVERY_FIELD[name](cache_dir)
+    pairs = g._form_pairs()
+    calls = []
+    solve = linalg.mat_nullspace
+
+    def spy(M):
+        calls.append(M)
+        return solve(M)
+
+    monkeypatch.setattr(linalg, "mat_nullspace", spy)
+    g.invariant_forms()
+    g.center_rows()
+    forms, center = _reference_equations(g, pairs), center_equations_reference(g)
+    assert [(M.ncols, M.rows) for M in calls] == [(forms.ncols, forms.rows),
+                                                  (center.ncols, center.rows)]
 
 
 @pytest.mark.parametrize("name", ["psl(2|2)/p5", "gl(2|1)/p0", "bgl(3;alpha)/p2"])

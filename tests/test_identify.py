@@ -2,6 +2,7 @@
 
 import pytest
 
+from dslie import tables
 from dslie.audit import MATCH, load_expected, run_audit
 from dslie.catalog import build_catalog_algebra
 from dslie.cli import _default_refs, main
@@ -76,6 +77,20 @@ def test_reference_errors_are_not_swallowed(monkeypatch, cache_dir):
         _default_refs(ReferenceBank(3, cache_dir=cache_dir), {(7, 0)})
     outcomes, code = run_audit([row], cache_dir=cache_dir)
     assert outcomes[0].detail == "computation failed: broken reference" and code == 3
+
+
+def test_chain_table_skips_only_names_the_field_cannot_build(monkeypatch, cache_dir):
+    """chain_table drops a reference name only on a UsageError (psl(3)
+    has no center at p = 2); a ValueError from _construct surfaces."""
+    monkeypatch.setattr(tables, "chain_reference_names", lambda *args: ["psl(3)", "gl(1|1)"])
+    (row,) = tables.chain_table("gl", 2, 2, 2, ReferenceBank(2, cache_dir=cache_dir))[:1]
+    assert row["label"] == "gl(1|1)"
+
+    def broken(self, name):
+        raise ValueError("broken reference")
+    monkeypatch.setattr(ReferenceBank, "_construct", broken)
+    with pytest.raises(ValueError, match="broken reference"):
+        tables.chain_table("gl", 2, 2, 2, ReferenceBank(2, cache_dir=cache_dir))
 
 
 def test_ds_fingerprints_only_references_of_matching_sdim(monkeypatch, capsys, cache_dir):

@@ -3,8 +3,9 @@ a batch through extend() against the same rows added one by one (and its
 stop at full rank), the Echelon against the dense-list reference on small
 filled rows and on wide sparse ones (every element it returns is clean,
 its keys in increasing order), its column index against the one
-recomputed from its rows, the peeled nullspace over GF(p) and exactly
-over ZZ (p = 0) against the dense one, and the homology matrices
+recomputed from its rows, the COO nullspace (peeled over GF(p) and
+exactly over ZZ, whole over K(a) and beyond int64) against the dense one
+on every field, and the homology matrices
 (ad_matrix, kernel_mod_image, adjoint_rank) against their dense
 references: kernel_mod_image on random square-zero matrices, on the
 empty and the zero matrix, on permuted block-diagonal ones and on ad_x
@@ -22,8 +23,9 @@ from dslie.catalog import build_catalog_algebra
 from dslie.classical import classical, parse_key
 from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_candidates
 from dslie.fields import PrimeField, field_for
-from dslie.linalg import (Echelon, Matrix, kernel_mod_image, mat_nullspace, mat_rank,
-                          nullspace_mod_p, peel_mod_p, rref)
+from dslie import linalg
+from dslie.linalg import (Echelon, Matrix, array_ops, kernel_mod_image, mat_nullspace, mat_rank,
+                          nullspace_coo, peel_mod_p, rref, sum_by_key)
 from dslie.superalgebra import el_add, el_addmul
 from helpers import (DenseEchelon, dense_matrix, el_from_dense, el_to_dense,
                      kernel_mod_image_reference)
@@ -564,26 +566,44 @@ def test_homology_scalars_are_python_ints(cache_dir, key, p):
     assert {type(k) for w in consts for k in w} == {int}
 
 
-# -- the peeled mod-p nullspace against the whole system -----------------------
+# -- the COO nullspace, peeled or whole, against the whole system --------------
 
-PEEL_PRIMES = [0, 2, 3, 5, 7, 2147483629]  # 0: exactly over ZZ, compared over QQ
+# "0": exactly over QQ; "0big": over QQ with entries of 2^63 and more, so some
+# sums leave int64 and the system goes unpeeled; "2a", "3a": over K(a),
+# always unpeeled
+PEEL_FIELDS = {"0": (0, False), "0big": (0, False), "2": (2, False), "3": (3, False),
+               "5": (5, False), "7": (7, False), "2147483629": (2147483629, False),
+               "2a": (2, True), "3a": (3, True)}
 PEEL_SHAPES = ["random", "cascade", "no-singleton", "all-singleton", "empty"]
+BIG = [1 << 63, -(1 << 63), -(1 << 63) - 1, (1 << 63) - 1, 1 << 70]
+
+
+def _coo_field(name):
+    """The field and the units an entry x u is drawn with: 1 over GF(p) and
+    QQ, a few rational functions over K(a)."""
+    f = field_for(*PEEL_FIELDS[name])
+    if not f.spec.parametric:
+        return f, [f.one]
+    a = f.param()
+    return f, [f.one, a, f.inv(f.add(f.one, a)), f.div(f.add(f.mul(a, a), f.one), a)]
 
 
 @settings(max_examples=40, deadline=None)
-@pytest.mark.parametrize("p", PEEL_PRIMES)
+@pytest.mark.parametrize("name", list(PEEL_FIELDS))
 @given(data=st.data())
-def test_peeled_nullspace_matches_the_whole_system(p, data):
-    """nullspace_mod_p of COO triples equals mat_nullspace of the dense
-    system they sum to, over GF(p) or, at p = 0, over QQ, repr for repr.
-    Besides random systems the draws plant a cascade (a chain x_0 = 0,
-    x_0 + x_1 = 0, x_1 + x_2 = 0, ..., where each variable stands alone
-    only once the one before it is deleted), systems with no singleton
-    equation, systems of singletons only, and the empty system; repeated
-    entries that sum to 0 (mod p) are mixed into any of them, so an
-    equation may look longer than it is, and some equations may be
+def test_peeled_nullspace_matches_the_whole_system(name, data):
+    """nullspace_coo of COO triples equals mat_nullspace of the dense
+    system they sum to, over GF(p), QQ and K(a), repr for repr, and it
+    peels exactly when every summed entry is a machine integer (never over
+    K(a)).  Besides random systems the draws plant a cascade (a chain
+    x_0 = 0, x_0 + x_1 = 0, x_1 + x_2 = 0, ..., where each variable stands
+    alone only once the one before it is deleted), systems with no
+    singleton equation, systems of singletons only, and the empty system;
+    repeated entries that sum to 0 (mod p) are mixed into any of them, so
+    an equation may look longer than it is, and some equations may be
     repeated under another index, as they are or on shifted columns."""
-    f = field_for(p)
+    f, units = _coo_field(name)
+    p = f.p
     shape = data.draw(st.sampled_from(PEEL_SHAPES), label="shape")
     n = data.draw(st.integers(0 if shape == "empty" else 2, 7), label="ncols")
     if p:
@@ -592,52 +612,72 @@ def test_peeled_nullspace_matches_the_whole_system(p, data):
     else:
         nonzero = st.integers(-9, 9).filter(bool)
         anything = st.integers(-9, 9)
+        if name == "0big":
+            nonzero = nonzero | st.sampled_from(BIG)
+            anything = anything | st.sampled_from(BIG)
+    unit = st.integers(0, len(units) - 1)
     eqs = data.draw(st.integers(1, 5), label="equations")
-    triples, chain = [], []
+    quads, chain = [], []  # (equation, variable, x, unit): the entry x units[unit]
     if shape == "random":
-        triples = data.draw(st.lists(st.tuples(st.integers(0, eqs), st.integers(0, n - 1),
-                                               anything), max_size=15), label="triples")
+        quads = data.draw(st.lists(st.tuples(st.integers(0, eqs), st.integers(0, n - 1),
+                                             anything, unit), max_size=15), label="quads")
     elif shape == "cascade":
         chain = data.draw(st.permutations(range(n)), label="chain")[:data.draw(
             st.integers(2, n), label="length")]
-        triples = [(0, chain[0], data.draw(nonzero))]
+        quads = [(0, chain[0], data.draw(nonzero), data.draw(unit))]
         for e in range(1, len(chain)):
-            triples += [(e, chain[e - 1], data.draw(nonzero)), (e, chain[e], data.draw(nonzero))]
-        triples += data.draw(st.lists(st.tuples(st.integers(len(chain), len(chain) + eqs),
-                                                st.integers(0, n - 1), anything),
-                                      max_size=8), label="extra")
+            quads += [(e, chain[e - 1], data.draw(nonzero), data.draw(unit)),
+                      (e, chain[e], data.draw(nonzero), data.draw(unit))]
+        quads += data.draw(st.lists(st.tuples(st.integers(len(chain), len(chain) + eqs),
+                                              st.integers(0, n - 1), anything, unit),
+                                    max_size=8), label="extra")
     elif shape in ("no-singleton", "all-singleton"):
         size = st.integers(2, n) if shape == "no-singleton" else st.just(1)
         for e in range(eqs):
             cols = data.draw(st.permutations(range(n)), label="cols")[:data.draw(size)]
-            triples += [(e, c, data.draw(nonzero)) for c in cols]
+            quads += [(e, c, data.draw(nonzero), data.draw(unit)) for c in cols]
     if shape != "empty" and data.draw(st.booleans(), label="cancel"):
-        for e, c, v in data.draw(st.lists(st.tuples(st.integers(0, eqs + 2),
-                                                    st.integers(0, n - 1), anything),
-                                          min_size=1, max_size=4), label="cancelling"):
-            triples += [(e, c, v), (e, c, -v + p * data.draw(st.integers(-1, 1)))]
-    if triples and data.draw(st.booleans(), label="repeat"):
-        top = max(e for e, _c, _v in triples)
+        for e, c, v, u in data.draw(st.lists(st.tuples(st.integers(0, eqs + 2),
+                                                       st.integers(0, n - 1), anything, unit),
+                                             min_size=1, max_size=4), label="cancelling"):
+            quads += [(e, c, v, u), (e, c, -v + p * data.draw(st.integers(-1, 1)), u)]
+    if quads and data.draw(st.booleans(), label="repeat"):
+        top = max(q[0] for q in quads)
         for e in data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True),
                            label="repeated"):
             top += 1
             shift = data.draw(st.integers(0, n - 1), label="shift")  # 0: the same row
-            triples += [(top, (c + shift) % n, v) for e2, c, v in triples if e2 == e]
-    triples = [triples[i] for i in data.draw(st.permutations(range(len(triples))),
-                                             label="order")]
-    rows, cols, vals = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+            quads += [(top, (c + shift) % n, v, u) for e2, c, v, u in quads if e2 == e]
+    quads = [quads[i] for i in data.draw(st.permutations(range(len(quads))), label="order")]
+    rows, cols = np.array([q[:2] for q in quads], dtype=np.int64).reshape(-1, 2).T
+    # over GF(p) the array takes the integers as drawn, unreduced
+    value = (lambda x, u: x) if p and not f.spec.parametric else \
+        (lambda x, u: f.mul(f.from_int(x), units[u]))
+    vals = array_ops(f).array([value(x, u) for _e, _c, x, u in quads])
 
-    dense = [[0] * n for _ in range(max(rows.tolist(), default=-1) + 1)]
-    for e, c, v in triples:
-        dense[e][c] += v
-    want = mat_nullspace(dense_matrix(f, [[f.from_int(x) for x in r] for r in dense], n))
-    got = nullspace_mod_p(p, n, rows, cols, vals)
+    dense = [[f.zero] * n for _ in range(max(rows.tolist(), default=-1) + 1)]
+    for e, c, x, u in quads:
+        dense[e][c] = f.add(dense[e][c], f.mul(f.from_int(x), units[u]))
+    want = mat_nullspace(dense_matrix(f, dense, n))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        unpeeled = []
+        element_rows = linalg._element_rows
+        monkeypatch.setattr(linalg, "_element_rows",
+                            lambda *args: unpeeled.append(1) or element_rows(*args))
+        got = nullspace_coo(f, n, rows, cols, vals)
     assert repr(got) == repr(want)
     _check_elements(f, got, n)
-    scalar = int if p else Fraction
-    assert all(type(x) is scalar for vec in got for x in vec.values())
+    assert all(type(x) is type(f.one) for vec in got for x in vec.values())
 
-    core, kept = peel_mod_p(p, n, rows, cols, vals)
+    key, sums = sum_by_key(f, rows * n + cols, vals)
+    eq, var = np.divmod(key, max(n, 1))
+    assert key.tolist() == sorted(set(key.tolist()))
+    machine = all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in sums.tolist())
+    assert unpeeled == ([] if machine else [1])
+    assert not (f.spec.parametric and machine and sums.size)
+    if not machine:
+        return
+    core, kept = peel_mod_p(f, n, eq, var, sums.astype(np.int64))
     _check_elements(f, core.rows, core.ncols)
     assert len({tuple(r.items()) for r in core.rows}) == core.nrows  # no repeated row
     deleted = set(range(n)) - set(kept.tolist())
@@ -650,14 +690,15 @@ def test_peeled_nullspace_matches_the_whole_system(p, data):
         assert not deleted  # the cancelling entries add 0 to the sums
 
 
-@pytest.mark.parametrize("p", PEEL_PRIMES)
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 2147483629])
 def test_peel_tells_equal_values_on_other_columns_apart(p):
     """x_0 + x_1 = 0 and x_1 + x_2 = 0 hold the same values on other
     columns, so neither repeats the other: both stay in the core and one
     variable is free (at p = 0 too, where a key v * p + c would lose the
     column)."""
-    rows, cols, vals = (np.array(a, dtype=np.int64)
-                        for a in ([0, 0, 1, 1], [0, 1, 1, 2], [1, 1, 1, 1]))
-    core, kept = peel_mod_p(p, 3, rows, cols, vals)
+    f = field_for(p)
+    eq, var, vals = (np.array(a, dtype=np.int64)
+                     for a in ([0, 0, 1, 1], [0, 1, 1, 2], [1, 1, 1, 1]))
+    core, kept = peel_mod_p(f, 3, eq, var, vals)
     assert (core.nrows, kept.tolist()) == (2, [0, 1, 2])
-    assert len(nullspace_mod_p(p, 3, rows, cols, vals)) == 1
+    assert len(nullspace_coo(f, 3, eq, var, array_ops(f).array([f.one] * 4))) == 1

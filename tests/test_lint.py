@@ -1,6 +1,8 @@
 """Static checks on the library sources: every import in src/dslie is used
 and sits at module level, only linalg.py and superalgebra.py import numpy
-(and in linalg only the peel of the sparse GF(p) systems uses it), no
+(and in linalg only the array paths use it), the array paths of the
+Jacobi sums, the center and the forms test no Field class (only
+linalg.array_ops does), no
 module but linalg reads the private rows, kernels or entry points of its
 Echelon, no code outside Echelon's methods writes its rows, pivots or
 column index, no loop copies a running sum through el_add or el_addmul,
@@ -97,10 +99,9 @@ NUMPY_MODULES = ["linalg.py", "superalgebra.py"]
 
 
 def test_numpy_stays_in_linalg_and_superalgebra():
-    """Integer arrays stay inside linalg and superalgebra: the peeled
-    systems of the center and the forms, and the join and keys of the
-    Jacobi contraction on every field; the homology matrices are sparse
-    rows."""
+    """Arrays stay inside linalg and superalgebra: the systems of the
+    center and the forms, and the join, keys and sums of the Jacobi
+    contraction, on every field; the homology matrices are sparse rows."""
     users = []
     for module in MODULES:
         with open(os.path.join(SRC, module)) as fh:
@@ -123,11 +124,61 @@ def numpy_definitions(source: str):
 
 
 def test_numpy_stays_in_the_peel():
-    """In linalg only the peel of a sparse GF(p) system works on arrays; its
-    core leaves as element rows, so Matrix and Echelon take one vector
-    format and every elimination goes through Echelon.add."""
+    """In linalg only the array paths work on arrays: the field's scalar ops
+    (array_ops), the sums by key and the COO nullspace with its peel and
+    its whole-system rows.  Their systems leave as element rows, so Matrix
+    and Echelon take one vector format and every elimination goes through
+    Echelon.add."""
     with open(os.path.join(SRC, "linalg.py")) as fh:
-        assert numpy_definitions(fh.read()) == ["_firsts", "nullspace_mod_p", "peel_mod_p"]
+        assert numpy_definitions(fh.read()) == ["_element_rows", "_exact_ops", "_firsts",
+                                                "array_ops", "nullspace_coo", "peel_mod_p",
+                                                "sum_by_key"]
+
+
+FIELD_CLASSES = {"Field", "PrimeField", "RationalField", "FunctionField"}
+# the array paths, which differ by field only in linalg.array_ops' scalar ops
+ONE_ARRAY_PATH = {
+    "superalgebra.py": ["_constants", "_failing_sums", "_form_equations", "center_rows",
+                        "invariant_forms"],
+    "linalg.py": ["nullspace_coo", "sum_by_key"],
+}
+
+
+def field_dispatches(source: str, names):
+    """(function, line) of every isinstance test on a Field class (alone or
+    in a tuple) inside the functions or methods of the given names, and
+    (name, None) for each name that the source does not define."""
+    found = {n.name: n for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in names}
+    out = [(name, None) for name in names if name not in found]
+    for name, fn in found.items():
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "isinstance" and len(n.args) == 2):
+                kinds = n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]
+                if any((k.id if isinstance(k, ast.Name) else getattr(k, "attr", None))
+                       in FIELD_CLASSES for k in kinds):
+                    out.append((name, n.lineno))
+    return sorted(out, key=str)
+
+
+@pytest.mark.parametrize("module", sorted(ONE_ARRAY_PATH))
+def test_array_paths_do_not_name_the_field(module):
+    """The Jacobi sums, the center and the invariance equations take one
+    array path on every field: linalg.array_ops is the only place that
+    tells the fields apart."""
+    with open(os.path.join(SRC, module)) as fh:
+        assert field_dispatches(fh.read(), ONE_ARRAY_PATH[module]) == []
+
+
+def test_checker_sees_field_dispatches():
+    src = ("class G:\n    def center_rows(self):\n        if isinstance(self.f, PrimeField):\n"
+           "            return 1\n        return isinstance(self.f, int)\n"
+           "def sums(f):\n    def inner():\n"
+           "        return isinstance(f, (int, fields.RationalField))\n    return inner\n"
+           "def other(f):\n    return isinstance(f, Field)\n")
+    assert field_dispatches(src, ["center_rows", "sums", "gone"]) == [
+        ("center_rows", 3), ("gone", None), ("sums", 8)]
 
 
 def test_checker_sees_numpy_definitions():

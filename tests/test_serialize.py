@@ -263,7 +263,68 @@ CORRUPT_FIELDS = {
     "chevalley e moved": lambda o: o["chevalley"]["e"].__setitem__(0, o["chevalley"]["f"][0]),
     "pos_order cut": lambda o: o.update(pos_order=o["pos_order"][:-1]),
     "neg_nodes cut": lambda o: o.update(neg_nodes=o["neg_nodes"][:-1]),
+    # node and order edits made on both sides alike, unless named
+    "generator words swapped": lambda o: _both_sides(o, _swap_words),
+    "node root moved": lambda o: _both_sides(o, lambda nodes: _edit_node(nodes, 1, [0, 0])),
+    "node parity flipped": lambda o: _both_sides(o, lambda nodes: _edit_node(nodes, 2, 1)),
+    "node degree changed": lambda o: _both_sides(o, lambda nodes: _edit_node(nodes, 3, 3)),
+    "bracket of a later node": lambda o: _both_sides(
+        o, lambda nodes: nodes[2][0].__setitem__(2, 2)),
+    "pos_order repeated": lambda o: [o[k].__setitem__(1, o[k][0])
+                                     for k in ("pos_order", "neg_order")],
+    "pos_order swapped": lambda o: [_swap(o[k], 0, 2) for k in ("pos_order", "neg_order")],
+    "neg_nodes words swapped": lambda o: _swap_words(o["neg_nodes"]),
+    "neg_order swapped": lambda o: _swap(o["neg_order"], 0, 2),
 }
+
+
+def _swap(xs: list, a: int, b: int) -> None:
+    xs[a], xs[b] = xs[b], xs[a]
+
+
+def _swap_words(nodes: list) -> None:
+    """The words of generator nodes 0 and 1 exchanged."""
+    nodes[0][0], nodes[1][0] = nodes[1][0], nodes[0][0]
+
+
+def _edit_node(nodes: list, field: int, value) -> None:
+    """One field (1 root, 2 parity, 3 degree) of the first bracket node set."""
+    nodes[2][field] = value
+
+
+def _both_sides(o: dict, edit) -> None:
+    for key in ("pos_nodes", "neg_nodes"):
+        edit(o[key])
+
+
+def test_brj_nodes_edited_here():
+    """The node edits above hit what they name: in brj(2;5) node 2 is the
+    first bracket [X_1, X_0] (root (1, 1), even, degree 2), and pos_order
+    positions 0 and 2 hold nodes of different roots."""
+    o = build_result_to_dict(build_g_of_A(_spec()))
+    assert o["pos_nodes"][2] == [["br", 1, 0], [1, 1], 0, 2]
+    assert o["pos_roots"][0] != o["pos_roots"][2]
+
+
+def test_swapped_generator_words_are_a_miss(tmp_path):
+    """A bgl(3;alpha) p = 2 entry with the words of generator nodes 0 and 1
+    exchanged on both sides loaded as a build whose module actions differ
+    from a fresh build's; it is a miss, and the rebuilt entry's modules
+    keep their pins."""
+    cd = str(tmp_path)
+    ent = catalog_get("bgl(3;alpha)", 2)
+    cold = build_catalog_algebra(ent.key, ent.p, cache_dir=cd)
+    path = cache_path(cd, cold.spec, 40)
+    with open(path) as fh:
+        o = json.load(fh)
+    _both_sides(o, _swap_words)
+    with open(path, "w") as fh:
+        json.dump(o, fh)
+    assert cache_load(cd, cold.spec, 40) is None
+    rebuilt = build_catalog_algebra(ent.key, ent.p, cache_dir=cd)
+    assert serialize_build(rebuilt) == serialize_build(cold)
+    (m,) = [m for m in ent.modules if m["name"] == "M"]
+    assert _module_digest(rebuilt, m) == MODULE_PINS["bgl(3;alpha)@p2/M"]
 
 
 @pytest.mark.parametrize("name", list(CORRUPT_FIELDS))

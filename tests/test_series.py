@@ -8,10 +8,12 @@ basis vectors, the center is the nullspace of Field rows, and
 center ∩ [g, g] is a basis found from the nullspace of the stacked center
 and [g, g] rows.
 
-center_rows, which over GF(p) peels the forced-zero variables off the
-stored constants (linalg.nullspace_mod_p), is compared with the dense
-reference repr for repr on every catalog build, on the subquotient
-structures of test_subquotient.py and on the algebras of test_forms.py.
+center_rows, which hands the stored constants to linalg.nullspace_coo
+(peeled over GF(p) and QQ within int64, whole over K(a) and beyond), is
+compared with the dense reference repr for repr on every catalog build,
+on the subquotient structures of test_subquotient.py, on the algebras of
+test_forms.py over GF(p), QQ and K(a), and on its QQ algebras at the
+int64 bound.
 """
 
 import pytest
@@ -22,7 +24,7 @@ from dslie.ds import ds_homology
 from dslie.linalg import Matrix, mat_nullspace
 from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_addmul
 from helpers import center_rows_reference, transpose
-from test_forms import EVERY_FIELD
+from test_forms import EVERY_FIELD, INT64_EDGE
 from test_subquotient import BUILDERS, _p2_heisenberg
 
 
@@ -146,4 +148,10 @@ def test_center_matches_dense_reference_on_subquotients(name):
 @pytest.mark.parametrize("name", sorted(EVERY_FIELD))
 def test_center_matches_dense_reference_on_form_algebras(cache_dir, name):
     g = EVERY_FIELD[name](cache_dir)
+    assert repr(g.center_rows()) == repr(center_rows_reference(g))
+
+
+@pytest.mark.parametrize("name", list(INT64_EDGE))
+def test_center_matches_dense_reference_at_the_int64_bound(name):
+    g = INT64_EDGE[name][0]()
     assert repr(g.center_rows()) == repr(center_rows_reference(g))
