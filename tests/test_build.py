@@ -164,10 +164,15 @@ BUILD_PINS = {
 }
 
 
-def test_catalog_builds_are_pinned():
-    got = {f"{e.key}@p{e.p}": hashlib.sha256(
-        serialize_build(build_g_of_A(e.spec())).encode()).hexdigest()[:16]
-        for e in all_entries()}
+@pytest.fixture(scope="module")
+def catalog_builds():
+    """Every catalog entry built cold, once for all the tests of this module."""
+    return {f"{e.key}@p{e.p}": build_g_of_A(e.spec()) for e in all_entries()}
+
+
+def test_catalog_builds_are_pinned(catalog_builds):
+    got = {name: hashlib.sha256(serialize_build(b).encode()).hexdigest()[:16]
+           for name, b in catalog_builds.items()}
     assert got == BUILD_PINS
 
 
@@ -222,6 +227,30 @@ def test_hand_built_algebras_are_pinned(name):
     got = hashlib.sha256(serialize_build(b).encode()).hexdigest()[:16]
     assert (got, b.sdim) == HAND_PINS[name]
     assert b.algebra.check_axioms() == []
+
+
+def _off_the_grading(g):
+    """The stored constants that leave g's root grading: a key m of
+    [b_a, b_b] whose weight is not w_a + w_b, or a key m of s(b_a) whose
+    weight is not 2 w_a, as (a, b, m) (b = a for a square)."""
+    w = g.weights
+
+    def plus(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+    out = [(a, b, m) for (a, b), v in g.brackets.items() for m in v
+           if w[m] != plus(w[a], w[b])]
+    out += [(a, a, m) for a, v in (g.squares or {}).items() for m in v
+            if w[m] != plus(w[a], w[a])]
+    return out
+
+
+def test_stored_constants_respect_the_root_grading(catalog_builds):
+    # the fact the builder's fill rests on: a pair whose weights do not sum
+    # to a weight of the basis has bracket 0
+    builds = dict(catalog_builds)
+    builds.update((name, build_g_of_A(spec)) for name, spec in HAND_SPECS.items())
+    assert {name: _off_the_grading(b.algebra) for name, b in builds.items()} == \
+        {name: [] for name in builds}
 
 
 def test_degree_cap_message_is_unchanged():
