@@ -27,6 +27,23 @@ Only the positive side is built; two facts give the rest exactly.
    theta(h) = -h (grading elements included) keeps the defining
    relations, maps x_m to y_m and y_m to (-1)^{p(m)} x_m, so
    [x_a, y_b] = -(-1)^{p(a) + p(a)p(b)} theta([x_b, y_a]).
+
+A third fact limits the fill of the structure constants to the pairs
+that can be nonzero.
+
+3. g(A) is graded by its roots: the free presentation is, and so is its
+   radical, since each weight space is reduced on its own.  Every basis
+   vector has a weight (0 for h and the grading elements), [b_a, b_b]
+   lies in weight w_a + w_b and s(b_a) in 2 w_a.  A pair whose weights do
+   not sum to a weight of the basis therefore has bracket 0, and the fill
+   skips it.  The test is one integer add and one set lookup: weight w is
+   keyed as sum_j w_j B^j with B = 4R + 1, R the largest |coordinate| of
+   a weight.  The key is additive, and it is injective on the vectors
+   with coordinates in [-2R, 2R], which hold every weight and every sum of
+   two: two of them differ by some d with |d_j| <= 4R < B, and if
+   sum_j d_j B^j = 0 with d != 0, B divides d_j at the lowest j with
+   d_j != 0, which is impossible.  So a pair's key sum is a weight's key
+   exactly when its weight sum is that weight.
 """
 
 from __future__ import annotations
@@ -87,6 +104,7 @@ class _Side:
         self.cross_coeff = cross_coeff  # [i] -> coefficient of h_i in [Y_i, X_i]
         self.gen_root = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         self.p2 = fld.p == 2
+        self.minus_one = fld.neg(fld.one)
         self.cap = cap
         self.dim_cap = dim_cap
         self.nodes: List[_Node] = [_Node(("g", i), self.gen_root[i], parities[i], 1)
@@ -118,8 +136,8 @@ class _Side:
             else:
                 # [[X_i, a'], w] = [X_i, [a', w]] - (-1)^{p(i)p(a')} [a', [X_i, w]]
                 i, aprime = na.word[1], na.word[2]
-                odd = f.p != 2 and self.parities[i] and self.nodes[aprime].parity
-                c2 = f.one if odd else f.neg(f.one)
+                odd = not self.p2 and self.parities[i] and self.nodes[aprime].parity
+                c2 = f.one if odd else self.minus_one
                 terms = [(c, self.raise_tab.get((i, d), {}))
                          for d, c in self.bracket_flat(aprime, b).items()]
                 terms += [(f.mul(c2, c), self.bracket_flat(aprime, d))
@@ -150,13 +168,13 @@ class _Side:
         node = self.nodes[m]
         out: List[Element] = []
         if kind == "br":
-            pi = self.parities[i]
+            pi = self.parities[i] and not self.p2
             for j in range(self.n):
                 flats, hpart = self._lower_of_basis(m, j)
                 if not (flats or hpart or j == i):
                     out.append({})
                     continue
-                sgn = f.neg(f.one) if (f.p != 2 and pi and self.parities[j]) else f.one
+                sgn = self.minus_one if (pi and self.parities[j]) else f.one
                 terms = []
                 if j == i:
                     c = f.mul(self.cross_coeff[i], self.weight_of(i, node.root))
@@ -295,13 +313,18 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     d_rows = grading_rows(spec, fld)
     k = len(d_rows)
 
+    h_weights: Dict[Tuple[int, Tuple[int, ...]], object] = {}  # (i, root) -> h_i's scalar, once
+
     def weight_of(i: int, root: Tuple[int, ...]):
-        acc = fld.zero
-        row = A[i]
-        for j, c in enumerate(root):
-            if c and not fld.is_zero(row[j]):
-                acc = fld.add(acc, fld.mul(fld.from_int(c), row[j]))
-        return acc
+        key = (i, root)
+        if key not in h_weights:
+            acc = fld.zero
+            row = A[i]
+            for j, c in enumerate(root):
+                if c and not fld.is_zero(row[j]):
+                    acc = fld.add(acc, fld.mul(fld.from_int(c), row[j]))
+            h_weights[key] = acc
+        return h_weights[key]
 
     p2 = fld.p == 2
     minus_one = fld.neg(fld.one)
@@ -327,11 +350,13 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     weights += [nodes[m].root for m in order]
     weights += [tuple(-c for c in nodes[m].root) for m in order]
 
-    def h_weight(a: int, root: Tuple[int, ...]):
-        if a < n:
-            return weight_of(a, root)
-        m = d_rows[a - n]
-        return fld.from_int(root[m])
+    def h_weight(a: int, b: int):
+        """The scalar of [h_a, b_b] for a root vector b_b (h_a is d_t for a >= n)."""
+        if a >= n:
+            return fld.from_int(weights[b][d_rows[a - n]])
+        if b < nh + npos:
+            return weight_of(a, weights[b])
+        return fld.neg(weight_of(a, weights[b - npos]))  # y_m has the root of x_m negated
 
     def lift(glob: Dict[int, int], el: Element) -> Element:
         """An element over the nodes, over global indices on one side."""
@@ -355,7 +380,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         if a < nh:
             if b < nh:
                 return {}
-            c = h_weight(a, weights[b])
+            c = h_weight(a, b)
             return {} if fld.is_zero(c) else {b: c}
         # both are root vectors now
         if b < nh + npos:
@@ -394,6 +419,11 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
             if nn.degree == 1:
                 j = nn.word[1]
                 out = {i: fld.one} if i == j else {}
+            elif nn.word[0] == "sq":
+                # y_mn = s(y_z), and at p = 2 [e_i, s(y)] = [y, [y, e_i]]
+                z = nn.word[1]
+                out = el_sum(fld, [(c, glob_bracket(neg_global[z], b))
+                                   for b, c in mixed(mp, z).items()])
             else:
                 # nn = [f_j, b']; [e_i,[f_j,b']] = delta_ij [h_i, b'] + (-1)^{p_i p_j}[f_j, [e_i, b']]
                 j, bprime = nn.word[1], nn.word[2]
@@ -420,14 +450,20 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
         memo_mixed[key] = out
         return out
 
+    # fact 3 of the module docstring: only pairs whose weights sum to a weight
+    base = 4 * max((abs(c) for w in weights for c in w), default=0) + 1
+    wkey = [sum(c * base ** j for j, c in enumerate(w)) for w in weights]
+    wkeys = set(wkey)
     brackets: Dict[Tuple[int, int], Element] = {}
     squares: Dict[int, Element] = {}
     for a in range(dim):
+        ka = wkey[a]
         lo = a if (not p2 and parities[a] == 1) else a + 1
         for b in range(lo, dim):
-            w = glob_bracket(a, b)
-            if w:
-                brackets[(a, b)] = w
+            if ka + wkey[b] in wkeys:
+                w = glob_bracket(a, b)
+                if w:
+                    brackets[(a, b)] = w
     if p2:
         for glob in (pos_global, neg_global):
             for m in order:

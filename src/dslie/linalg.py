@@ -322,8 +322,9 @@ def array_ops(field: Field) -> ArrayOps:
                  of their denominators, so no sum has an int64 bound
       * K(a)  -- object arrays of the Field's values, through np.frompyfunc
                  of its add, mul and neg; add and mul are cached for the
-                 lifetime of these ops (one call's), since the constants
-                 take few distinct values
+                 lifetime of these ops, since the constants take few
+                 distinct values; a caller makes them once per solve or
+                 check and hands them down
 
     A common factor leaves a linear system's nullspace and the zero test of
     each sum of products of two values unchanged.  The GF(p) and QQ ops
@@ -350,11 +351,10 @@ def _exact_ops(field: Field) -> ArrayOps:
     return ArrayOps(scaled, np.multiply, np.negative, 0, np.add.reduceat, Fraction)
 
 
-def sum_by_key(field: Field, keys: np.ndarray, terms: np.ndarray
+def sum_by_key(ops: ArrayOps, keys: np.ndarray, terms: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
     """The terms summed by key: (the distinct keys whose sum is nonzero, in
-    increasing order; their sums), terms an array of array_ops(field)."""
-    ops = array_ops(field)
+    increasing order; their sums), terms an array made by ops."""
     order = keys.argsort()
     keys = keys[order]
     starts = _firsts(keys).nonzero()[0]
@@ -375,21 +375,23 @@ def nullspace_coo(field: Field, ncols: int, rows: np.ndarray, cols: np.ndarray,
     whole system byte for byte: each variable the peel deletes is an RREF
     pivot whose row is the unit row e_t, so no other RREF row and no kernel
     vector has a nonzero entry at t, and the free columns are the core's."""
-    key, sums = sum_by_key(field, rows * ncols + cols, vals)
+    ops = array_ops(field)
+    key, sums = sum_by_key(ops, rows * ncols + cols, vals)
     eq, var = np.divmod(key, max(ncols, 1))
     ints = sums.tolist() if sums.dtype == object else None
     if ints is not None and not all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in ints):
-        return mat_nullspace(_element_rows(field, ncols, eq, var, sums))
+        return mat_nullspace(_element_rows(field, ops, ncols, eq, var, sums))
     core, kept = peel_mod_p(field, ncols, eq, var, sums.astype(np.int64, copy=False))
     kept = kept.tolist()
     return [{kept[j]: x for j, x in vec.items()} for vec in mat_nullspace(core)]
 
 
-def _element_rows(field: Field, ncols: int, eq: np.ndarray, var: np.ndarray,
-                  sums: np.ndarray) -> Matrix:
+def _element_rows(field: Field, ops: ArrayOps, ncols: int, eq: np.ndarray,
+                  var: np.ndarray, sums: np.ndarray) -> Matrix:
     """The summed system of nullspace_coo as element rows: one per
-    equation, in increasing order, its entries by increasing variable."""
-    scalar = array_ops(field).scalar
+    equation, in increasing order, its entries by increasing variable;
+    ops are the field's array_ops the sums were made with."""
+    scalar = ops.scalar
     rows: Dict[int, Element] = {}
     for e, j, x in zip(eq.tolist(), var.tolist(), sums.tolist()):
         rows.setdefault(e, {})[j] = scalar(x)

@@ -36,18 +36,20 @@ class CacheError(Exception):
     """A cache directory or entry that cannot be created or written."""
 
 
-def scalar_to_obj(fld: Field, x):
+def scalar_converter(fld: Field):
+    """The JSON form of a scalar of fld, as one function chosen once per
+    field: a GF(p) value as an int, a QQ value as a string, a K(a) value
+    as its numerator and denominator coefficient lists (strings over QQ)."""
     if fld.spec.parametric:
         if fld.p:
-            return [list(x.num), list(x.den)]
-        return [[str(c) for c in x.num], [str(c) for c in x.den]]
-    if fld.p:
-        return int(x)
-    return str(x)
+            return lambda x: [list(x.num), list(x.den)]
+        return lambda x: [[str(c) for c in x.num], [str(c) for c in x.den]]
+    return int if fld.p else str
 
 
-def element_to_obj(fld: Field, el: dict) -> dict:
-    return {str(k): scalar_to_obj(fld, v) for k, v in sorted(el.items())}
+def element_to_obj(scalar, el: dict) -> dict:
+    """el in JSON form, scalar its field's scalar_converter."""
+    return {str(k): scalar(v) for k, v in sorted(el.items())}
 
 
 def elements_from_obj(fld: Field, objs: list) -> list:
@@ -72,20 +74,21 @@ def elements_from_obj(fld: Field, objs: list) -> list:
 
 def superalgebra_to_dict(g: Superalgebra) -> dict:
     fld = g.field
+    scalar = scalar_converter(fld)
     out = {
         "field": {"p": fld.p, "parametric": fld.spec.parametric},
         "labels": g.labels,
         "parities": g.parities,
         "weights": [list(w) if w is not None else None for w in g.weights]
         if g.weights is not None else None,
-        "brackets": {f"{i},{j}": element_to_obj(fld, v)
+        "brackets": {f"{i},{j}": element_to_obj(scalar, v)
                      for (i, j), v in sorted(g.brackets.items())},
     }
     if fld.p == 2:
-        out["squares"] = {str(i): element_to_obj(fld, v)
+        out["squares"] = {str(i): element_to_obj(scalar, v)
                           for i, v in sorted((g.squares or {}).items())}
     if g.chevalley is not None:
-        out["chevalley"] = {k: [element_to_obj(fld, e) for e in v]
+        out["chevalley"] = {k: [element_to_obj(scalar, e) for e in v]
                             for k, v in sorted(g.chevalley.items())}
     return out
 

@@ -470,7 +470,7 @@ class Superalgebra:
                 cube = ((x == u) & (y == x)).nonzero()[0]
                 key = np.concatenate([key, (n ** 3 + x[cube]) * n + t[cube]])
                 per = np.concatenate([per, base[cube]])
-            failing, _sums = sum_by_key(f, key, per)
+            failing, _sums = sum_by_key(ops, key, per)
             if failing.size:
                 found.append(failing)
         if not found:

@@ -200,6 +200,8 @@ HAND_SPECS = {
                              parities=[1, 1, 1]),
     "osp(4|2;a)@p3": CartanSpec(key="osp42a3", p=3, entries=[[0, 1, ("a", 1)], [-1, 2, 0],
                                                              [-1, 0, 2]], parities=[1, 0, 0]),
+    "osp(1|2)@p2": CartanSpec(key="osp12p2", p=2, entries=[[1]], parities=[1]),
+    "osp(1|4)@p2": CartanSpec(key="osp14p2", p=2, entries=[[1, 1], [1, 0]], parities=[1, 0]),
 }
 
 # sha256 (first 16 hex digits) of serialize_build, recorded while g(A) was
@@ -253,6 +255,17 @@ def test_stored_constants_respect_the_root_grading(catalog_builds):
         {name: [] for name in builds}
 
 
+@pytest.mark.parametrize("name, sdim", [("osp(1|2)@p2", (3, 2)), ("osp(1|4)@p2", (10, 4))])
+def test_square_nodes_build(name, sdim):
+    """At p = 2 an odd root z with 2 root(z) a root gives a square node
+    s(z); the mixed bracket [x_i, y_s(z)] is [y_z, [y_z, x_i]].  These are
+    the dimensions of osp(1|2) and osp(1|4) at p = 0."""
+    b = build_g_of_A(HAND_SPECS[name])
+    assert b.sdim == sdim
+    assert any(nd.word[0] == "sq" for nd in b.pos_nodes)
+    assert b.algebra.squares and b.algebra.check_axioms() == []
+
+
 def test_degree_cap_message_is_unchanged():
     with pytest.raises(BuildError) as err:
         build_g_of_A(CartanSpec(key="affine", p=0,
@@ -289,7 +302,8 @@ SIDE_SPECS = [HAND_SPECS["G(3)"], HAND_SPECS["gl(2|2)"], HAND_SPECS["osp(4|2;a)"
               HAND_SPECS["gl(2|2)@p2"], catalog_get("bgl(3;alpha)", 2).spec(),
               catalog_get("e(6,1)", 2).spec(), catalog_get("brj(2;3)", 3).spec(),
               catalog_get("g(2,3)", 3).spec(), catalog_get("brj(2;5)", 5).spec(),
-              catalog_get("osp(4|2;a)", 5).spec()]
+              catalog_get("osp(4|2;a)", 5).spec(), HAND_SPECS["osp(1|2)@p2"],
+              HAND_SPECS["osp(1|4)@p2"]]
 
 
 @pytest.mark.parametrize("spec", SIDE_SPECS, ids=lambda s: f"{s.key}@p{s.p}")
@@ -328,7 +342,8 @@ def _theta(b, el):
     lambda: build_g_of_A(HAND_SPECS["osp(4|2;a)"]),
     lambda: build_g_of_A(catalog_get("brj(2;5)", 5).spec()),
     lambda: build_g_of_A(catalog_get("bgl(3;alpha)", 2).spec()),
-], ids=["gl(2|2)@p0", "osp(4|2;a)@p0", "brj(2;5)@p5", "bgl(3;alpha)@p2"])
+    lambda: build_g_of_A(HAND_SPECS["osp(1|4)@p2"]),
+], ids=["gl(2|2)@p0", "osp(4|2;a)@p0", "brj(2;5)@p5", "bgl(3;alpha)@p2", "osp(1|4)@p2"])
 def test_chevalley_automorphism_on_the_stored_constants(make):
     b = make()
     g, f = b.algebra, b.field

@@ -37,7 +37,7 @@ from dslie.classical import abelian, gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
 from dslie import linalg
-from dslie.linalg import Matrix, mat_nullspace, mat_rank, peel_mod_p, rref, sum_by_key
+from dslie.linalg import Matrix, array_ops, mat_nullspace, mat_rank, peel_mod_p, rref, sum_by_key
 from dslie.superalgebra import FORMS_DIM_CUTOFF, Superalgebra, direct_sum
 from dslie.tables import chain_element, family_algebra
 from helpers import bracket_basis, center_equations_reference, dense_matrix, transform_basis
@@ -202,7 +202,7 @@ def _summed(g: Superalgebra, pairs):
     """The assembly's entries summed as nullspace_coo sums them: (equation,
     variable, nonzero sum), sorted by equation, then variable."""
     rows, cols, vals = g._form_equations(pairs)
-    key, sums = sum_by_key(g.field, rows * len(pairs) + cols, vals)
+    key, sums = sum_by_key(array_ops(g.field), rows * len(pairs) + cols, vals)
     return (*np.divmod(key, max(len(pairs), 1)), sums)
 
 
@@ -456,7 +456,7 @@ def test_field_assembly_gives_the_reference_rows(cache_dir, name):
     and K(a)."""
     g = EVERY_FIELD[name](cache_dir)
     pairs = g._form_pairs()
-    got = linalg._element_rows(g.field, len(pairs), *_summed(g, pairs))
+    got = linalg._element_rows(g.field, array_ops(g.field), len(pairs), *_summed(g, pairs))
     want = _reference_equations(g, pairs)
     assert got.ncols == want.ncols == len(pairs)
     assert got.rows == want.rows
