@@ -220,6 +220,11 @@ HAND_PINS = {
     "osp(3|2)@p5": ("0c25e1af210f86e8", (6, 6)),
     "gl(2|2)@p2": ("aae68e14fe13ef60", (8, 8)),
     "osp(4|2;a)@p3": ("d04aafeb93a3545d", (9, 8)),
+    # recorded when a square node s(z) on the positive side first built: at
+    # p = 2, an odd root z with 2 root(z) a root; the dimensions are those
+    # of osp(1|2) and osp(1|4) at p = 0
+    "osp(1|2)@p2": ("0a32ea30e8c1265e", (3, 2)),
+    "osp(1|4)@p2": ("125b840933f65122", (10, 4)),
 }
 
 
@@ -253,17 +258,7 @@ def test_stored_constants_respect_the_root_grading(catalog_builds):
     builds.update((name, build_g_of_A(spec)) for name, spec in HAND_SPECS.items())
     assert {name: _off_the_grading(b.algebra) for name, b in builds.items()} == \
         {name: [] for name in builds}
-
-
-@pytest.mark.parametrize("name, sdim", [("osp(1|2)@p2", (3, 2)), ("osp(1|4)@p2", (10, 4))])
-def test_square_nodes_build(name, sdim):
-    """At p = 2 an odd root z with 2 root(z) a root gives a square node
-    s(z); the mixed bracket [x_i, y_s(z)] is [y_z, [y_z, x_i]].  These are
-    the dimensions of osp(1|2) and osp(1|4) at p = 0."""
-    b = build_g_of_A(HAND_SPECS[name])
-    assert b.sdim == sdim
-    assert any(nd.word[0] == "sq" for nd in b.pos_nodes)
-    assert b.algebra.squares and b.algebra.check_axioms() == []
+    assert any(b.algebra.squares for b in builds.values())
 
 
 def test_degree_cap_message_is_unchanged():
