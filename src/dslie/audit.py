@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import classical
 from .build import BuildResult
-from .catalog import _parse_entry, build_catalog_algebra, catalog_get
+from .catalog import _parse_entry, catalog_get
 from .ds import (DSResult, adjoint_rank, ds_homology, identify, is_homological,
                  single_root_candidates)
 from .fields import UsageError
@@ -29,7 +29,7 @@ from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import CacheError
 from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_sum
-from .tables import chain_element, family_algebra
+from .tables import chain_element
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -61,32 +61,24 @@ def load_expected() -> dict:
 class Auditor:
     def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
-        self._builds: Dict[Tuple[str, int], BuildResult] = {}
-        self._subs: Dict[Tuple[str, int], Superalgebra] = {}
         self._refs: Dict[int, ReferenceBank] = {}
         self._modules: Dict[Tuple[str, int, str], ModuleRep] = {}
         self._tags: Dict[str, Tuple[str, Fingerprint]] = {}
         self._pool: Dict[Tuple[str, int, str], List[Element]] = {}
         self._results: Dict[Tuple[str, int, str, str], DSResult] = {}
 
-    # -- construction caches --------------------------------------------------
-
-    def build(self, key: str, p: int) -> BuildResult:
-        k = (key, p)
-        if k not in self._builds:
-            self._builds[k] = build_catalog_algebra(key, p, cache_dir=self.cache_dir)
-        return self._builds[k]
-
-    def subquotient(self, key: str, p: int) -> Superalgebra:
-        k = (key, p)
-        if k not in self._subs:
-            self._subs[k] = self.build(key, p).algebra.first_derived_mod_center()
-        return self._subs[k]
+    # -- construction: one ReferenceBank per characteristic ---------------------
 
     def refs(self, p: int) -> ReferenceBank:
         if p not in self._refs:
             self._refs[p] = ReferenceBank(p, cache_dir=self.cache_dir)
         return self._refs[p]
+
+    def build(self, key: str, p: int) -> BuildResult:
+        return self.refs(p).build(key)
+
+    def subquotient(self, key: str, p: int) -> Superalgebra:
+        return self.refs(p).algebra(f"{key}^(1)/c")
 
     def module(self, key: str, p: int, name: str) -> ModuleRep:
         k = (key, p, name)
@@ -109,9 +101,8 @@ class Auditor:
     # -- element resolution ----------------------------------------------------
 
     def algebra_of(self, row: dict) -> Superalgebra:
-        fam = classical.parse_key(row["key"])
-        if fam:
-            return family_algebra(*fam, row["p"])
+        if classical.parse_key(row["key"]):
+            return self.refs(row["p"]).algebra(row["key"])
         if row.get("algebra") == "sub":
             return self.subquotient(row["key"], row["p"])
         return self.build(row["key"], row["p"]).algebra
@@ -206,16 +197,10 @@ class Auditor:
 
         # identification
         p = row["p"]
-        names = []
         expect_label = row.get("label")
-        if expect_label and expect_label not in ("0",):
-            try:
-                names.append((expect_label, self.refs(p).fingerprint(expect_label)))
-            except UsageError as exc:
-                out.detail += f"[reference {expect_label} unavailable: {exc}]"
-        label = identify(res, names)
-        if label == "K^{0|0}":
-            label = "0"
+        label, missing = self._label(res, p, expect_label)
+        if missing is not None:
+            out.detail += f"[reference {expect_label} unavailable: {missing}]"
         out.computed_label = label
 
         mism = []
@@ -250,15 +235,7 @@ class Auditor:
         if "sdim_gx" in frozen and list(res.sdim_gx) != list(frozen["sdim_gx"]):
             hard.append(f"sdim {res.sdim_gx} != frozen {frozen['sdim_gx']}")
         if "label" in frozen:
-            frozen_names = []
-            try:
-                frozen_names = [(frozen["label"],
-                                 self.refs(p).fingerprint(frozen["label"]))]
-            except UsageError:
-                pass
-            flabel = identify(res, frozen_names)
-            if flabel == "K^{0|0}":
-                flabel = "0"
+            flabel, _missing = self._label(res, p, frozen["label"])
             if flabel != frozen["label"]:
                 hard.append(f"label {flabel!r} != frozen {frozen['label']!r}")
             out.computed_label = flabel
@@ -271,6 +248,20 @@ class Auditor:
             out.status = DOCUMENTED if row.get("whitelist") else DISCREPANCY
             out.detail = "; ".join(mism)
         return out
+
+    def _label(self, res: DSResult, p: int,
+               name: Optional[str]) -> Tuple[str, Optional[UsageError]]:
+        """The homology's label against the one reference name ("0" for the
+        zero algebra), and why the name could not be built (None if it
+        could).  No name, or "0", is no reference."""
+        pairs, missing = [], None
+        if name and name != "0":
+            try:
+                pairs = self.refs(p).pairs([name])
+            except UsageError as exc:
+                missing = exc
+        label = identify(res, pairs)
+        return ("0" if label == "K^{0|0}" else label), missing
 
 
 def run_audit(rows: List[dict],

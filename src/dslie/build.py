@@ -271,10 +271,10 @@ class BuildResult:
     pos_roots: List[Tuple[Tuple[int, ...], int]]  # (root, parity) per positive basis elt
     chevalley: Dict[str, List[int]]               # 'e','f','h' -> basis indices
     profile: List[int]
-    pos_nodes: List[_Node]   # word data for module actions, in build order
-    neg_nodes: List[_Node]   # the same nodes: y_m has the word of x_m with f for e
+    # word data for module actions, in build order; y_m has the word of x_m
+    # with f for e (fact 1), so both sides read the one table
+    pos_nodes: List[_Node]
     pos_order: List[int]     # basis position -> node index
-    neg_order: List[int]
 
     @property
     def sdim(self) -> Tuple[int, int]:
@@ -482,7 +482,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     pos_roots = [(nodes[m].root, nodes[m].parity) for m in order]
     res = BuildResult(spec=spec, field=fld, algebra=alg, n=n, n_grading=k,
                       pos_roots=pos_roots, chevalley=chevalley, profile=pos.profile,
-                      pos_nodes=nodes, neg_nodes=nodes, pos_order=order, neg_order=order)
+                      pos_nodes=nodes, pos_order=order)
 
     if want is not None and res.sdim != want:
         raise BuildError(

@@ -18,14 +18,14 @@ from .audit import (DISCREPANCY, DOCUMENTED, MATCH, Auditor, _parse_weight_entry
                     load_expected, run_audit)
 from .build import BuildError
 from .cartan import symmetrize
-from .catalog import all_entries, build_catalog_algebra
+from .catalog import all_entries
 from .classical import parse_key
 from .ds import DSError, defect_report, ds_homology, identify
 from .fields import FieldSpec, UsageError
 from .modules import build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import CacheError, ensure_cache_dir, serialize_build
-from .tables import chain_table, family_algebra
+from .tables import chain_table
 
 CACHE_ENV = "DSLIE_CACHE_DIR"
 TABLE_MAX_N, TABLE_MAX_B = 4, 12  # the range of the shipped square and shifted tables
@@ -87,14 +87,6 @@ def _default_refs(bank: ReferenceBank, sdims) -> list:
     return pairs
 
 
-def _get_algebra(key: str, p: int, cache_dir):
-    fam = parse_key(key)
-    if fam:
-        return None, family_algebra(*fam, p)
-    b = build_catalog_algebra(key, p, cache_dir=cache_dir)
-    return b, b.algebra
-
-
 def table_shape(family: str, n: int, k: int, p: int) -> Tuple[int, int]:
     """(a, b) of the psl-square (b = n) or psl-shifted (b = n + p k) table."""
     if family == "psl-shifted" and p == 0:
@@ -107,7 +99,7 @@ def table_shape(family: str, n: int, k: int, p: int) -> Tuple[int, int]:
 
 
 def cmd_build(args) -> int:
-    b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
+    b = ReferenceBank(args.p, cache_dir=_cache_dir(args)).build(args.key)
     npos = len(b.pos_roots)
     print(f"{args.key} p={args.p}: sdim {_sdim_str(b.sdim)}, {npos} positive roots")
     if args.dump:
@@ -125,12 +117,12 @@ def cmd_ds(args) -> int:
     if not (args.x or args.sweep):
         raise UsageError("either --x or --sweep is required")
     samples = _samples(args.samples)
-    cache = _cache_dir(args)
-    b, g = _get_algebra(args.key, args.p, cache)
+    refs = ReferenceBank(args.p, cache_dir=_cache_dir(args))
+    b = None if parse_key(args.key) else refs.build(args.key)
+    g = refs.algebra(args.key) if b is None else b.algebra
     if b is None and (args.module or args.sweep):
         raise UsageError(f"{'--module' if args.module else '--sweep'} requires a catalog algebra")
     el = None if args.sweep else g.element(args.x)
-    refs = ReferenceBank(args.p, cache_dir=cache)
     rep = None
     if args.module:
         lam = args.module.split(",")
@@ -164,7 +156,7 @@ def cmd_ds(args) -> int:
 
 def cmd_defect(args) -> int:
     samples = _samples(args.samples)
-    b = build_catalog_algebra(args.key, args.p, cache_dir=_cache_dir(args))
+    b = ReferenceBank(args.p, cache_dir=_cache_dir(args)).build(args.key)
     form = symmetrize(b.spec)
     report = defect_report(b, form, seed=args.seed, samples=samples)
     print(f"{args.key} p={args.p}: g_max {report.g_max}, df {report.df}, "

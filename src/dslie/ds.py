@@ -31,7 +31,6 @@ class DSResult:
     rank_ad: int
     homology: Superalgebra
     fingerprint: Fingerprint
-    label: Optional[str] = None
 
     @property
     def sdim_gx(self) -> Tuple[int, int]:

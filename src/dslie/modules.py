@@ -59,12 +59,10 @@ class ModuleRep:
             # grading element d_t with lambda(d_t) = 0
             drow = grading_rows(b.spec, fld)[global_idx - b.n]
             return _diag([fld.neg(fld.from_int(t[drow])) for t in self.degrees], fld)
-        npos = len(b.pos_roots)
-        if global_idx < nh + npos:
-            flat = b.pos_order[global_idx - nh]
-            return self._word_matrix(b.pos_nodes[flat].word, positive=True)
-        flat = b.neg_order[global_idx - nh - npos]
-        return self._word_matrix(b.neg_nodes[flat].word, positive=False)
+        k, npos = global_idx - nh, len(b.pos_roots)
+        positive = k < npos  # each y reads its x's node with f for e (build.py, fact 1)
+        flat = b.pos_order[k if positive else k - npos]
+        return self._word_matrix(b.pos_nodes[flat].word, positive)
 
     def _gen_matrix(self, i: int, positive: bool) -> List[Element]:
         acts = self.e_act[i] if positive else self.f_act[i]
@@ -76,7 +74,7 @@ class ModuleRep:
 
     def _word_matrix(self, word, positive: bool) -> List[Element]:
         fld = self.build.field
-        nodes = self.build.pos_nodes if positive else self.build.neg_nodes
+        nodes = self.build.pos_nodes
         if word[0] == "g":
             return self._gen_matrix(word[1], positive)
         if word[0] == "sq":

@@ -1,4 +1,5 @@
-"""Named reference algebras for identifying DS homologies by fingerprint."""
+"""Named algebras at one characteristic: the catalog builds, their g^(1)/c
+and the references that DS homologies are identified by fingerprint."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from . import classical
+from .build import BuildResult
 from .catalog import build_catalog_algebra
 from .fields import UsageError
 from .superalgebra import Fingerprint, Superalgebra, direct_sum
@@ -13,13 +15,21 @@ from .tables import family_algebra
 
 
 class ReferenceBank:
-    """Constructs and caches (name, fingerprint) pairs for identification."""
+    """The one resolver of names at characteristic p: each catalog build,
+    each named algebra (a g^(1)/c included) and each fingerprint is made
+    once per bank."""
 
     def __init__(self, p: int, cache_dir: Optional[str] = None):
         self.p = p
         self.cache_dir = cache_dir
         self._fps: Dict[str, Fingerprint] = {}
         self._algs: Dict[str, Superalgebra] = {}
+        self._builds: Dict[str, BuildResult] = {}
+
+    def build(self, key: str) -> BuildResult:
+        if key not in self._builds:
+            self._builds[key] = build_catalog_algebra(key, self.p, cache_dir=self.cache_dir)
+        return self._builds[key]
 
     def algebra(self, name: str) -> Superalgebra:
         if name not in self._algs:
@@ -52,7 +62,5 @@ class ReferenceBank:
             return direct_sum(self.algebra(m.group(1)), self.algebra(m.group(2)))
         m = re.fullmatch(r"(.+)\^\(1\)/c", name)
         if m:
-            inner = m.group(1)
-            b = build_catalog_algebra(inner, p, cache_dir=self.cache_dir)
-            return b.algebra.first_derived_mod_center()
+            return self.build(m.group(1)).algebra.first_derived_mod_center()
         raise UsageError(f"unknown reference algebra {name!r}")

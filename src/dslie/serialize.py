@@ -165,9 +165,9 @@ def build_result_to_dict(b: BuildResult) -> dict:
         "chevalley": b.chevalley,
         "profile": b.profile,
         "pos_nodes": [_node_to_obj(nd) for nd in b.pos_nodes],
-        "neg_nodes": [_node_to_obj(nd) for nd in b.neg_nodes],
+        "neg_nodes": [_node_to_obj(nd) for nd in b.pos_nodes],  # build.py, fact 1
         "pos_order": b.pos_order,
-        "neg_order": b.neg_order,
+        "neg_order": b.pos_order,
     }
 
 
@@ -186,18 +186,16 @@ def build_result_from_dict(o: dict) -> BuildResult:
         pos_roots=[(tuple(r), p) for r, p in o["pos_roots"]],
         chevalley={k: list(v) for k, v in o["chevalley"].items()},
         profile=o["profile"],
-        pos_nodes=[_node_from_obj(x) for x in o["pos_nodes"]],
-        neg_nodes=[_node_from_obj(x) for x in o["neg_nodes"]],
-        pos_order=o["pos_order"], neg_order=o["neg_order"])
+        pos_nodes=[_node_from_obj(x) for x in o["pos_nodes"]], pos_order=o["pos_order"])
     N, nh, one = len(b.pos_roots), b.n + b.n_grading, alg.field.one
     if (b.n != spec.n or nh + 2 * N != alg.dim or alg.weights is None
             or b.pos_roots != list(zip(alg.weights[nh:], alg.parities[nh:nh + N]))
             or {k: [{i: one} for i in v] for k, v in b.chevalley.items()} != alg.chevalley
-            or any(len(x) != N for x in (b.pos_nodes, b.neg_nodes, b.pos_order, b.neg_order))
+            or any(len(x) != N for x in (b.pos_nodes, b.pos_order))
             or not _nodes_fit(b.pos_nodes, spec.parities)
             or sorted(b.pos_order) != list(range(N))
             or [(b.pos_nodes[m].root, b.pos_nodes[m].parity) for m in b.pos_order] != b.pos_roots
-            or (b.neg_nodes, b.neg_order) != (b.pos_nodes, b.pos_order)):
+            or (o["neg_nodes"], o["neg_order"]) != (o["pos_nodes"], o["pos_order"])):
         raise ValueError("build data that does not fit its algebra")
     return b
 

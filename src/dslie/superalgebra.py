@@ -564,13 +564,13 @@ class Superalgebra:
         """invariant_forms' answer from nullspace vectors over the pairs."""
         f = self.field
         n = self.dim
-        var = self._form_variables(pairs)
+        _var, flip = self._form_layout(pairs)
 
         def to_matrix(sol):
             B = [[f.zero] * n for _ in range(n)]
-            for (a, b), (t, neg) in var.items():
-                if t in sol:
-                    B[a][b] = f.neg(sol[t]) if neg else sol[t]
+            for t, c in sol.items():
+                i, j = pairs[t]
+                B[i][j], B[j][i] = c, f.neg(c) if flip[j, i] else c
             return B
 
         return {"dim": len(sols), "forms": [to_matrix(s) for s in sols]}
@@ -583,15 +583,19 @@ class Superalgebra:
                 if self.parities[i] == self.parities[j]
                 and not (i == j and self.parities[i] == 1 and odd_zero)]
 
-    def _form_variables(self, pairs: List[Tuple[int, int]]) -> Dict[Tuple[int, int], tuple]:
-        """(a, b) -> (t, neg) for every entry that may be nonzero: B_ab is
-        x_t, or -x_t when neg, where x_t is the variable of pairs[t].
-        Supersymmetry gives B_ba = -B_ab for odd a != b (p != 2)."""
-        var = {}
-        for t, (i, j) in enumerate(pairs):
-            var[i, j] = (t, False)
-            var[j, i] = (t, self.field.p != 2 and i != j and self.parities[i] == 1)
-        return var
+    def _form_layout(self, pairs: List[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+        """(var, flip), n x n arrays: B_ab is x_t for t = var[a, b] >= 0, the
+        variable of pairs[t], negated where flip[a, b], and 0 where var is
+        -1.  Supersymmetry gives B_ba = -B_ab for odd a != b (p != 2)."""
+        n = self.dim
+        var = np.full((n, n), -1, dtype=np.int64)
+        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        var[lo, hi] = var[hi, lo] = np.arange(len(pairs))
+        flip = np.zeros((n, n), dtype=bool)
+        if self.field.p != 2:  # odd pairs have i < j: B(x, x) = 0 on odd x
+            odd = np.array(self.parities)[lo] == 1
+            flip[hi[odd], lo[odd]] = True
+        return var, flip
 
     def _constants(self) -> tuple:
         """The nonzero structure constants C[a,b,m] of both orders (a, b) of
@@ -647,17 +651,11 @@ class Superalgebra:
         -C(i,k,l) C(i,l,m) at B(b_i, b_m) to it.  Entries at an entry of B
         that is 0 by parity are left out."""
         f = self.field
-        n, nv = self.dim, len(pairs)
+        n = self.dim
         if not self.brackets and not self.squares:  # abelian: no equation
             return tuple(np.zeros((3, 0), dtype=np.int64))
         ops = array_ops(f)
-        var = np.full((n, n), -1, dtype=np.int64)  # B_ab = +-x[var[a, b]]
-        lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        var[lo, hi] = var[hi, lo] = np.arange(nv)
-        flip = np.zeros((n, n), dtype=bool)  # B_ab = -x[var[a, b]]
-        if f.p != 2:  # B_ji = -B_ij for odd i < j
-            odd = np.array(self.parities)[lo] == 1
-            flip[hi[odd], lo[odd]] = True
+        var, flip = self._form_layout(pairs)
         A, B, M, C, S = self._constants()
         minus = ops.neg(C)
         ab = A * n + B

@@ -370,7 +370,7 @@ def _dense_word_matrix(rep, word, positive: bool) -> list:
     generator's matrix, the square of a node, or the supercommutator of a
     generator with a node."""
     f = rep.build.field
-    nodes = rep.build.pos_nodes if positive else rep.build.neg_nodes
+    nodes = rep.build.pos_nodes
     if word[0] == "g":
         acts = rep.e_act[word[1]] if positive else rep.f_act[word[1]]
         rows = [[f.zero] * rep.dim for _ in range(rep.dim)]
@@ -404,7 +404,7 @@ def dense_element_matrix(rep, el) -> list:
         elif k < nh + npos:
             mk = _dense_word_matrix(rep, b.pos_nodes[b.pos_order[k - nh]].word, True)
         else:
-            mk = _dense_word_matrix(rep, b.neg_nodes[b.neg_order[k - nh - npos]].word, False)
+            mk = _dense_word_matrix(rep, b.pos_nodes[b.pos_order[k - nh - npos]].word, False)
         out = [[f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(out, mk)]
     return out
 

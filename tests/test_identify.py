@@ -1,15 +1,17 @@
 """Identification and reference-bank behavior."""
 
+import collections
+
 import pytest
 
-from dslie import tables
-from dslie.audit import MATCH, load_expected, run_audit
+from dslie import catalog, tables
+from dslie.audit import MATCH, Auditor, load_expected, run_audit
 from dslie.catalog import build_catalog_algebra
 from dslie.cli import _default_refs, main
 from dslie.ds import describe_fingerprint, ds_homology, identify
 from dslie.fields import UsageError
 from dslie.references import ReferenceBank
-from dslie.superalgebra import Fingerprint
+from dslie.superalgebra import Fingerprint, Superalgebra
 from dslie.tables import family_algebra
 
 
@@ -37,6 +39,33 @@ def test_reference_subquotient(cache_dir):
     bank = ReferenceBank(3, cache_dir=cache_dir)
     h = bank.algebra("g(2,3)^(1)/c")
     assert h.sdim == (10, 14)
+
+
+def test_audit_makes_each_algebra_once(monkeypatch):
+    """The audit resolves every name through one ReferenceBank per
+    characteristic: g23s/x1 runs on g(2,3)^(1)/c and g36/x1 is labelled
+    by it, and g(2,3) is built once and its g^(1)/c taken once."""
+    builds, derived = collections.Counter(), []
+    build_g_of_A = catalog.build_g_of_A
+    first_derived_mod_center = Superalgebra.first_derived_mod_center
+
+    def counted_build(spec, **kw):
+        builds[spec.key, spec.p] += 1
+        return build_g_of_A(spec, **kw)
+
+    def counted_derived(self):
+        derived.append(self.dim)
+        return first_derived_mod_center(self)
+    monkeypatch.setattr(catalog, "build_g_of_A", counted_build)
+    monkeypatch.setattr(Superalgebra, "first_derived_mod_center", counted_derived)
+    rows = [r for r in load_expected()["rows"] if r["id"] in ("g23s/x1", "g36/x1")]
+    outcomes, code = run_audit(rows)  # no cache: every build is counted
+    assert [o.status for o in outcomes] == [MATCH, MATCH] and code == 0
+    assert builds == {("g(2,3)", 3): 1, ("g(3,6)", 3): 1}
+    assert derived == [26]  # one g^(1)/c, of g(2,3)
+    aud = Auditor(cache_dir=None)
+    assert aud.build("g(2,3)", 3) is aud.refs(3).build("g(2,3)")
+    assert aud.subquotient("g(2,3)", 3) is aud.refs(3).algebra("g(2,3)^(1)/c")
 
 
 def test_identify_trivial_and_abelian(cache_dir):

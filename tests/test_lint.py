@@ -6,6 +6,7 @@ linalg.array_ops does), no
 module but linalg reads the private rows, kernels or entry points of its
 Echelon, no code outside Echelon's methods writes its rows, pivots or
 column index, no loop copies a running sum through el_add or el_addmul,
+only references.py reaches catalog.build_catalog_algebra,
 every function, method and class it defines is named somewhere,
 every CLI option is read by its command's handler, and every parameter
 with a default is set by some call.
@@ -377,6 +378,41 @@ def test_checker_sees_local_imports():
            "        from math import gcd\n        def inner():\n            import json\n"
            "        return gcd\ndef f():\n    from . import x\n    return x\n")
     assert local_imports(src) == [(3, "re"), (5, "math"), (7, "json"), (10, ".")]
+
+
+def mentions(source: str, name: str):
+    """Lines that read, call, or import the name; a def of it does not
+    count, nor does a string that spells it."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if ((isinstance(n, ast.Name) and n.id == name)
+                or (isinstance(n, ast.Attribute) and n.attr == name)
+                or (isinstance(n, (ast.Import, ast.ImportFrom))
+                    and any(name in a.name.split(".") for a in n.names))):
+            out.add(n.lineno)
+    return sorted(out)
+
+
+def test_only_the_reference_bank_builds_catalog_entries():
+    """Every named algebra at a characteristic is made once, by
+    references.ReferenceBank: no other library module reaches
+    catalog.build_catalog_algebra (tests and the benchmark may).  The audit
+    and the bank each kept their own builds and built g(2,3) and e(7,7)
+    twice."""
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            lines = mentions(fh.read(), "build_catalog_algebra")
+        assert bool(lines) == (module == "references.py"), (module, lines)
+
+
+def test_checker_sees_mentions():
+    src = ("from .catalog import build_catalog_algebra as bca, all_entries\n"
+           "import dslie.catalog\n"
+           "def build_catalog_algebra(key):\n    return key\n"
+           "def f(k):\n    b = dslie.catalog.build_catalog_algebra(k, 2)\n"
+           "    g = build_catalog_algebra\n    return 'build_catalog_algebra', b, g\n")
+    assert mentions(src, "build_catalog_algebra") == [1, 6, 7]
+    assert mentions("import dslie.build_catalog_algebra\n", "build_catalog_algebra") == [1]
 
 
 def defined_names(source: str):
