@@ -6,10 +6,19 @@ is spanned by [e_i, b] over the degree-(d-1) basis b (plus, for p = 2
 and d even, formal squares s(z) of odd degree-(d/2) basis z); a
 combination is radical iff all its lowerings by f_j vanish in the
 already-reduced degree-(d-1) space, so the quotient basis falls out of
-one deterministic elimination per root, `radical_step`.  `modules` runs
-it on highest-weight modules with raisings in place of lowerings.  When A
-is singular over the ground field, grading elements are adjoined to h so
+one deterministic elimination per root, `radical_step`.  When A is
+singular over the ground field, grading elements are adjoined to h so
 that weights separate.
+
+One class, `RadicalRecursion`, runs the recursion for g(A)'s positive
+side (X = e, Y = f, seeded with the generators) and for the
+highest-weight modules of `modules` (X = f, Y = e, seeded with v).  The
+two differ only in the scalar of [Y_i, X_i] on a node, and in the squares:
+at p = 2, s(z) is a new element of g(A), so a candidate, while on a
+module it acts as the word rho(z)^2, whose images the f-words already
+span.  A generator lowers into h, [f_k, e_k] = cross_k h_k; h_k is the
+table node H(k) = -1 - k, which e_i raises to [e_i, h_k] = -w_k(e_i) e_i,
+so the generators' h-terms are ordinary table entries.
 
 Only the positive side is built; two facts give the rest exactly.
 
@@ -63,7 +72,7 @@ class BuildError(RuntimeError):
 
 @dataclass
 class _Node:
-    word: tuple  # ('g', i) | ('br', i, parent_flat) | ('sq', parent_flat)
+    word: tuple  # ('g', i) | ('hw',) (a module's v) | ('br', i, parent_flat) | ('sq', parent_flat)
     root: Tuple[int, ...]
     parity: int
     degree: int
@@ -91,164 +100,142 @@ def radical_step(fld: Field, n: int, vecs: List[List[Element]]) -> List[Optional
     return out
 
 
-class _Side:
-    """One triangular half of g(A), built degree by degree.  Node i is the
-    generator X_i; its root is the i-th unit vector."""
+def _h_node(k: int) -> int:
+    """The node H(k) of h_k in g(A)'s tables; nodes of the recursion are >= 0."""
+    return -1 - k
 
-    def __init__(self, fld: Field, n: int, parities: List[int], weight_of,
-                 cross_coeff: list, cap: int, dim_cap: Optional[int] = None):
+
+class RadicalRecursion:
+    """Kac's radical recursion, degree by degree from its seeds.
+
+    Node m raises to the candidates [X_i, m] one degree up (and, when
+    squares are candidates, an odd m to s(m) at twice its degree).  The
+    tables hold up[i][b] = [X_i, b] and down[m][j] = [Y_j, m], and a
+    candidate's lowerings are read off them:
+
+        [Y_j, [X_i, m]] = delta_ij scalar(i, root m) m + (-1)^{p(i)p(j)} [X_i, [Y_j, m]].
+
+    `radical_step` keeps the candidates whose lowerings are independent;
+    a new node stores its lowerings as its down row, and every candidate
+    its expansion as up[i][m] (or sq[m]).  g(A) seeds the generators X_k
+    and a module its highest-weight vector (see the module docstring).
+    """
+
+    def __init__(self, fld: Field, parities: List[int], scalar, squares: bool,
+                 cap: int, dim_cap: Optional[int], seeds: List[Tuple[_Node, List[Element]]]):
         self.f = fld
-        self.n = n
+        self.n = len(parities)
         self.parities = parities
-        self.weight_of = weight_of      # (i, root) -> scalar action of h_i
-        self.cross_coeff = cross_coeff  # [i] -> coefficient of h_i in [Y_i, X_i]
-        self.gen_root = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        self.p2 = fld.p == 2
-        self.minus_one = fld.neg(fld.one)
+        self.scalar = scalar  # (i, root) -> the scalar of [Y_i, X_i] on a node of that root
+        self.squares = squares
+        self.minus_one = fld.neg(fld.one)  # one at p = 2, where every super sign is +1
         self.cap = cap
         self.dim_cap = dim_cap
-        self.nodes: List[_Node] = [_Node(("g", i), self.gen_root[i], parities[i], 1)
-                                   for i in range(n)]
-        self.deg_basis: Dict[int, List[int]] = {1: list(range(n))}
-        self.lower: Dict[int, List[Element]] = {}   # flat -> per-j element over flats (deg-1)
-        self.raise_tab: Dict[Tuple[int, int], Element] = {}  # (i, flat) -> element (deg+1)
-        self.sq_tab: Dict[int, Element] = {}        # flat -> element at doubled degree
+        self.nodes: List[_Node] = [node for node, _down in seeds]
+        self.up: List[Dict[int, Element]] = [{} for _ in parities]  # [i][node] -> element
+        self.down: Dict[int, List[Element]] = {m: down for m, (_node, down) in enumerate(seeds)}
+        self.sq: Dict[int, Element] = {}  # node -> s(node), an element at doubled degree
         self._br_memo: Dict[Tuple[int, int], Element] = {}
-        self.profile: List[int] = [n]
-
-    # -- brackets of already-built elements -----------------------------------
+        self.deg_basis: Dict[int, List[int]] = {self.nodes[0].degree: list(range(len(seeds)))}
+        self.profile: List[int] = [len(seeds)]
 
     def bracket_flat(self, a: int, b: int) -> Element:
-        """[node_a, node_b], both on this side, as an element over flats."""
+        """[node_a, node_b] of g(A)'s side, or [X_k, h_j] for b = H(j)."""
         key = (a, b)
         if key in self._br_memo:
             return self._br_memo[key]
         f = self.f
         na = self.nodes[a]
-        if na.degree == 1:
-            out = self.raise_tab.get((na.word[1], b), {})
+        if na.word[0] == "g":
+            out = self.up[na.word[1]].get(b, {})
+        elif na.word[0] == "sq":
+            # [s(z), w] = [z, [z, w]] (p = 2)
+            z = na.word[1]
+            out = el_sum(f, [(c, self.bracket_flat(z, d))
+                             for d, c in self.bracket_flat(z, b).items()])
         else:
-            if na.word[0] == "sq":
-                # [s(z), w] = [z, [z, w]] (p = 2)
-                z = na.word[1]
-                out = el_sum(f, [(c, self.bracket_flat(z, d))
-                                 for d, c in self.bracket_flat(z, b).items()])
-            else:
-                # [[X_i, a'], w] = [X_i, [a', w]] - (-1)^{p(i)p(a')} [a', [X_i, w]]
-                i, aprime = na.word[1], na.word[2]
-                odd = not self.p2 and self.parities[i] and self.nodes[aprime].parity
-                c2 = f.one if odd else self.minus_one
-                terms = [(c, self.raise_tab.get((i, d), {}))
-                         for d, c in self.bracket_flat(aprime, b).items()]
-                terms += [(f.mul(c2, c), self.bracket_flat(aprime, d))
-                          for d, c in self.raise_tab.get((i, b), {}).items()]
-                out = el_sum(f, terms)
+            # [[X_i, a'], w] = [X_i, [a', w]] - (-1)^{p(i)p(a')} [a', [X_i, w]]
+            i, aprime = na.word[1], na.word[2]
+            up = self.up[i]
+            c2 = f.one if self.parities[i] and self.nodes[aprime].parity else self.minus_one
+            terms = [(c, up.get(d, {})) for d, c in self.bracket_flat(aprime, b).items()]
+            terms += [(f.mul(c2, c), self.bracket_flat(aprime, d))
+                      for d, c in up.get(b, {}).items()]
+            out = el_sum(f, terms)
         self._br_memo[key] = out
         return out
 
-    # -- lowering data for candidates ----------------------------------------
-
-    def _lower_of_basis(self, m: int, j: int) -> Tuple[Element, Element]:
-        """[Y_j, node_m] split as (part over flats of deg-1, coefficient of h_j).
-
-        For degree >= 2 the h-part is empty; for a generator X_k it is
-        delta_jk * cross_coeff[k] * h_k.
-        """
-        node = self.nodes[m]
-        if node.degree == 1:
-            k = node.word[1]
-            if j == k:
-                return {}, {k: self.cross_coeff[k]}
-            return {}, {}
-        return self.lower[m][j], {}
-
-    def _cand_lowering(self, kind: str, i: int, m: int) -> List[Element]:
-        """Lowering vectors [Y_j, candidate] for j = 0..n-1, over deg-(d-1) flats."""
+    def _lowerings(self, i: Optional[int], m: int) -> List[Element]:
+        """[Y_j, [X_i, node_m]] for j = 0..n-1; for i = None, the square
+        candidate's [Y_j, s(node_m)] = [node_m, [Y_j, node_m]] (p = 2)."""
         f = self.f
-        node = self.nodes[m]
+        down = self.down[m]
+        if i is None:
+            return [el_sum(f, [(c, self.bracket_flat(m, b)) for b, c in low.items()])
+                    for low in down]
         out: List[Element] = []
-        if kind == "br":
-            pi = self.parities[i] and not self.p2
-            for j in range(self.n):
-                flats, hpart = self._lower_of_basis(m, j)
-                if not (flats or hpart or j == i):
-                    out.append({})
-                    continue
-                sgn = self.minus_one if (pi and self.parities[j]) else f.one
-                terms = []
-                if j == i:
-                    c = f.mul(self.cross_coeff[i], self.weight_of(i, node.root))
-                    terms.append((c, {m: f.one}))
-                terms += [(f.mul(sgn, c), self.raise_tab.get((i, b), {}))
-                          for b, c in flats.items()]
-                for k, c in hpart.items():
-                    # [X_i, h_k] = -w_k(eps_i) X_i  (same side)
-                    coef = f.mul(c, f.neg(self.weight_of(k, self.gen_root[i])))
-                    terms.append((f.mul(sgn, coef), {i: f.one}))
-                out.append(el_sum(f, terms))
-        else:  # square candidate s(node_m); p = 2, signs trivial
-            for j in range(self.n):
-                flats, hpart = self._lower_of_basis(m, j)
-                if not (flats or hpart):
-                    out.append({})
-                    continue
-                terms = [(c, self.bracket_flat(m, b)) for b, c in flats.items()]
-                terms += [(f.mul(c, f.neg(self.weight_of(k, node.root))), {m: f.one})
-                          for k, c in hpart.items()]
-                out.append(el_sum(f, terms))
+        up = self.up[i]
+        pi = self.parities[i]
+        for j in range(self.n):
+            low = down[j]
+            if not (low or j == i):
+                out.append({})
+                continue
+            sgn = self.minus_one if (pi and self.parities[j]) else f.one
+            terms = [(self.scalar(i, self.nodes[m].root), {m: f.one})] if j == i else []
+            terms += [(f.mul(sgn, c), up.get(b, {})) for b, c in low.items()]
+            out.append(el_sum(f, terms))
         return out
-
-    # -- main loop ------------------------------------------------------------
 
     def build(self):
         f = self.f
-        d = 2
+        d = self.nodes[0].degree + 1
         while True:
-            max_deg = max((dd for dd, lst in self.deg_basis.items() if lst), default=0)
+            max_deg = max(dd for dd, lst in self.deg_basis.items() if lst)
             max_odd = max((dd for dd, lst in self.deg_basis.items()
-                           if any(self.nodes[m].parity for m in lst)), default=0)
-            limit = max(max_deg + 1, 2 * max_odd if self.p2 else 0)
+                           if any(self.nodes[m].parity for m in lst)),
+                          default=0) if self.squares else 0
+            limit = max(max_deg + 1, 2 * max_odd)
             if d > limit:
                 break
-            # the cap bounds root height; at p = 2 squares of degree-h elements
+            # the cap bounds the degree; with squares, those of degree-h nodes
             # still have to be scanned (and are then empty) up to degree 2h
             if d > self.cap and self.deg_basis.get(d - 1):
                 raise BuildError(
                     f"degree cap {self.cap} exceeded; growth profile {self.profile}")
-            cands: List[Tuple[str, int, int, Tuple[int, ...], int]] = []
+            cands: List[Tuple[Optional[int], int, Tuple[int, ...], int]] = []
             for m in self.deg_basis.get(d - 1, []):
+                node = self.nodes[m]
                 for i in range(self.n):
-                    root = tuple(a + b for a, b in zip(self.nodes[m].root, self.gen_root[i]))
-                    par = (self.nodes[m].parity + self.parities[i]) % 2
-                    cands.append(("br", i, m, root, par))
-            if self.p2 and d % 2 == 0:
+                    root = node.root[:i] + (node.root[i] + 1,) + node.root[i + 1:]
+                    cands.append((i, m, root, (node.parity + self.parities[i]) % 2))
+            if self.squares and d % 2 == 0:
                 for m in self.deg_basis.get(d // 2, []):
                     if self.nodes[m].parity == 1:
-                        root = tuple(2 * a for a in self.nodes[m].root)
-                        cands.append(("sq", -1, m, root, 0))
+                        cands.append((None, m, tuple(2 * a for a in self.nodes[m].root), 0))
             by_root: Dict[Tuple[int, ...], list] = {}
             for c in cands:
-                by_root.setdefault(c[3], []).append(c)
+                by_root.setdefault(c[2], []).append(c)
             new_idxs: List[int] = []
             for root in sorted(by_root.keys(), reverse=True):
                 group = by_root[root]
-                lows = [self._cand_lowering(k, i, m) for (k, i, m, _r, _p) in group]
-                flat_of: Dict[int, int] = {}  # candidate id -> flat index
+                lows = [self._lowerings(i, m) for (i, m, _r, _p) in group]
+                flat_of: Dict[int, int] = {}  # candidate id -> node index
                 for ci, combo in enumerate(radical_step(f, self.n, lows)):
-                    kind, i, m, _r, par = group[ci]
+                    i, m, _r, par = group[ci]
                     if combo is None:
                         flat = flat_of[ci] = len(self.nodes)
-                        word = ("br", i, m) if kind == "br" else ("sq", m)
+                        word = ("sq", m) if i is None else ("br", i, m)
                         self.nodes.append(_Node(word, root, par, d))
                         new_idxs.append(flat)
-                        self.lower[flat] = lows[ci]
+                        self.down[flat] = lows[ci]
                         expansion: Element = {flat: f.one}
                     else:
                         expansion = {flat_of[vid]: c for vid, c in combo.items()}
-                    if kind == "br":
-                        self.raise_tab[(i, m)] = expansion
+                    if i is None:
+                        self.sq[m] = expansion
                     else:
-                        self.sq_tab[m] = expansion
+                        self.up[i][m] = expansion
             if new_idxs and d > self.cap:
                 raise BuildError(
                     f"degree cap {self.cap} exceeded at degree {d}; "
@@ -259,6 +246,26 @@ class _Side:
                 raise BuildError(
                     f"dimension cap {self.dim_cap} exceeded; growth profile {self.profile}")
             d += 1
+
+
+def _positive_side(fld: Field, parities: List[int], weight_of, cross: list,
+                   cap: int, dim_cap: Optional[int]) -> RadicalRecursion:
+    """g(A)'s positive side: seed X_k has root the k-th unit vector and the
+    one lowering [Y_k, X_k] = cross_k h_k, onto the node H(k) of h_k, which
+    X_i raises to [X_i, h_k] = -w_k(e_i) X_i."""
+    n = len(parities)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    seeds = [(_Node(("g", k), unit[k], parities[k], 1),
+              [{_h_node(k): cross[k]} if j == k else {} for j in range(n)]) for k in range(n)]
+    side = RadicalRecursion(fld, parities, lambda i, root: fld.mul(cross[i], weight_of(i, root)),
+                            fld.p == 2, cap, dim_cap, seeds)
+    for i in range(n):
+        for k in range(n):
+            c = fld.neg(weight_of(k, unit[i]))
+            if not fld.is_zero(c):
+                side.up[i][_h_node(k)] = {i: c}
+    side.build()
+    return side
 
 
 @dataclass
@@ -330,8 +337,7 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
     minus_one = fld.neg(fld.one)
     # [f_i, e_i] = -(-1)^{p_i} h_i: the h-part of lowering the generator e_i
     cross_pos = [fld.one if (p2 or spec.parities[i]) else minus_one for i in range(n)]
-    pos = _Side(fld, n, spec.parities, weight_of, cross_pos, degree_cap, dim_cap)
-    pos.build()
+    pos = _positive_side(fld, spec.parities, weight_of, cross_pos, degree_cap, dim_cap)
     # fact 1 of the module docstring: these nodes are also the negative side's, y_m for x_m
     nodes = pos.nodes
     order = sorted(range(len(nodes)),
@@ -464,10 +470,13 @@ def build_g_of_A(spec: CartanSpec, degree_cap: int = 40) -> BuildResult:
                 w = glob_bracket(a, b)
                 if w:
                     brackets[(a, b)] = w
+    # the two closures call each other and themselves: emptying their cells
+    # frees memo_mixed and pos's bracket memo now, not at the next collection
+    glob_bracket = mixed = None
     if p2:
         for glob in (pos_global, neg_global):
             for m in order:
-                s = pos.sq_tab.get(m) if nodes[m].parity else None
+                s = pos.sq.get(m) if nodes[m].parity else None
                 if s:
                     squares[glob[m]] = lift(glob, s)
 

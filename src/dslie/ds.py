@@ -300,7 +300,8 @@ def defect_report(b: BuildResult, form: SymmetrizedForm, seed: int = 0,
         fps = []
         for c in reps:
             res = ds_homology(g, c)
-            assert res.rank_ad == r
+            if res.rank_ad != r:
+                raise DSError(f"adjoint rank {r} but ds_homology found {res.rank_ad}")
             if res.fingerprint not in [x.fingerprint for x in fps]:
                 fps.append(res)
         classes.extend(fps)

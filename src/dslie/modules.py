@@ -3,8 +3,10 @@
 The module is spanned by f-words applied to a highest-weight vector v
 (e_i v = 0, h_i v = lambda_i v); a degree-d combination u is radical iff
 all raisings e_j u vanish in the already-reduced degree-(d-1) space.
-Each weight space is reduced by `build.radical_step`, the step that also
-builds g(A) with lowerings in place of raisings.
+That is g(A)'s recursion with e and f exchanged: `build.RadicalRecursion`
+runs it from the seed v, with the scalar [e_i, f_i] = h_i on a vector of
+multidegree t (lambda_i - sum_j t_j A_ij) and no squares, and f_act and
+e_act are its two tables.
 The construction only uses the Chevalley triple actions, so it serves
 both g(A) and its first-derived subquotient (the latter requires the
 weight to kill the central combinations of the h_i, which is checked).
@@ -20,9 +22,9 @@ rho_x^2 = 0 on the sparse rows and hands them to linalg.kernel_mod_image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .build import BuildError, BuildResult, grading_rows, radical_step
+from .build import BuildError, BuildResult, RadicalRecursion, _Node, grading_rows
 from .linalg import Matrix, kernel_mod_image, mat_nullspace
 from .superalgebra import Element, el_addmul, el_sum
 
@@ -142,72 +144,16 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
             if not fld.is_zero(acc):
                 raise BuildError(
                     f"weight does not vanish on the central combination {combo}")
-    pars = b.spec.parities
-    # node bookkeeping
-    degrees: List[Tuple[int, ...]] = [tuple(0 for _ in range(n))]
-    parities: List[int] = [hw_parity % 2]
-    e_act: List[Dict[int, Element]] = [dict() for _ in range(n)]  # per j: m -> element
-    f_act: List[Dict[int, Element]] = [dict() for _ in range(n)]
-    for j in range(n):
-        e_act[j][0] = {}
-
-    d = 1
-    profile = [1]
-    prev = [0]  # basis vectors of degree d - 1
-    while prev:
-        if d > degree_cap or len(degrees) > dim_cap:
-            raise BuildError(f"module cap exceeded; growth profile {profile}")
-        cands = []
-        for m in prev:
-            for i in range(n):
-                t = list(degrees[m])
-                t[i] += 1
-                cands.append((i, m, tuple(t)))
-        by_deg: Dict[Tuple[int, ...], list] = {}
-        for c in cands:
-            by_deg.setdefault(c[2], []).append(c)
-        new_idxs: List[int] = []
-        for t in sorted(by_deg.keys(), reverse=True):
-            group = by_deg[t]
-            raises = []
-            for (i, m, _t) in group:
-                per_j: List[Element] = []
-                for j in range(n):
-                    # e_j . (f_i . m) = delta_ij h_i . m + (-1)^{p_j p_i} f_i . (e_j . m)
-                    up = e_act[j].get(m, {})
-                    if not (up or j == i):
-                        per_j.append({})
-                        continue
-                    sgn = fld.one
-                    if fld.p != 2 and pars[j] and pars[i]:
-                        sgn = fld.neg(fld.one)
-                    terms = [(_h_value(b, lam, i, degrees[m]), {m: fld.one})] if j == i else []
-                    terms += [(fld.mul(sgn, c), f_act[i].get(mm, {})) for mm, c in up.items()]
-                    per_j.append(el_sum(fld, terms))
-                raises.append(per_j)
-            flat_of: Dict[int, int] = {}  # candidate id -> basis index
-            for ci, combo in enumerate(radical_step(fld, n, raises)):
-                i, m, _t = group[ci]
-                if combo is None:
-                    flat = flat_of[ci] = len(degrees)
-                    degrees.append(_t)
-                    parities.append((parities[m] + pars[i]) % 2)
-                    new_idxs.append(flat)
-                    f_act[i][m] = {flat: fld.one}
-                    for j in range(n):
-                        e_act[j][flat] = raises[ci][j]
-                else:
-                    f_act[i][m] = {flat_of[vid]: c for vid, c in combo.items()}
-        prev = new_idxs
-        profile.append(len(new_idxs))
-        d += 1
-
-    dm = len(degrees)
-    labels = [f"m{t+1}" for t in range(dm)]
-    f_list = [[f_act[i].get(m, {}) for m in range(dm)] for i in range(n)]
-    e_list = [[e_act[j].get(m, {}) for m in range(dm)] for j in range(n)]
-    return ModuleRep(build=b, lam=lam, labels=labels, parities=parities,
-                     degrees=degrees, f_act=f_list, e_act=e_list, name=name)
+    seed = _Node(("hw",), tuple(0 for _ in range(n)), hw_parity % 2, 0)
+    rec = RadicalRecursion(fld, b.spec.parities, lambda i, t: _h_value(b, lam, i, t), False,
+                           degree_cap, dim_cap, [(seed, [{} for _ in range(n)])])
+    rec.build()
+    dm = len(rec.nodes)
+    return ModuleRep(build=b, lam=lam, labels=[f"m{t+1}" for t in range(dm)],
+                     parities=[nd.parity for nd in rec.nodes],
+                     degrees=[nd.root for nd in rec.nodes],
+                     f_act=[[up[m] for m in range(dm)] for up in rec.up],
+                     e_act=[[rec.down[m][j] for m in range(dm)] for j in range(n)], name=name)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """The radical-recursion builder against the worked cases."""
 
+import gc
 import hashlib
 
 import pytest
 
-from dslie.build import BuildError, _Side, build_g_of_A, parse_sdim
+from dslie.build import BuildError, _positive_side, build_g_of_A, parse_sdim
 from dslie.cartan import CartanSpec
 from dslie.catalog import all_entries, build_catalog_algebra, catalog_get
 from dslie.classical import gl
@@ -270,6 +271,21 @@ def test_degree_cap_message_is_unchanged():
                               "[2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1]")
 
 
+def test_a_build_leaves_no_reference_cycle():
+    # the fill's two bracket closures call each other; the build empties
+    # them, so their memo tables go when it returns, not at a collection
+    specs = [catalog_get("e(8,8)", 2).spec(), catalog_get("g(2,3)", 3).spec(),
+             HAND_SPECS["osp(4|2;a)"]]
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in specs:
+            build_g_of_A(spec)
+            assert gc.collect() == 0, spec.key
+    finally:
+        gc.enable()
+
+
 def _both_sides(spec):
     """The positive side as build_g_of_A makes it, and the negative side with
     the parameters it was built with before it was read off the positive
@@ -285,11 +301,9 @@ def _both_sides(spec):
 
     minus_one = fld.neg(fld.one)
     cross = [fld.one if (fld.p == 2 or spec.parities[i]) else minus_one for i in range(n)]
-    pos = _Side(fld, n, spec.parities, weight_of, cross, 40)
-    neg = _Side(fld, n, spec.parities, lambda i, root: fld.neg(weight_of(i, root)),
-                [fld.one] * n, 40)
-    pos.build()
-    neg.build()
+    pos = _positive_side(fld, spec.parities, weight_of, cross, 40, None)
+    neg = _positive_side(fld, spec.parities, lambda i, root: fld.neg(weight_of(i, root)),
+                         [fld.one] * n, 40, None)
     return fld, pos, neg
 
 
@@ -306,14 +320,27 @@ def test_negative_side_is_the_positive_side(spec):
     fld, pos, neg = _both_sides(spec)
     assert [(nd.word, nd.root, nd.parity, nd.degree) for nd in neg.nodes] == \
         [(nd.word, nd.root, nd.parity, nd.degree) for nd in pos.nodes]
-    assert neg.raise_tab == pos.raise_tab
-    assert neg.sq_tab == pos.sq_tab
+    # on the nodes; up[i][H(k)] = [X_i, h_k] and down[X_k] = cross_k h_k
+    # are the sides' own presentations, which differ in sign
+    assert [{m: v for m, v in up.items() if m >= 0} for up in neg.up] == \
+        [{m: v for m, v in up.items() if m >= 0} for up in pos.up]
+    assert neg.sq == pos.sq
     assert neg.profile == pos.profile
     # the lowering vectors differ by (-1)^{p(j)} in the j-th lowering
-    for m, lows in pos.lower.items():
+    for m, lows in pos.down.items():
+        if pos.nodes[m].degree == 1:
+            continue
         for j, v in enumerate(lows):
             sgn = fld.neg(fld.one) if spec.parities[j] else fld.one
-            assert neg.lower[m][j] == {b: fld.mul(sgn, c) for b, c in v.items()}
+            assert neg.down[m][j] == {b: fld.mul(sgn, c) for b, c in v.items()}
+    # and so do a generator's h-terms [X_i, [Y_k, X_k]] through the node H(k)
+    for k in range(spec.n):
+        (h,) = pos.down[k][k]
+        for i in range(spec.n):
+            term = [fld.mul(side.down[k][k][h], side.up[i].get(h, {}).get(i, fld.zero))
+                    for side in (pos, neg)]
+            sgn = fld.neg(fld.one) if spec.parities[k] else fld.one
+            assert term[1] == fld.mul(sgn, term[0])
 
 
 def _theta(b, el):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dslie import audit
+from dslie import audit, ds
 from dslie.audit import DISCREPANCY, load_expected, run_audit
 from dslie.classical import parse_key
 from dslie.cli import main, table_shape
@@ -67,6 +67,16 @@ def test_defect_brj(capsys, cache_dir):
                                 "--samples", "10"], cache_dir)
     assert code == 0
     assert "g_max 1, df 1, ndf 1" in out
+
+
+def test_defect_rank_disagreement_is_a_computation_failure(monkeypatch, capsys, cache_dir):
+    """defect_report checks each class's rank against ds_homology's with a
+    DSError, which holds under python -O too."""
+    rank = ds.adjoint_rank
+    monkeypatch.setattr(ds, "adjoint_rank", lambda g, el: rank(g, el) + 1)
+    code, _out, err = run(capsys, ["defect", "brj(2;5)", "-p", "5", "--samples", "10"],
+                          cache_dir)
+    assert code == 2 and err.startswith("computation failed: adjoint rank ")
 
 
 def test_table_square(capsys, cache_dir):

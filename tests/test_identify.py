@@ -4,10 +4,10 @@ import collections
 
 import pytest
 
-from dslie import catalog, tables
+from dslie import catalog, classical, tables
 from dslie.audit import MATCH, Auditor, load_expected, run_audit
 from dslie.catalog import build_catalog_algebra
-from dslie.cli import _default_refs, main
+from dslie.cli import TABLE_MAX_B, TABLE_MAX_N, _default_refs, main, table_shape
 from dslie.ds import describe_fingerprint, ds_homology, identify
 from dslie.fields import UsageError
 from dslie.references import ReferenceBank
@@ -108,10 +108,13 @@ def test_reference_errors_are_not_swallowed(monkeypatch, cache_dir):
     assert outcomes[0].detail == "computation failed: broken reference" and code == 3
 
 
-def test_chain_table_skips_only_names_the_field_cannot_build(monkeypatch, cache_dir):
-    """chain_table drops a reference name only on a UsageError (psl(3)
-    has no center at p = 2); a ValueError from _construct surfaces."""
+def test_chain_table_surfaces_every_reference_error(monkeypatch, cache_dir):
+    """chain_table drops no reference name: a UsageError (psl(3) has no
+    center at p = 2) surfaces, as does a ValueError from _construct."""
     monkeypatch.setattr(tables, "chain_reference_names", lambda *args: ["psl(3)", "gl(1|1)"])
+    with pytest.raises(UsageError, match=r"psl\(3\|0\) undefined at p=2"):
+        tables.chain_table("gl", 2, 2, 2, ReferenceBank(2, cache_dir=cache_dir))
+    monkeypatch.setattr(tables, "chain_reference_names", lambda *args: ["gl(1|1)"])
     (row,) = tables.chain_table("gl", 2, 2, 2, ReferenceBank(2, cache_dir=cache_dir))[:1]
     assert row["label"] == "gl(1|1)"
 
@@ -120,6 +123,37 @@ def test_chain_table_skips_only_names_the_field_cannot_build(monkeypatch, cache_
     monkeypatch.setattr(ReferenceBank, "_construct", broken)
     with pytest.raises(ValueError, match="broken reference"):
         tables.chain_table("gl", 2, 2, 2, ReferenceBank(2, cache_dir=cache_dir))
+
+
+def test_chain_reference_names_are_all_defined(monkeypatch):
+    """Over the CLI's table range every psl name chain_table can ask for is
+    one classical.psl accepts: psl(nn) only when p | nn, psl(a-k|b-k)
+    only when psl(a|b) itself is defined."""
+    class Defined(Exception):
+        pass
+
+    def gl(a, b, p):  # psl passed its check; building is not needed
+        raise Defined
+    monkeypatch.setattr(classical, "gl", gl)
+    seen = set()
+    for p in (0, 2, 3, 5, 7, 11):
+        for family in ("psl-square", "psl-shifted"):
+            for n in range(1, TABLE_MAX_N + 1):
+                for k in range(1, TABLE_MAX_B + 1):
+                    try:
+                        a, b = table_shape(family, n, k, p)
+                    except UsageError:
+                        continue
+                    for fam in ("gl", "sl", "psl"):
+                        for kk in range(1, min(a, b) + 1):
+                            for name in tables.chain_reference_names(fam, a, b, kk, p):
+                                key = classical.parse_key(name)
+                                if key and key[0] == "psl":
+                                    seen.add((key, p))
+    assert len(seen) > 20
+    for (_fam, a, b), p in sorted(seen):
+        with pytest.raises(Defined):
+            classical.psl(a, b, p)
 
 
 def test_ds_fingerprints_only_references_of_matching_sdim(monkeypatch, capsys, cache_dir):

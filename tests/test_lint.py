@@ -6,7 +6,8 @@ linalg.array_ops does), no
 module but linalg reads the private rows, kernels or entry points of its
 Echelon, no code outside Echelon's methods writes its rows, pivots or
 column index, no loop copies a running sum through el_add or el_addmul,
-only references.py reaches catalog.build_catalog_algebra,
+only references.py reaches catalog.build_catalog_algebra, no module
+holds an assert statement,
 every function, method and class it defines is named somewhere,
 every CLI option is read by its command's handler, and every parameter
 with a default is set by some call.
@@ -378,6 +379,25 @@ def test_checker_sees_local_imports():
            "        from math import gcd\n        def inner():\n            import json\n"
            "        return gcd\ndef f():\n    from . import x\n    return x\n")
     assert local_imports(src) == [(3, "re"), (5, "math"), (7, "json"), (10, ".")]
+
+
+def assert_statements(source: str):
+    """Lines of every assert statement."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    """A check in the library raises its own error: python -O drops an
+    assert, and defect_report's rank check vanished with it."""
+    with open(os.path.join(SRC, module)) as fh:
+        assert assert_statements(fh.read()) == []
+
+
+def test_checker_sees_assert_statements():
+    src = ("assert True\ndef f(x):\n    if x:\n        assert x > 0, 'positive'\n"
+           "    return 'assert x'\nclass K:\n    def m(self):\n        assert self\n")
+    assert assert_statements(src) == [1, 4, 8]
 
 
 def mentions(source: str, name: str):

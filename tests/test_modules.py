@@ -112,7 +112,12 @@ def test_module_growth_cap():
     q = field_for(0)
     with pytest.raises(BuildError) as err:
         build_irreducible(b, [q.div(q.one, q.from_int(2))], degree_cap=8)
-    assert "profile" in str(err.value)
+    assert str(err.value) == ("degree cap 8 exceeded; growth profile "
+                              "[1, 1, 1, 1, 1, 1, 1, 1, 1]")
+    with pytest.raises(BuildError) as err:  # L(50) has dimension 51
+        build_irreducible(b, [q.from_int(50)], dim_cap=10)
+    assert str(err.value) == ("dimension cap 10 exceeded; growth profile "
+                              "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]")
 
 
 def test_module_homology_requires_square_zero():

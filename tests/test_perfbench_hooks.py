@@ -1,5 +1,5 @@
 """Every library name that the benchmark under perfbench/ uses must keep
-resolving.
+resolving, and a traced pass of every workload must be correct.
 
 The tracer patches names from outside when a traced benchmark run starts,
 and the workloads call the library through its module attributes; a
@@ -10,6 +10,8 @@ import ast
 import importlib
 import os
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -64,3 +66,42 @@ def test_workload_library_names_resolve():
     assert ("build", "parse_sdim") in used
     for mod, attr in sorted(used):
         assert hasattr(mods[mod], attr), f"{mods[mod].__name__}.{attr}"
+
+
+def _one_pass(workloads, name, cache_dir, tracer=None):
+    """Set the workload up and run its pool once with op seed 0, under the
+    tracer when one is given; the check line of each op, asserted to pass."""
+    workloads.reset_library_caches()
+    if tracer is not None:
+        tracer.install()
+        tracer.enabled = True
+    try:
+        w = workloads.make_workload(name, cache_dir)
+        w.setup()
+        lines = []
+        for op in w.pool:
+            ok, line = w.check(op, 0, w.run(op, 0))
+            assert ok, line
+            lines.append(line)
+    finally:
+        if tracer is not None:
+            tracer.enabled = False
+            tracer.uninstall()
+    return lines
+
+
+@pytest.mark.parametrize("name", ["ds-exceptional", "classical-tables", "defect-sweep",
+                                  "build-catalog"])
+def test_traced_pass_is_correct(name, tmp_path):
+    """What `perfbench/run.py --trace 1` calls correct: every op passes its
+    check, every layer counter of the workload is nonzero, and the traced
+    check lines are the untraced ones."""
+    tracer = _perfbench_module("tracer")
+    workloads = _perfbench_module("workloads")
+    before = sorted(os.listdir(PERFBENCH))
+    tr = tracer.Tracer()
+    traced = _one_pass(workloads, name, str(tmp_path / "traced"), tr)
+    values = tr.metrics()
+    assert [m for m in tracer.HEAVY[name] if not values.get(m)] == []
+    assert traced == _one_pass(workloads, name, str(tmp_path / "plain"))
+    assert sorted(os.listdir(PERFBENCH)) == before
