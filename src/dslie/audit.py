@@ -28,7 +28,7 @@ from .fields import UsageError
 from .modules import ModuleRep, build_irreducible, module_homology
 from .references import ReferenceBank
 from .serialize import CacheError
-from .superalgebra import Element, Fingerprint, Superalgebra, el_add, el_sum
+from .superalgebra import Element, Fingerprint, Superalgebra, el_sum
 from .tables import chain_element
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -146,7 +146,7 @@ class Auditor:
         g = b.algebra
         pool: List[Element] = [h.element for h in singles]
         for h1, h2 in itertools.combinations(singles, 2):
-            el = el_add(f, h1.element, h2.element)
+            el = el_sum(f, [(f.one, h1.element), (f.one, h2.element)])
             if is_homological(g, el) == "odd":
                 pool.append(el)
         for h1, h2, h3 in itertools.combinations(singles, 3):

@@ -14,8 +14,8 @@ weight to kill the central combinations of the h_i, which is checked).
 A matrix of the action is held as sparse rows (a list of Elements, row t
 holding the coefficients of basis_t in the images of the basis vectors).
 The root vectors act through their words: each row of a product, and of
-rho_x = sum_k c_k rho(b_k), is one el_sum of scaled rows, and a
-commutator combines rows with el_addmul.  module_homology checks
+rho_x = sum_k c_k rho(b_k), and of a commutator, is one el_sum of
+scaled rows.  module_homology checks
 rho_x^2 = 0 on the sparse rows and hands them to linalg.kernel_mod_image.
 """
 
@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 from .build import BuildError, BuildResult, RadicalRecursion, _Node, grading_rows
 from .linalg import Matrix, kernel_mod_image, mat_nullspace
-from .superalgebra import Element, el_addmul, el_sum
+from .superalgebra import Element, el_sum
 
 
 @dataclass
@@ -56,7 +56,9 @@ class ModuleRep:
         fld = b.field
         nh = b.n + b.n_grading
         if global_idx < b.n:
-            return _diag([_h_value(b, self.lam, global_idx, t) for t in self.degrees], fld)
+            row = [b.spec.entry_scalar(fld, global_idx, j) for j in range(b.n)]
+            lam_a = self.lam[global_idx]
+            return _diag([_h_value(fld, lam_a, row, t) for t in self.degrees], fld)
         if global_idx < nh:
             # grading element d_t with lambda(d_t) = 0
             drow = grading_rows(b.spec, fld)[global_idx - b.n]
@@ -88,7 +90,7 @@ class ModuleRep:
         pi = self.build.spec.parities[i]
         pb = nodes[parent].parity
         minus_sgn = fld.one if (fld.p != 2 and pi and pb) else fld.neg(fld.one)
-        return [el_addmul(fld, r1, minus_sgn, r2)
+        return [el_sum(fld, [(fld.one, r1), (minus_sgn, r2)])
                 for r1, r2 in zip(_sparse_mul(fld, a, bmat), _sparse_mul(fld, bmat, a))]
 
     def element_matrix(self, el: Element) -> List[Element]:
@@ -98,14 +100,13 @@ class ModuleRep:
                 for t in range(self.dim)]
 
 
-def _h_value(b: BuildResult, lam: Sequence, a: int, t: Tuple[int, ...]):
+def _h_value(fld, lam_a, row: Sequence, t: Tuple[int, ...]):
     """Eigenvalue lambda(h_a) - sum_j t_j A_aj of h_a on a vector of lowering
-    multidegree t."""
-    fld = b.field
-    acc = lam[a]
+    multidegree t, from lam_a = lambda(h_a) and h_a's row of A's scalars."""
+    acc = lam_a
     for j, tj in enumerate(t):
         if tj:
-            acc = fld.sub(acc, fld.mul(fld.from_int(tj), b.spec.entry_scalar(fld, a, j)))
+            acc = fld.sub(acc, fld.mul(fld.from_int(tj), row[j]))
     return acc
 
 
@@ -145,8 +146,9 @@ def build_irreducible(b: BuildResult, lam: Sequence, degree_cap: int = 60,
                 raise BuildError(
                     f"weight does not vanish on the central combination {combo}")
     seed = _Node(("hw",), tuple(0 for _ in range(n)), hw_parity % 2, 0)
-    rec = RadicalRecursion(fld, b.spec.parities, lambda i, t: _h_value(b, lam, i, t), False,
-                           degree_cap, dim_cap, [(seed, [{} for _ in range(n)])])
+    A = [[b.spec.entry_scalar(fld, i, j) for j in range(n)] for i in range(n)]
+    rec = RadicalRecursion(fld, b.spec.parities, lambda i, t: _h_value(fld, lam[i], A[i], t),
+                           False, degree_cap, dim_cap, [(seed, [{} for _ in range(n)])])
     rec.build()
     dm = len(rec.nodes)
     return ModuleRep(build=b, lam=lam, labels=[f"m{t+1}" for t in range(dm)],

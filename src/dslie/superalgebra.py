@@ -20,7 +20,7 @@ they are added over GF(p), the Field's add and mul over QQ and K(a).
 bracket and square hand it every product of a coefficient pair with a
 stored constant (the sign of [b_i, b_j], i > j, on the coefficient), and
 the sums of build, modules, ds and audit go through it too; no partial
-sum is copied.  el_add and el_addmul are for one sum of two elements.
+sum is copied.
 
 Every subquotient goes through Superalgebra.subquotient, the only code that
 computes brackets and squares on a new basis: subalgebras, the sl, psl and
@@ -78,36 +78,6 @@ JACOBI_CHUNK = 1 << 16  # path terms per step of the GF(p) Jacobi contraction
 # ---------------------------------------------------------------------------
 # sparse element helpers
 # ---------------------------------------------------------------------------
-
-
-def el_add(f: Field, u: Element, v: Element) -> Element:
-    out = dict(u)
-    for k, c in v.items():
-        s = f.add(out.get(k, f.zero), c)
-        if f.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def el_scale(f: Field, c, u: Element) -> Element:
-    if f.is_zero(c):
-        return {}
-    return {k: f.mul(c, x) for k, x in u.items()}
-
-
-def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
-    if f.is_zero(c):
-        return dict(u)
-    out = dict(u)
-    for k, x in v.items():
-        s = f.add(out.get(k, f.zero), f.mul(c, x))
-        if f.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
 
 
 def el_sum(f: Field, terms: List[Tuple[object, Element]]) -> Element:
@@ -557,14 +527,16 @@ class Superalgebra:
         """Even supersymmetric invariant bilinear forms B([x,y],z) = B(x,[y,z]):
         {"dim": dimension of their space, "forms": a basis as n x n matrices}."""
         pairs = self._form_pairs()
-        return self._forms_of(pairs, nullspace_coo(self.field, len(pairs),
-                                                   *self._form_equations(pairs)))
+        var, flip = self._form_layout(pairs)
+        return self._forms_of(pairs, flip, nullspace_coo(self.field, len(pairs),
+                                                         *self._form_equations(var, flip)))
 
-    def _forms_of(self, pairs: List[Tuple[int, int]], sols: List[Element]) -> dict:
-        """invariant_forms' answer from nullspace vectors over the pairs."""
+    def _forms_of(self, pairs: List[Tuple[int, int]], flip: np.ndarray,
+                  sols: List[Element]) -> dict:
+        """invariant_forms' answer from nullspace vectors over the pairs,
+        flip as in _form_layout."""
         f = self.field
         n = self.dim
-        _var, flip = self._form_layout(pairs)
 
         def to_matrix(sol):
             B = [[f.zero] * n for _ in range(n)]
@@ -634,11 +606,12 @@ class Superalgebra:
         self._consts = out + (S,)
         return self._consts
 
-    def _form_equations(self, pairs: List[Tuple[int, int]]
+    def _form_equations(self, var: np.ndarray, flip: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The invariance equations as COO triples (equation, variable,
-        value) for linalg.nullspace_coo, which sums the entries of one
-        (equation, variable): B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 is
+        """The invariance equations on the variables of _form_layout's
+        (var, flip) as COO triples (equation, variable, value) for
+        linalg.nullspace_coo, which sums the entries of one (equation,
+        variable): B([b_i,b_j], b_k) - B(b_i, [b_j,b_k]) = 0 is
         equation (i n + j) n + k, and at p = 2 B(s(b_i), b_k) -
         B(b_i, [b_i,[b_i,b_k]]) = 0 is equation n^3 + i n + k, for odd b_i.
         The values are those of _constants.
@@ -655,7 +628,6 @@ class Superalgebra:
         if not self.brackets and not self.squares:  # abelian: no equation
             return tuple(np.zeros((3, 0), dtype=np.int64))
         ops = array_ops(f)
-        var, flip = self._form_layout(pairs)
         A, B, M, C, S = self._constants()
         minus = ops.neg(C)
         ab = A * n + B

@@ -1,4 +1,5 @@
-"""Constructions that only the tests need: a basis change of a
+"""Constructions that only the tests need: the sums of two elements and
+the scaling of one (the library sums through el_sum), a basis change of a
 superalgebra, a polynomial in the generator of K(a), the conversions
 between elements and dense scalar lists, the dense-list Echelon that the
 engine is tested against, the term-by-term bracket and square that the
@@ -11,8 +12,41 @@ from typing import List, Optional, Sequence, Tuple
 
 from dslie.classical import alternating_parities, gl
 from dslie.fields import Field, FunctionField, PrimeField, RationalField, UsageError
-from dslie.linalg import Echelon, Matrix, mat_nullspace, zero_of
-from dslie.superalgebra import GradedSpan, Superalgebra, el_addmul, el_scale
+from dslie.linalg import Echelon, Element, Matrix, mat_nullspace, zero_of
+from dslie.superalgebra import GradedSpan, Superalgebra
+
+
+def el_add(f: Field, u: Element, v: Element) -> Element:
+    """u + v, in a new dict."""
+    out = dict(u)
+    for k, c in v.items():
+        s = f.add(out.get(k, f.zero), c)
+        if f.is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def el_scale(f: Field, c, u: Element) -> Element:
+    """c * u, in a new dict."""
+    if f.is_zero(c):
+        return {}
+    return {k: f.mul(c, x) for k, x in u.items()}
+
+
+def el_addmul(f: Field, u: Element, c, v: Element) -> Element:
+    """u + c * v, in a new dict."""
+    if f.is_zero(c):
+        return dict(u)
+    out = dict(u)
+    for k, x in v.items():
+        s = f.add(out.get(k, f.zero), f.mul(c, x))
+        if f.is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
 
 
 def el_from_dense(f: Field, vec: Sequence) -> dict:

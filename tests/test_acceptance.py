@@ -20,8 +20,8 @@ from dslie.ds import (adjoint_rank, defect_report, ds_homology, identify,
                       is_homological, single_root_candidates)
 from dslie.modules import build_irreducible, module_homology
 from dslie.references import ReferenceBank
-from dslie.superalgebra import el_add
 from dslie.tables import chain_element, family_algebra
+from helpers import el_add
 
 
 def _report(name, ok, detail=""):

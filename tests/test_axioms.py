@@ -30,8 +30,8 @@ from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import gl, osp, psl, sl
 from dslie.ds import ds_homology
 from dslie.fields import field_for
-from dslie.superalgebra import MAX_VIOLATIONS, Superalgebra, el_add, el_scale
-from helpers import bracket_basis, poly
+from dslie.superalgebra import MAX_VIOLATIONS, Superalgebra
+from helpers import bracket_basis, el_add, el_scale, poly
 from test_subquotient import BUILDERS, _transformed
 
 

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from dslie.build import BuildError, _positive_side, build_g_of_A, parse_sdim
+from dslie.build import BuildError, _positive_side, _y_node, build_g_of_A, parse_sdim
 from dslie.cartan import CartanSpec
 from dslie.catalog import all_entries, build_catalog_algebra, catalog_get
 from dslie.classical import gl
@@ -272,8 +272,8 @@ def test_degree_cap_message_is_unchanged():
 
 
 def test_a_build_leaves_no_reference_cycle():
-    # the fill's two bracket closures call each other; the build empties
-    # them, so their memo tables go when it returns, not at a collection
+    # no closure of the fill refers to itself, so its bracket memo goes
+    # when the build returns, not at a collection
     specs = [catalog_get("e(8,8)", 2).spec(), catalog_get("g(2,3)", 3).spec(),
              HAND_SPECS["osp(4|2;a)"]]
     gc.collect()
@@ -341,6 +341,29 @@ def test_negative_side_is_the_positive_side(spec):
                     for side in (pos, neg)]
             sgn = fld.neg(fld.one) if spec.parities[k] else fld.one
             assert term[1] == fld.mul(sgn, term[0])
+
+
+@pytest.mark.parametrize("spec", SIDE_SPECS + [catalog_get("e(8,8)", 2).spec()],
+                         ids=lambda s: f"{s.key}@p{s.p}")
+def test_mirrored_mixed_brackets_match_the_recursion(spec):
+    # the fill reads [x_ta, y_tb], tb < ta, as the mirror of [x_tb, y_ta];
+    # the table recursion brackets every pair, so both paths meet on each one
+    b = build_g_of_A(spec)
+    _fld, pos, _neg = _both_sides(spec)
+    n, nh, npos = b.n, b.n + b.n_grading, len(b.pos_roots)
+    assert [nd.word for nd in pos.nodes] == [nd.word for nd in b.pos_nodes]
+    at = {m: t for t, m in enumerate(b.pos_order)}
+
+    def glob(c):
+        if c >= 0:
+            return nh + at[c]
+        return -1 - c if c >= -n else nh + npos + at[-1 - n - c]
+
+    g = b.algebra
+    for ta, ma in enumerate(b.pos_order):
+        for tb, mb in enumerate(b.pos_order):
+            got = {glob(c): x for c, x in pos.bracket_flat(ma, _y_node(n, mb)).items()}
+            assert got == g.brackets.get((nh + ta, nh + npos + tb), {}), (ta, tb)
 
 
 def _theta(b, el):

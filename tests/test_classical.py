@@ -12,7 +12,6 @@ from dslie.classical import (abelian, alternating_parities, classical, gl, hei_o
                              parse_key, psl, sl)
 from dslie.fields import UsageError
 from dslie.serialize import canonical_json, superalgebra_to_dict
-from dslie.superalgebra import el_addmul
 from helpers import psl_reference, quotient_by_ideal_reference, sl_reference
 
 

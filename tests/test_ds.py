@@ -16,9 +16,8 @@ from dslie.ds import (DSError, adjoint_rank, defect_report, ds_homology,
                       rank_equivalence_check, single_root_candidates)
 from dslie.fields import field_for
 from dslie.linalg import mat_rank
-from dslie.superalgebra import el_add
 from dslie.tables import chain_element, family_algebra
-from helpers import dense_matrix
+from helpers import dense_matrix, el_add
 
 QQ = field_for(0)
 

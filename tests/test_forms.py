@@ -201,7 +201,7 @@ def _reference_equations(g: Superalgebra, pairs) -> Matrix:
 def _summed(g: Superalgebra, pairs):
     """The assembly's entries summed as nullspace_coo sums them: (equation,
     variable, nonzero sum), sorted by equation, then variable."""
-    rows, cols, vals = g._form_equations(pairs)
+    rows, cols, vals = g._form_equations(*g._form_layout(pairs))
     key, sums = sum_by_key(array_ops(g.field), rows * len(pairs) + cols, vals)
     return (*np.divmod(key, max(len(pairs), 1)), sums)
 
@@ -251,7 +251,7 @@ def test_edge_inputs():
     # no equation, so every pair variable is a form
     for name in ("abelian(2|3)/p2", "abelian(2|3)/p5", "solvable(1|1)/p3"):
         g = ALGEBRAS[name](None)
-        assert all(len(x) == 0 for x in g._form_equations(g._form_pairs()))
+        assert all(len(x) == 0 for x in g._form_equations(*g._form_layout(g._form_pairs())))
         assert g.invariant_forms()["dim"] == len(g._form_pairs())
     # nonzero squares add equations: without them one more form survives
     g = _p2_heisenberg()
@@ -262,7 +262,8 @@ def test_edge_inputs():
 
 def _exact(g: Superalgebra) -> dict:
     pairs = g._form_pairs()
-    return g._forms_of(pairs, mat_nullspace(_reference_equations(g, pairs)))
+    return g._forms_of(pairs, g._form_layout(pairs)[1],
+                       mat_nullspace(_reference_equations(g, pairs)))
 
 
 def _count_unpeeled(monkeypatch) -> list:

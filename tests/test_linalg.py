@@ -26,8 +26,7 @@ from dslie.fields import PrimeField, field_for
 from dslie import linalg
 from dslie.linalg import (Echelon, Matrix, array_ops, kernel_mod_image, mat_nullspace, mat_rank,
                           nullspace_coo, peel_mod_p, rref, sum_by_key)
-from dslie.superalgebra import el_add, el_addmul
-from helpers import (DenseEchelon, dense_matrix, el_from_dense, el_to_dense,
+from helpers import (DenseEchelon, dense_matrix, el_add, el_addmul, el_from_dense, el_to_dense,
                      kernel_mod_image_reference)
 from test_subquotient import _p2_heisenberg
 

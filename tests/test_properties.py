@@ -133,7 +133,7 @@ def test_bruteforce_homological_oracle(algname):
             pass
     assert classes, "oracle found no homological elements"
     # candidate generator: chain elements E_{k,k+1} sums and singles
-    from dslie.superalgebra import el_add
+    from helpers import el_add
     gen_classes = {}
     odd_singles = [i for i in range(g.dim) if g.parities[i] == 1
                    and is_homological(g, {i: f.one}) == "odd"]

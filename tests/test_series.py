@@ -22,8 +22,8 @@ from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import abelian, gl, hei_odd, psl
 from dslie.ds import ds_homology
 from dslie.linalg import Matrix, mat_nullspace
-from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum, el_addmul
-from helpers import center_rows_reference, transpose
+from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum
+from helpers import center_rows_reference, el_addmul, transpose
 from test_forms import EVERY_FIELD, INT64_EDGE
 from test_subquotient import BUILDERS, _p2_heisenberg
 
