@@ -137,6 +137,16 @@ class Auditor:
         raise RuntimeError(f"{row.get('id')}: no candidate matches {x}")
 
     def candidate_pool(self, key: str, p: int, which: str) -> List[Element]:
+        """The homological single roots of the build, then the homological
+        sums of two of them, then of three; for "sub", those that lie in
+        g^(1)/c and are homological there.
+
+        A triple's sum x = a + b + c of odd root vectors with zero squares
+        has the square (s(x) at p = 2, [x, x]/2 otherwise) [a, b] + [a, c]
+        + [b, c], and [a, b], the square of a + b, lies in the root space
+        of w_a + w_b.  When the roots are distinct, so are the three pair
+        weights, and the square is 0 only if every pair's is: a triple with
+        a failed pair is then skipped without is_homological."""
         k = (key, p, which)
         if k in self._pool:
             return self._pool[k]
@@ -144,13 +154,20 @@ class Auditor:
         f = b.field
         singles = single_root_candidates(b)
         g = b.algebra
+        roots = [h.constituents[0] for h in singles]
         pool: List[Element] = [h.element for h in singles]
-        for h1, h2 in itertools.combinations(singles, 2):
-            el = el_sum(f, [(f.one, h1.element), (f.one, h2.element)])
+        failed = set()
+        for pair in itertools.combinations(range(len(singles)), 2):
+            el = el_sum(f, [(f.one, singles[s].element) for s in pair])
             if is_homological(g, el) == "odd":
                 pool.append(el)
-        for h1, h2, h3 in itertools.combinations(singles, 3):
-            el = el_sum(f, [(f.one, h.element) for h in (h1, h2, h3)])
+            else:
+                failed.add(pair)
+        for trio in itertools.combinations(range(len(singles)), 3):
+            if (len({roots[s] for s in trio}) == 3
+                    and not failed.isdisjoint(itertools.combinations(trio, 2))):
+                continue
+            el = el_sum(f, [(f.one, singles[s].element) for s in trio])
             if is_homological(g, el) == "odd":
                 pool.append(el)
         if which == "sub":

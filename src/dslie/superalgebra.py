@@ -33,9 +33,12 @@ a bracket's coordinates; a bracket that leaves the span is a ValueError.
 
 The fingerprint's series start from [g, g], read once as the span of the
 stored brackets (and squares at p = 2); no pair of basis vectors is
-bracketed for it.  The center comes from one nullspace (through
-linalg.nullspace_coo, fed the stored constants), and center ∩ [g, g] by a
-dimension count: both are graded, so per parity
+bracketed for it.  Every span of the series has one stop rule
+(GradedSpan's bound): it stops taking vectors once it fills a space known
+to contain it, so [g, g] stops at g, [s, s] at s and [g, L] at L, and the
+brackets after that are never made.  The center comes from one nullspace
+(through linalg.nullspace_coo, fed the stored constants), and
+center ∩ [g, g] by a dimension count: both are graded, so per parity
 dim C ∩ D = dim C + dim D - dim (C + D).
 
 check_axioms verifies super Jacobi as ad_{[b_i,b_j]} = ad_i ad_j -
@@ -56,14 +59,31 @@ The Jacobi check, the center and the forms read the constants through
 one cached reader, _constants, and take one array path on every field:
 the join, the keys and the equation layout are integer arrays, and only
 the scalar ops on the values (linalg.array_ops) depend on the field.
+
+ad_matrix reads, for each i in the support of x, only the j whose bracket
+with b_i is stored: the partner index (_partner_index), one increasing
+tuple of ints per basis index, instead of probing the brackets for all n
+values of j.  It is read once, like _constants, and on first use, after
+the constructor's checks, for two reasons.  Most algebras (homologies,
+subquotients, references) never take an ad-matrix, yet an index built by
+every constructor costs each of them: on ds-exceptional it raised setup_s
+0.527 -> 0.554 s and peak_rss_mb 51.9 -> 52.4 (medians of four
+alternating runs each) for no resolved gain in its ops; built before the
+index checks, it would also turn a bad bracket key into an IndexError.
+It is tuples of ints because the collector untracks those: a table of
+containers filled during a run is walked by every gc.collect, which cost
+a lazily filled table of elements 12% of ds-exceptional's ops_per_s.  On
+e(8,8) at p = 2 the index took the ad-matrix of a candidate from
+0.37-0.60 to 0.25-0.34 ms (first 3,000 candidates, 2-vCPU VM).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,6 +192,7 @@ class Superalgebra:
         self.weights = list(weights) if weights is not None else None
         self.chevalley = chevalley
         self._consts: Optional[tuple] = None  # _constants, once read
+        self._partners: Optional[tuple] = None  # _partner_index, once read
         n = len(labels)
         if len(parities) != n:
             raise ValueError("parity vector length mismatch")
@@ -284,17 +305,16 @@ class Superalgebra:
 
         Entry (m, j) sums c * C[i,j,m] over the support {i: c} of u, read
         from the stored constants with the sign of [b_i, b_j] applied to c;
-        no element is bracketed."""
+        no element is bracketed, and only the bracket partners j of each i
+        (_partner_index) are visited."""
         f = self.field
-        n = self.dim
         p = f.p if isinstance(f, PrimeField) else 0
-        rows: List[Element] = [{} for _ in range(n)]
+        brackets, partners = self.brackets, self._partner_index()
+        rows: List[Element] = [{} for _ in range(self.dim)]
         for i, c in u.items():
             minus = None  # -c, computed on first use
-            for j in range(n):
-                w = self.brackets.get((i, j) if i <= j else (j, i))
-                if not w:
-                    continue
+            for j in partners[i]:
+                w = brackets[(i, j) if i <= j else (j, i)]
                 s = c
                 if i > j and f.p != 2 and not (self.parities[i] and self.parities[j]):
                     if minus is None:
@@ -452,17 +472,13 @@ class Superalgebra:
     # -- subspaces ------------------------------------------------------------
 
     def derived_subalgebra_span(self, span: "GradedSpan") -> "GradedSpan":
-        """Span of brackets (and squares at p = 2) of a graded subspace."""
-        f = self.field
-        out = GradedSpan(self)
+        """Span of brackets (and squares at p = 2) of a graded subalgebra,
+        which contains it: [s, s] lies in s."""
         rows = span.all_rows()
-        for a in range(len(rows)):
-            for b in range(a, len(rows)):
-                out.add_element(self.bracket(rows[a], rows[b]))
-        if f.p == 2:
-            for r in span.odd.rows:
-                out.add_element(self.square(r))
-        return out
+        brackets = (self.bracket(rows[a], rows[b])
+                    for a in range(len(rows)) for b in range(a, len(rows)))
+        squares = (self.square(r) for r in span.odd.rows) if self.field.p == 2 else ()
+        return GradedSpan(self, span.sdim()).add_all(itertools.chain(brackets, squares))
 
     def center_rows(self) -> List[Element]:
         """Kernel of the joint adjoint action, as elements: one equation
@@ -477,10 +493,8 @@ class Superalgebra:
     def first_derived_span(self) -> "GradedSpan":
         """[g, g] as the span of the stored brackets and, at p = 2, squares:
         the bracket of two basis vectors is a stored one up to sign."""
-        out = GradedSpan(self)
-        for v in list(self.brackets.values()) + list((self.squares or {}).values()):
-            out.add_element(v)
-        return out
+        return GradedSpan(self).add_all(itertools.chain(self.brackets.values(),
+                                                       (self.squares or {}).values()))
 
     def structure_series(self) -> dict:
         """The fingerprint's series fields (see the module docstring).  The
@@ -497,17 +511,14 @@ class Superalgebra:
         solvable = cur.dim() == 0
         # lower central series g > [g, g] > [g, [g, g]] > ... for nilpotency;
         # g^(k) lies in its k-th term, so only a solvable g can be nilpotent
+        # (an ideal, which contains the next term: [g, L] lies in L)
         lc, prev = d1, self.dim
         while solvable and lc.dim() not in (0, prev):
             prev = lc.dim()
-            nxt = GradedSpan(self)
-            for u in lc.all_rows():
-                for i in range(self.dim):
-                    nxt.add_element(self.bracket({i: f.one}, u))
-            if f.p == 2:
-                for r in lc.odd.rows:
-                    nxt.add_element(self.square(r))
-            lc = nxt
+            rows = lc.all_rows()
+            brackets = (self.bracket({i: f.one}, u) for u in rows for i in range(self.dim))
+            squares = (self.square(r) for r in lc.odd.rows) if f.p == 2 else ()
+            lc = GradedSpan(self, lc.sdim()).add_all(itertools.chain(brackets, squares))
         nilpotent = lc.dim() == 0
         center = GradedSpan(self)
         for r in self.center_rows():
@@ -568,6 +579,19 @@ class Superalgebra:
             odd = np.array(self.parities)[lo] == 1
             flip[hi[odd], lo[odd]] = True
         return var, flip
+
+    def _partner_index(self) -> Tuple[Tuple[int, ...], ...]:
+        """For every basis index i, the increasing j whose bracket with b_i
+        is stored, under the key (i, j) or (j, i).  Built on first use and
+        kept, read-only, like _constants; see the module docstring."""
+        if self._partners is None:
+            partners: List[List[int]] = [[] for _ in range(self.dim)]
+            for i, j in self.brackets:
+                partners[i].append(j)
+                if i != j:
+                    partners[j].append(i)
+            self._partners = tuple(tuple(sorted(js)) for js in partners)
+        return self._partners
 
     def _constants(self) -> tuple:
         """The nonzero structure constants C[a,b,m] of both orders (a, b) of
@@ -764,20 +788,41 @@ class Superalgebra:
 
 
 class GradedSpan:
-    """Parity-graded subspace, maintained as two echelons (even, odd)."""
+    """Parity-graded subspace, maintained as two echelons (even, odd).
 
-    def __init__(self, g: Superalgebra):
+    bound is the superdimension of a graded space known to contain every
+    vector added (g itself by default): a part that has reached its bound
+    spans that space's part, so it takes no more vectors, and add_all
+    stops reading once both parts have.  This is the one stop rule of the
+    spans: [g, g] stops at g, a derived step at the subalgebra it brackets
+    and a lower central step at the ideal it brackets with g."""
+
+    def __init__(self, g: Superalgebra, bound: Optional[Tuple[int, int]] = None):
         self.g = g
         self.even = Echelon(g.field, g.dim)
         self.odd = Echelon(g.field, g.dim)
+        self.bound = bound if bound is not None else g.sdim
 
     def add_element(self, u: Element):
-        ue = {k: c for k, c in u.items() if self.g.parities[k] == 0}
-        uo = {k: c for k, c in u.items() if self.g.parities[k] == 1}
-        if ue:
-            self.even.add(ue)
-        if uo:
-            self.odd.add(uo)
+        par = self.g.parities
+        ev, od = self.bound
+        if len(self.even) < ev:
+            ue = {k: c for k, c in u.items() if par[k] == 0}
+            if ue:
+                self.even.add(ue)
+        if len(self.odd) < od:
+            uo = {k: c for k, c in u.items() if par[k] == 1}
+            if uo:
+                self.odd.add(uo)
+
+    def add_all(self, elements: Iterable[Element]) -> "GradedSpan":
+        """add_element of each element in turn, until the span reaches its
+        bound; elements is read lazily, so no element after that is made."""
+        for u in elements:
+            self.add_element(u)
+            if self.sdim() == self.bound:
+                break
+        return self
 
     def dim(self) -> int:
         return len(self.even) + len(self.odd)

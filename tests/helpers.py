@@ -6,14 +6,18 @@ engine is tested against, the term-by-term bracket and square that the
 accumulating ones are tested against, the transpose of a Matrix, the
 two-step sl, psl and g^(1)/c through a checked quotient by an ideal, and
 the dense references of the center, of the homology of a square-zero
-matrix and of a module."""
+matrix and of a module, and the references of the loops that now follow
+the nonzeros: the ad-matrix probing every j, the series whose spans never
+stop and the candidate pool that tests every triple."""
 
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from dslie.classical import alternating_parities, gl
+from dslie.ds import is_homological, single_root_candidates
 from dslie.fields import Field, FunctionField, PrimeField, RationalField, UsageError
 from dslie.linalg import Echelon, Element, Matrix, mat_nullspace, zero_of
-from dslie.superalgebra import GradedSpan, Superalgebra
+from dslie.superalgebra import GradedSpan, Superalgebra, el_sum
 
 
 def el_add(f: Field, u: Element, v: Element) -> Element:
@@ -461,3 +465,97 @@ def module_homology_reference(rep, el):
         else:
             raise ValueError("module homology not parity-graded")
     return len(im), (ev, od), comp
+
+
+def ad_matrix_reference(g: Superalgebra, u: dict) -> list:
+    """Superalgebra.ad_matrix probing the stored brackets for all n values
+    of j, for every i in the support of u (the library visits only the
+    bracket partners of i)."""
+    f = g.field
+    n = g.dim
+    p = f.p if isinstance(f, PrimeField) else 0
+    rows = [{} for _ in range(n)]
+    for i, c in u.items():
+        minus = None
+        for j in range(n):
+            w = g.brackets.get((i, j) if i <= j else (j, i))
+            if not w:
+                continue
+            s = c
+            if i > j and f.p != 2 and not (g.parities[i] and g.parities[j]):
+                if minus is None:
+                    minus = -c % p if p else f.neg(c)
+                s = minus
+            for m, e in w.items():
+                v = s * e % p if p else f.mul(s, e)
+                if j in rows[m]:
+                    v = (rows[m][j] + v) % p if p else f.add(rows[m][j], v)
+                rows[m][j] = v
+    zero = zero_of(f)
+    return [{j: v for j, v in row.items() if v != zero} for row in rows]
+
+
+def _span_of(g: Superalgebra, elements) -> GradedSpan:
+    """Every element added to a GradedSpan whose bound no span reaches."""
+    span = GradedSpan(g, (g.dim + 1, g.dim + 1))
+    for u in elements:
+        span.add_element(u)
+    return span
+
+
+def structure_series_reference(g: Superalgebra) -> dict:
+    """Superalgebra.structure_series with spans that never stop: [g, g]
+    takes every stored bracket and square, and each derived and lower
+    central step every bracket (and square) of its term."""
+    f = g.field
+    sq = f.p == 2
+    d1 = _span_of(g, list(g.brackets.values()) + list((g.squares or {}).values()))
+    sdims = [d1.sdim()]
+    cur, prev = d1, g.dim
+    while cur.dim() not in (0, prev):
+        prev = cur.dim()
+        rows = cur.all_rows()
+        cur = _span_of(g, [g.bracket(rows[a], rows[b])
+                           for a in range(len(rows)) for b in range(a, len(rows))]
+                       + [g.square(r) for r in cur.odd.rows if sq])
+        sdims.append(cur.sdim())
+    solvable = cur.dim() == 0
+    lc, prev = d1, g.dim
+    while solvable and lc.dim() not in (0, prev):
+        prev = lc.dim()
+        lc = _span_of(g, [g.bracket({i: f.one}, u) for u in lc.all_rows() for i in range(g.dim)]
+                      + [g.square(r) for r in lc.odd.rows if sq])
+    center = _span_of(g, g.center_rows())
+    meet = _span_of(g, d1.all_rows() + g.center_rows())
+    return {
+        "derived_sdims": tuple(sdims),
+        "center_sdim": center.sdim(),
+        "center_in_derived_sdim": tuple(c + d - s for c, d, s
+                                        in zip(center.sdim(), sdims[0], meet.sdim())),
+        "solvable": solvable,
+        "nilpotent": lc.dim() == 0,
+        "abelian": sdims[0] == (0, 0),
+    }
+
+
+def candidate_pool_reference(aud, key: str, p: int, which: str) -> list:
+    """Auditor.candidate_pool asking is_homological of every sum of two and
+    of three single roots (the library skips the triples that a failed
+    pair already decides)."""
+    b = aud.build(key, p)
+    f = b.field
+    g = b.algebra
+    singles = single_root_candidates(b)
+    pool = [h.element for h in singles]
+    for size in (2, 3):
+        for hs in itertools.combinations(singles, size):
+            el = el_sum(f, [(f.one, h.element) for h in hs])
+            if is_homological(g, el) == "odd":
+                pool.append(el)
+    if which == "sub":
+        h = aud.subquotient(key, p)
+        index = {lab: i for i, lab in enumerate(h.labels)}
+        mapped = [{index[g.labels[i]]: f.one for i in sorted(el)} for el in pool
+                  if all(g.labels[i] in index for i in el)]
+        pool = [el for el in mapped if el and is_homological(h, el) == "odd"]
+    return pool

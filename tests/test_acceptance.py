@@ -7,7 +7,6 @@ audit as documented discrepancies; see the whitelist notes in the bundled
 expected-value dataset.
 """
 
-import itertools
 import time
 
 import pytest
@@ -15,12 +14,11 @@ import pytest
 from dslie.audit import DISCREPANCY, DOCUMENTED, MATCH, load_expected, run_audit
 from dslie.cartan import symmetrize, root_ip
 from dslie.catalog import build_catalog_algebra
-from dslie.classical import gl, psl
 from dslie.ds import (adjoint_rank, defect_report, ds_homology, identify,
                       is_homological, single_root_candidates)
 from dslie.modules import build_irreducible, module_homology
 from dslie.references import ReferenceBank
-from dslie.tables import chain_element, family_algebra
+from dslie.tables import family_algebra
 from helpers import el_add
 
 

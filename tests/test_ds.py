@@ -10,13 +10,12 @@ from dslie import ds
 from dslie.cartan import root_ip, symmetrize
 from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import abelian, gl, psl
-from dslie.ds import (DSError, adjoint_rank, defect_report, ds_homology,
-                      homological_candidates, identify, is_homological,
-                      isotropic_odd_roots, isotropic_orthogonal_sets,
-                      rank_equivalence_check, single_root_candidates)
+from dslie.ds import (DSError, defect_report, ds_homology, homological_candidates, identify,
+                      is_homological, isotropic_odd_roots, isotropic_orthogonal_sets,
+                      rank_equivalence_check)
 from dslie.fields import field_for
 from dslie.linalg import mat_rank
-from dslie.tables import chain_element, family_algebra
+from dslie.tables import family_algebra
 from helpers import dense_matrix, el_add
 
 QQ = field_for(0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslie.fields import FieldSpec, RatFunc, field_for
+from dslie.fields import FieldSpec, field_for
 from helpers import poly
 
 

@@ -1,4 +1,5 @@
-"""Identification and reference-bank behavior."""
+"""Identification and reference-bank behavior, and the audit's candidate
+pools against the pool that tests every triple (helpers)."""
 
 import collections
 
@@ -13,6 +14,7 @@ from dslie.fields import UsageError
 from dslie.references import ReferenceBank
 from dslie.superalgebra import Fingerprint, Superalgebra
 from dslie.tables import family_algebra
+from helpers import candidate_pool_reference
 
 
 def test_reference_bank_names(cache_dir):
@@ -173,3 +175,18 @@ def test_ds_fingerprints_only_references_of_matching_sdim(monkeypatch, capsys, c
         assert main(argv + ["--cache-dir", cache_dir]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == last  # as before the filter
         assert seen and set(seen) == {sdim}
+
+
+@pytest.fixture(scope="module")
+def pool_auditor(cache_dir):
+    return Auditor(cache_dir=cache_dir)
+
+
+@pytest.mark.parametrize("ent", catalog.all_entries(), ids=lambda e: f"{e.key}@p{e.p}")
+def test_candidate_pool_matches_the_all_triples_reference(pool_auditor, ent):
+    """candidate_pool, which skips a triple of distinct roots that has a
+    failed pair, is the pool that asks is_homological of every triple:
+    the same elements in the same order, for g and for its g^(1)/c."""
+    for which in ("g", "sub"):
+        got = pool_auditor.candidate_pool(ent.key, ent.p, which)
+        assert repr(got) == repr(candidate_pool_reference(pool_auditor, ent.key, ent.p, which))

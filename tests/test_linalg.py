@@ -9,25 +9,30 @@ on every field, and the homology matrices
 (ad_matrix, kernel_mod_image, adjoint_rank) against their dense
 references: kernel_mod_image on random square-zero matrices, on the
 empty and the zero matrix, on permuted block-diagonal ones and on ad_x
-of catalog algebras."""
+of catalog algebras, and ad_matrix, which visits each basis vector's
+bracket partners, against the probe of every j (helpers) on every
+catalog build and on gl, sl and psl."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslie.catalog import build_catalog_algebra
+from dslie.cartan import symmetrize
+from dslie.catalog import all_entries, build_catalog_algebra
 from dslie.classical import classical, parse_key
-from dslie.ds import adjoint_rank, ds_homology, is_homological, single_root_candidates
+from dslie.ds import (adjoint_rank, ds_homology, is_homological, isotropic_orthogonal_sets,
+                      single_root_candidates)
 from dslie.fields import PrimeField, field_for
 from dslie import linalg
 from dslie.linalg import (Echelon, Matrix, array_ops, kernel_mod_image, mat_nullspace, mat_rank,
                           nullspace_coo, peel_mod_p, rref, sum_by_key)
-from helpers import (DenseEchelon, dense_matrix, el_add, el_addmul, el_from_dense, el_to_dense,
-                     kernel_mod_image_reference)
+from dslie.superalgebra import el_sum
+from dslie.tables import chain_element
+from helpers import (DenseEchelon, ad_matrix_reference, dense_matrix, el_add, el_addmul,
+                     el_from_dense, el_to_dense, kernel_mod_image_reference)
 from test_subquotient import _p2_heisenberg
 
 
@@ -544,6 +549,41 @@ def test_adjoint_rank_matches_dense_rank(cache_dir, key, p):
     for el in singles:
         want = mat_rank(dense_matrix(g.field, _ad_matrix_reference(g, el), g.dim))
         assert adjoint_rank(g, el) == want, el
+
+
+def _orthogonal_sums(cache_dir, key, p):
+    """(g, elements): every basis vector of g (the single roots among them)
+    and sums of orthogonal isotropic roots -- on a catalog build the sums
+    of the first 2, 3, ... roots of each maximal orthogonal isotropic set,
+    on gl/sl/psl(m|n) the chain elements x1 + x3 + ... of every length."""
+    if parse_key(key):
+        fam, m, n = parse_key(key)
+        g = classical(fam, m, n, p)
+        sums = [chain_element(g, k) for k in range(2, min(m, n) + 1)]
+    else:
+        b = build_catalog_algebra(key, p, cache_dir=cache_dir)
+        g = b.algebra
+        by_root = {h.constituents[0]: h.element for h in single_root_candidates(b)}
+        sums = [el_sum(g.field, [(g.field.one, by_root[r]) for r in mset[:size]])
+                for mset in isotropic_orthogonal_sets(b, symmetrize(b.spec))["max_sets"]
+                for size in range(2, len(mset) + 1)]
+    return g, [{k: g.field.one} for k in range(g.dim)] + sums
+
+
+CLASSICAL_AD = [("gl(2|2)", 0), ("gl(3|2)", 2), ("sl(2|3)", 3), ("psl(3|3)", 3),
+                ("psl(2|2)", 2), ("sl(3|3)", 5)]
+
+
+@pytest.mark.parametrize("key,p", [(e.key, e.p) for e in all_entries()] + CLASSICAL_AD,
+                         ids=lambda v: str(v))
+def test_ad_matrix_matches_the_all_j_probe(cache_dir, key, p):
+    """ad_matrix, which visits only the bracket partners of each i in the
+    support of x, is the probe of all n values of j, repr for repr (key
+    order included), on every catalog build at its p (K(a) included) and
+    on gl, sl and psl, for every basis vector and orthogonal sums."""
+    g, els = _orthogonal_sums(cache_dir, key, p)
+    for el in els:
+        assert repr(g.ad_matrix(el)) == repr(ad_matrix_reference(g, el)), el
 
 
 @pytest.mark.parametrize("key,p", [("g(6,6)", 3), ("e(7,1)", 2), (None, 2)])

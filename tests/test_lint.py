@@ -1,5 +1,6 @@
-"""Static checks on the library sources: every import in src/dslie is used
-and sits at module level, only linalg.py and superalgebra.py import numpy
+"""Static checks on the library sources: every import in src/dslie and in
+the tests is used, every import in src/dslie sits at module level, only
+linalg.py and superalgebra.py import numpy
 (and in linalg only the array paths use it), the array paths of the
 Jacobi sums, the center and the forms test no Field class (only
 linalg.array_ops does), no
@@ -74,9 +75,15 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("module", MODULES)
+TESTS = os.path.join(ROOT, "tests")
+TEST_FILES = sorted(f"tests/{f}" for f in os.listdir(TESTS) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", MODULES + TEST_FILES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
+    """Over src/dslie (by module name) and the tests (as tests/<file>)."""
+    with open(os.path.join(ROOT, module) if module.startswith("tests/")
+              else os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
 
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from dslie import modules
 from dslie.audit import _parse_weight_entry
 from dslie.build import BuildError, build_g_of_A
 from dslie.cartan import CartanSpec
@@ -161,3 +162,20 @@ def test_module_homology_matches_the_dense_reference(cache_dir, entry, mod):
         mh = module_homology(m, el)
         assert repr((mh.rank, mh.sdim_mx, mh.basis_rows)) == repr(want), el
     assert 0 < raised < len(els)
+
+
+def test_grading_rows_are_read_once_per_module(monkeypatch):
+    """action_matrix of a grading element d_t reads build.grading_rows once
+    per module, not once per call, and the matrices do not change."""
+    b = build_catalog_algebra("bgl(3;alpha)", 2)
+    assert b.n_grading
+    f = b.field
+    m = build_irreducible(b, [f.one, f.zero, f.zero])
+    first = [m.action_matrix(b.n + t) for t in range(b.n_grading)]
+    calls = []
+    grading_rows = modules.grading_rows
+    monkeypatch.setattr(modules, "grading_rows", lambda *a: calls.append(a) or grading_rows(*a))
+    fresh = build_irreducible(b, [f.one, f.zero, f.zero])
+    for _ in range(3):
+        assert [fresh.action_matrix(b.n + t) for t in range(b.n_grading)] == first
+    assert len(calls) == 1

@@ -14,17 +14,29 @@ compared with the dense reference repr for repr on every catalog build,
 on the subquotient structures of test_subquotient.py, on the algebras of
 test_forms.py over GF(p), QQ and K(a), and on its QQ algebras at the
 int64 bound.
+
+The spans of structure_series stop once they fill a space known to
+contain them; helpers.structure_series_reference is the same series with
+spans that never stop, compared on the homology of every row of the
+benchmark's ds-exceptional and classical-tables pools, on every reference
+those rows name and on p = 2 algebras with squares.
 """
 
 import pytest
 
+from dslie.audit import Auditor
 from dslie.catalog import all_entries, build_catalog_algebra
+from dslie.cli import _DEFAULT_REF_NAMES
+from dslie.build import build_g_of_A
 from dslie.classical import abelian, gl, hei_odd, psl
 from dslie.ds import ds_homology
+from dslie.fields import UsageError
 from dslie.linalg import Matrix, mat_nullspace
 from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum
-from helpers import center_rows_reference, el_addmul, transpose
+from helpers import center_rows_reference, el_addmul, structure_series_reference, transpose
 from test_forms import EVERY_FIELD, INT64_EDGE
+from test_build import HAND_SPECS
+from test_perfbench_hooks import _perfbench_module
 from test_subquotient import BUILDERS, _p2_heisenberg
 
 
@@ -155,3 +167,74 @@ def test_center_matches_dense_reference_on_form_algebras(cache_dir, name):
 def test_center_matches_dense_reference_at_the_int64_bound(name):
     g = INT64_EDGE[name][0]()
     assert repr(g.center_rows()) == repr(center_rows_reference(g))
+
+
+@pytest.fixture(scope="module")
+def table_auditor(cache_dir):
+    return Auditor(cache_dir=cache_dir)
+
+
+def _table_rows(name):
+    """The rows of a row workload of the benchmark, and its reader of a
+    row's reference names."""
+    workloads = _perfbench_module("workloads")
+    rows = {"ds-exceptional": workloads.exceptional_rows,
+            "classical-tables": workloads.classical_rows}[name]()
+    return rows, workloads.RowWorkload._labels
+
+
+def _check_no_stop(algebras) -> bool:
+    """structure_series against the no-stop reference on every (name,
+    algebra); whether one of them is solvable and not nilpotent."""
+    seen = False
+    for what, g in algebras:
+        ss = g.structure_series()
+        assert ss == structure_series_reference(g), what
+        seen = seen or (ss["solvable"] and not ss["nilpotent"])
+    return seen
+
+
+@pytest.mark.parametrize("name", ["ds-exceptional", "classical-tables"])
+def test_series_match_the_no_stop_reference_on_table_homologies(table_auditor, name):
+    """The spans that stop at the space that contains them give the series
+    of the spans that never stop, on the homology of every row of the
+    benchmark's two row workloads."""
+    aud = table_auditor
+    rows, _labels = _table_rows(name)
+    assert _check_no_stop((row["id"], ds_homology(aud.algebra_of(row), aud.resolve_x(row)[0])
+                           .homology) for row in rows)
+
+
+def test_series_match_the_no_stop_reference_on_the_references(table_auditor):
+    """As above, on every reference algebra those rows name and on the CLI's
+    default references, at each characteristic of the rows."""
+    names = set()
+    for name in ("ds-exceptional", "classical-tables"):
+        rows, labels = _table_rows(name)
+        names |= {(row["p"], lab) for row in rows for lab in labels(row)}
+    for p in {p for p, _lab in names}:
+        for lab in _DEFAULT_REF_NAMES:
+            try:
+                table_auditor.refs(p).algebra(lab)
+            except UsageError:
+                continue
+            names.add((p, lab))
+    assert _check_no_stop((f"{lab}@{p}", table_auditor.refs(p).algebra(lab))
+                          for p, lab in sorted(names))
+
+
+def _p2_square_algebras():
+    """Algebras at p = 2 with squares, which no table row reaches: the
+    p = 2 Heisenberg algebra and its homology by the central o3, and g(A)
+    of the square nodes osp(1|2) and osp(1|4)."""
+    heis = _p2_heisenberg()
+    yield "p2-heisenberg", heis
+    yield "p2-heisenberg/o3", ds_homology(heis, {heis.labels.index("o3"): heis.field.one}).homology
+    for name in ("osp(1|2)@p2", "osp(1|4)@p2"):
+        yield name, build_g_of_A(HAND_SPECS[name]).algebra
+
+
+def test_series_match_the_no_stop_reference_on_p2_squares():
+    algebras = list(_p2_square_algebras())
+    assert all(g.squares for _name, g in algebras)
+    _check_no_stop(algebras)
