@@ -495,49 +495,6 @@ def ad_matrix_reference(g: Superalgebra, u: dict) -> list:
     return [{j: v for j, v in row.items() if v != zero} for row in rows]
 
 
-def _span_of(g: Superalgebra, elements) -> GradedSpan:
-    """Every element added to a GradedSpan whose bound no span reaches."""
-    span = GradedSpan(g, (g.dim + 1, g.dim + 1))
-    for u in elements:
-        span.add_element(u)
-    return span
-
-
-def structure_series_reference(g: Superalgebra) -> dict:
-    """Superalgebra.structure_series with spans that never stop: [g, g]
-    takes every stored bracket and square, and each derived and lower
-    central step every bracket (and square) of its term."""
-    f = g.field
-    sq = f.p == 2
-    d1 = _span_of(g, list(g.brackets.values()) + list((g.squares or {}).values()))
-    sdims = [d1.sdim()]
-    cur, prev = d1, g.dim
-    while cur.dim() not in (0, prev):
-        prev = cur.dim()
-        rows = cur.all_rows()
-        cur = _span_of(g, [g.bracket(rows[a], rows[b])
-                           for a in range(len(rows)) for b in range(a, len(rows))]
-                       + [g.square(r) for r in cur.odd.rows if sq])
-        sdims.append(cur.sdim())
-    solvable = cur.dim() == 0
-    lc, prev = d1, g.dim
-    while solvable and lc.dim() not in (0, prev):
-        prev = lc.dim()
-        lc = _span_of(g, [g.bracket({i: f.one}, u) for u in lc.all_rows() for i in range(g.dim)]
-                      + [g.square(r) for r in lc.odd.rows if sq])
-    center = _span_of(g, g.center_rows())
-    meet = _span_of(g, d1.all_rows() + g.center_rows())
-    return {
-        "derived_sdims": tuple(sdims),
-        "center_sdim": center.sdim(),
-        "center_in_derived_sdim": tuple(c + d - s for c, d, s
-                                        in zip(center.sdim(), sdims[0], meet.sdim())),
-        "solvable": solvable,
-        "nilpotent": lc.dim() == 0,
-        "abelian": sdims[0] == (0, 0),
-    }
-
-
 def candidate_pool_reference(aud, key: str, p: int, which: str) -> list:
     """Auditor.candidate_pool asking is_homological of every sum of two and
     of three single roots (the library skips the triples that a failed

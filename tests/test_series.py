@@ -2,11 +2,16 @@
 
 Superalgebra.structure_series reads [g, g] once from the stored brackets
 (and squares at p = 2) and counts dim C ∩ [g, g] per parity as
-dim C + dim [g, g] - dim (C + [g, g]).  The reference below is the earlier
-algorithm: the first derived and lower central steps bracket every pair of
-basis vectors, the center is the nullspace of Field rows, and
+dim C + dim [g, g] - dim (C + [g, g]).  Its spans stop once they fill a
+space known to contain them.  The reference below is the earlier
+algorithm, whose spans never stop: the first derived and lower central
+steps bracket every pair of basis vectors, each derived step every pair
+of its rows, the center is the nullspace of Field rows, and
 center ∩ [g, g] is a basis found from the nullspace of the stacked center
-and [g, g] rows.
+and [g, g] rows.  The two are compared on small algebras, on the homology
+of every row of the benchmark's ds-exceptional and classical-tables
+pools, on every reference those rows name and on p = 2 algebras with
+squares.
 
 center_rows, which hands the stored constants to linalg.nullspace_coo
 (peeled over GF(p) and QQ within int64, whole over K(a) and beyond), is
@@ -14,12 +19,6 @@ compared with the dense reference repr for repr on every catalog build,
 on the subquotient structures of test_subquotient.py, on the algebras of
 test_forms.py over GF(p), QQ and K(a), and on its QQ algebras at the
 int64 bound.
-
-The spans of structure_series stop once they fill a space known to
-contain them; helpers.structure_series_reference is the same series with
-spans that never stop, compared on the homology of every row of the
-benchmark's ds-exceptional and classical-tables pools, on every reference
-those rows name and on p = 2 algebras with squares.
 """
 
 import pytest
@@ -33,7 +32,7 @@ from dslie.ds import ds_homology
 from dslie.fields import UsageError
 from dslie.linalg import Matrix, mat_nullspace
 from dslie.superalgebra import GradedSpan, Superalgebra, direct_sum
-from helpers import center_rows_reference, el_addmul, structure_series_reference, transpose
+from helpers import center_rows_reference, el_addmul, transpose
 from test_forms import EVERY_FIELD, INT64_EDGE
 from test_build import HAND_SPECS
 from test_perfbench_hooks import _perfbench_module
@@ -58,30 +57,38 @@ def _kernel_trick_meet(g: Superalgebra, rows_a, rows_b):
     return out
 
 
+def _span(g: Superalgebra, elements) -> GradedSpan:
+    """Every element added to a GradedSpan whose bound no span reaches, so
+    that the reference's spans never stop."""
+    span = GradedSpan(g, (g.dim + 1, g.dim + 1))
+    for u in elements:
+        span.add_element(u)
+    return span
+
+
 def _sdim(g: Superalgebra, rows):
-    sp = GradedSpan(g)
-    for r in rows:
-        sp.add_element(r)
-    return sp.sdim()
+    return _span(g, rows).sdim()
 
 
-def _full(g: Superalgebra) -> GradedSpan:
-    full = GradedSpan(g)
-    for i in range(g.dim):
-        full.add_element({i: g.field.one})
-    return full
+def _derived_step(g: Superalgebra, span: GradedSpan) -> GradedSpan:
+    """Every bracket of two rows of span and, at p = 2, every square of an
+    odd row."""
+    rows = span.all_rows()
+    squares = [g.square(r) for r in span.odd.rows] if g.field.p == 2 else []
+    return _span(g, [g.bracket(rows[a], rows[b])
+                     for a in range(len(rows)) for b in range(a, len(rows))] + squares)
 
 
 def _pairwise_derived(g: Superalgebra) -> GradedSpan:
-    return g.derived_subalgebra_span(_full(g))
+    return _derived_step(g, _span(g, ({i: g.field.one} for i in range(g.dim))))
 
 
 def reference_series(g: Superalgebra) -> dict:
     f = g.field
-    full = _full(g)
+    full = _span(g, ({i: f.one} for i in range(g.dim)))
     derived, cur, sdims = [], full, []
     while True:
-        nxt = g.derived_subalgebra_span(cur)
+        nxt = _derived_step(g, cur)
         sdims.append(nxt.sdim())
         derived.append(nxt)
         if nxt.dim() == cur.dim() or nxt.dim() == 0:
@@ -89,13 +96,9 @@ def reference_series(g: Superalgebra) -> dict:
         cur = nxt
     lc, nilpotent = full, False
     while True:
-        nxt = GradedSpan(g)
-        for u in lc.all_rows():
-            for i in range(g.dim):
-                nxt.add_element(g.bracket({i: f.one}, u))
-        if f.p == 2:
-            for r in lc.odd.rows:
-                nxt.add_element(g.square(r))
+        squares = [g.square(r) for r in lc.odd.rows] if f.p == 2 else []
+        nxt = _span(g, [g.bracket({i: f.one}, u) for u in lc.all_rows() for i in range(g.dim)]
+                    + squares)
         if nxt.dim() == 0:
             nilpotent = True
             break
@@ -129,13 +132,6 @@ ALGEBRAS = {
     "brj(2;3)/x1": lambda c: _homology(c, "brj(2;3)", 3, "x1"),
     "e(7,7)/x1+x3": lambda c: _homology(c, "e(7,7)", 2, "x1+x3"),
 }
-
-
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_series_match_pairwise_reference(cache_dir, name):
-    g = ALGEBRAS[name](cache_dir)
-    assert g.structure_series() == reference_series(g)
-    assert g.first_derived_span().all_rows() == _pairwise_derived(g).all_rows()
 
 
 def test_center_meets_derived_in_a_proper_part():
@@ -183,31 +179,16 @@ def _table_rows(name):
     return rows, workloads.RowWorkload._labels
 
 
-def _check_no_stop(algebras) -> bool:
-    """structure_series against the no-stop reference on every (name,
-    algebra); whether one of them is solvable and not nilpotent."""
-    seen = False
-    for what, g in algebras:
-        ss = g.structure_series()
-        assert ss == structure_series_reference(g), what
-        seen = seen or (ss["solvable"] and not ss["nilpotent"])
-    return seen
-
-
-@pytest.mark.parametrize("name", ["ds-exceptional", "classical-tables"])
-def test_series_match_the_no_stop_reference_on_table_homologies(table_auditor, name):
-    """The spans that stop at the space that contains them give the series
-    of the spans that never stop, on the homology of every row of the
-    benchmark's two row workloads."""
-    aud = table_auditor
+def _table_homologies(aud, name):
+    """The homology of every row of a row workload of the benchmark."""
     rows, _labels = _table_rows(name)
-    assert _check_no_stop((row["id"], ds_homology(aud.algebra_of(row), aud.resolve_x(row)[0])
-                           .homology) for row in rows)
+    return [(row["id"], ds_homology(aud.algebra_of(row), aud.resolve_x(row)[0]).homology)
+            for row in rows]
 
 
-def test_series_match_the_no_stop_reference_on_the_references(table_auditor):
-    """As above, on every reference algebra those rows name and on the CLI's
-    default references, at each characteristic of the rows."""
+def _table_references(aud):
+    """Every reference algebra the rows of both row workloads name and the
+    CLI's default references, at each characteristic of the rows."""
     names = set()
     for name in ("ds-exceptional", "classical-tables"):
         rows, labels = _table_rows(name)
@@ -215,12 +196,11 @@ def test_series_match_the_no_stop_reference_on_the_references(table_auditor):
     for p in {p for p, _lab in names}:
         for lab in _DEFAULT_REF_NAMES:
             try:
-                table_auditor.refs(p).algebra(lab)
+                aud.refs(p).algebra(lab)
             except UsageError:
                 continue
             names.add((p, lab))
-    assert _check_no_stop((f"{lab}@{p}", table_auditor.refs(p).algebra(lab))
-                          for p, lab in sorted(names))
+    return [(f"{lab}@{p}", aud.refs(p).algebra(lab)) for p, lab in sorted(names)]
 
 
 def _p2_square_algebras():
@@ -228,13 +208,37 @@ def _p2_square_algebras():
     p = 2 Heisenberg algebra and its homology by the central o3, and g(A)
     of the square nodes osp(1|2) and osp(1|4)."""
     heis = _p2_heisenberg()
-    yield "p2-heisenberg", heis
-    yield "p2-heisenberg/o3", ds_homology(heis, {heis.labels.index("o3"): heis.field.one}).homology
-    for name in ("osp(1|2)@p2", "osp(1|4)@p2"):
-        yield name, build_g_of_A(HAND_SPECS[name]).algebra
+    out = [("p2-heisenberg", heis),
+           ("p2-heisenberg/o3", ds_homology(heis, {heis.labels.index("o3"): heis.field.one}).homology)]
+    return out + [(name, build_g_of_A(HAND_SPECS[name]).algebra)
+                  for name in ("osp(1|2)@p2", "osp(1|4)@p2")]
 
 
-def test_series_match_the_no_stop_reference_on_p2_squares():
-    algebras = list(_p2_square_algebras())
-    assert all(g.squares for _name, g in algebras)
-    _check_no_stop(algebras)
+# families of algebras, each read from an Auditor: the spans of
+# structure_series stop once they fill a space known to contain them, and
+# these reach that rule on the algebras the benchmark's rows compute with
+FAMILIES = {
+    "rows:ds-exceptional": lambda aud: _table_homologies(aud, "ds-exceptional"),
+    "rows:classical-tables": lambda aud: _table_homologies(aud, "classical-tables"),
+    "references": _table_references,
+    "p2-squares": lambda _aud: _p2_square_algebras(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + sorted(FAMILIES))
+def test_series_match_pairwise_reference(request, cache_dir, name):
+    if name in ALGEBRAS:
+        cases = [(name, ALGEBRAS[name](cache_dir))]
+    else:
+        cases = FAMILIES[name](request.getfixturevalue("table_auditor"))
+    for what, g in cases:
+        assert g.structure_series() == reference_series(g), what
+        assert g.first_derived_span().all_rows() == _pairwise_derived(g).all_rows(), what
+
+
+def test_the_inputs_reach_squares_and_a_solvable_non_nilpotent_algebra():
+    """The stop rule of the lower central series acts on solvable algebras
+    only, and squares enter the spans at p = 2 only."""
+    assert all(g.squares for _what, g in _p2_square_algebras())
+    ss = ALGEBRAS["gl(1|1)/p0"](None).structure_series()
+    assert ss["solvable"] and not ss["nilpotent"]
